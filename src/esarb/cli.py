@@ -111,7 +111,7 @@ def _emit(args, payload: dict) -> None:
 
 def _cmd_detect(args) -> int:
     market = _build_market(args)
-    result = detect(market, args.p, cost_cap=args.cost_cap)
+    result = detect(market, args.p)
     _emit(args, eio.detection_to_dict(result, market.labels()))
     return 3 if result.arbitrage else 0
 
@@ -130,7 +130,7 @@ def _cmd_min_p(args) -> int:
     reports = []
     for run in range(runs):
         market = _build_market(args, run_tag=f":run{run}" if runs > 1 else "")
-        result = min_p(market, bracket=bracket, tol=args.tol, cost_cap=args.cost_cap)
+        result = min_p(market, bracket=bracket, tol=args.tol)
         reports.append(result)
     main = reports[0]
     payload = {
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="run the LP detector at one level")
     _add_market_flags(p_detect)
     p_detect.add_argument("--p", type=float, required=True)
-    p_detect.add_argument("--cost-cap", type=float, default=0.0)
     p_detect.add_argument("--out")
     p_detect.set_defaults(func=_cmd_detect)
 
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_flags(p_minp)
     p_minp.add_argument("--bracket", default="1e-4,0.5")
     p_minp.add_argument("--tol", type=float, default=1e-4)
-    p_minp.add_argument("--cost-cap", type=float, default=0.0)
     p_minp.add_argument("--two-run", action="store_true", help="repeat mc run with a second substream")
     p_minp.add_argument("--out")
     p_minp.set_defaults(func=_cmd_min_p)

@@ -1,8 +1,8 @@
 """ES_p-arbitrage detection: hinge LP construction, solvers, verdicts, bisection.
 
 The detection LP minimizes alpha + (1/p) sum w_i u_i over (alpha, x, u) with
-u_i >= -f(Omega_i).x - alpha, u_i >= 0, prices.x <= cost_cap and box bounds
-on x; its optimum is the least expected shortfall reachable at non-positive
+u_i >= -f(Omega_i).x - alpha, u_i >= 0, prices.x <= 0 and box bounds on x;
+its optimum is the least expected shortfall reachable at non-positive
 cost. Verdicts use a two-phase rule: a strictly negative optimum is an
 arbitrage outright, an optimum at the zero boundary is confirmed by a second
 LP maximizing expected payoff subject to the linearized ES <= 0 rows.
@@ -21,10 +21,8 @@ from scipy.optimize import linprog
 from .market import MarketSnapshot, Portfolio, WeightedSample
 from .risk import RiskLevel, es_p, var_p
 
-_SMALL_ROWS = 600
-_SMALL_VARS = 4000
-_SMALL_CELLS = 200_000
 _CUT_LEGS = 64
+_CUT_SCENARIOS = 600
 _HIGHS_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -52,7 +50,6 @@ class LpProblem:
     weights: np.ndarray
     prices: np.ndarray
     level: RiskLevel
-    cost_cap: float
     upper_bound: float
 
     @property
@@ -99,9 +96,7 @@ class LpProblem:
     @cached_property
     def rhs(self) -> np.ndarray:
         extra = 1 if self.kind == "max_expected" else 0
-        b = np.zeros(1 + self.n_scenarios + extra)
-        b[0] = self.cost_cap
-        return b
+        return np.zeros(1 + self.n_scenarios + extra)
 
     @cached_property
     def lower_bounds(self) -> np.ndarray:
@@ -161,7 +156,6 @@ def _merged_blocks(market: MarketSnapshot, merge: bool):
 def build_lp(
     market: MarketSnapshot,
     level: RiskLevel | float,
-    cost_cap: float = 0.0,
     merge_scenarios: bool = True,
 ) -> LpProblem:
     """Assemble the hinge LP for the market at the given level.
@@ -178,7 +172,6 @@ def build_lp(
         weights=weights,
         prices=market.prices(),
         level=level,
-        cost_cap=float(cost_cap),
         upper_bound=market.upper_bound,
     )
 
@@ -190,7 +183,6 @@ def _confirmation_lp(problem: LpProblem) -> LpProblem:
         weights=problem.weights,
         prices=problem.prices,
         level=problem.level,
-        cost_cap=problem.cost_cap,
         upper_bound=problem.upper_bound,
     )
 
@@ -228,24 +220,6 @@ def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
         raise SolverError(
             f"numerical failure: residual {worst:.3e}, bound violation {bound_viol:.3e}"
         )
-
-
-def _solve_small_simplex(problem: LpProblem) -> LpSolution | None:
-    from .simplex import solve_simplex
-
-    A = problem.constraint_matrix.toarray()
-    result = solve_simplex(
-        problem.objective,
-        A,
-        problem.rhs,
-        problem.lower_bounds,
-        problem.upper_bounds,
-    )
-    if result.status == "optimal":
-        return LpSolution("optimal", result.objective, result.x, "simplex")
-    if result.status == "unbounded":
-        return LpSolution("unbounded", -math.inf, None, "simplex")
-    return None  # needs_phase1 / iteration_limit: let a fallback handle it
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
@@ -294,7 +268,7 @@ def _master_min_es(cut_g, cut_h, problem: LpProblem):
             np.concatenate([problem.prices, [0.0]]),
         ]
     )
-    b = np.concatenate([-np.asarray(cut_h), [problem.cost_cap]])
+    b = np.concatenate([-np.asarray(cut_h), [0.0]])
     res = _master_solve(
         np.concatenate([np.zeros(n_l), [1.0]]),
         A,
@@ -335,14 +309,24 @@ def _solve_min_es_cuts(problem: LpProblem) -> LpSolution | None:
 
 
 def _solve_max_expected_cuts(problem: LpProblem) -> LpSolution | None:
-    """Outer linearization of the ES <= 0 constraint for the confirmation LP."""
+    """Outer linearization of the ES <= 0 constraint for the confirmation LP.
+
+    Each round maximizes expected payoff over the cuts found so far, then
+    accepts the master's point if its ES is <= 0 or cuts it off with the
+    support line of ES there.
+    """
     F, w, p = problem.payoffs, problem.weights, problem.level.p
     n_l = problem.n_legs
     expected = F.T @ w
     scale = 1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound
     cut_g, cut_h = [], []
-    x = np.zeros(n_l)
     for _ in range(_MAX_CUTS):
+        A = np.vstack([*cut_g, problem.prices])
+        b = np.array([*cut_h, 0.0])
+        res = _master_solve(-expected, A, b, [(0.0, problem.upper_bound)] * n_l)
+        if res is None:
+            return None
+        x = res.x
         es, q = _tail_envelope(F @ x, w, p)
         if es <= 1e-10 * scale:
             v = _full_vector(problem, x)
@@ -350,12 +334,6 @@ def _solve_max_expected_cuts(problem: LpProblem) -> LpSolution | None:
         g = -(F.T @ q)
         cut_g.append(g)
         cut_h.append(float(g @ x) - es)  # g.x' <= g.x - es
-        A = np.vstack([np.asarray(cut_g), problem.prices])
-        b = np.concatenate([np.asarray(cut_h), [problem.cost_cap]])
-        res = _master_solve(-expected, A, b, [(0.0, problem.upper_bound)] * n_l)
-        if res is None:
-            return None
-        x = res.x
     return None
 
 
@@ -363,27 +341,24 @@ def solve_lp(problem: LpProblem, solver: str = "auto") -> LpSolution:
     """Solve the LP to a certified optimum (objective within 1e-9, residuals
     within 1e-9 relative), deterministically.
 
-    solver: "auto" picks the dense simplex for small instances, the
-    cutting-plane path for many-scenario markets with few legs (its master
-    LPs stay tiny), and sparse HiGHS for everything else; "simplex",
-    "highs" and "cuts" force a path.
+    solver: "auto" takes the cutting-plane path for markets with many
+    scenarios and few legs (its master LPs stay tiny while each cut is one
+    sort of the scenarios) and sparse HiGHS for everything else; "cuts" and
+    "highs" force a path. HiGHS also answers when the cutting planes fail.
     """
-    rows = problem.n_scenarios + 1
-    small = (
-        rows <= _SMALL_ROWS
-        and problem.n_variables <= _SMALL_VARS
-        and rows * problem.n_variables <= _SMALL_CELLS
-    )
-    lean = problem.n_legs <= _CUT_LEGS
+    if solver not in ("auto", "cuts", "highs"):
+        raise ValueError(f"unknown solver {solver!r}")
     solution: LpSolution | None = None
-    if solver == "simplex" or (solver == "auto" and small):
-        solution = _solve_small_simplex(problem)
-    elif solver == "cuts" or (solver == "auto" and lean):
+    if solver == "cuts" or (
+        solver == "auto"
+        and problem.n_legs <= _CUT_LEGS
+        and problem.n_scenarios >= _CUT_SCENARIOS
+    ):
         if problem.kind == "min_es":
             solution = _solve_min_es_cuts(problem)
         else:
             solution = _solve_max_expected_cuts(problem)
-    if solution is None or solver == "highs":
+    if solution is None:
         solution = _solve_highs(problem)
     if solution.status == "optimal":
         _check_residuals(problem, solution.x)
@@ -399,7 +374,6 @@ def arbitrage_epsilon(market: MarketSnapshot) -> float:
 def detect(
     market: MarketSnapshot,
     level: RiskLevel | float,
-    cost_cap: float = 0.0,
     solver: str = "auto",
 ) -> DetectionResult:
     """Decide whether the market admits an ES_p-arbitrage at the given level.
@@ -413,7 +387,7 @@ def detect(
     maximizer so that it always witnesses the verdict.
     """
     level = level if isinstance(level, RiskLevel) else RiskLevel(float(level))
-    problem = build_lp(market, level, cost_cap=cost_cap)
+    problem = build_lp(market, level)
     solution = solve_lp(problem, solver=solver)
     if solution.status != "optimal":
         raise SolverError(f"detection LP ended with status {solution.status}")
@@ -448,7 +422,6 @@ def min_p(
     market: MarketSnapshot,
     bracket: tuple[float, float] = (1e-4, 0.5),
     tol: float = 1e-4,
-    cost_cap: float = 0.0,
 ) -> MinPResult:
     """Bisect for the smallest level in the bracket admitting arbitrage.
 
@@ -467,7 +440,7 @@ def min_p(
     def has_arbitrage(p: float) -> bool:
         nonlocal evals
         evals += 1
-        return detect(market, p, cost_cap=cost_cap).arbitrage
+        return detect(market, p).arbitrage
 
     if has_arbitrage(lo):
         return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)

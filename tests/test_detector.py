@@ -16,7 +16,7 @@ from esarb import (
     ru_objective,
 )
 from esarb.analytic import CompleteMarketDensity, density_market
-from esarb.detector import arbitrage_epsilon, build_lp, detect, min_p, solve_lp
+from esarb.detector import _confirmation_lp, arbitrage_epsilon, build_lp, detect, min_p, solve_lp
 
 from conftest import random_market
 
@@ -51,7 +51,6 @@ def test_build_lp_counts_and_roles():
     assert prob.lower_bounds[0] == -math.inf and prob.upper_bounds[0] == math.inf
     assert np.all(prob.lower_bounds[1:3] == 0.0) and np.all(prob.upper_bounds[1:3] == 1.0)
     assert np.all(prob.lower_bounds[3:] == 0.0)
-    assert prob.cost_cap == 0.0
 
 
 def test_build_lp_objective_weights():
@@ -130,9 +129,14 @@ def test_solver_backends_agree(rng):
     for _ in range(12):
         market = random_market(rng)
         prob = build_lp(market, float(rng.uniform(0.05, 0.7)))
-        values = {s: solve_lp(prob, solver=s).optimal_value for s in ("simplex", "cuts", "highs")}
-        spread = max(values.values()) - min(values.values())
-        assert spread <= 1e-8 * (1.0 + abs(min(values.values())))
+        for lp in (prob, _confirmation_lp(prob)):
+            cuts, highs = (solve_lp(lp, solver=s).optimal_value for s in ("cuts", "highs"))
+            assert abs(cuts - highs) <= 1e-8 * (1.0 + abs(highs))
+
+
+def test_unknown_solver_rejected():
+    with pytest.raises(ValueError):
+        solve_lp(build_lp(true_arb_market(), 0.5), solver="simplex")
 
 
 def test_lp_solution_is_primal_feasible(rng):
@@ -169,6 +173,25 @@ def test_true_arbitrage_detected_at_every_level():
     market = true_arb_market()
     for p in (0.01, 0.1, 0.5, 0.9):
         assert detect(market, p).arbitrage
+
+
+def test_zero_price_lottery_confirmed_on_cutting_planes():
+    # least ES is exactly 0 here, so the verdict rests on the confirmation LP
+    from esarb.analytic import MarkowitzMarket, markowitz_market
+
+    base = markowitz_market(
+        MarkowitzMarket([1.1], [[0.01]], [1.0], 0.0), 2000, np.random.default_rng(20190226)
+    )
+    pay = np.zeros(2000)
+    pay[::2] = 1.0
+    market = MarketSnapshot(base.scenarios, base.legs + (TradableLeg("lottery", 0.0, pay),), spot=1.0)
+    res = detect(market, 0.05)
+    ref = detect(market, 0.05, solver="highs")
+    assert res.arbitrage and ref.arbitrage
+    assert res.confirmation.max_expected_payoff == pytest.approx(
+        ref.confirmation.max_expected_payoff, abs=1e-8
+    )
+    assert ref.confirmation.max_expected_payoff == pytest.approx(0.5, abs=1e-8)
 
 
 def test_capped_density_thresholds():
@@ -322,3 +345,32 @@ def test_min_p_bad_bracket_rejected():
             min_p(market, bracket=bracket)
     with pytest.raises(ValueError):
         min_p(market, bracket=(0.1, 0.5), tol=0.0)
+
+
+def test_min_p_on_quadrature_market_with_singular_dense_basis():
+    # A 200-scenario x 54-leg quadrature market whose LP near p = 0.121 has
+    # singular bases; HiGHS verdicts must bracket the threshold.
+    from esarb.market import expand_quotes
+    from esarb.models import LognormalMixture, default_pl_grid, pl_quadrature, synthesize_chain
+
+    spot, rate, maturity = 100.0, 0.02, 1.0
+
+    def mixture(weights, forwards, sds):
+        sds = np.asarray(sds)
+        return LognormalMixture(
+            np.asarray(weights), np.log(forwards) - 0.5 * sds**2, sds, spot, rate, maturity
+        )
+
+    fwd = spot * math.exp(rate * maturity)
+    pricing = mixture((0.6, 0.4), (0.95 * fwd, (fwd - 0.6 * 0.95 * fwd) / 0.4), (0.15, 0.35))
+    strikes = np.arange(70.0, 131.0, 5.0)
+    chain = synthesize_chain(pricing, strikes, rel_spread=0.02)
+    model = mixture((0.2, 0.8), (70.0, 108.0), (0.3, 0.15))
+    scen = pl_quadrature(model, default_pl_grid(model, strikes))
+    legs = tuple(expand_quotes(chain, scen, spot, rate, maturity))
+    market = MarketSnapshot(scen, legs, spot, rate, maturity)
+
+    res = min_p(market, bracket=(1e-4, 0.9))
+    assert res.status == "found"
+    assert detect(market, res.p_star, solver="highs").arbitrage
+    assert not detect(market, res.p_star - 1e-4, solver="highs").arbitrage
