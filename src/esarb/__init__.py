@@ -1,7 +1,7 @@
 """ES_p-arbitrage detection in positive-homogeneous markets.
 
 Library layout: market data structures (market), the risk measure and its
-coherence checks (risk), the hinge-LP detector and bisection (detector),
+coherence checks (risk), the hinge-LP detector and its threshold (detector),
 closed-form criteria and synthetic markets (analytic), terminal price models
 and quadratures (models), utility experiments (utility), file formats (io)
 and the command line (cli).

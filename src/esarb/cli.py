@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--out")
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_minp = sub.add_parser("min-p", help="bisect for the smallest arbitrage level")
+    p_minp = sub.add_parser("min-p", help="smallest arbitrage level, from the threshold LP")
     _add_market_flags(p_minp)
     p_minp.add_argument("--bracket", default="1e-4,0.5")
     p_minp.add_argument("--tol", type=float, default=1e-4)

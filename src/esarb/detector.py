@@ -1,4 +1,4 @@
-"""ES_p-arbitrage detection: hinge LP construction, solvers, verdicts, bisection.
+"""ES_p-arbitrage detection: hinge LP construction, solvers, verdicts, thresholds.
 
 The detection LP minimizes alpha + (1/p) sum w_i u_i over (alpha, x, u) with
 u_i >= -f(Omega_i).x - alpha, u_i >= 0, prices.x <= 0 and box bounds on x;
@@ -6,6 +6,11 @@ its optimum is the least expected shortfall reachable at non-positive
 cost. Verdicts use a two-phase rule: a strictly negative optimum is an
 arbitrage outright, an optimum at the zero boundary is confirmed by a second
 LP maximizing expected payoff subject to the linearized ES <= 0 rows.
+
+The smallest arbitrage level comes from the dual side: over the ES dual set
+{0 <= q <= 1/p, E_w q = 1}, the least ES is strictly negative iff no pricing
+density q has max q <= 1/p, so one LP for the least max q gives the
+threshold and `detect` settles the boundary.
 """
 
 from __future__ import annotations
@@ -142,14 +147,19 @@ class MinPResult:
 
 
 def _merged_blocks(market: MarketSnapshot, merge: bool):
-    payoffs = market.payoff_matrix() + 0.0  # normalize -0.0 so merging sees it
+    payoffs = market.payoff_matrix() + 0.0  # normalize -0.0 so merged rows carry +0.0
     weights = market.scenarios.weights
-    if merge and payoffs.shape[0] > 1:
-        uniq, inverse = np.unique(payoffs, axis=0, return_inverse=True)
-        merged_w = np.bincount(inverse, weights=weights, minlength=uniq.shape[0])
+    if merge:
+        # sort rows lexicographically (first column major), then sum the
+        # weights of each run of equal adjacent rows
+        order = np.lexsort(payoffs.T[::-1])
+        rows = payoffs[order]
+        starts = np.flatnonzero(
+            np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
+        )
+        merged_w = np.add.reduceat(weights[order], starts)
         keep = merged_w > 0
-        if keep.any():
-            payoffs, weights = uniq[keep], merged_w[keep]
+        payoffs, weights = rows[starts[keep]], merged_w[keep]
     return payoffs, weights
 
 
@@ -208,18 +218,40 @@ def _full_vector(problem: LpProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
-    A = problem.constraint_matrix
-    resid = A @ v - problem.rhs
-    scale = 1.0 + np.abs(problem.rhs) + abs(A) @ np.abs(v)
-    worst = float((resid / scale).max(initial=0.0))
-    lo, hi = problem.lower_bounds, problem.upper_bounds
+    """Certify (alpha, x, u) row block by row block, without the matrix:
+    each row's residual is scaled by 1 + sum |a_ij v_j| over its entries."""
+    n_l = problem.n_legs
+    alpha, x, u = float(v[0]), v[1 : 1 + n_l], v[1 + n_l :]
+    abs_x = np.abs(x)
+    resid = [[problem.prices @ x], -alpha - problem.payoffs @ x - u]
+    scale = [
+        [np.abs(problem.prices) @ abs_x],
+        abs(alpha) + np.abs(problem.payoffs) @ abs_x + np.abs(u),
+    ]
+    if problem.kind == "max_expected":
+        tail = problem.weights / problem.level.p
+        resid.append([alpha + tail @ u])
+        scale.append([abs(alpha) + tail @ np.abs(u)])
+    worst = float((np.concatenate(resid) / (1.0 + np.concatenate(scale))).max(initial=0.0))
     bound_viol = max(
-        float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0))
+        float((-v[1:]).max(initial=0.0)), float((x - problem.upper_bound).max(initial=0.0))
     )
     if worst > 1e-9 or bound_viol > 1e-9 * (1.0 + float(np.abs(v).max())):
         raise SolverError(
             f"numerical failure: residual {worst:.3e}, bound violation {bound_viol:.3e}"
         )
+
+
+def _linprog_highs(c, A_ub, b_ub, bounds, **equalities):
+    """HiGHS at tight tolerances, retried once at stock tolerances when it
+    ends without a verdict (neither optimal, infeasible nor unbounded)."""
+    for opts in (dict(_HIGHS_OPTS), {}):
+        res = linprog(
+            c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=opts, **equalities
+        )
+        if res.status in (0, 2, 3):
+            break
+    return res
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
@@ -228,21 +260,13 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
         (None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
         for lo, hi in bounds
     ]
-    for opts in (dict(_HIGHS_OPTS), {}):
-        res = linprog(
-            problem.objective,
-            A_ub=problem.constraint_matrix,
-            b_ub=problem.rhs,
-            bounds=bounds,
-            method="highs",
-            options=opts,
-        )
-        if res.status == 2:
-            return LpSolution("infeasible", math.nan, None, "highs")
-        if res.status == 3:
-            return LpSolution("unbounded", -math.inf, None, "highs")
-        if res.status == 0:
-            return LpSolution("optimal", float(res.fun), res.x, "highs")
+    res = _linprog_highs(problem.objective, problem.constraint_matrix, problem.rhs, bounds)
+    if res.status == 2:
+        return LpSolution("infeasible", math.nan, None, "highs")
+    if res.status == 3:
+        return LpSolution("unbounded", -math.inf, None, "highs")
+    if res.status == 0:
+        return LpSolution("optimal", float(res.fun), res.x, "highs")
     raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
 
 
@@ -418,38 +442,90 @@ def detect(
     )
 
 
+def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
+    """Certify a pricing density without trusting the solver: q >= 0,
+    lam >= 0, E_w q = 1 and E_w[q f_j] <= lam price_j for every leg, each
+    within 1e-9 relative."""
+    F, w, prices = problem.payoffs, problem.weights, problem.prices
+    priced = F.T @ (w * q) - lam * prices
+    scale = 1.0 + np.abs(F).T @ (w * np.abs(q)) + abs(lam) * np.abs(prices)
+    worst = float((priced / scale).max(initial=0.0))
+    mass_err = abs(float(w @ q) - 1.0) / (1.0 + float(w @ np.abs(q)))
+    sign_viol = max(float((-q).max(initial=0.0)), -lam)
+    if worst > 1e-9 or mass_err > 1e-9 or sign_viol > 1e-9 * (1.0 + float(np.abs(q).max())):
+        raise SolverError(
+            f"numerical failure: pricing residual {worst:.3e}, mass error {mass_err:.3e}, "
+            f"sign violation {sign_viol:.3e}"
+        )
+
+
+def _threshold_density(problem: LpProblem) -> np.ndarray:
+    """Checked pricing density q with the least max_i q_i.
+
+    Solves min t over (q, lam, t) subject to q_i <= t, E_w q = 1 and
+    E_w[q f_j] <= lam price_j for every leg, with q, lam >= 0. Any such q
+    with max q <= 1/p lies in the ES dual set at level p and prices every
+    portfolio of non-positive cost at <= 0, so it certifies ES >= 0 there;
+    by LP duality the least ES at non-positive cost is strictly negative
+    exactly when p > 1/t*.
+    """
+    F, w, prices = problem.payoffs, problem.weights, problem.prices
+    n_s, n_l = problem.n_scenarios, problem.n_legs
+    A_ub = sparse.vstack(
+        [
+            sparse.hstack(
+                [sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))]
+            ),
+            sparse.hstack(
+                [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((n_l, 1))]
+            ),
+        ],
+        format="csr",
+    )
+    res = _linprog_highs(
+        np.concatenate([np.zeros(n_s + 1), [1.0]]),
+        A_ub,
+        np.zeros(n_s + n_l),
+        [(0.0, None)] * (n_s + 1) + [(None, None)],
+        A_eq=np.concatenate([w, [0.0, 0.0]])[None, :],
+        b_eq=[1.0],
+    )
+    if res.status != 0:
+        raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
+    q, lam = res.x[:n_s], float(res.x[n_s])
+    _check_density(problem, q, lam)
+    return q
+
+
 def min_p(
     market: MarketSnapshot,
     bracket: tuple[float, float] = (1e-4, 0.5),
     tol: float = 1e-4,
 ) -> MinPResult:
-    """Bisect for the smallest level in the bracket admitting arbitrage.
+    """Smallest level in the bracket admitting arbitrage, from the threshold LP.
 
-    The arbitrage predicate is monotone in p (ES_p' <= ES_p for p' >= p), so
-    bisection brackets the threshold; the returned level is the upper end of
-    the final bracket, which is guaranteed to exhibit arbitrage and lies
-    within tol of the true threshold.
+    Above p0 = 1 / min max q (see `_threshold_density`) the least ES at
+    non-positive cost is strictly negative. Below p0 only a true arbitrage
+    (X >= 0, cost <= 0, E X > 0) is possible, and it exists at every level
+    once it exists at all, so `detect` at lo settles "at or below bracket".
+    Otherwise p* is p0 when `detect` confirms arbitrage there, else
+    min(p0 + tol, hi) when `detect` confirms it there: tol bounds how far p*
+    sits above the threshold. A threshold that no `detect` confirms raises
+    SolverError. `evaluations` counts the LPs and detects solved (at most 4).
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"invalid bracket {bracket}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    evals = 0
-
-    def has_arbitrage(p: float) -> bool:
-        nonlocal evals
-        evals += 1
-        return detect(market, p).arbitrage
-
-    if has_arbitrage(lo):
-        return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
-    if not has_arbitrage(hi):
+    if detect(market, lo).arbitrage:
+        return MinPResult(p_star=lo, status="at or below bracket", evaluations=1)
+    p0 = max(1.0 / float(_threshold_density(build_lp(market, lo)).max()), lo)
+    evals = 2
+    if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if has_arbitrage(mid):
-            hi = mid
-        else:
-            lo = mid
-    return MinPResult(p_star=hi, status="found", evaluations=evals)
+    for p in (p0, min(p0 + tol, hi)):
+        evals += 1
+        if detect(market, p).arbitrage:
+            return MinPResult(p_star=p, status="found", evaluations=evals)
+    raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r} or tol above it")

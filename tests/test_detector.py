@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esarb import (
     MarketSnapshot,
@@ -15,8 +17,21 @@ from esarb import (
     price,
     ru_objective,
 )
-from esarb.analytic import CompleteMarketDensity, density_market
-from esarb.detector import _confirmation_lp, arbitrage_epsilon, build_lp, detect, min_p, solve_lp
+from esarb import detector
+from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
+from esarb.detector import (
+    SolverError,
+    _check_residuals,
+    _confirmation_lp,
+    _full_vector,
+    _merged_blocks,
+    _threshold_density,
+    arbitrage_epsilon,
+    build_lp,
+    detect,
+    min_p,
+    solve_lp,
+)
 
 from conftest import random_market
 
@@ -72,6 +87,37 @@ def test_build_lp_merges_duplicate_scenarios():
     assert solve_lp(merged).optimal_value == pytest.approx(
         solve_lp(verbatim).optimal_value, abs=1e-12
     )
+
+
+def _unique_merge(market):
+    """Reference merge: np.unique over the rows, weights summed per row."""
+    payoffs = market.payoff_matrix() + 0.0
+    uniq, inverse = np.unique(payoffs, axis=0, return_inverse=True)
+    weights = market.scenarios.weights
+    merged_w = np.bincount(inverse.ravel(), weights=weights, minlength=uniq.shape[0])
+    keep = merged_w > 0
+    return uniq[keep], merged_w[keep]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_matches_unique_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_s = 400
+    # few distinct values per column: many duplicate rows, -0.0 among them
+    cols = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=(n_s, 3))
+    cols[::7] = rng.normal(size=(len(cols[::7]), 3))  # some unique rows
+    weights = rng.random(n_s)
+    weights[rng.random(n_s) < 0.2] = 0.0  # zero-weight rows, some alone in their group
+    scen = ScenarioSet(np.arange(n_s, dtype=float), weights / weights.sum())
+    legs = tuple(TradableLeg(f"c{j}", 0.0, cols[:, j]) for j in range(3))
+    market = MarketSnapshot(scen, legs, spot=1.0)
+    rows, w = _merged_blocks(market, merge=True)
+    ref_rows, ref_w = _unique_merge(market)
+    assert rows.shape[0] < n_s
+    assert np.array_equal(rows, ref_rows)
+    assert not np.signbit(rows[rows == 0.0]).any()  # -0.0 folded into +0.0
+    assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
+    assert (w > 0).all()
 
 
 # ------------------------------------------------------------------- solve_lp
@@ -164,6 +210,35 @@ def test_cutting_plane_handles_large_market():
     big = solve_lp(prob, solver="cuts")
     ref = solve_lp(prob, solver="highs")
     assert big.optimal_value == pytest.approx(ref.optimal_value, abs=1e-8)
+
+
+def _pair_market():
+    legs = (
+        TradableLeg("long", 1.0, np.array([1.0, 2.0])),
+        TradableLeg("short", -1.0, np.array([-1.0, -2.0])),
+    )
+    return MarketSnapshot(TWO, legs, spot=1.0)
+
+
+def test_check_residuals_accepts_exact_vectors():
+    prob = build_lp(_pair_market(), 0.5)
+    for lp in (prob, _confirmation_lp(prob)):
+        _check_residuals(lp, _full_vector(lp, np.array([0.5, 0.5])))
+
+
+def test_check_residuals_rejects_hinge_row_violation():
+    prob = build_lp(_pair_market(), 0.5)
+    v = _full_vector(prob, np.array([0.5, 0.5]))
+    v[0] -= 1.0  # alpha below the attaining quantile: every hinge row is short by 1
+    with pytest.raises(SolverError, match=r"bound violation -?0\.000e"):
+        _check_residuals(prob, v)
+
+
+def test_check_residuals_rejects_bound_violation():
+    prob = build_lp(_pair_market(), 0.5)
+    v = _full_vector(prob, np.array([1.5, 1.5]))  # rows hold, the box [0, 1] does not
+    with pytest.raises(SolverError, match=r"residual 0\.000e"):
+        _check_residuals(prob, v)
 
 
 # --------------------------------------------------------------------- detect
@@ -374,3 +449,90 @@ def test_min_p_on_quadrature_market_with_singular_dense_basis():
     assert res.status == "found"
     assert detect(market, res.p_star, solver="highs").arbitrage
     assert not detect(market, res.p_star - 1e-4, solver="highs").arbitrage
+
+
+def _step(sup, first_cell):
+    tail = (1.0 - sup * first_cell) / (1.0 - first_cell)
+    return CompleteMarketDensity("step", [first_cell, 1.0], [sup, tail])
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        _step(1.5, 0.4),
+        _step(2.0, 1.0 / 3.0),
+        _step(4.0, 0.1),
+        _step(10.0, 0.02),
+        bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512),
+    ],
+    ids=["step1.5", "step2", "step4", "step10", "bs512"],
+)
+def test_min_p_exact_on_complete_densities(density):
+    market = density_market(density)
+    res = min_p(market, bracket=(1e-4, 0.9), tol=1e-4)
+    assert res.status == "found"
+    assert res.evaluations <= 4
+    assert abs(res.p_star - 1.0 / density.sup_density) <= 1e-8
+    assert detect(market, res.p_star).arbitrage
+    assert not detect(market, res.p_star - 1e-6).arbitrage
+
+
+def _priced_market(rng):
+    """Small market priced by a random density within random spreads; a
+    mispriced leg sometimes adds a true arbitrage."""
+    n_s = int(rng.integers(2, 9))
+    weights = rng.random(n_s) + 0.05
+    weights /= weights.sum()
+    q = rng.uniform(0.05, 3.0, n_s)
+    q /= weights @ q
+    legs = [TradableLeg("bond", 1.0, np.ones(n_s)), TradableLeg("-bond", -1.0, -np.ones(n_s))]
+    for j in range(int(rng.integers(1, 4))):
+        pay = rng.normal(size=n_s)
+        mid, half = float(weights @ (q * pay)), float(rng.uniform(0.0, 0.05))
+        legs += [TradableLeg(f"a{j}", mid + half, pay), TradableLeg(f"-a{j}", half - mid, -pay)]
+    if rng.random() < 0.2:
+        legs.append(TradableLeg("gift", 0.0, np.abs(rng.normal(size=n_s))))
+    scen = ScenarioSet(np.arange(n_s, dtype=float), weights)
+    return MarketSnapshot(scen, tuple(legs), spot=1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_min_p_matches_detect_on_small_markets(seed):
+    market = _priced_market(np.random.default_rng(seed))
+    lo, hi, tol = 0.01, 0.95, 1e-3
+    res = min_p(market, bracket=(lo, hi), tol=tol)
+    assert res.evaluations <= 4
+    if res.status == "at or below bracket":
+        assert res.p_star == lo and detect(market, lo).arbitrage
+    elif res.status == "none in bracket":
+        assert res.p_star is None and not detect(market, hi).arbitrage
+    else:
+        assert res.status == "found" and lo <= res.p_star <= hi
+        assert detect(market, res.p_star).arbitrage
+        if res.p_star - tol > lo:
+            assert not detect(market, res.p_star - tol).arbitrage
+
+
+@pytest.mark.parametrize("tamper", ["mass", "negative", "pricing"])
+def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
+    problem = build_lp(capped_density_market(), 0.01)
+    w = problem.weights
+    real = detector._linprog_highs
+
+    def tampered(*args, **kwargs):
+        res = real(*args, **kwargs)
+        q = res.x[: problem.n_scenarios]
+        if tamper == "mass":
+            q *= 1.001
+        elif tamper == "negative":
+            q[-1] = -1e-3
+        else:  # move mass from the last cell to the first: E q stays 1
+            q[0] += 1e-3 / w[0]
+            q[-1] -= 1e-3 / w[-1]
+        return res
+
+    _threshold_density(problem)  # the untampered answer passes its check
+    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    with pytest.raises(SolverError):
+        _threshold_density(problem)
