@@ -75,15 +75,20 @@ class MarkowitzMarket:
         return self.mu - (1.0 + self.rf) * self.c
 
 
+def _require_nondegenerate(sigma: np.ndarray) -> None:
+    """Reject a covariance whose least eigenvalue is 0 relative to its largest."""
+    eigs = np.linalg.eigvalsh(sigma)
+    if eigs.min() <= 1e-10 * max(float(eigs.max()), 0.0):
+        raise ValueError("degenerate risky assets")
+
+
 def capital_line_gradient(market: MarkowitzMarket) -> float:
     """Slope sqrt(m' sigma^-1 m) of the capital market line, m = mu - (1+rf) c.
 
     This is the maximum of (mu'a - (1+rf) c'a) / sqrt(a' sigma a) over
     portfolios a, the best Sharpe-type ratio reachable with the risky assets.
     """
-    eigs = np.linalg.eigvalsh(market.sigma)
-    if eigs.min() <= 1e-10 * max(float(eigs.max()), 0.0):
-        raise ValueError("degenerate risky assets")
+    _require_nondegenerate(market.sigma)
     m = market.excess()
     z = linalg.cho_solve(linalg.cho_factor(market.sigma, lower=True), m)
     return float(math.sqrt(max(m @ z, 0.0)))
@@ -429,9 +434,7 @@ def markowitz_market(
     one long/short leg pair per risky asset plus a cash pair returning 1 + rf."""
     if n_draws < 2:
         raise ValueError("n_draws must be >= 2")
-    eigs = np.linalg.eigvalsh(market.sigma)
-    if eigs.min() <= 1e-10 * max(float(eigs.max()), 0.0):
-        raise ValueError("degenerate risky assets")
+    _require_nondegenerate(market.sigma)
     chol = np.linalg.cholesky(market.sigma)
     draws = market.mu + rng.standard_normal((n_draws, market.n_assets)) @ chol.T
     points = np.arange(n_draws, dtype=float)

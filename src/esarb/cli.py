@@ -14,7 +14,6 @@ solver non-convergence, 1 usage or input errors. All randomness flows from
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -250,10 +249,7 @@ def _cmd_utility_scan(args) -> int:
     if args.out:
         eio.write_scan_csv(args.out, rows)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["lambda", "spec", "expected_utility", "price", "es_p"])
-        for row in rows:
-            writer.writerow([repr(row.lam), row.spec, repr(row.expected_utility), repr(row.price), repr(row.es_p)])
+        sys.stdout.write(eio.dumps_scan_csv(rows))
     return 0
 
 

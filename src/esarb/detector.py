@@ -6,6 +6,9 @@ its optimum is the least expected shortfall reachable at non-positive
 cost. Verdicts use a two-phase rule: a strictly negative optimum is an
 arbitrage outright, an optimum at the zero boundary is confirmed by a second
 LP maximizing expected payoff subject to the linearized ES <= 0 rows.
+Markets with many scenarios and few legs solve both LPs with one Kelley
+cutting-plane loop over the portfolio block; the confirmation starts from
+the cuts phase 1 found.
 
 The smallest arbitrage level comes from the dual side: over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}, the least ES is strictly negative iff no pricing
@@ -16,7 +19,7 @@ threshold and `detect` settles the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +27,7 @@ import scipy.sparse as sparse
 from scipy.optimize import linprog
 
 from .market import MarketSnapshot, Portfolio, WeightedSample
-from .risk import RiskLevel, es_p, var_p
+from .risk import RiskLevel, as_level, tail_envelope, var_p
 
 _CUT_LEGS = 64
 _CUT_SCENARIOS = 600
@@ -48,6 +51,10 @@ class LpProblem:
     portfolio block, the remaining n_scenarios entries are the hinge
     auxiliaries (lower bound 0). Rows: one cost row then one hinge row per
     scenario; for kind "max_expected" an ES row is appended.
+
+    cuts pools the ES support lines (g, h), es(x') >= g.x' + h, that the
+    cutting-plane path finds for this problem; `_confirmation_lp` hands
+    them on to the confirmation LP at the same level.
     """
 
     kind: str  # "min_es" | "max_expected"
@@ -56,6 +63,7 @@ class LpProblem:
     prices: np.ndarray
     level: RiskLevel
     upper_bound: float
+    cuts: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def n_legs(self) -> int:
@@ -174,7 +182,7 @@ def build_lp(
     (identical hinge rows share one auxiliary variable, which is exact); pass
     merge_scenarios=False to keep the raw one-row-per-scenario form.
     """
-    level = level if isinstance(level, RiskLevel) else RiskLevel(float(level))
+    level = as_level(level)
     payoffs, weights = _merged_blocks(market, merge_scenarios)
     return LpProblem(
         kind="min_es",
@@ -187,25 +195,9 @@ def build_lp(
 
 
 def _confirmation_lp(problem: LpProblem) -> LpProblem:
-    return LpProblem(
-        kind="max_expected",
-        payoffs=problem.payoffs,
-        weights=problem.weights,
-        prices=problem.prices,
-        level=problem.level,
-        upper_bound=problem.upper_bound,
-    )
-
-
-def _tail_envelope(values: np.ndarray, weights: np.ndarray, p: float):
-    """ES of the sample and the envelope point q attaining it (dual argmax)."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    take = np.clip(p - (cum - weights[order]), 0.0, weights[order])
-    es = -float(values[order] @ take) / p
-    q = np.zeros_like(weights)
-    q[order] = take / p
-    return es, q
+    conf = replace(problem, kind="max_expected")
+    conf.cuts.extend(problem.cuts)  # every support line of ES also cuts ES <= 0
+    return conf
 
 
 def _full_vector(problem: LpProblem, x: np.ndarray) -> np.ndarray:
@@ -255,11 +247,7 @@ def _linprog_highs(c, A_ub, b_ub, bounds, **equalities):
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
-    bounds = list(zip(problem.lower_bounds, problem.upper_bounds))
-    bounds = [
-        (None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
-        for lo, hi in bounds
-    ]
+    bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
     res = _linprog_highs(problem.objective, problem.constraint_matrix, problem.rhs, bounds)
     if res.status == 2:
         return LpSolution("infeasible", math.nan, None, "highs")
@@ -270,94 +258,53 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
 
 
-def _master_solve(c, A, b, bounds):
-    """One cut-master solve, or None when HiGHS breaks down numerically.
+def _solve_cuts(problem: LpProblem) -> LpSolution | None:
+    """Kelley cutting planes on the portfolio block, for either LP kind.
 
-    The masters are feasible by construction (x = 0 satisfies every cut), so
-    any failure here is conditioning, not geometry: retry once at stock
-    tolerances, then hand the whole problem back to the full-LP fallback."""
-    for opts in (dict(_HIGHS_OPTS), {}):
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=opts)
-        if res.status == 0:
-            return res
-    return None
-
-
-def _master_min_es(cut_g, cut_h, problem: LpProblem):
-    n_l = problem.n_legs
-    G = np.asarray(cut_g)
-    A = np.vstack(
-        [
-            np.hstack([G, -np.ones((len(cut_h), 1))]),
-            np.concatenate([problem.prices, [0.0]]),
-        ]
-    )
-    b = np.concatenate([-np.asarray(cut_h), [0.0]])
-    res = _master_solve(
-        np.concatenate([np.zeros(n_l), [1.0]]),
-        A,
-        b,
-        [(0.0, problem.upper_bound)] * n_l + [(None, None)],
-    )
-    if res is None:
-        return None
-    return float(res.fun), res.x[:n_l]
-
-
-def _solve_min_es_cuts(problem: LpProblem) -> LpSolution | None:
-    """Cutting planes on the portfolio block: each cut is one tail evaluation.
-
-    Every cut is the support line of ES at the current iterate, built from an
-    envelope point q; the master dual therefore mixes envelope points into a
-    dual-feasible certificate, so best - lower_bound bounds the true gap.
-    """
-    F, w, p = problem.payoffs, problem.weights, problem.level.p
-    x = np.zeros(problem.n_legs)
-    cut_g, cut_h = [], []
-    best, best_x = math.inf, x
-    for _ in range(_MAX_CUTS):
-        es, q = _tail_envelope(F @ x, w, p)
-        if es < best:
-            best, best_x = es, x
-        g = -(F.T @ q)
-        cut_g.append(g)
-        cut_h.append(es - g @ x)
-        step = _master_min_es(cut_g, cut_h, problem)
-        if step is None:
-            return None
-        lower, x = step
-        if best - lower <= _GAP_TOL * max(1.0, abs(best)):
-            v = _full_vector(problem, best_x)
-            return LpSolution("optimal", float(problem.objective @ v), v, "cutting_plane")
-    return None
-
-
-def _solve_max_expected_cuts(problem: LpProblem) -> LpSolution | None:
-    """Outer linearization of the ES <= 0 constraint for the confirmation LP.
-
-    Each round maximizes expected payoff over the cuts found so far, then
-    accepts the master's point if its ES is <= 0 or cuts it off with the
-    support line of ES there.
+    Each cut is the support line es(x') >= g.x' + h of ES at an iterate,
+    g = -(F.T q) from the envelope point q there; it joins the problem's
+    pool, and an empty pool is seeded at x = 0. The master over (x, t) has
+    rows g.x - t <= -h and prices.x <= 0 with x in the box. "min_es"
+    minimizes t (free) and stops once the best ES seen is within the gap
+    tolerance of the master's lower bound: the master dual mixes envelope
+    points into a dual-feasible certificate. "max_expected" fixes t = 0,
+    maximizes expected payoff and stops at the first master point whose ES
+    is <= 0 up to 1e-10 of the payoff scale. None means a master failed or
+    the cut budget ran out; the caller falls back to HiGHS.
     """
     F, w, p = problem.payoffs, problem.weights, problem.level.p
     n_l = problem.n_legs
-    expected = F.T @ w
-    scale = 1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound
-    cut_g, cut_h = [], []
+    min_es = problem.kind == "min_es"
+    if min_es:
+        c, t_bounds = np.concatenate([np.zeros(n_l), [1.0]]), (None, None)
+    else:
+        c, t_bounds = np.concatenate([-(F.T @ w), [0.0]]), (0.0, 0.0)
+    bounds = [(0.0, problem.upper_bound)] * n_l + [t_bounds]
+    cost_row = np.concatenate([problem.prices, [0.0]])
+    es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
+    cuts = problem.cuts
+    x = None if cuts else np.zeros(n_l)
+    lower, best, best_x = None, math.inf, None
     for _ in range(_MAX_CUTS):
-        A = np.vstack([*cut_g, problem.prices])
-        b = np.array([*cut_h, 0.0])
-        res = _master_solve(-expected, A, b, [(0.0, problem.upper_bound)] * n_l)
-        if res is None:
+        if x is not None:
+            es, q = tail_envelope(F @ x, w, p)
+            if es < best:
+                best, best_x = es, x
+            if min_es:
+                done = lower is not None and best - lower <= _GAP_TOL * max(1.0, abs(best))
+            else:  # never accept the unsolved start
+                done = lower is not None and es <= es_tol
+            if done:
+                v = _full_vector(problem, best_x if min_es else x)
+                return LpSolution("optimal", float(problem.objective @ v), v, "cutting_plane")
+            g = -(F.T @ q)
+            cuts.append((g, es - g @ x))
+        A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
+        b = np.array([-h for _, h in cuts] + [0.0])
+        res = _linprog_highs(c, A, b, bounds)
+        if res.status != 0:
             return None
-        x = res.x
-        es, q = _tail_envelope(F @ x, w, p)
-        if es <= 1e-10 * scale:
-            v = _full_vector(problem, x)
-            return LpSolution("optimal", -float(expected @ x), v, "cutting_plane")
-        g = -(F.T @ q)
-        cut_g.append(g)
-        cut_h.append(float(g @ x) - es)  # g.x' <= g.x - es
+        x, lower = res.x[:n_l], float(res.fun)
     return None
 
 
@@ -365,9 +312,11 @@ def solve_lp(problem: LpProblem, solver: str = "auto") -> LpSolution:
     """Solve the LP to a certified optimum (objective within 1e-9, residuals
     within 1e-9 relative), deterministically.
 
-    solver: "auto" takes the cutting-plane path for markets with many
-    scenarios and few legs (its master LPs stay tiny while each cut is one
-    sort of the scenarios) and sparse HiGHS for everything else; "cuts" and
+    solver: "auto" takes the cutting-plane path (`_solve_cuts`, one loop for
+    both LP kinds) for markets with many scenarios and few legs: its master
+    LPs stay tiny while each cut is one sort of the scenarios, and a
+    confirmation LP from `_confirmation_lp` starts from the cuts its
+    detection LP found. Sparse HiGHS takes everything else; "cuts" and
     "highs" force a path. HiGHS also answers when the cutting planes fail.
     """
     if solver not in ("auto", "cuts", "highs"):
@@ -378,10 +327,7 @@ def solve_lp(problem: LpProblem, solver: str = "auto") -> LpSolution:
         and problem.n_legs <= _CUT_LEGS
         and problem.n_scenarios >= _CUT_SCENARIOS
     ):
-        if problem.kind == "min_es":
-            solution = _solve_min_es_cuts(problem)
-        else:
-            solution = _solve_max_expected_cuts(problem)
+        solution = _solve_cuts(problem)
     if solution is None:
         solution = _solve_highs(problem)
     if solution.status == "optimal":
@@ -410,7 +356,7 @@ def detect(
     the confirmation phase, the reported portfolio is the confirmation
     maximizer so that it always witnesses the verdict.
     """
-    level = level if isinstance(level, RiskLevel) else RiskLevel(float(level))
+    level = as_level(level)
     problem = build_lp(market, level)
     solution = solve_lp(problem, solver=solver)
     if solution.status != "optimal":
@@ -427,7 +373,7 @@ def detect(
         conf = solve_lp(_confirmation_lp(problem), solver=solver)
         if conf.status != "optimal":
             raise SolverError(f"confirmation LP ended with status {conf.status}")
-        max_expected = -conf.optimal_value
+        max_expected = 0.0 - conf.optimal_value  # a zero maximum reads +0.0, not -0.0
         confirmation = Confirmation(max_expected_payoff=max_expected)
         arbitrage = max_expected > eps
         if arbitrage:

@@ -283,7 +283,7 @@ def detection_to_dict(result: DetectionResult, labels: list[str]) -> dict:
     }
 
 
-def write_scan_csv(path: str, rows) -> None:
+def dumps_scan_csv(rows) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda", "spec", "expected_utility", "price", "es_p"])
@@ -291,4 +291,8 @@ def write_scan_csv(path: str, rows) -> None:
         writer.writerow(
             [repr(row.lam), row.spec, repr(row.expected_utility), repr(row.price), repr(row.es_p)]
         )
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def write_scan_csv(path: str, rows) -> None:
+    _atomic_write(path, dumps_scan_csv(rows))

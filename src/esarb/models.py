@@ -69,10 +69,6 @@ class LognormalMixture:
     def martingale_gap(self) -> float:
         return self.mean() - self.forward()
 
-    def validate_martingale(self, tol: float = 1e-8) -> None:
-        if abs(self.martingale_gap()) > tol * self.forward():
-            raise ValueError("mixture mean does not match the forward")
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -44,20 +44,28 @@ def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     return float(-values[idx])
 
 
-def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:
-    """ES_p = (1/p) * integral of VaR_u over (0, p], exact by tail splitting.
+def tail_envelope(values: np.ndarray, weights: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """ES_p of raw payoff values and weights, with the envelope point q attaining it.
 
     Losses are sorted descending; each loss contributes its weight until the
     cumulative mass reaches p, with the straddling atom taken fractionally.
+    q is that split divided by p: the maximizer of E_w[-values q] over the
+    ES dual set {0 <= q <= 1/p, E_w q = 1}.
     """
-    p = _level(level)
-    order = np.argsort(sample.values, kind="stable")
-    losses = -sample.values[order]  # descending
-    weights = sample.weights[order]
-    cum = np.cumsum(weights)
-    prev = cum - weights
-    take = np.clip(p - prev, 0.0, weights)
-    return float(losses @ take) / p
+    order = np.argsort(values, kind="stable")
+    losses = -values[order]  # descending
+    sorted_w = weights[order]
+    cum = np.cumsum(sorted_w)
+    prev = cum - sorted_w
+    take = np.clip(p - prev, 0.0, sorted_w)
+    q = np.zeros_like(weights)
+    q[order] = take / p
+    return float(losses @ take) / p, q
+
+
+def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:
+    """ES_p = (1/p) * integral of VaR_u over (0, p], exact by tail splitting."""
+    return tail_envelope(sample.values, sample.weights, _level(level))[0]
 
 
 def ru_objective(sample: WeightedSample, level: RiskLevel | float, alpha: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestDetect:
                     "--model", work["mixture"], "--quadrature", "pl",
                     "--p", "0.2", "--out", out])
         assert code == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["arbitrage"] is False
         assert payload["min_es"] >= -1e-9
@@ -98,7 +99,7 @@ class TestDetect:
                         work["market"], "--model", work["mixture"],
                         "--quadrature", "pl", "--p", p, "--out", out])
             assert code == 3
-            payload = json.load(open(out))
+            payload = json.loads(Path(out).read_text())
             assert payload["arbitrage"] is True
             assert payload["min_es"] < 0
             assert {row["label"] for row in payload["portfolio"]}
@@ -127,7 +128,7 @@ class TestDetect:
                 "--model", work["mixture"], "--quadrature", "mc", "--n", "5000",
                 "--seed", "7", "--p", "0.3"]
         assert run(argv + ["--out", a]) == run(argv + ["--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestMinP:
@@ -136,7 +137,7 @@ class TestMinP:
         code = run(["min-p", "--density", work["density"], "--tol", "1e-4",
                     "--out", out])
         assert code == 3
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["status"] == "found"
         assert payload["p_star"] == pytest.approx(0.5, abs=2e-3)
 
@@ -146,7 +147,7 @@ class TestMinP:
                     work["market"], "--model", work["mixture"],
                     "--quadrature", "pl", "--out", out])
         assert code == 3
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["status"] == "at or below bracket"
         assert payload["p_star"] == pytest.approx(1e-4)
 
@@ -156,7 +157,7 @@ class TestMinP:
                     "--model", work["mixture"], "--quadrature", "pl",
                     "--out", out])
         assert code == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["status"] == "none in bracket"
         assert payload["p_star"] is None
 
@@ -166,7 +167,7 @@ class TestMinP:
                     "--n", "40000", "--seed", "5", "--two-run",
                     "--bracket", "1e-4,0.7", "--out", out])
         assert code == 3
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert len(payload["runs"]) == 2
         r0, r1 = payload["runs"]
         assert payload["spread"] == pytest.approx(
@@ -183,7 +184,7 @@ class TestAnalytic:
         out = str(tmp_path / "an.json")
         code = run(["analytic", "markowitz", "--model", work["markowitz"],
                     "--p", "0.01", "--out", out])
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["gradient"] == pytest.approx(3.0)
         assert payload["threshold"] == pytest.approx(2.665, abs=5e-4)
         assert payload["arbitrage"] is True and code == 3
@@ -191,7 +192,7 @@ class TestAnalytic:
         out2 = str(tmp_path / "an2.json")
         code2 = run(["analytic", "markowitz", "--model", work["markowitz"],
                      "--p", "0.001", "--out", out2])
-        payload2 = json.load(open(out2))
+        payload2 = json.loads(Path(out2).read_text())
         assert payload2["arbitrage"] is False and code2 == 0
 
     def test_flat_density_never_flags(self, work, tmp_path):
@@ -199,7 +200,7 @@ class TestAnalytic:
         code = run(["analytic", "complete", "--density", work["flat_density"],
                     "--p", "0.3", "--out", out])
         assert code == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["arbitrage"] is False
         assert payload["sup_density"] == pytest.approx(1.0)
 
@@ -208,7 +209,7 @@ class TestAnalytic:
         code = run(["analytic", "complete", "--density", work["density"],
                     "--p", "0.5", "--out", out])
         assert code == 3
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["boundary"] is True
         # the criterion compares sup q against 1/p; both sit at 2 here
         assert payload["threshold"] == pytest.approx(2.0)
@@ -225,7 +226,7 @@ class TestCalibrate:
         code = run(["calibrate", "mixture", "--chain", work["chain"],
                     "--market", work["market"], "--out", out])
         assert code == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["diagnostics"]["rmse"] < 1e-6 * 100.0
         assert payload["diagnostics"]["converged"] is True
         sds = sorted(payload["log_sds"])
@@ -237,7 +238,7 @@ class TestCalibrate:
         code = run(["calibrate", "garch", "--returns", work["returns"],
                     "--out", out])
         assert code == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["arch"] + payload["garch_coef"] == pytest.approx(
             0.98, abs=0.05)
         assert payload["diagnostics"]["converged"] is True
@@ -272,7 +273,7 @@ class TestUtilityScan:
         code = run(["utility-scan", "--density", work["density"], "--p", "0.6",
                     "--detection", det, "--out", out])
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "lambda,spec,expected_utility,price,es_p"
         assert len(lines) == 1 + 6 * 3
         rows = [line.split(",", 1) for line in lines[1:]]
@@ -296,6 +297,16 @@ class TestUtilityScan:
         for line in lines[1:]:
             assert float(next(__import__("csv").reader([line]))[2]) == 0.0
 
+    def test_stdout_matches_out_file(self, work, tmp_path, capfdbinary):
+        det = self.detection_file(work, tmp_path)
+        out = tmp_path / "scan.csv"
+        args = ["utility-scan", "--density", work["density"], "--p", "0.6", "--detection", det]
+        capfdbinary.readouterr()
+        assert run(args) == 0
+        printed = capfdbinary.readouterr().out
+        assert run(args + ["--out", str(out)]) == 0
+        assert printed and printed == out.read_bytes()
+
     def test_detection_without_arbitrage_exit_1(self, work, tmp_path, capsys):
         det = str(tmp_path / "noarb.json")
         code = run(["detect", "--density", work["density"], "--p", "0.4",
@@ -317,8 +328,8 @@ class TestSimulate:
                     "--out", a]) == 0
         assert run(["simulate", "--model", model, "--n", "100", "--seed", "9",
                     "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert len(open(a).read().splitlines()) == 100
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert len(Path(a).read_text().splitlines()) == 100
 
     def test_simulate_then_fit_round_trip(self, work, tmp_path):
         model = str(tmp_path / "g.json")
@@ -329,7 +340,7 @@ class TestSimulate:
                     "--out", rets]) == 0
         fit = str(tmp_path / "fit.json")
         assert run(["calibrate", "garch", "--returns", rets, "--out", fit]) == 0
-        payload = json.load(open(fit))
+        payload = json.loads(Path(fit).read_text())
         assert payload["arch"] + payload["garch_coef"] == pytest.approx(
             0.95, abs=0.05)
 

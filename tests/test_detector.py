@@ -212,6 +212,56 @@ def test_cutting_plane_handles_large_market():
     assert big.optimal_value == pytest.approx(ref.optimal_value, abs=1e-8)
 
 
+def test_pooled_cuts_support_es(rng):
+    # every cut phase 1 leaves in the pool is a support line of ES, so it
+    # stays valid at any box point, and so for the confirmation LP too
+    for _ in range(3):
+        market = random_market(rng, n_scenarios=800, n_legs=4)
+        prob = build_lp(market, float(rng.uniform(0.05, 0.5)))
+        assert solve_lp(prob, solver="cuts").method == "cutting_plane"
+        assert prob.cuts
+        F, w, p = prob.payoffs, prob.weights, prob.level.p
+        scale = 1.0 + float(np.abs(F).max()) * prob.upper_bound
+        for x in rng.uniform(0.0, prob.upper_bound, size=(20, prob.n_legs)):
+            es = es_p(WeightedSample(F @ x, w), p)
+            for g, h in prob.cuts:
+                assert es >= g @ x + h - 1e-9 * scale
+
+
+def _two_asset_markowitz(n_draws):
+    from esarb.analytic import MarkowitzMarket, markowitz_market
+
+    sigma = 0.01 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    w = np.array([1.0, -0.5])
+    mu = 1.0 + 1.5 / math.sqrt(w @ sigma @ w) * (sigma @ w)  # gradient 1.5
+    return markowitz_market(MarkowitzMarket(mu, sigma, np.ones(2), 0.0), n_draws, np.random.default_rng(7))
+
+
+def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
+    # gradient 1.5 < E(0.05) = 2.06: no arbitrage, so the verdict rests on
+    # the confirmation; seeded with phase 1's cuts it needs one master LP
+    market = _two_asset_markowitz(5000)
+    prob = build_lp(market, 0.05)
+    solve_lp(prob, solver="cuts")
+    assert build_lp(market, 0.05).cuts == []  # every problem starts its own pool
+    seeded, fresh = _confirmation_lp(prob), _confirmation_lp(build_lp(market, 0.05))
+    assert len(seeded.cuts) == len(prob.cuts) > 0
+    real, calls = detector.linprog, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "linprog", counted)
+    masters, values = [], []
+    for lp in (seeded, fresh):
+        calls.clear()
+        values.append(solve_lp(lp, solver="cuts").optimal_value)
+        masters.append(len(calls))
+    assert masters[0] == 1 < masters[1]
+    assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
 def _pair_market():
     legs = (
         TradableLeg("long", 1.0, np.array([1.0, 2.0])),
@@ -267,6 +317,23 @@ def test_zero_price_lottery_confirmed_on_cutting_planes():
         ref.confirmation.max_expected_payoff, abs=1e-8
     )
     assert ref.confirmation.max_expected_payoff == pytest.approx(0.5, abs=1e-8)
+
+
+def test_markowitz_below_threshold_agrees_across_paths():
+    from esarb.analytic import MarkowitzMarket, markowitz_arbitrage, markowitz_market
+    from esarb.io import detection_to_dict
+
+    mk = MarkowitzMarket([1.1], [[0.01]], [1.0], 0.0)
+    assert not markowitz_arbitrage(mk, 0.05).arbitrage  # g = 1.0 < E(0.05) = 2.06
+    market = markowitz_market(mk, 2000, np.random.default_rng(20190226))
+    payoffs = []
+    for solver in ("cuts", "highs"):
+        res = detect(market, 0.05, solver=solver)
+        assert not res.arbitrage
+        payoffs.append(res.confirmation.max_expected_payoff)
+        reported = detection_to_dict(res, market.labels())["confirmation"]["max_expected_payoff"]
+        assert reported == 0.0 and math.copysign(1.0, reported) == 1.0
+    assert abs(payoffs[0] - payoffs[1]) <= 1e-8
 
 
 def test_capped_density_thresholds():

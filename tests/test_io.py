@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestScenarioJson:
     def test_csv_header(self, tmp_path):
         path = str(tmp_path / "scen.csv")
         write_scenarios(path, ScenarioSet([0.0, 1.0], [0.5, 0.5]))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "point,weight"
         assert len(lines) == 3
 
@@ -171,7 +172,7 @@ class TestJsonConventions:
         payload = {"schema": SCHEMA_VERSION, "v": [0.1, 0.2, 0.3]}
         write_json(p1, payload)
         write_json(p2, payload)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestScanCsv:
@@ -182,7 +183,7 @@ class TestScanCsv:
             ScanRow(10.0, "risk_manager_power(eta=2)", -3.0, 1.0, -2.5),
         ]
         write_scan_csv(path, rows)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "lambda,spec,expected_utility,price,es_p"
         assert len(lines) == 3
         assert lines[1].startswith("0.0,limited_liability,")
