@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .market import MarketSnapshot, ScenarioSet, TradableLeg
 from .risk import RiskLevel, _level, as_level
@@ -24,7 +24,8 @@ from .risk import RiskLevel, _level, as_level
 def normal_tail_factor(level: RiskLevel | float) -> float:
     """E(p) = phi(Phi^-1(p)) / p, the ES of a standard normal at level p."""
     p = _level(level)
-    return float(norm.pdf(norm.ppf(p)) / p)
+    z = np.array([ndtri(p)])  # exp on an array, as scipy.stats does: bitwise its pdf
+    return float(np.exp(-(z**2) / 2.0)[0] / np.sqrt(2 * np.pi) / p)
 
 
 def normal_es(level: RiskLevel | float, mean: float = 0.0, sd: float = 1.0) -> float:
@@ -335,9 +336,8 @@ def bs_ratio_density(
         raise ValueError("cells must be >= 1")
     lam = abs((rate - drift) * math.sqrt(maturity) / sigma)
     edges = np.linspace(0.0, 1.0, cells + 1)
-    with np.errstate(divide="ignore"):
-        z = norm.ppf(1.0 - edges)
-    tail = norm.cdf(z - lam)
+    z = ndtri(1.0 - edges)
+    tail = ndtr(z - lam)
     masses = tail[:-1] - tail[1:]
     values = masses / np.diff(edges)
     return CompleteMarketDensity("step", edges[1:], values, rate=rate, horizon=maturity)

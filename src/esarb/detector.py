@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .market import MarketSnapshot, Portfolio, WeightedSample
-from .risk import RiskLevel, as_level, tail_envelope, var_p
+from .market import MarketSnapshot, Portfolio
+from .risk import RiskLevel, as_level, tail_envelope
 
 _CUT_LEGS = 64
 _CUT_SCENARIOS = 600
@@ -200,12 +200,10 @@ def _confirmation_lp(problem: LpProblem) -> LpProblem:
     return conf
 
 
-def _full_vector(problem: LpProblem, x: np.ndarray) -> np.ndarray:
-    """Assemble (alpha, x, u) with alpha at the attaining quantile."""
-    y = problem.payoffs @ x
-    sample = WeightedSample(y, problem.weights)
-    alpha = var_p(sample, problem.level)
-    u = np.maximum(-y - alpha, 0.0)
+def _full_vector(problem: LpProblem, x: np.ndarray, alpha: float) -> np.ndarray:
+    """Assemble (alpha, x, u); alpha is VaR_p of the payoff at x, the
+    attaining quantile, taken from the sort that priced x."""
+    u = np.maximum(-(problem.payoffs @ x) - alpha, 0.0)
     return np.concatenate([[alpha], x, u])
 
 
@@ -284,18 +282,20 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
     es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
     cuts = problem.cuts
     x = None if cuts else np.zeros(n_l)
-    lower, best, best_x = None, math.inf, None
+    lower, best, best_x, best_alpha = None, math.inf, None, None
     for _ in range(_MAX_CUTS):
         if x is not None:
-            es, q = tail_envelope(F @ x, w, p)
+            es, q, alpha = tail_envelope(F @ x, w, p)
             if es < best:
-                best, best_x = es, x
+                best, best_x, best_alpha = es, x, alpha
             if min_es:
                 done = lower is not None and best - lower <= _GAP_TOL * max(1.0, abs(best))
             else:  # never accept the unsolved start
                 done = lower is not None and es <= es_tol
             if done:
-                v = _full_vector(problem, best_x if min_es else x)
+                if min_es:
+                    x, alpha = best_x, best_alpha
+                v = _full_vector(problem, x, alpha)
                 return LpSolution("optimal", float(problem.objective @ v), v, "cutting_plane")
             g = -(F.T @ q)
             cuts.append((g, es - g @ x))

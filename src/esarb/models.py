@@ -5,6 +5,11 @@ values, smile calibration) and GARCH(1,1) log returns (simulation, Gaussian
 QMLE). Quadratures turn a model into a ScenarioSet: plain Monte Carlo, or the
 piecewise-linear-exact rule whose weights integrate every payoff that is
 linear between (and beyond) the grid points.
+
+The normal cdf and quantile are the `scipy.special` kernels `ndtr` and
+`ndtri`, the ones `scipy.stats.norm` calls, so importing this module loads
+neither `scipy.stats` nor `scipy.signal` (`fit_garch` imports `lfilter` when
+it runs).
 """
 
 from __future__ import annotations
@@ -14,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.signal import lfilter
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr, ndtri
 
 from .market import InstrumentQuote, ScenarioSet, _as_readonly
 from .seeding import substream
@@ -73,13 +76,13 @@ class LognormalMixture:
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (np.log(np.maximum(x, 0.0))[..., None] - self.log_means) / self.log_sds
-        out = np.where(x[..., None] > 0, norm.cdf(z), 0.0) @ self.weights
+        out = np.where(x[..., None] > 0, ndtr(z), 0.0) @ self.weights
         return out if out.ndim else float(out)
 
     def quantile(self, u: float) -> float:
         if not 0.0 < u < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        z = norm.ppf(u)
+        z = ndtri(u)
         comp = np.exp(self.log_means + self.log_sds * z)
         lo, hi = 0.5 * comp.min(), 2.0 * comp.max()
         while self.cdf(lo) > u:
@@ -97,7 +100,7 @@ class LognormalMixture:
         m, s = self.log_means, self.log_sds
         d2 = (m - math.log(strike)) / s
         d1 = d2 + s
-        parts = np.exp(m + 0.5 * s**2) * norm.cdf(d1) - strike * norm.cdf(d2)
+        parts = np.exp(m + 0.5 * s**2) * ndtr(d1) - strike * ndtr(d2)
         return float(self.weights @ parts)
 
     def put_value(self, strike: float) -> float:
@@ -125,8 +128,8 @@ def mixture_partial_moments(model: LognormalMixture, a: float, b: float):
         if math.isinf(x):
             return 1.0, model.mean()
         z = (math.log(x) - m) / s
-        mass = float(model.weights @ norm.cdf(z))
-        mom = float(model.weights @ (np.exp(m + 0.5 * s**2) * norm.cdf(z - s)))
+        mass = float(model.weights @ ndtr(z))
+        mom = float(model.weights @ (np.exp(m + 0.5 * s**2) * ndtr(z - s)))
         return mass, mom
 
     mass_b, mom_b = cum(b)
@@ -278,9 +281,15 @@ class MixtureFit:
     history: tuple  # best objective so far, per evaluation, winning start
 
 
-def _mixture_from_theta(theta, spot, rate, maturity):
+def _theta_params(theta, fwd: float):
+    """(weights, log_means, log_sds) of the mixture theta parametrizes, or None
+    outside the valid region.
+
+    theta = (logit of the first weight, log of the first component forward
+    over fwd, log s1, log s2); the second forward makes the mean equal fwd.
+    Components are ordered by sd, stably (s1 == s2 keeps theta's order).
+    """
     lam = float(expit(theta[0]))
-    fwd = spot * math.exp(rate * maturity)
     f1 = fwd * math.exp(theta[1])
     if not 1e-9 < lam < 1.0 - 1e-9:
         return None
@@ -292,11 +301,14 @@ def _mixture_from_theta(theta, spot, rate, maturity):
         return None
     m1 = math.log(f1) - 0.5 * s1 * s1
     m2 = math.log(f2) - 0.5 * s2 * s2
-    order = np.argsort([s1, s2], kind="stable")
-    w = np.array([lam, 1.0 - lam])[order]
-    return LognormalMixture(
-        w, np.array([m1, m2])[order], np.array([s1, s2])[order], spot, rate, maturity
-    )
+    if s2 < s1:
+        return np.array([1.0 - lam, lam]), np.array([m2, m1]), np.array([s2, s1])
+    return np.array([lam, 1.0 - lam]), np.array([m1, m2]), np.array([s1, s2])
+
+
+def _mixture_from_theta(theta, spot, rate, maturity):
+    params = _theta_params(theta, spot * math.exp(rate * maturity))
+    return None if params is None else LognormalMixture(*params, spot, rate, maturity)
 
 
 def calibrate_mixture(
@@ -312,9 +324,10 @@ def calibrate_mixture(
     martingale constraint is built in: one component forward is free, the
     other is eliminated so the mixture mean equals spot e^{rT} exactly.
     Derivative-free Nelder-Mead from 10 seeded starts around a
-    moment-matched base point; ties resolve to the lowest start index.
-    Raises CalibrationError (best fit attached) if the winner did not
-    converge.
+    moment-matched base point; ties resolve to the lowest start index. The
+    objective evaluates raw parameter arrays with the `scipy.special.ndtr`
+    kernel. Raises CalibrationError (best fit attached) if the winner did
+    not converge.
     """
     usable = [
         q for q in quotes
@@ -331,24 +344,20 @@ def calibrate_mixture(
     fwd = spot * math.exp(rate * maturity)
 
     log_k = np.log(strikes).reshape(-1, 1)
-
-    def model_prices(mix: LognormalMixture) -> np.ndarray:
-        # vectorised call values, one cdf call for all strikes/components
-        m = mix.log_means.reshape(1, -1)
-        s = mix.log_sds.reshape(1, -1)
-        comp_fwd = np.exp(m + 0.5 * s**2)
-        d2 = (m - log_k) / s
-        calls = (comp_fwd * norm.cdf(d2 + s) - strikes.reshape(-1, 1) * norm.cdf(d2)) @ mix.weights
-        vals = np.where(is_call, calls, calls - mix.mean() + strikes)
-        return disc * vals
-
+    strike_col = strikes.reshape(-1, 1)
     penalty = 1e6 * spot
 
     def objective(theta) -> float:
-        mix = _mixture_from_theta(theta, spot, rate, maturity)
-        if mix is None:
+        # raw arrays, no validated LognormalMixture: this runs ~800 times per start
+        params = _theta_params(theta, fwd)
+        if params is None:
             return penalty * (1.0 + float(np.abs(theta).sum()))
-        return float(np.sqrt(np.mean((model_prices(mix) - mids) ** 2)))
+        w, m, s = params
+        comp_fwd = np.exp(m + 0.5 * s**2)
+        d2 = (m - log_k) / s
+        calls = (comp_fwd * ndtr(d2 + s) - strike_col * ndtr(d2)) @ w
+        vals = np.where(is_call, calls, calls - float(w @ comp_fwd) + strikes)
+        return float(np.sqrt(np.mean((disc * vals - mids) ** 2)))
 
     # moment-matched base start: ATM value pins the overall vol scale
     atm_idx = int(np.argmin(np.abs(strikes - fwd)))
@@ -406,6 +415,8 @@ def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
     The fitted model's init_var is the one-step-ahead forecast, ready for
     simulation from the end of the sample.
     """
+    from scipy.signal import lfilter  # scipy.signal loads scipy.stats: keep it off import
+
     r = np.asarray(returns, dtype=float).ravel()
     if r.size < 250:
         raise ValueError("too few observations")

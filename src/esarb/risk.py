@@ -35,22 +35,20 @@ def _level(level: RiskLevel | float) -> float:
 
 def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     """VaR_p = -inf{x : F_X(x) > p} on the discrete distribution."""
-    p = _level(level)
-    order = np.argsort(sample.values, kind="stable")
-    values = sample.values[order]
-    cum = np.cumsum(sample.weights[order])
-    idx = int(np.searchsorted(cum, p, side="right"))
-    idx = min(idx, len(values) - 1)
-    return float(-values[idx])
+    return tail_envelope(sample.values, sample.weights, _level(level))[2]
 
 
-def tail_envelope(values: np.ndarray, weights: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """ES_p of raw payoff values and weights, with the envelope point q attaining it.
+def tail_envelope(
+    values: np.ndarray, weights: np.ndarray, p: float
+) -> tuple[float, np.ndarray, float]:
+    """ES_p of raw payoff values and weights, the envelope point q attaining
+    it, and VaR_p, all from one sort.
 
     Losses are sorted descending; each loss contributes its weight until the
     cumulative mass reaches p, with the straddling atom taken fractionally.
     q is that split divided by p: the maximizer of E_w[-values q] over the
-    ES dual set {0 <= q <= 1/p, E_w q = 1}.
+    ES dual set {0 <= q <= 1/p, E_w q = 1}. VaR_p is the loss at the first
+    sorted position whose cumulative mass exceeds p (strict CDF).
     """
     order = np.argsort(values, kind="stable")
     losses = -values[order]  # descending
@@ -60,7 +58,8 @@ def tail_envelope(values: np.ndarray, weights: np.ndarray, p: float) -> tuple[fl
     take = np.clip(p - prev, 0.0, sorted_w)
     q = np.zeros_like(weights)
     q[order] = take / p
-    return float(losses @ take) / p, q
+    idx = min(int(np.searchsorted(cum, p, side="right")), len(losses) - 1)
+    return float(losses @ take) / p, q, float(losses[idx])
 
 
 def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:

@@ -140,13 +140,6 @@ class CapResult:
     quantities: np.ndarray
 
 
-def _floor_rescale(g_val: float, floor: float, eta: float) -> float:
-    """Largest t in [0, 1] with t^eta g >= floor (g and floor nonpositive)."""
-    if g_val >= floor:
-        return 1.0
-    return (floor / g_val) ** (1.0 / eta)
-
-
 def classic_constraint_sup(
     market: MarketSnapshot,
     spec: UtilitySpec,

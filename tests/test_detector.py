@@ -16,6 +16,7 @@ from esarb import (
     payoff_distribution,
     price,
     ru_objective,
+    var_p,
 )
 from esarb import detector
 from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
@@ -262,6 +263,19 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     assert values[0] == pytest.approx(values[1], abs=1e-12)
 
 
+def test_cut_loop_alpha_is_var_p():
+    # alpha comes from the loop's own sort of the point it returns; it must
+    # be VaR_p of that point, bit for bit, on both LP kinds
+    market = _two_asset_markowitz(3000)
+    for p in (0.05, 0.4):
+        prob = build_lp(market, p)
+        for lp in (prob, _confirmation_lp(prob)):
+            sol = solve_lp(lp, solver="cuts")
+            assert sol.method == "cutting_plane"
+            x = sol.x[1 : 1 + lp.n_legs]
+            assert sol.x[0] == var_p(WeightedSample(lp.payoffs @ x, lp.weights), p)
+
+
 def _pair_market():
     legs = (
         TradableLeg("long", 1.0, np.array([1.0, 2.0])),
@@ -270,15 +284,19 @@ def _pair_market():
     return MarketSnapshot(TWO, legs, spot=1.0)
 
 
+def _exact_vector(lp, x):
+    return _full_vector(lp, x, var_p(WeightedSample(lp.payoffs @ x, lp.weights), lp.level))
+
+
 def test_check_residuals_accepts_exact_vectors():
     prob = build_lp(_pair_market(), 0.5)
     for lp in (prob, _confirmation_lp(prob)):
-        _check_residuals(lp, _full_vector(lp, np.array([0.5, 0.5])))
+        _check_residuals(lp, _exact_vector(lp, np.array([0.5, 0.5])))
 
 
 def test_check_residuals_rejects_hinge_row_violation():
     prob = build_lp(_pair_market(), 0.5)
-    v = _full_vector(prob, np.array([0.5, 0.5]))
+    v = _exact_vector(prob, np.array([0.5, 0.5]))
     v[0] -= 1.0  # alpha below the attaining quantile: every hinge row is short by 1
     with pytest.raises(SolverError, match=r"bound violation -?0\.000e"):
         _check_residuals(prob, v)
@@ -286,7 +304,7 @@ def test_check_residuals_rejects_hinge_row_violation():
 
 def test_check_residuals_rejects_bound_violation():
     prob = build_lp(_pair_market(), 0.5)
-    v = _full_vector(prob, np.array([1.5, 1.5]))  # rows hold, the box [0, 1] does not
+    v = _exact_vector(prob, np.array([1.5, 1.5]))  # rows hold, the box [0, 1] does not
     with pytest.raises(SolverError, match=r"residual 0\.000e"):
         _check_residuals(prob, v)
 

@@ -61,6 +61,11 @@ def test_var_three_point():
     assert var_p(sample([-2.0, 0.0, 3.0], [0.2, 0.3, 0.5]), 0.1) == pytest.approx(2.0)
 
 
+def test_var_strict_cdf_at_atom_boundary():
+    # F(-2) = 0.25 exactly is not > p = 0.25, so the quantile is the next atom
+    assert var_p(sample([-2.0, 0.0, 3.0], [0.25, 0.25, 0.5]), 0.25) == 0.0
+
+
 def test_var_empty_sample_rejected():
     with pytest.raises(ValueError):
         WeightedSample(np.array([]), np.array([]))
