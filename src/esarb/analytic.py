@@ -357,16 +357,12 @@ def _digital_legs(
     return tuple(legs)
 
 
-def _default_thresholds(density: CompleteMarketDensity) -> np.ndarray:
+def _cell_thresholds(density: CompleteMarketDensity) -> np.ndarray:
     edges = density._edges
     return edges[1:-1] if edges.size > 2 else edges[1:]
 
 
-def density_market(
-    density: CompleteMarketDensity,
-    thresholds: np.ndarray | None = None,
-    upper_bound: float = 1.0,
-) -> MarketSnapshot:
+def density_market(density: CompleteMarketDensity, upper_bound: float = 1.0) -> MarketSnapshot:
     """Frictionless digital market over the density's own cells.
 
     Scenarios are the cells (uniform P, weight = cell length); legs are a
@@ -379,10 +375,9 @@ def density_market(
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     scen = ScenarioSet(mids, widths / widths.sum())
-    thr = _default_thresholds(density) if thresholds is None else np.asarray(thresholds, float)
     return MarketSnapshot(
         scenarios=scen,
-        legs=_digital_legs(density, thr, mids),
+        legs=_digital_legs(density, _cell_thresholds(density), mids),
         spot=1.0,
         rate=density.rate,
         maturity=density.horizon,
@@ -394,7 +389,6 @@ def density_market_mc(
     density: CompleteMarketDensity,
     n_draws: int,
     rng: np.random.Generator,
-    thresholds: np.ndarray | None = None,
     upper_bound: float = 1.0,
 ) -> MarketSnapshot:
     """Monte Carlo variant: scenarios are uniform draws of U under P, legs
@@ -407,9 +401,8 @@ def density_market_mc(
     keeps multi-million draw counts cheap."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    thr = _default_thresholds(density) if thresholds is None else np.asarray(thresholds, float)
-    cuts = np.unique(thr)
-    edges = np.concatenate([[0.0], cuts[(cuts > 0.0) & (cuts < 1.0)], [1.0]])
+    thr = _cell_thresholds(density)  # strictly increasing, as the density grid is
+    edges = np.concatenate([[0.0], thr[(thr > 0.0) & (thr < 1.0)], [1.0]])
     counts, _ = np.histogram(rng.random(n_draws), bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
@@ -425,10 +418,7 @@ def density_market_mc(
 
 
 def markowitz_market(
-    market: MarkowitzMarket,
-    n_draws: int,
-    rng: np.random.Generator,
-    upper_bound: float = 1.0,
+    market: MarkowitzMarket, n_draws: int, rng: np.random.Generator
 ) -> MarketSnapshot:
     """Monte Carlo one-period Gaussian market matching the closed-form test:
     one long/short leg pair per risky asset plus a cash pair returning 1 + rf."""
@@ -451,5 +441,4 @@ def markowitz_market(
         spot=1.0,
         rate=market.rf,
         maturity=1.0,
-        upper_bound=upper_bound,
     )

@@ -14,7 +14,6 @@ solver non-convergence, 1 usage or input errors. All randomness flows from
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -326,13 +325,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CalibrationError as exc:
+    except (CalibrationError, SolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except SolverError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

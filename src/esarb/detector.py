@@ -6,9 +6,12 @@ its optimum is the least expected shortfall reachable at non-positive
 cost. Verdicts use a two-phase rule: a strictly negative optimum is an
 arbitrage outright, an optimum at the zero boundary is confirmed by a second
 LP maximizing expected payoff subject to the linearized ES <= 0 rows.
-Markets with many scenarios and few legs solve both LPs with one Kelley
-cutting-plane loop over the portfolio block; the confirmation starts from
-the cuts phase 1 found.
+The solver path follows from the market's size alone, with no override:
+markets with at most 64 legs and at least 600 scenarios (after merging
+identical payoff rows) solve both LPs with one Kelley cutting-plane loop
+over the portfolio block, and the confirmation starts from the cuts phase 1
+found. Every other market goes to sparse HiGHS, which is also the fallback
+when the cutting planes fail.
 
 The smallest arbitrage level comes from the dual side: over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}, the least ES is strictly negative iff no pricing
@@ -126,9 +129,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    """An optimum of one LP; `solve_lp` certifies it. Both LP kinds are
+    feasible at x = 0 and bounded (x lies in a box and p < 1), so a solve
+    returns an optimum or raises SolverError."""
+
     optimal_value: float
-    x: np.ndarray | None
+    x: np.ndarray
     method: str
 
 
@@ -154,36 +160,26 @@ class MinPResult:
     evaluations: int
 
 
-def _merged_blocks(market: MarketSnapshot, merge: bool):
+def _merged_blocks(market: MarketSnapshot):
     payoffs = market.payoff_matrix() + 0.0  # normalize -0.0 so merged rows carry +0.0
-    weights = market.scenarios.weights
-    if merge:
-        # sort rows lexicographically (first column major), then sum the
-        # weights of each run of equal adjacent rows
-        order = np.lexsort(payoffs.T[::-1])
-        rows = payoffs[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])
-        )
-        merged_w = np.add.reduceat(weights[order], starts)
-        keep = merged_w > 0
-        payoffs, weights = rows[starts[keep]], merged_w[keep]
-    return payoffs, weights
+    # sort rows lexicographically (first column major), then sum the
+    # weights of each run of equal adjacent rows
+    order = np.lexsort(payoffs.T[::-1])
+    rows = payoffs[order]
+    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
+    keep = merged_w > 0
+    return rows[starts[keep]], merged_w[keep]
 
 
-def build_lp(
-    market: MarketSnapshot,
-    level: RiskLevel | float,
-    merge_scenarios: bool = True,
-) -> LpProblem:
+def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     """Assemble the hinge LP for the market at the given level.
 
     Scenarios with identical payoff rows are merged by summing their weights
-    (identical hinge rows share one auxiliary variable, which is exact); pass
-    merge_scenarios=False to keep the raw one-row-per-scenario form.
+    (identical hinge rows share one auxiliary variable, which is exact).
     """
     level = as_level(level)
-    payoffs, weights = _merged_blocks(market, merge_scenarios)
+    payoffs, weights = _merged_blocks(market)
     return LpProblem(
         kind="min_es",
         payoffs=payoffs,
@@ -247,13 +243,9 @@ def _linprog_highs(c, A_ub, b_ub, bounds, **equalities):
 def _solve_highs(problem: LpProblem) -> LpSolution:
     bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
     res = _linprog_highs(problem.objective, problem.constraint_matrix, problem.rhs, bounds)
-    if res.status == 2:
-        return LpSolution("infeasible", math.nan, None, "highs")
-    if res.status == 3:
-        return LpSolution("unbounded", -math.inf, None, "highs")
-    if res.status == 0:
-        return LpSolution("optimal", float(res.fun), res.x, "highs")
-    raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
+    if res.status != 0:
+        raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
+    return LpSolution(float(res.fun), res.x, "highs")
 
 
 def _solve_cuts(problem: LpProblem) -> LpSolution | None:
@@ -296,7 +288,7 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
                 if min_es:
                     x, alpha = best_x, best_alpha
                 v = _full_vector(problem, x, alpha)
-                return LpSolution("optimal", float(problem.objective @ v), v, "cutting_plane")
+                return LpSolution(float(problem.objective @ v), v, "cutting_plane")
             g = -(F.T @ q)
             cuts.append((g, es - g @ x))
         A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
@@ -308,30 +300,24 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
     return None
 
 
-def solve_lp(problem: LpProblem, solver: str = "auto") -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP to a certified optimum (objective within 1e-9, residuals
     within 1e-9 relative), deterministically.
 
-    solver: "auto" takes the cutting-plane path (`_solve_cuts`, one loop for
-    both LP kinds) for markets with many scenarios and few legs: its master
-    LPs stay tiny while each cut is one sort of the scenarios, and a
-    confirmation LP from `_confirmation_lp` starts from the cuts its
-    detection LP found. Sparse HiGHS takes everything else; "cuts" and
-    "highs" force a path. HiGHS also answers when the cutting planes fail.
+    The path follows from the problem's size, with no override. At most 64
+    legs and at least 600 (merged) scenarios take the cutting-plane path
+    (`_solve_cuts`, one loop for both LP kinds): its master LPs stay tiny
+    while each cut is one sort of the scenarios, and a confirmation LP from
+    `_confirmation_lp` starts from the cuts its detection LP found. Sparse
+    HiGHS takes everything else, and also answers when the cutting planes
+    fail. Every solution passes `_check_residuals` or raises SolverError.
     """
-    if solver not in ("auto", "cuts", "highs"):
-        raise ValueError(f"unknown solver {solver!r}")
-    solution: LpSolution | None = None
-    if solver == "cuts" or (
-        solver == "auto"
-        and problem.n_legs <= _CUT_LEGS
-        and problem.n_scenarios >= _CUT_SCENARIOS
-    ):
+    solution = None
+    if problem.n_legs <= _CUT_LEGS and problem.n_scenarios >= _CUT_SCENARIOS:
         solution = _solve_cuts(problem)
     if solution is None:
         solution = _solve_highs(problem)
-    if solution.status == "optimal":
-        _check_residuals(problem, solution.x)
+    _check_residuals(problem, solution.x)
     return solution
 
 
@@ -341,11 +327,7 @@ def arbitrage_epsilon(market: MarketSnapshot) -> float:
     return 1e-6 * max(market.spot, biggest)
 
 
-def detect(
-    market: MarketSnapshot,
-    level: RiskLevel | float,
-    solver: str = "auto",
-) -> DetectionResult:
+def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     """Decide whether the market admits an ES_p-arbitrage at the given level.
 
     Phase 1 minimizes ES at non-positive cost; a strictly negative optimum
@@ -354,13 +336,12 @@ def detect(
     the confirmation LP, which maximizes expected payoff subject to ES <= 0;
     arbitrage holds iff that maximum is positive. When the verdict comes from
     the confirmation phase, the reported portfolio is the confirmation
-    maximizer so that it always witnesses the verdict.
+    maximizer so that it always witnesses the verdict. Both LPs take the
+    solver path `solve_lp` picks from the market's size; there is no override.
     """
     level = as_level(level)
     problem = build_lp(market, level)
-    solution = solve_lp(problem, solver=solver)
-    if solution.status != "optimal":
-        raise SolverError(f"detection LP ended with status {solution.status}")
+    solution = solve_lp(problem)
     eps = arbitrage_epsilon(market)
     n_l = problem.n_legs
     min_es = solution.optimal_value
@@ -370,9 +351,7 @@ def detect(
     if min_es < -eps:
         arbitrage = True
     else:
-        conf = solve_lp(_confirmation_lp(problem), solver=solver)
-        if conf.status != "optimal":
-            raise SolverError(f"confirmation LP ended with status {conf.status}")
+        conf = solve_lp(_confirmation_lp(problem))
         max_expected = 0.0 - conf.optimal_value  # a zero maximum reads +0.0, not -0.0
         confirmation = Confirmation(max_expected_payoff=max_expected)
         arbitrage = max_expected > eps

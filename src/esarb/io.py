@@ -62,6 +62,34 @@ def _require(data: dict, keys, where: str):
     return [data[k] for k in keys]
 
 
+def _numbers(data: dict, keys, where: str) -> list[float]:
+    """The values at keys as floats; each must be a finite JSON number."""
+    values = _require(data, keys, where)
+    for key, value in zip(keys, values):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
+    return [float(v) for v in values]
+
+
+def _csv_rows(path: str, header: list[str]) -> list[list[str]]:
+    """Every non-blank data row of a CSV that must start with the given
+    header and have one cell per header column."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
+            rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------- chain CSV
 
 _CHAIN_HEADER = ["kind", "strike", "bid", "ask"]
@@ -71,21 +99,12 @@ def read_chain(path: str) -> list[InstrumentQuote]:
     """Chain CSV `kind,strike,bid,ask`; blank strike for bond/underlying,
     blank bid means 0 (no bid), blank ask means no offer (infinite)."""
     quotes: list[InstrumentQuote] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CHAIN_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_CHAIN_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 columns")
-            kind = row[0].strip()
-            strike = float(row[1]) if row[1].strip() else None
-            bid = float(row[2]) if row[2].strip() else 0.0
-            ask = float(row[3]) if row[3].strip() else math.inf
-            quotes.append(InstrumentQuote(kind, strike, bid, ask))
+    for row in _csv_rows(path, _CHAIN_HEADER):
+        kind = row[0].strip()
+        strike = float(row[1]) if row[1].strip() else None
+        bid = float(row[2]) if row[2].strip() else 0.0
+        ask = float(row[3]) if row[3].strip() else math.inf
+        quotes.append(InstrumentQuote(kind, strike, bid, ask))
     if not quotes:
         raise ValueError(f"{path}: no quotes")
     return quotes
@@ -117,9 +136,7 @@ class MarketParams:
 
 
 def read_market_params(path: str) -> MarketParams:
-    data = read_json(path)
-    spot, rate, maturity = _require(data, ["spot", "rate", "maturity_years"], path)
-    return MarketParams(float(spot), float(rate), float(maturity))
+    return MarketParams(*_numbers(read_json(path), ["spot", "rate", "maturity_years"], path))
 
 
 # ------------------------------------------------------------ scenario CSV
@@ -127,16 +144,9 @@ def read_market_params(path: str) -> MarketParams:
 
 def read_scenarios(path: str) -> ScenarioSet:
     points, weights = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["point", "weight"]:
-            raise ValueError(f"{path}: expected header point,weight")
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            points.append(float(row[0]))
-            weights.append(float(row[1]))
+    for row in _csv_rows(path, ["point", "weight"]):
+        points.append(float(row[0]))
+        weights.append(float(row[1]))
     return ScenarioSet(np.asarray(points), np.asarray(weights))
 
 
@@ -176,25 +186,18 @@ def write_returns(path: str, returns) -> None:
 # -------------------------------------------------------------- density CSV
 
 
-def read_density(path: str, rate: float = 0.0, horizon: float = 1.0) -> CompleteMarketDensity:
+def read_density(path: str) -> CompleteMarketDensity:
     """Density CSV `u,q` with u ascending. A first row at u = 0 marks a
     piecewise-linear table of nodes; otherwise rows are step cells keyed by
     right endpoint, the last of which must be 1."""
     us, qs = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["u", "q"]:
-            raise ValueError(f"{path}: expected header u,q")
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            us.append(float(row[0]))
-            qs.append(float(row[1]))
+    for row in _csv_rows(path, ["u", "q"]):
+        us.append(float(row[0]))
+        qs.append(float(row[1]))
     if not us:
         raise ValueError(f"{path}: empty density file")
     kind = "linear" if us[0] == 0.0 else "step"
-    return CompleteMarketDensity(kind, np.asarray(us), np.asarray(qs), rate=rate, horizon=horizon)
+    return CompleteMarketDensity(kind, np.asarray(us), np.asarray(qs))
 
 
 def write_density(path: str, density: CompleteMarketDensity) -> None:
@@ -211,8 +214,9 @@ def write_density(path: str, density: CompleteMarketDensity) -> None:
 
 def read_markowitz(path: str) -> MarkowitzMarket:
     data = read_json(path)
-    mu, sigma, c, rf = _require(data, ["mu", "sigma", "c", "rf"], path)
-    return MarkowitzMarket(np.asarray(mu, float), np.asarray(sigma, float), np.asarray(c, float), float(rf))
+    mu, sigma, c = _require(data, ["mu", "sigma", "c"], path)
+    (rf,) = _numbers(data, ["rf"], path)
+    return MarkowitzMarket(np.asarray(mu, float), np.asarray(sigma, float), np.asarray(c, float), rf)
 
 
 # --------------------------------------------------------------- model JSON
@@ -245,18 +249,13 @@ def read_model(path: str) -> LognormalMixture | GarchModel:
     or GARCH (omega/arch/garch_coef/steps/init_var/drift), told apart by keys."""
     data = read_json(path)
     if "weights" in data:
-        w, m, s, spot, rate, mat = _require(
-            data, ["weights", "log_means", "log_sds", "spot", "rate", "maturity_years"], path
-        )
-        return LognormalMixture(np.asarray(w), np.asarray(m), np.asarray(s), float(spot), float(rate), float(mat))
+        w, m, s = _require(data, ["weights", "log_means", "log_sds"], path)
+        spot, rate, mat = _numbers(data, ["spot", "rate", "maturity_years"], path)
+        return LognormalMixture(np.asarray(w), np.asarray(m), np.asarray(s), spot, rate, mat)
     if "omega" in data:
-        omega, arch, garch_coef, steps, init_var = _require(
-            data, ["omega", "arch", "garch_coef", "steps", "init_var"], path
-        )
-        return GarchModel(
-            float(omega), float(arch), float(garch_coef), int(steps), float(init_var),
-            float(data.get("drift", 0.0)),
-        )
+        # steps stays a float here so that GarchModel rejects a fractional value
+        keys = ["omega", "arch", "garch_coef", "steps", "init_var", "drift"]
+        return GarchModel(*_numbers({"drift": 0.0, **data}, keys, path))
     raise ValueError(f"{path}: not a mixture or garch model JSON")
 
 

@@ -24,6 +24,8 @@ from scipy.special import expit, ndtr, ndtri
 from .market import InstrumentQuote, ScenarioSet, _as_readonly
 from .seeding import substream
 
+_PL_GRID_POINTS = 200
+
 
 class CalibrationError(RuntimeError):
     """Optimizer did not converge; .fit carries the best parameters found."""
@@ -171,10 +173,11 @@ def pl_quadrature(model: LognormalMixture, points) -> ScenarioSet:
     return ScenarioSet(pts, w)
 
 
-def default_pl_grid(model: LognormalMixture, strikes, n: int = 200) -> np.ndarray:
+def default_pl_grid(model: LognormalMixture, strikes) -> np.ndarray:
     """Grid for pl_quadrature: zero, every strike, tail anchors at the 1e-5
     and 1 - 1e-5 quantiles, a far anchor past the largest strike (keeps the
-    last-piece weights nonnegative), quantile-spaced fill up to n points."""
+    last-piece weights nonnegative), quantile-spaced fill up to
+    _PL_GRID_POINTS points."""
     strikes = np.asarray(strikes, dtype=float).ravel()
     if (strikes < 0).any():
         raise ValueError("strikes must be >= 0")
@@ -184,7 +187,7 @@ def default_pl_grid(model: LognormalMixture, strikes, n: int = 200) -> np.ndarra
     if strikes.size:
         far = max(far, 1.25 * float(strikes.max()))
     mandatory = np.unique(np.concatenate([[0.0], strikes, [lo_q, hi_q, far]]))
-    need = n - mandatory.size
+    need = _PL_GRID_POINTS - mandatory.size
     grid = mandatory
     if need > 0:
         levels = np.linspace(1e-5, 1.0 - 1e-5, need + 2)[1:-1]

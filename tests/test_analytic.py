@@ -345,6 +345,37 @@ def test_density_market_mc_reproducible():
     assert np.array_equal(a.prices(), b.prices())
 
 
+def _unique_binned_mc(density, n_draws, rng):
+    """Reference binning: np.unique over the cell thresholds, draws counted
+    per threshold cell; returns points, weights and leg prices."""
+    edges = density._edges
+    cuts = np.unique(edges[1:-1] if edges.size > 2 else edges[1:])
+    bins = np.concatenate([[0.0], cuts[(cuts > 0.0) & (cuts < 1.0)], [1.0]])
+    counts, _ = np.histogram(rng.random(n_draws), bins=bins)
+    mids = 0.5 * (bins[:-1] + bins[1:])
+    keep = counts > 0
+    disc = density.discount
+    prices = [disc, -disc]
+    for t in cuts:
+        price = disc * density.integral_to(float(t))
+        prices += [price, -price]
+    return mids[keep], counts[keep] / n_draws, np.array(prices)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512), CAPPED],
+    ids=["bs512", "step"],
+)
+def test_density_market_mc_matches_unique_binning(density):
+    for seed in (0, 7):
+        market = density_market_mc(density, 100_000, np.random.default_rng(seed))
+        points, weights, prices = _unique_binned_mc(density, 100_000, np.random.default_rng(seed))
+        assert np.array_equal(market.scenarios.points, points)
+        assert np.array_equal(market.scenarios.weights, weights)
+        assert np.array_equal(market.prices(), prices)
+
+
 def test_density_market_mc_detects_like_exact():
     market = density_market_mc(CAPPED, 40_000, np.random.default_rng(12))
     assert detect(market, 0.6).arbitrage

@@ -355,3 +355,42 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--chain", work["chain"]])
         assert exc.value.code == 1
+
+
+def _malformed_case(work, tmp_path, case):
+    """argv for one malformed input file, written under tmp_path."""
+    bad = tmp_path / "bad"
+    if case == "scenario row with one column":
+        bad.write_text("point,weight\n1.0\n")
+        return ["detect", "--scenarios", str(bad), "--chain", work["chain"],
+                "--market", work["market"], "--p", "0.2"]
+    if case == "density row with one column":
+        bad.write_text("u,q\n1.0\n")
+        return ["analytic", "complete", "--density", str(bad), "--p", "0.25"]
+    if case == "null spot":
+        write_json(str(bad), {"spot": None, "rate": 0.02, "maturity_years": 1.0})
+        return ["detect", "--chain", work["chain"], "--market", str(bad),
+                "--model", work["mixture"], "--quadrature", "pl", "--p", "0.2"]
+    if case == "null rf":
+        write_json(str(bad), {"mu": [0.4], "sigma": [[0.01]], "c": [0.1], "rf": None})
+        return ["analytic", "markowitz", "--model", str(bad), "--p", "0.01"]
+    payload = garch_to_dict(GarchModel(omega=1e-6, arch=0.05, garch_coef=0.9, steps=1,
+                                       init_var=2e-5))
+    write_json(str(bad), {**payload, "steps": 1.5})
+    return ["simulate", "--model", str(bad), "--n", "10"]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", [
+        "scenario row with one column",
+        "density row with one column",
+        "null spot",
+        "null rf",
+        "fractional steps",
+    ])
+    def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
+        assert run(_malformed_case(work, tmp_path, case)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

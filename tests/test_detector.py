@@ -21,11 +21,14 @@ from esarb import (
 from esarb import detector
 from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
 from esarb.detector import (
+    LpProblem,
     SolverError,
     _check_residuals,
     _confirmation_lp,
     _full_vector,
     _merged_blocks,
+    _solve_cuts,
+    _solve_highs,
     _threshold_density,
     arbitrage_epsilon,
     build_lp,
@@ -82,7 +85,14 @@ def test_build_lp_merges_duplicate_scenarios():
     leg = TradableLeg("flat then up", 1.0, np.array([0.0, 0.0, 0.0, 6.0]))
     market = MarketSnapshot(scen, (leg,), spot=1.0)
     merged = build_lp(market, 0.5)
-    verbatim = build_lp(market, 0.5, merge_scenarios=False)
+    verbatim = LpProblem(
+        kind="min_es",
+        payoffs=market.payoff_matrix(),
+        weights=market.scenarios.weights,
+        prices=market.prices(),
+        level=merged.level,
+        upper_bound=market.upper_bound,
+    )
     assert merged.n_scenarios == 2
     assert verbatim.n_scenarios == 4
     assert solve_lp(merged).optimal_value == pytest.approx(
@@ -112,7 +122,7 @@ def test_merge_matches_unique_reference(seed):
     scen = ScenarioSet(np.arange(n_s, dtype=float), weights / weights.sum())
     legs = tuple(TradableLeg(f"c{j}", 0.0, cols[:, j]) for j in range(3))
     market = MarketSnapshot(scen, legs, spot=1.0)
-    rows, w = _merged_blocks(market, merge=True)
+    rows, w = _merged_blocks(market)
     ref_rows, ref_w = _unique_merge(market)
     assert rows.shape[0] < n_s
     assert np.array_equal(rows, ref_rows)
@@ -127,7 +137,6 @@ def test_merge_matches_unique_reference(seed):
 def test_zero_payoff_legs_give_zero():
     market = MarketSnapshot(TWO, (TradableLeg("nil", 0.5, np.zeros(2)),), spot=1.0)
     sol = solve_lp(build_lp(market, 0.3))
-    assert sol.status == "optimal"
     assert sol.optimal_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -172,18 +181,23 @@ def test_lp_matches_brute_force_grid(rng):
         assert lp_val == pytest.approx(best, abs=2e-2)
 
 
+def _solve_both(lp):
+    """The LP on both paths, each certified as `solve_lp` certifies it."""
+    cuts = _solve_cuts(lp)
+    assert cuts is not None and cuts.method == "cutting_plane"
+    highs = _solve_highs(lp)
+    for sol in (cuts, highs):
+        _check_residuals(lp, sol.x)
+    return cuts, highs
+
+
 def test_solver_backends_agree(rng):
     for _ in range(12):
         market = random_market(rng)
         prob = build_lp(market, float(rng.uniform(0.05, 0.7)))
         for lp in (prob, _confirmation_lp(prob)):
-            cuts, highs = (solve_lp(lp, solver=s).optimal_value for s in ("cuts", "highs"))
+            cuts, highs = (sol.optimal_value for sol in _solve_both(lp))
             assert abs(cuts - highs) <= 1e-8 * (1.0 + abs(highs))
-
-
-def test_unknown_solver_rejected():
-    with pytest.raises(ValueError):
-        solve_lp(build_lp(true_arb_market(), 0.5), solver="simplex")
 
 
 def test_lp_solution_is_primal_feasible(rng):
@@ -207,9 +221,7 @@ def test_cutting_plane_handles_large_market():
         TradableLeg("short asset", -0.05, -points),
     )
     market = MarketSnapshot(scen, legs, spot=1.0)
-    prob = build_lp(market, 0.1)
-    big = solve_lp(prob, solver="cuts")
-    ref = solve_lp(prob, solver="highs")
+    big, ref = _solve_both(build_lp(market, 0.1))
     assert big.optimal_value == pytest.approx(ref.optimal_value, abs=1e-8)
 
 
@@ -219,7 +231,8 @@ def test_pooled_cuts_support_es(rng):
     for _ in range(3):
         market = random_market(rng, n_scenarios=800, n_legs=4)
         prob = build_lp(market, float(rng.uniform(0.05, 0.5)))
-        assert solve_lp(prob, solver="cuts").method == "cutting_plane"
+        sol = _solve_cuts(prob)
+        assert sol is not None and sol.method == "cutting_plane"
         assert prob.cuts
         F, w, p = prob.payoffs, prob.weights, prob.level.p
         scale = 1.0 + float(np.abs(F).max()) * prob.upper_bound
@@ -243,7 +256,7 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     # the confirmation; seeded with phase 1's cuts it needs one master LP
     market = _two_asset_markowitz(5000)
     prob = build_lp(market, 0.05)
-    solve_lp(prob, solver="cuts")
+    assert _solve_cuts(prob) is not None
     assert build_lp(market, 0.05).cuts == []  # every problem starts its own pool
     seeded, fresh = _confirmation_lp(prob), _confirmation_lp(build_lp(market, 0.05))
     assert len(seeded.cuts) == len(prob.cuts) > 0
@@ -257,8 +270,10 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     masters, values = [], []
     for lp in (seeded, fresh):
         calls.clear()
-        values.append(solve_lp(lp, solver="cuts").optimal_value)
+        sol = _solve_cuts(lp)
         masters.append(len(calls))
+        assert sol is not None
+        values.append(sol.optimal_value)
     assert masters[0] == 1 < masters[1]
     assert values[0] == pytest.approx(values[1], abs=1e-12)
 
@@ -270,8 +285,8 @@ def test_cut_loop_alpha_is_var_p():
     for p in (0.05, 0.4):
         prob = build_lp(market, p)
         for lp in (prob, _confirmation_lp(prob)):
-            sol = solve_lp(lp, solver="cuts")
-            assert sol.method == "cutting_plane"
+            sol = _solve_cuts(lp)
+            assert sol is not None and sol.method == "cutting_plane"
             x = sol.x[1 : 1 + lp.n_legs]
             assert sol.x[0] == var_p(WeightedSample(lp.payoffs @ x, lp.weights), p)
 
@@ -329,12 +344,14 @@ def test_zero_price_lottery_confirmed_on_cutting_planes():
     pay[::2] = 1.0
     market = MarketSnapshot(base.scenarios, base.legs + (TradableLeg("lottery", 0.0, pay),), spot=1.0)
     res = detect(market, 0.05)
-    ref = detect(market, 0.05, solver="highs")
-    assert res.arbitrage and ref.arbitrage
-    assert res.confirmation.max_expected_payoff == pytest.approx(
-        ref.confirmation.max_expected_payoff, abs=1e-8
-    )
-    assert ref.confirmation.max_expected_payoff == pytest.approx(0.5, abs=1e-8)
+    assert res.arbitrage
+    prob = build_lp(market, 0.05)
+    assert _solve_cuts(prob) is not None
+    cuts, highs = _solve_both(_confirmation_lp(prob))
+    # detect took the same cutting-plane path, so it reports the same bits
+    assert res.confirmation.max_expected_payoff == 0.0 - cuts.optimal_value
+    assert cuts.optimal_value == pytest.approx(highs.optimal_value, abs=1e-8)
+    assert -highs.optimal_value == pytest.approx(0.5, abs=1e-8)
 
 
 def test_markowitz_below_threshold_agrees_across_paths():
@@ -343,15 +360,16 @@ def test_markowitz_below_threshold_agrees_across_paths():
 
     mk = MarkowitzMarket([1.1], [[0.01]], [1.0], 0.0)
     assert not markowitz_arbitrage(mk, 0.05).arbitrage  # g = 1.0 < E(0.05) = 2.06
-    market = markowitz_market(mk, 2000, np.random.default_rng(20190226))
-    payoffs = []
-    for solver in ("cuts", "highs"):
-        res = detect(market, 0.05, solver=solver)
+    # 500 draws sit below the cutting-plane size rule, so detect takes HiGHS;
+    # 2000 draws take the cutting planes
+    for n_draws in (500, 2000):
+        market = markowitz_market(mk, n_draws, np.random.default_rng(20190226))
+        res = detect(market, 0.05)
         assert not res.arbitrage
-        payoffs.append(res.confirmation.max_expected_payoff)
         reported = detection_to_dict(res, market.labels())["confirmation"]["max_expected_payoff"]
         assert reported == 0.0 and math.copysign(1.0, reported) == 1.0
-    assert abs(payoffs[0] - payoffs[1]) <= 1e-8
+        cuts, highs = _solve_both(_confirmation_lp(build_lp(market, 0.05)))
+        assert abs(cuts.optimal_value - highs.optimal_value) <= 1e-8
 
 
 def test_capped_density_thresholds():
@@ -532,8 +550,9 @@ def test_min_p_on_quadrature_market_with_singular_dense_basis():
 
     res = min_p(market, bracket=(1e-4, 0.9))
     assert res.status == "found"
-    assert detect(market, res.p_star, solver="highs").arbitrage
-    assert not detect(market, res.p_star - 1e-4, solver="highs").arbitrage
+    assert build_lp(market, res.p_star).n_scenarios < detector._CUT_SCENARIOS  # HiGHS path
+    assert detect(market, res.p_star).arbitrage
+    assert not detect(market, res.p_star - 1e-4).arbitrage
 
 
 def _step(sup, first_cell):

@@ -149,7 +149,7 @@ class TestPlQuadrature:
     def test_default_grid_contains_anchors(self):
         mix = make_mixture()
         strikes = [77.0, 103.0]
-        grid = default_pl_grid(mix, strikes, n=200)
+        grid = default_pl_grid(mix, strikes)
         assert grid[0] == 0.0
         for k in strikes:
             assert np.any(grid == k)
