@@ -3,20 +3,26 @@
 The detection LP minimizes alpha + (1/p) sum w_i u_i over (alpha, x, u) with
 u_i >= -f(Omega_i).x - alpha, u_i >= 0, prices.x <= 0 and box bounds on x;
 its optimum is the least expected shortfall reachable at non-positive
-cost. Verdicts use a two-phase rule: a strictly negative optimum is an
-arbitrage outright, an optimum at the zero boundary is confirmed by a second
-LP maximizing expected payoff subject to the linearized ES <= 0 rows.
+cost. Every LP trades one column per frictionless long/short pair (payoffs
+and prices exact negations, payoffs not constant), a net quantity in
+[-B, B]; the pair's two legs enter every row only through their
+difference, so this is exact. Verdicts
+use a two-phase rule: a strictly negative optimum is an arbitrage outright,
+an optimum at the zero boundary is confirmed by a second LP maximizing
+expected payoff subject to the linearized ES <= 0 rows.
 The solver path follows from the market's size alone, with no override:
-markets with at most 64 legs and at least 600 scenarios (after merging
+markets with at most 64 columns and at least 600 scenarios (after merging
 identical payoff rows) solve both LPs with one Kelley cutting-plane loop
 over the portfolio block, and the confirmation starts from the cuts phase 1
 found. Every other market goes to sparse HiGHS, which is also the fallback
 when the cutting planes fail.
 
-The smallest arbitrage level comes from the dual side: over the ES dual set
-{0 <= q <= 1/p, E_w q = 1}, the least ES is strictly negative iff no pricing
-density q has max q <= 1/p, so one LP for the least max q gives the
-threshold and `detect` settles the boundary.
+The smallest arbitrage level comes from the dual side, over the ES dual set
+{0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
+density lies strictly inside it, 0 < q < 1/p (the margin LP decides this
+at the bracket's lower end), and the least ES at non-positive cost is
+strictly negative iff no pricing density has max q <= 1/p, so one LP for
+the least max q gives the threshold.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ _HIGHS_OPTS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 _GAP_TOL = 1e-10
+_MARGIN_TOL = 1e-7  # least margin s that the margin LP trusts over `detect`
 _MAX_CUTS = 2000
 
 
@@ -51,9 +58,12 @@ class LpProblem:
     """The materializable LP plus the structured blocks it was built from.
 
     Variable layout: index 0 is alpha (free), the next n_legs entries are the
-    portfolio block, the remaining n_scenarios entries are the hinge
-    auxiliaries (lower bound 0). Rows: one cost row then one hinge row per
-    scenario; for kind "max_expected" an ES row is appended.
+    portfolio columns, the remaining n_scenarios entries are the hinge
+    auxiliaries (lower bound 0). Column k trades market leg legs[k] in
+    [0, upper_bound]; when shorts[k] >= 0 it is the net position of the
+    frictionless pair (legs[k], shorts[k]) and its lower bound is
+    -upper_bound. Rows: one cost row then one hinge row per scenario; for
+    kind "max_expected" an ES row is appended.
 
     cuts pools the ES support lines (g, h), es(x') >= g.x' + h, that the
     cutting-plane path finds for this problem; `_confirmation_lp` hands
@@ -61,11 +71,13 @@ class LpProblem:
     """
 
     kind: str  # "min_es" | "max_expected"
-    payoffs: np.ndarray  # n_scenarios x n_legs
+    payoffs: np.ndarray  # n_scenarios x n_legs (portfolio columns)
     weights: np.ndarray
     prices: np.ndarray
     level: RiskLevel
     upper_bound: float
+    legs: np.ndarray  # column -> market leg (a pair's long leg)
+    shorts: np.ndarray  # column -> the pair's short leg, -1 for a single leg
     cuts: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
@@ -79,6 +91,10 @@ class LpProblem:
     @property
     def n_variables(self) -> int:
         return 1 + self.n_legs + self.n_scenarios
+
+    @cached_property
+    def x_lower(self) -> np.ndarray:
+        return np.where(self.shorts >= 0, -self.upper_bound, 0.0)
 
     @cached_property
     def objective(self) -> np.ndarray:
@@ -118,6 +134,7 @@ class LpProblem:
     def lower_bounds(self) -> np.ndarray:
         lo = np.zeros(self.n_variables)
         lo[0] = -math.inf
+        lo[1 : 1 + self.n_legs] = self.x_lower
         return lo
 
     @cached_property
@@ -125,6 +142,17 @@ class LpProblem:
         hi = np.full(self.n_variables, math.inf)
         hi[1 : 1 + self.n_legs] = self.upper_bound
         return hi
+
+    def leg_quantities(self, x: np.ndarray) -> np.ndarray:
+        """Per-leg quantities in [0, upper_bound] for portfolio columns x: a
+        pair's positive net value goes to its long leg, a negative one to
+        its short leg, and the other leg holds +0.0."""
+        x = np.clip(x, self.x_lower, self.upper_bound)
+        net = self.shorts >= 0
+        qty = np.zeros(self.n_legs + int(net.sum()))
+        qty[self.legs] = np.maximum(x, 0.0)
+        qty[self.shorts[net]] = np.maximum(-x[net], 0.0)
+        return qty + 0.0  # a zero quantity reads +0.0, never -0.0
 
 
 @dataclass(frozen=True)
@@ -172,21 +200,55 @@ def _merged_blocks(market: MarketSnapshot):
     return rows[starts[keep]], merged_w[keep]
 
 
+def _net_columns(payoffs: np.ndarray, prices: np.ndarray):
+    """Pair each leg with an earlier unpaired leg whose (merged) payoff
+    column and price are its exact negation. Returns (legs, shorts): one
+    entry per LP column, at its first leg's position; shorts is -1 for a
+    leg left single.
+
+    A pair with a constant payoff (cash, a bond) stays two legs: its net
+    column would be parallel to alpha's in every hinge row, and at the
+    exact threshold HiGHS then returned vertices that miss a bound by up
+    to 4e-8 (15 of 3596 random 40-scenario option markets)."""
+    cols = np.ascontiguousarray(payoffs.T)
+    varies = (cols != cols[:, :1]).any(axis=1)
+    waiting: dict = {}  # (price, payoff bytes) -> columns whose leg awaits its negation
+    legs, shorts = [], []
+    for j, price in enumerate(prices.tolist()):
+        match = None
+        if varies[j]:
+            # +0.0: a zero entry or price of either sign keys as +0.0
+            match = waiting.get((-price + 0.0, (-cols[j] + 0.0).tobytes()))
+            if not match:
+                waiting.setdefault((price + 0.0, cols[j].tobytes()), []).append(len(legs))
+        if match:
+            shorts[match.pop(0)] = j
+        else:
+            legs.append(j)
+            shorts.append(-1)
+    return np.array(legs, dtype=int), np.array(shorts, dtype=int)
+
+
 def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     """Assemble the hinge LP for the market at the given level.
 
     Scenarios with identical payoff rows are merged by summing their weights
-    (identical hinge rows share one auxiliary variable, which is exact).
+    (identical hinge rows share one auxiliary variable, which is exact), and
+    each frictionless pair of legs becomes one net column (see `LpProblem`).
     """
     level = as_level(level)
     payoffs, weights = _merged_blocks(market)
+    prices = market.prices()
+    legs, shorts = _net_columns(payoffs, prices)
     return LpProblem(
         kind="min_es",
-        payoffs=payoffs,
+        payoffs=payoffs[:, legs],
         weights=weights,
-        prices=market.prices(),
+        prices=prices[legs],
         level=level,
         upper_bound=market.upper_bound,
+        legs=legs,
+        shorts=shorts,
     )
 
 
@@ -220,7 +282,8 @@ def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
         scale.append([abs(alpha) + tail @ np.abs(u)])
     worst = float((np.concatenate(resid) / (1.0 + np.concatenate(scale))).max(initial=0.0))
     bound_viol = max(
-        float((-v[1:]).max(initial=0.0)), float((x - problem.upper_bound).max(initial=0.0))
+        float((problem.lower_bounds[1:] - v[1:]).max(initial=0.0)),
+        float((v[1:] - problem.upper_bounds[1:]).max(initial=0.0)),
     )
     if worst > 1e-9 or bound_viol > 1e-9 * (1.0 + float(np.abs(v).max())):
         raise SolverError(
@@ -269,7 +332,7 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
         c, t_bounds = np.concatenate([np.zeros(n_l), [1.0]]), (None, None)
     else:
         c, t_bounds = np.concatenate([-(F.T @ w), [0.0]]), (0.0, 0.0)
-    bounds = [(0.0, problem.upper_bound)] * n_l + [t_bounds]
+    bounds = [(lo, problem.upper_bound) for lo in problem.x_lower] + [t_bounds]
     cost_row = np.concatenate([problem.prices, [0.0]])
     es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
     cuts = problem.cuts
@@ -344,9 +407,9 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     solution = solve_lp(problem)
     eps = arbitrage_epsilon(market)
     n_l = problem.n_legs
-    min_es = solution.optimal_value
-    alpha_star = float(solution.x[0])
-    quantities = np.clip(solution.x[1 : 1 + n_l], 0.0, market.upper_bound)
+    min_es = solution.optimal_value + 0.0  # +0.0: no field reads -0.0
+    alpha_star = float(solution.x[0]) + 0.0
+    quantities = problem.leg_quantities(solution.x[1 : 1 + n_l])
     confirmation = None
     if min_es < -eps:
         arbitrage = True
@@ -356,7 +419,7 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
         confirmation = Confirmation(max_expected_payoff=max_expected)
         arbitrage = max_expected > eps
         if arbitrage:
-            quantities = np.clip(conf.x[1 : 1 + n_l], 0.0, market.upper_bound)
+            quantities = problem.leg_quantities(conf.x[1 : 1 + n_l])
     return DetectionResult(
         level=level,
         min_es=min_es,
@@ -367,12 +430,16 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     )
 
 
-def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
+def _check_density(problem: LpProblem, q: np.ndarray, lam: float, strict: bool = False) -> None:
     """Certify a pricing density without trusting the solver: q >= 0,
-    lam >= 0, E_w q = 1 and E_w[q f_j] <= lam price_j for every leg, each
-    within 1e-9 relative."""
+    lam >= 0, E_w q = 1 and E_w[q f_j] <= lam price_j for every column
+    (with equality for a netted pair, whose short leg prices -f_j), each
+    within 1e-9 relative. With strict, q must also lie strictly inside the
+    ES dual set at the problem's level: 0 < q_i < 1/p. O(n_scenarios *
+    n_legs)."""
     F, w, prices = problem.payoffs, problem.weights, problem.prices
     priced = F.T @ (w * q) - lam * prices
+    priced = np.where(problem.shorts >= 0, np.abs(priced), priced)
     scale = 1.0 + np.abs(F).T @ (w * np.abs(q)) + abs(lam) * np.abs(prices)
     worst = float((priced / scale).max(initial=0.0))
     mass_err = abs(float(w @ q) - 1.0) / (1.0 + float(w @ np.abs(q)))
@@ -382,43 +449,82 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
             f"numerical failure: pricing residual {worst:.3e}, mass error {mass_err:.3e}, "
             f"sign violation {sign_viol:.3e}"
         )
+    if strict and not (q.min() > 0.0 and q.max() < 1.0 / problem.level.p):
+        raise SolverError(
+            f"numerical failure: density range [{q.min():.3e}, {q.max():.3e}] is not strictly "
+            f"inside (0, 1/p) at p = {problem.level.p!r}"
+        )
+
+
+def _density_lp(problem: LpProblem, rows, rhs, z_cost: float):
+    """HiGHS over (q, lam, z) with q, lam >= 0 and z free: minimize
+    z_cost * z subject to the caller's rows over (q, lam, z) <= rhs, the
+    pricing rows E_w[q f_j] <= lam price_j (equalities for netted pairs)
+    and the mass row E_w q = 1."""
+    F, w, prices = problem.payoffs, problem.weights, problem.prices
+    n_s = problem.n_scenarios
+    net = problem.shorts >= 0
+    pricing = sparse.hstack(
+        [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((problem.n_legs, 1))],
+        format="csr",
+    )
+    return _linprog_highs(
+        np.concatenate([np.zeros(n_s + 1), [z_cost]]),
+        sparse.vstack([rows, pricing[~net]], format="csr"),
+        np.concatenate([rhs, np.zeros(int((~net).sum()))]),
+        [(0.0, None)] * (n_s + 1) + [(None, None)],
+        A_eq=sparse.vstack([pricing[net], np.concatenate([w, [0.0, 0.0]])[None, :]], format="csr"),
+        b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0]]),
+    )
 
 
 def _threshold_density(problem: LpProblem) -> np.ndarray:
     """Checked pricing density q with the least max_i q_i.
 
-    Solves min t over (q, lam, t) subject to q_i <= t, E_w q = 1 and
-    E_w[q f_j] <= lam price_j for every leg, with q, lam >= 0. Any such q
-    with max q <= 1/p lies in the ES dual set at level p and prices every
-    portfolio of non-positive cost at <= 0, so it certifies ES >= 0 there;
-    by LP duality the least ES at non-positive cost is strictly negative
-    exactly when p > 1/t*.
+    Solves min t over (q, lam, t) subject to q_i <= t and the pricing and
+    mass rows of `_density_lp`. Any such q with max q <= 1/p lies in the ES
+    dual set at level p and prices every portfolio of non-positive cost at
+    <= 0, so it certifies ES >= 0 there; by LP duality the least ES at
+    non-positive cost is strictly negative exactly when p > 1/t*.
     """
-    F, w, prices = problem.payoffs, problem.weights, problem.prices
-    n_s, n_l = problem.n_scenarios, problem.n_legs
-    A_ub = sparse.vstack(
-        [
-            sparse.hstack(
-                [sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))]
-            ),
-            sparse.hstack(
-                [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((n_l, 1))]
-            ),
-        ],
-        format="csr",
-    )
-    res = _linprog_highs(
-        np.concatenate([np.zeros(n_s + 1), [1.0]]),
-        A_ub,
-        np.zeros(n_s + n_l),
-        [(0.0, None)] * (n_s + 1) + [(None, None)],
-        A_eq=np.concatenate([w, [0.0, 0.0]])[None, :],
-        b_eq=[1.0],
-    )
+    n_s = problem.n_scenarios
+    rows = sparse.hstack([sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))])
+    res = _density_lp(problem, rows, np.zeros(n_s), 1.0)
     if res.status != 0:
         raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
     q, lam = res.x[:n_s], float(res.x[n_s])
     _check_density(problem, q, lam)
+    return q
+
+
+def _margin_density(problem: LpProblem) -> np.ndarray | None:
+    """Checked pricing density strictly inside the ES dual set at the
+    problem's level, or None when the margin LP finds none.
+
+    Solves max s over (q, lam, s) subject to s <= q_i <= 1/p - (1/p - 1) s
+    and the pricing and mass rows of `_density_lp`. With s > 0, for small
+    eps the density (1 + eps) q - eps also lies in the dual set, so
+    ES_p(F x) >= eps E[F x] for every x at non-positive cost: no
+    ES_p-arbitrage at p. Conversely, with no arbitrage at p some density
+    has s > 0. None (no optimum, or a gap s or (1/p - 1) s to either end of
+    (0, 1/p) within _MARGIN_TOL) leaves the verdict to `detect`; a q that
+    fails `_check_density` raises SolverError.
+    """
+    n_s, inv_p = problem.n_scenarios, 1.0 / problem.level.p
+    eye, lam_col = sparse.eye(n_s), sparse.csr_matrix((n_s, 1))
+    rows = sparse.vstack(
+        [
+            sparse.hstack([-eye, lam_col, np.ones((n_s, 1))]),
+            sparse.hstack([eye, lam_col, np.full((n_s, 1), inv_p - 1.0)]),
+        ],
+        format="csr",
+    )
+    res = _density_lp(problem, rows, np.concatenate([np.zeros(n_s), np.full(n_s, inv_p)]), -1.0)
+    # both sides of the range must clear q by more than the tolerance
+    if res.status != 0 or min(1.0, inv_p - 1.0) * res.x[-1] <= _MARGIN_TOL:
+        return None
+    q, lam = res.x[:n_s], float(res.x[n_s])
+    _check_density(problem, q, lam, strict=True)
     return q
 
 
@@ -427,30 +533,34 @@ def min_p(
     bracket: tuple[float, float] = (1e-4, 0.5),
     tol: float = 1e-4,
 ) -> MinPResult:
-    """Smallest level in the bracket admitting arbitrage, from the threshold LP.
+    """Smallest level in the bracket admitting arbitrage, from pricing densities.
 
-    Above p0 = 1 / min max q (see `_threshold_density`) the least ES at
-    non-positive cost is strictly negative. Below p0 only a true arbitrage
-    (X >= 0, cost <= 0, E X > 0) is possible, and it exists at every level
-    once it exists at all, so `detect` at lo settles "at or below bracket".
-    Otherwise p* is p0 when `detect` confirms arbitrage there, else
-    min(p0 + tol, hi) when `detect` confirms it there: tol bounds how far p*
-    sits above the threshold. A threshold that no `detect` confirms raises
-    SolverError. `evaluations` counts the LPs and detects solved (at most 4).
+    At lo, the margin LP (`_margin_density`) either certifies no arbitrage
+    with a density strictly inside the ES dual set or leaves the verdict to
+    `detect(lo)`, whose arbitrage means "at or below bracket". Otherwise
+    the threshold LP (`_threshold_density`) gives p0 = 1 / min max q: above
+    p0 the least ES at non-positive cost is strictly negative, at p0 no
+    density lies strictly inside the dual set, so p0 itself admits
+    arbitrage and p* = p0 once `detect(p0)` confirms it (else SolverError);
+    p0 > hi is "none in bracket". tol must be > 0 but no longer moves p*;
+    it stays for callers that pass it. `evaluations` counts the LPs and
+    detects solved: 3 when the margin LP certifies lo, at most 4.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"invalid bracket {bracket}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if detect(market, lo).arbitrage:
-        return MinPResult(p_star=lo, status="at or below bracket", evaluations=1)
-    p0 = max(1.0 / float(_threshold_density(build_lp(market, lo)).max()), lo)
-    evals = 2
+    problem = build_lp(market, lo)
+    evals = 1
+    if _margin_density(problem) is None:
+        evals += 1
+        if detect(market, lo).arbitrage:
+            return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
+    p0 = max(1.0 / float(_threshold_density(problem).max()), lo)
+    evals += 1
     if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    for p in (p0, min(p0 + tol, hi)):
-        evals += 1
-        if detect(market, p).arbitrage:
-            return MinPResult(p_star=p, status="found", evaluations=evals)
-    raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r} or tol above it")
+    if not detect(market, p0).arbitrage:
+        raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r}")
+    return MinPResult(p_star=p0, status="found", evaluations=evals + 1)

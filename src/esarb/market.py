@@ -18,6 +18,7 @@ import numpy as np
 QuoteKind = Literal["call", "put", "bond", "underlying"]
 
 _WEIGHT_SUM_TOL = 1e-12
+_INFINITE_BOUND = 1e20  # HiGHS reads a bound this large as infinite: the LPs would be unbounded
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
@@ -166,8 +167,8 @@ class MarketSnapshot:
         for leg in self.legs:
             if len(leg.payoff) != n:
                 raise ValueError(f"leg {leg.label!r} has {len(leg.payoff)} payoffs for {n} scenarios")
-        if not self.upper_bound > 0:
-            raise ValueError("upper_bound must be > 0")
+        if not 0 < self.upper_bound < _INFINITE_BOUND:
+            raise ValueError(f"upper_bound must be > 0 and below {_INFINITE_BOUND:g}")
 
     @property
     def n_legs(self) -> int:

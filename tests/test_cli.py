@@ -364,6 +364,10 @@ def _malformed_case(work, tmp_path, case):
         bad.write_text("point,weight\n1.0\n")
         return ["detect", "--scenarios", str(bad), "--chain", work["chain"],
                 "--market", work["market"], "--p", "0.2"]
+    if case == "infinite upper bound":
+        bad.write_text("point,weight\n80,0.25\n100,0.5\n120,0.25\n")
+        return ["detect", "--scenarios", str(bad), "--chain", work["chain"],
+                "--market", work["market"], "--p", "0.2", "--upper-bound", "inf"]
     if case == "density row with one column":
         bad.write_text("u,q\n1.0\n")
         return ["analytic", "complete", "--density", str(bad), "--p", "0.25"]
@@ -387,6 +391,7 @@ class TestMalformedInputs:
         "null spot",
         "null rf",
         "fractional steps",
+        "infinite upper bound",
     ])
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1

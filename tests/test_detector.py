@@ -1,18 +1,23 @@
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from esarb import (
+    InstrumentQuote,
     MarketSnapshot,
     Portfolio,
     ScenarioSet,
     TradableLeg,
     WeightedSample,
     es_p,
+    expand_quotes,
     payoff_distribution,
     price,
     ru_objective,
@@ -26,6 +31,7 @@ from esarb.detector import (
     _check_residuals,
     _confirmation_lp,
     _full_vector,
+    _margin_density,
     _merged_blocks,
     _solve_cuts,
     _solve_highs,
@@ -36,6 +42,7 @@ from esarb.detector import (
     min_p,
     solve_lp,
 )
+from esarb.io import detection_to_dict
 
 from conftest import random_market
 
@@ -92,6 +99,8 @@ def test_build_lp_merges_duplicate_scenarios():
         prices=market.prices(),
         level=merged.level,
         upper_bound=market.upper_bound,
+        legs=np.arange(market.n_legs),
+        shorts=np.full(market.n_legs, -1),
     )
     assert merged.n_scenarios == 2
     assert verbatim.n_scenarios == 4
@@ -129,6 +138,113 @@ def test_merge_matches_unique_reference(seed):
     assert not np.signbit(rows[rows == 0.0]).any()  # -0.0 folded into +0.0
     assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
     assert (w > 0).all()
+
+
+def test_build_lp_nets_frictionless_pairs():
+    scen = ScenarioSet([0.0, 1.0, 2.0], [0.5, 0.5, 0.0])
+    f, g = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.0, 4.0])
+    legs = (
+        TradableLeg("a", 0.7, f),
+        TradableLeg("b", 1.0, g),
+        TradableLeg("-b", -np.nextafter(1.0, 0.0), -g),  # bid 1 ulp under the ask
+        TradableLeg("-a", -0.7, -f + np.array([0.0, 0.0, 1.0])),  # differs on a zero weight only
+        TradableLeg("a again", 0.7, f),
+        TradableLeg("cash", 1.0, np.ones(3)),  # constant payoffs stay two legs
+        TradableLeg("-cash", -1.0, -np.ones(3)),
+    )
+    prob = build_lp(MarketSnapshot(scen, legs, spot=1.0, upper_bound=2.0), 0.3)
+    assert prob.legs.tolist() == [0, 1, 2, 4, 5, 6]
+    assert prob.shorts.tolist() == [3, -1, -1, -1, -1, -1]
+    assert prob.x_lower.tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert prob.lower_bounds[1:7].tolist() == prob.x_lower.tolist()
+    assert prob.prices.tolist() == [0.7, 1.0, -np.nextafter(1.0, 0.0), 0.7, 1.0, -1.0]
+    # the zero-weight scenario is gone; merged rows are sorted
+    assert prob.payoffs.tolist() == [
+        [-2.0, 0.0, 0.0, -2.0, 1.0, -1.0],
+        [1.0, 0.5, -0.5, 1.0, 1.0, -1.0],
+    ]
+    qty = prob.leg_quantities(np.array([-1.5, 0.25, 0.0, 3.0, 0.5, -0.0]))
+    assert qty.tolist() == [0.0, 0.25, 0.0, 1.5, 2.0, 0.5, 0.0]
+    assert not np.signbit(qty).any()
+
+
+def _reference_detect(market, p):
+    """detect's two-phase verdict and least ES from per-leg HiGHS LPs over
+    (alpha, x, u), with every leg its own column in [0, B] and no scenario
+    merging."""
+    F, w, prices = market.payoff_matrix(), market.scenarios.weights, market.prices()
+    n_s, n_l = F.shape
+    rows = np.block([
+        [np.zeros((1, 1)), prices[None, :], np.zeros((1, n_s))],
+        [-np.ones((n_s, 1)), -F, -np.eye(n_s)],
+    ])
+    es_row = np.concatenate([[1.0], np.zeros(n_l), w / p])
+    bounds = [(None, None)] + [(0.0, market.upper_bound)] * n_l + [(0.0, None)] * n_s
+    opts = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(es_row, A_ub=rows, b_ub=np.zeros(1 + n_s), bounds=bounds, method="highs",
+                  options=opts)
+    assert res.status == 0
+    eps = arbitrage_epsilon(market)
+    if res.fun < -eps:
+        return True, res.fun
+    expected = np.concatenate([[0.0], -(F.T @ w), np.zeros(n_s)])
+    conf = linprog(expected, A_ub=np.vstack([rows, es_row]), b_ub=np.zeros(2 + n_s), bounds=bounds,
+                   method="highs", options=opts)
+    assert conf.status == 0
+    return -conf.fun > eps, res.fun
+
+
+def _paired_market(rng, n_s):
+    """Random legs: frictionless pairs, near-pairs 1 ulp apart in price,
+    single legs and sometimes a cash pair, in shuffled order."""
+    points = np.sort(rng.normal(size=n_s)) + np.arange(n_s) * 1e-9
+    weights = rng.random(n_s) + 1e-3
+    scen = ScenarioSet(points, weights / weights.sum())
+    legs = []
+    for j in range(int(rng.integers(1, 4))):
+        f, cost = rng.normal(size=n_s), float(rng.normal())
+        legs += [TradableLeg(f"p{j}", cost, f), TradableLeg(f"-p{j}", -cost, -f)]
+    for j in range(int(rng.integers(0, 3))):
+        f, cost = rng.normal(size=n_s), float(rng.normal())
+        bid = np.nextafter(cost, -np.inf)
+        legs += [TradableLeg(f"n{j}", cost, f), TradableLeg(f"-n{j}", -bid, -f)]
+    for j in range(int(rng.integers(0, 3))):
+        legs.append(TradableLeg(f"s{j}", float(rng.normal()), rng.normal(size=n_s)))
+    if rng.random() < 0.5:  # a constant payoff is never netted
+        legs += [TradableLeg("cash", 1.0, np.ones(n_s)), TradableLeg("-cash", -1.0, -np.ones(n_s))]
+    order = rng.permutation(len(legs))
+    return MarketSnapshot(scen, tuple(legs[k] for k in order), spot=1.0,
+                          upper_bound=float(rng.choice([1.0, 3.0])))
+
+
+# 40 scenarios take HiGHS; 700 take the cutting planes
+@pytest.mark.parametrize("n_s", [40, 700])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_netting_matches_unnetted_reference(n_s, seed):
+    rng = np.random.default_rng(seed)
+    market = _paired_market(rng, n_s)
+    p = float(rng.uniform(0.05, 0.9))
+    prob = build_lp(market, p)
+    pairs = [(int(a), int(b)) for a, b in zip(prob.legs, prob.shorts) if b >= 0]
+    netted = sorted(market.legs[a].label.lstrip("-") for a, _ in pairs)
+    assert netted == sorted(l.label for l in market.legs if l.label.startswith("p"))
+    assert (prob.n_scenarios >= detector._CUT_SCENARIOS) == (n_s >= detector._CUT_SCENARIOS)
+    arbitrage, ref_min_es = _reference_detect(market, p)
+    res = detect(market, p)
+    assert res.arbitrage == arbitrage
+    assert abs(res.min_es - ref_min_es) <= 1e-8 * (1.0 + abs(ref_min_es))
+    qty = res.portfolio.quantities
+    assert qty.shape == (market.n_legs,)
+    assert ((qty >= 0.0) & (qty <= market.upper_bound)).all()
+    assert all(qty[a] == 0.0 or qty[b] == 0.0 for a, b in pairs)
+    if res.arbitrage:
+        eps = arbitrage_epsilon(market)
+        dist = payoff_distribution(market, res.portfolio)
+        assert price(market, res.portfolio) <= eps
+        assert es_p(dist, p) <= eps
+        if res.confirmation is None:  # the phase-1 optimum is the witness's ES
+            assert es_p(dist, p) == pytest.approx(res.min_es, abs=1e-8 * (1.0 + abs(res.min_es)))
 
 
 # ------------------------------------------------------------------- solve_lp
@@ -292,9 +408,10 @@ def test_cut_loop_alpha_is_var_p():
 
 
 def _pair_market():
+    # a zero-price frictionless pair: the cost row holds at every net value
     legs = (
-        TradableLeg("long", 1.0, np.array([1.0, 2.0])),
-        TradableLeg("short", -1.0, np.array([-1.0, -2.0])),
+        TradableLeg("long", 0.0, np.array([1.0, 2.0])),
+        TradableLeg("short", 0.0, np.array([-1.0, -2.0])),
     )
     return MarketSnapshot(TWO, legs, spot=1.0)
 
@@ -305,13 +422,16 @@ def _exact_vector(lp, x):
 
 def test_check_residuals_accepts_exact_vectors():
     prob = build_lp(_pair_market(), 0.5)
+    assert prob.n_legs == 1  # the frictionless pair is one net column in [-1, 1]
     for lp in (prob, _confirmation_lp(prob)):
-        _check_residuals(lp, _exact_vector(lp, np.array([0.5, 0.5])))
+        for net in (1.0, 0.5, 0.0):
+            _check_residuals(lp, _exact_vector(lp, np.array([net])))
+    _check_residuals(prob, _exact_vector(prob, np.array([-1.0])))  # ES > 0 breaks only the ES row
 
 
 def test_check_residuals_rejects_hinge_row_violation():
     prob = build_lp(_pair_market(), 0.5)
-    v = _exact_vector(prob, np.array([0.5, 0.5]))
+    v = _exact_vector(prob, np.array([0.5]))
     v[0] -= 1.0  # alpha below the attaining quantile: every hinge row is short by 1
     with pytest.raises(SolverError, match=r"bound violation -?0\.000e"):
         _check_residuals(prob, v)
@@ -319,9 +439,10 @@ def test_check_residuals_rejects_hinge_row_violation():
 
 def test_check_residuals_rejects_bound_violation():
     prob = build_lp(_pair_market(), 0.5)
-    v = _exact_vector(prob, np.array([1.5, 1.5]))  # rows hold, the box [0, 1] does not
-    with pytest.raises(SolverError, match=r"residual 0\.000e"):
-        _check_residuals(prob, v)
+    for net in (1.5, -1.5):
+        v = _exact_vector(prob, np.array([net]))  # rows hold, the box [-1, 1] does not
+        with pytest.raises(SolverError, match=r"residual 0\.000e"):
+            _check_residuals(prob, v)
 
 
 # --------------------------------------------------------------------- detect
@@ -487,6 +608,28 @@ def test_confirmation_catches_boundary_true_arbitrage():
     assert float(res.portfolio.quantities[0]) == pytest.approx(1.0, abs=1e-9)
 
 
+def _floats(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _floats(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _floats(value)
+    elif isinstance(node, float):
+        yield node
+
+
+def test_detection_to_dict_never_emits_negative_zero(rng):
+    scen = ScenarioSet([80.0, 100.0, 120.0], [0.25, 0.5, 0.25])
+    chain = [InstrumentQuote("bond", None, 1.0, 1.0), InstrumentQuote("call", 100.0, 4.0, 6.0)]
+    markets = [MarketSnapshot(scen, tuple(expand_quotes(chain, scen, 100.0, 0.0, 1.0)), spot=100.0)]
+    markets += [_paired_market(rng, 30) for _ in range(5)]
+    for market in markets:
+        for p in (0.1, 0.5, 0.9):
+            payload = json.loads(json.dumps(detection_to_dict(detect(market, p), market.labels())))
+            assert all(math.copysign(1.0, x) == 1.0 for x in _floats(payload) if x == 0.0)
+
+
 # ---------------------------------------------------------------------- min_p
 
 
@@ -575,7 +718,7 @@ def test_min_p_exact_on_complete_densities(density):
     market = density_market(density)
     res = min_p(market, bracket=(1e-4, 0.9), tol=1e-4)
     assert res.status == "found"
-    assert res.evaluations <= 4
+    assert res.evaluations <= 3
     assert abs(res.p_star - 1.0 / density.sup_density) <= 1e-8
     assert detect(market, res.p_star).arbitrage
     assert not detect(market, res.p_star - 1e-6).arbitrage
@@ -640,3 +783,74 @@ def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
     monkeypatch.setattr(detector, "_linprog_highs", tampered)
     with pytest.raises(SolverError):
         _threshold_density(problem)
+
+
+def _option_market(rng):
+    """40 scenarios, four options quoted around a random pricing density
+    with narrow spreads, and the synthesized bond: ten legs."""
+    n_s = 40
+    points = np.sort(rng.uniform(50.0, 150.0, n_s))
+    weights = rng.random(n_s) + 0.05
+    weights /= weights.sum()
+    q = rng.uniform(0.2, 3.0, n_s)
+    q /= weights @ q
+    quotes = []
+    for strike in rng.choice(np.arange(60.0, 141.0, 5.0), 4, replace=False):
+        kind = "call" if rng.random() < 0.5 else "put"
+        mid = float(weights @ (q * InstrumentQuote(kind, float(strike)).payoff(points)))
+        half = float(rng.uniform(0.0, 0.02)) * mid
+        quotes.append(InstrumentQuote(kind, float(strike), mid - half, mid + half))
+    scen = ScenarioSet(points, weights)
+    return MarketSnapshot(scen, tuple(expand_quotes(quotes, scen, 100.0, 0.0, 1.0)), spot=100.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_margin_lp_matches_detect_around_threshold(seed):
+    market = _option_market(np.random.default_rng(seed))
+    assert market.n_legs == 10
+    p0 = 1.0 / float(_threshold_density(build_lp(market, 0.01)).max())
+    assert p0 < 0.99
+    for factor in (0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.1):
+        p = factor * p0
+        if p >= 1.0:
+            continue
+        certified = _margin_density(build_lp(market, p)) is not None
+        assert certified == (not detect(market, p).arbitrage) == (factor < 1.0)
+    # at p0 no density lies strictly inside the dual set: s = 0, arbitrage
+    assert _margin_density(build_lp(market, p0)) is None
+    assert detect(market, p0).arbitrage
+
+
+@pytest.mark.parametrize("tamper", ["floor", "cap"])
+def test_margin_density_rejects_tampered_answer(monkeypatch, tamper):
+    # a bond pair, which any q with E_w q = 1 prices, and a dear asset that
+    # every q in [0, 1/p] prices: the strict range is the one check a
+    # tampered q can fail
+    scen = ScenarioSet([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
+    legs = (
+        TradableLeg("bond", 1.0, np.ones(3)),
+        TradableLeg("-bond", -1.0, -np.ones(3)),
+        TradableLeg("asset", 10.0, np.array([0.0, 1.0, 2.0])),
+    )
+    problem = build_lp(MarketSnapshot(scen, legs, spot=1.0), 0.5)
+    assert problem.n_scenarios == 3
+    real = detector._linprog_highs
+
+    def tampered(*args, **kwargs):
+        res = real(*args, **kwargs)
+        # E_w q stays 1; "floor" touches q = 0, "cap" touches q = 1/p = 2
+        res.x[:3] = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
+        return res
+
+    assert _margin_density(problem) is not None  # the untampered answer passes its check
+    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    with pytest.raises(SolverError, match="not strictly inside"):
+        _margin_density(problem)
+
+
+def test_min_p_raises_when_threshold_not_confirmed(monkeypatch):
+    market = capped_density_market()
+    real = detector.detect
+    monkeypatch.setattr(detector, "detect", lambda m, p: replace(real(m, p), arbitrage=False))
+    with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):
+        min_p(market, bracket=(0.01, 0.9))

@@ -157,6 +157,16 @@ def test_snapshot_requires_matching_legs():
         MarketSnapshot(TWO_POINTS, (TradableLeg("x", 1.0, np.zeros(3)),), spot=100.0)
 
 
+def test_snapshot_rejects_unusable_upper_bound():
+    # HiGHS reads a bound >= 1e20 as infinite: this gift market's LPs would be unbounded
+    scen = ScenarioSet([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+    gift = (TradableLeg("gift", 0.0, np.array([0.5, 1.0, 2.0])),)
+    for bound in (math.inf, 1e300, 1e20, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="upper_bound"):
+            MarketSnapshot(scen, gift, spot=1.0, upper_bound=bound)
+    assert MarketSnapshot(scen, gift, spot=1.0, upper_bound=1e19).upper_bound == 1e19
+
+
 def test_portfolio_box():
     Portfolio([0.0, 1.0])
     with pytest.raises(ValueError):
