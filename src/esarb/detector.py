@@ -36,7 +36,7 @@ import scipy.sparse as sparse
 from scipy.optimize import linprog
 
 from .market import MarketSnapshot, Portfolio
-from .risk import RiskLevel, as_level, tail_envelope
+from .risk import RiskLevel, as_level, lex_order, tail_envelope
 
 _CUT_LEGS = 64
 _CUT_SCENARIOS = 600
@@ -189,15 +189,27 @@ class MinPResult:
 
 
 def _merged_blocks(market: MarketSnapshot):
+    """Distinct payoff rows and their summed weights, dropping rows whose
+    weight sums to 0. Rows come in lexicographic order (first column
+    major, equal rows by scenario index), and -0.0 entries read +0.0.
+
+    The order comes from `lex_order` on a view of the columns from the
+    first one that varies (a constant column never breaks a tie, and
+    leading constant ones would make every row tie on the first key);
+    runs of equal rows are found from those columns, and only the kept
+    rows are gathered, so no sorted copy of the whole matrix is made."""
     payoffs = market.payoff_matrix() + 0.0  # normalize -0.0 so merged rows carry +0.0
-    # sort rows lexicographically (first column major), then sum the
-    # weights of each run of equal adjacent rows
-    order = np.lexsort(payoffs.T[::-1])
-    rows = payoffs[order]
-    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+    varies = (payoffs != payoffs[:1]).any(axis=0)
+    keys = payoffs.T[np.argmax(varies) :]  # every column when none varies: one run
+    order = lex_order(keys)
+    new_run = np.zeros(len(order) - 1, dtype=bool)
+    for col in keys:
+        s = col[order]
+        new_run |= s[1:] != s[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], new_run]))
     merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
     keep = merged_w > 0
-    return rows[starts[keep]], merged_w[keep]
+    return np.take(payoffs, order[starts[keep]], axis=0), merged_w[keep]
 
 
 def _net_columns(payoffs: np.ndarray, prices: np.ndarray):
@@ -541,7 +553,11 @@ def min_p(
     the threshold LP (`_threshold_density`) gives p0 = 1 / min max q: above
     p0 the least ES at non-positive cost is strictly negative, at p0 no
     density lies strictly inside the dual set, so p0 itself admits
-    arbitrage and p* = p0 once `detect(p0)` confirms it (else SolverError);
+    arbitrage. p* = p0 once the confirmation LP at p0 (maximum expected
+    payoff subject to ES <= 0, on the LP built at lo) exceeds
+    `arbitrage_epsilon`, else SolverError. `detect`'s phase 1 is not
+    needed there: the threshold density certifies ES >= 0 at p0, and a
+    portfolio with ES < -eps would also have expected payoff > eps.
     p0 > hi is "none in bracket". tol must be > 0 but no longer moves p*;
     it stays for callers that pass it. `evaluations` counts the LPs and
     detects solved: 3 when the margin LP certifies lo, at most 4.
@@ -561,6 +577,7 @@ def min_p(
     evals += 1
     if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    if not detect(market, p0).arbitrage:
+    confirmation = solve_lp(replace(problem, level=as_level(p0), kind="max_expected"))
+    if not 0.0 - confirmation.optimal_value > arbitrage_epsilon(market):
         raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r}")
     return MinPResult(p_star=p0, status="found", evaluations=evals + 1)

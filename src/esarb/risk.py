@@ -38,19 +38,52 @@ def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     return tail_envelope(sample.values, sample.weights, _level(level))[2]
 
 
+def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """Row order sorting equal-length key columns lexicographically, the
+    first column major, with ties by row index: np.lexsort(columns[::-1]).
+    `columns` is a (k, n) array whose rows are the keys (a view such as
+    `matrix.T` is not copied), or k 1-D arrays, which are stacked into one.
+
+    The first column is sorted once with numpy's default (unstable) sort;
+    only the rows that tie on it are then re-sorted, with a stable lexsort
+    over (run id, remaining columns, row index). The remaining columns of
+    those rows are gathered in one (k - 1, tied) block, not one array per
+    column: on a wide market of 0/1 payoffs every row ties, and a thousand
+    small gathers left the process's peak RSS differing from run to run.
+    Ties by index make the permutation unique, so it does not depend on the
+    sort numpy dispatches to. As in numpy's sorts, -0.0 ties with +0.0 and
+    NaN ties with NaN after every other value.
+    """
+    columns = np.asarray(columns)
+    first = columns[0]
+    order = np.argsort(first)
+    s = first[order]
+    nan = s != s
+    # link[i]: sorted position i ties with position i - 1
+    link = np.concatenate([[False], (s[1:] == s[:-1]) | (nan[1:] & nan[:-1]), [False]])
+    tied = np.flatnonzero(link[:-1] | link[1:])
+    rows = order[tied]
+    run = np.cumsum(~link[tied])  # a tied position that ties with no predecessor starts a run
+    rest = columns[1:, rows]
+    order[tied] = rows[np.lexsort((rows, *rest[::-1], run))]
+    return order
+
+
 def tail_envelope(
     values: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, float]:
     """ES_p of raw payoff values and weights, the envelope point q attaining
     it, and VaR_p, all from one sort.
 
-    Losses are sorted descending; each loss contributes its weight until the
-    cumulative mass reaches p, with the straddling atom taken fractionally.
-    q is that split divided by p: the maximizer of E_w[-values q] over the
-    ES dual set {0 <= q <= 1/p, E_w q = 1}. VaR_p is the loss at the first
-    sorted position whose cumulative mass exceeds p (strict CDF).
+    Losses are sorted descending, in the ascending order of values that
+    `lex_order` gives (equal values by index); each loss contributes its
+    weight until the cumulative mass reaches p, with the straddling atom
+    taken fractionally. q is that split divided by p: the maximizer of
+    E_w[-values q] over the ES dual set {0 <= q <= 1/p, E_w q = 1}. VaR_p
+    is the loss at the first sorted position whose cumulative mass exceeds
+    p (strict CDF).
     """
-    order = np.argsort(values, kind="stable")
+    order = lex_order(values[None, :])
     losses = -values[order]  # descending
     sorted_w = weights[order]
     cum = np.cumsum(sorted_w)

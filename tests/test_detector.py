@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,60 @@ def test_merge_matches_unique_reference(seed):
     assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
     assert (w > 0).all()
 
+
+
+def _lexsort_merge(market):
+    """Reference merge: a full-matrix lexsort and a sorted copy of every row."""
+    payoffs = market.payoff_matrix() + 0.0
+    order = np.lexsort(payoffs.T[::-1])
+    rows = payoffs[order]
+    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
+    keep = merged_w > 0
+    return rows[starts[keep]], merged_w[keep]
+
+
+def _doubled(market):
+    """The market with every payoff row listed twice at half weight."""
+    w = market.scenarios.weights
+    twice = ScenarioSet(np.arange(2.0 * len(w)), np.tile(w, 2) / 2.0)
+    legs = tuple(replace(leg, payoff=np.tile(leg.payoff, 2)) for leg in market.legs)
+    return MarketSnapshot(twice, legs, spot=market.spot)
+
+
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant"])
+def test_merge_matches_lexsort_reference(kind):
+    if kind == "markowitz":  # constant cash columns first, then negated legs
+        market = _two_asset_markowitz(3000)
+    elif kind == "digital":  # 0/1 columns: every key column is one long tie run
+        market = _doubled(density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=64)))
+    else:
+        scen = ScenarioSet(np.arange(50.0), np.full(50, 0.02))
+        cash = (TradableLeg("cash", 1.0, np.ones(50)), TradableLeg("-cash", -1.0, -np.ones(50)))
+        market = MarketSnapshot(scen, cash, spot=1.0)
+    rows, w = _merged_blocks(market)
+    ref_rows, ref_w = _lexsort_merge(market)
+    assert rows.shape == ref_rows.shape
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+    expected = {"markowitz": 3000, "digital": 64, "constant": 1}[kind]
+    assert len(w) == expected
+
+
+def test_merge_peak_memory_stays_below_three_and_a_half_matrices():
+    # on 1e5 distinct rows a sorted copy of the whole matrix, on top of the
+    # normalized one and the gathered result, costs 3.69 matrices
+    market = _two_asset_markowitz(100_000)
+    matrix_bytes = market.payoff_matrix().nbytes
+    assert market.payoff_matrix().shape == (100_000, 6)
+    _merged_blocks(market)  # load lazily imported code outside the trace
+    tracemalloc.start()
+    try:
+        _merged_blocks(market)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * matrix_bytes
 
 def test_build_lp_nets_frictionless_pairs():
     scen = ScenarioSet([0.0, 1.0, 2.0], [0.5, 0.5, 0.0])
@@ -849,8 +904,16 @@ def test_margin_density_rejects_tampered_answer(monkeypatch, tamper):
 
 
 def test_min_p_raises_when_threshold_not_confirmed(monkeypatch):
+    # min_p confirms p0 with one expected-payoff LP; a zero maximum there
+    # must not pass for arbitrage
     market = capped_density_market()
-    real = detector.detect
-    monkeypatch.setattr(detector, "detect", lambda m, p: replace(real(m, p), arbitrage=False))
+    real, kinds = detector.solve_lp, []
+
+    def unconfirmed(problem):
+        kinds.append(problem.kind)
+        return replace(real(problem), optimal_value=0.0)
+
+    monkeypatch.setattr(detector, "solve_lp", unconfirmed)
     with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):
         min_p(market, bracket=(0.01, 0.9))
+    assert kinds == ["max_expected"]

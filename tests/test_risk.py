@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esarb import (
@@ -13,7 +13,7 @@ from esarb import (
     ru_objective,
     var_p,
 )
-from esarb.risk import as_level
+from esarb.risk import as_level, lex_order, tail_envelope
 
 from conftest import random_sample
 
@@ -209,6 +209,80 @@ def test_es_translation_and_scaling_properties(values, p, shift, scale):
     scaled = WeightedSample(vals * scale, s.weights)
     assert es_p(shifted, p) == pytest.approx(base - shift, abs=1e-9 * (1 + abs(base) + abs(shift)))
     assert es_p(scaled, p) == pytest.approx(scale * base, abs=1e-9 * (1 + scale * abs(base)))
+
+
+# ------------------------------------------------- lex_order, tail_envelope
+
+# few distinct values per column make long tie runs; NaN ties with NaN
+# although NaN != NaN, and -0.0 ties with +0.0
+_TIE_VALUES = [0.0, -0.0, 1.0, -1.5, 5e-324, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _key_columns(draw):
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.sampled_from(_TIE_VALUES) | st.floats(), min_size=1, max_size=4))
+    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(np.array)
+    return draw(st.lists(column, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_columns())
+@example([np.array([2.0])])  # one row
+@example([np.full(30, math.nan), np.zeros(30)])  # all-equal columns
+@example([np.array([0.0, -0.0, math.nan, -0.0, math.nan, 0.0])] * 2)
+def test_lex_order_matches_lexsort(columns):
+    order = lex_order(columns)
+    assert np.array_equal(order, np.lexsort(columns[::-1]))
+    assert np.array_equal(lex_order(columns[:1]), np.argsort(columns[0], kind="stable"))
+
+
+@pytest.mark.parametrize("pool", ["signed zeros", "tie values", "rounded normals", "continuous"])
+def test_lex_order_matches_lexsort_on_long_columns(pool):
+    # long enough that numpy's default sort leaves insertion sort behind
+    rng = np.random.default_rng(5)
+    n = 20_000
+    values = {
+        "signed zeros": np.array([0.0, -0.0]),
+        "tie values": np.array(_TIE_VALUES),
+        "rounded normals": np.round(rng.normal(size=1000), 1),
+    }.get(pool)
+    draw = (lambda: rng.normal(size=n)) if values is None else (lambda: rng.choice(values, n))
+    columns = [draw() for _ in range(3)]
+    assert np.array_equal(lex_order(columns), np.lexsort(columns[::-1]))
+    assert np.array_equal(lex_order(columns[:1]), np.argsort(columns[0], kind="stable"))
+
+
+def _tail_envelope_stable(values, weights, p):
+    """Reference: `tail_envelope` as written on a stable argsort."""
+    order = np.argsort(values, kind="stable")
+    losses = -values[order]
+    sorted_w = weights[order]
+    cum = np.cumsum(sorted_w)
+    prev = cum - sorted_w
+    take = np.clip(p - prev, 0.0, sorted_w)
+    q = np.zeros_like(weights)
+    q[order] = take / p
+    idx = min(int(np.searchsorted(cum, p, side="right")), len(losses) - 1)
+    return float(losses @ take) / p, q, float(losses[idx])
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ties", "zero iterate"])
+def test_tail_envelope_bitwise_equals_stable_sort(kind):
+    rng = np.random.default_rng(3)
+    n = 20_000
+    payoffs = rng.normal(size=(n, 3))
+    if kind == "ties":
+        payoffs = np.round(payoffs, 1)
+    x = np.zeros(3) if kind == "zero iterate" else rng.normal(size=3)
+    values = payoffs @ x  # the cut loop's payoff at its iterate x
+    weights = rng.random(n)
+    weights /= weights.sum()
+    for p in (0.01, 0.2, 0.5):
+        es, q, var = tail_envelope(values, weights, p)
+        ref_es, ref_q, ref_var = _tail_envelope_stable(values, weights, p)
+        assert np.array([es, var]).tobytes() == np.array([ref_es, ref_var]).tobytes()
+        assert q.tobytes() == ref_q.tobytes()
 
 
 # ----------------------------------------------------------- coherence_check
