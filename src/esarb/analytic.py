@@ -17,13 +17,13 @@ import numpy as np
 from scipy import linalg
 from scipy.special import ndtr, ndtri
 
-from .market import MarketSnapshot, ScenarioSet, TradableLeg
-from .risk import RiskLevel, _level, as_level
+from .market import MarketSnapshot, ScenarioSet, TradableLeg, _as_readonly
+from .risk import RiskLevel, as_level
 
 
 def normal_tail_factor(level: RiskLevel | float) -> float:
     """E(p) = phi(Phi^-1(p)) / p, the ES of a standard normal at level p."""
-    p = _level(level)
+    p = as_level(level).p
     z = np.array([ndtri(p)])  # exp on an array, as scipy.stats does: bitwise its pdf
     return float(np.exp(-(z**2) / 2.0)[0] / np.sqrt(2 * np.pi) / p)
 
@@ -45,13 +45,11 @@ class MarkowitzMarket:
     rf: float
 
     def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        sigma = np.asarray(self.sigma, dtype=float)
+        mu = _as_readonly(np.atleast_1d(self.mu))
+        c = _as_readonly(np.atleast_1d(self.c))
+        sigma = _as_readonly(self.sigma)
         if sigma.ndim == 0:
             sigma = sigma.reshape(1, 1)
-        for arr in (mu, sigma, c):
-            arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "c", c)
@@ -115,7 +113,7 @@ def markowitz_arbitrage(
     is negative, or when the capital-market-line gradient reaches the normal
     tail factor E(p).
     """
-    p = _level(level)
+    p = as_level(level).p
     if p >= 0.5:
         raise ValueError("theorem hypothesis violated: level must be below one half")
     threshold = normal_tail_factor(p)
@@ -145,10 +143,8 @@ class CompleteMarketDensity:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        grid.setflags(write=False)
-        values.setflags(write=False)
+        grid = _as_readonly(self.grid)
+        values = _as_readonly(self.values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if self.kind not in ("step", "linear"):
@@ -251,7 +247,7 @@ def complete_market_arbitrage(
     is q(0+) >= 1/p, except at exact equality where the supremum must also be
     attained on a plateau of positive length; a supremum only approached near
     0 admits no payoff realizing the boundary value."""
-    p = _level(level)
+    p = as_level(level).p
     threshold = 1.0 / p
     sup = density.sup_density
     band = 1e-12 * max(threshold, sup)
@@ -343,18 +339,30 @@ def bs_ratio_density(
     return CompleteMarketDensity("step", edges[1:], values, rate=rate, horizon=maturity)
 
 
-def _digital_legs(
-    density: CompleteMarketDensity, thresholds: np.ndarray, points: np.ndarray
-) -> tuple[TradableLeg, ...]:
+def _digital_market(
+    density: CompleteMarketDensity,
+    thresholds: np.ndarray,
+    scen: ScenarioSet,
+    upper_bound: float,
+) -> MarketSnapshot:
+    """Frictionless market over scen: a bond and a digital pair 1{U <= t}
+    per threshold t, priced by exact integrals of q."""
     disc = density.discount
-    ones = np.ones_like(points)
+    ones = np.ones_like(scen.points)
     legs = [TradableLeg("bond", disc, ones), TradableLeg("-bond", -disc, -ones)]
     for t in thresholds:
-        pay = (points <= t).astype(float)
+        pay = (scen.points <= t).astype(float)
         price = disc * density.integral_to(float(t))
         legs.append(TradableLeg(f"digital<={t:g}", price, pay))
         legs.append(TradableLeg(f"-digital<={t:g}", -price, -pay))
-    return tuple(legs)
+    return MarketSnapshot(
+        scenarios=scen,
+        legs=tuple(legs),
+        spot=1.0,
+        rate=density.rate,
+        maturity=density.horizon,
+        upper_bound=upper_bound,
+    )
 
 
 def _cell_thresholds(density: CompleteMarketDensity) -> np.ndarray:
@@ -375,14 +383,7 @@ def density_market(density: CompleteMarketDensity, upper_bound: float = 1.0) -> 
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     scen = ScenarioSet(mids, widths / widths.sum())
-    return MarketSnapshot(
-        scenarios=scen,
-        legs=_digital_legs(density, _cell_thresholds(density), mids),
-        spot=1.0,
-        rate=density.rate,
-        maturity=density.horizon,
-        upper_bound=upper_bound,
-    )
+    return _digital_market(density, _cell_thresholds(density), scen, upper_bound)
 
 
 def density_market_mc(
@@ -407,14 +408,7 @@ def density_market_mc(
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     scen = ScenarioSet(mids[keep], counts[keep] / n_draws)
-    return MarketSnapshot(
-        scenarios=scen,
-        legs=_digital_legs(density, thr, scen.points),
-        spot=1.0,
-        rate=density.rate,
-        maturity=density.horizon,
-        upper_bound=upper_bound,
-    )
+    return _digital_market(density, thr, scen, upper_bound)
 
 
 def markowitz_market(

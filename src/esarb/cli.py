@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -67,13 +68,6 @@ def _build_market(args, run_tag: str = "") -> MarketSnapshot:
     if len(sources) != 1:
         raise ValueError("need exactly one of --scenarios, --model, --density")
     ub = args.upper_bound
-    if args.scenarios:
-        if not (args.chain and args.market):
-            raise ValueError("--scenarios needs --chain and --market")
-        params = eio.read_market_params(args.market)
-        scen = eio.read_scenarios(args.scenarios)
-        legs = expand_quotes(eio.read_chain(args.chain), scen, params.spot, params.rate, params.maturity)
-        return MarketSnapshot(scen, tuple(legs), params.spot, params.rate, params.maturity, ub)
     if args.density:
         density = eio.read_density(args.density)
         if args.quadrature == "pl":
@@ -82,18 +76,21 @@ def _build_market(args, run_tag: str = "") -> MarketSnapshot:
             rng = substream(args.seed, f"mc-density{run_tag}")
             return density_market_mc(density, args.n, rng, upper_bound=ub)
         return density_market(density, upper_bound=ub)
+    flag = "--scenarios" if args.scenarios else "--model"
     if not (args.chain and args.market):
-        raise ValueError("--model needs --chain and --market")
+        raise ValueError(f"{flag} needs --chain and --market")
+    if args.scenarios and args.quadrature:
+        raise ValueError("--scenarios takes no --quadrature")
     params = eio.read_market_params(args.market)
-    model = eio.read_model(args.model)
+    model = eio.read_model(args.model) if args.model else None
+    scen = eio.read_scenarios(args.scenarios) if args.scenarios else None
     quotes = eio.read_chain(args.chain)
-    quadrature = args.quadrature or "mc"
-    if quadrature == "pl":
+    if args.quadrature == "pl":  # only a model reaches here with a quadrature
         if not isinstance(model, LognormalMixture):
             raise ValueError("pl quadrature needs a mixture model")
         strikes = [q.strike for q in quotes if q.kind in ("call", "put")]
         scen = pl_quadrature(model, default_pl_grid(model, strikes))
-    else:
+    elif model is not None:
         rng = substream(args.seed, f"mc-quadrature{run_tag}")
         scen = mc_quadrature(model, args.n, rng, spot=params.spot)
     legs = expand_quotes(quotes, scen, params.spot, params.rate, params.maturity)
@@ -124,30 +121,21 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 def _cmd_min_p(args) -> int:
     bracket = _parse_bracket(args.bracket)
     mc_based = args.quadrature == "mc" or (args.model and args.quadrature is None)
-    runs = 2 if (args.two_run and mc_based) else 1
-    reports = []
-    for run in range(runs):
-        market = _build_market(args, run_tag=f":run{run}" if runs > 1 else "")
-        result = min_p(market, bracket=bracket, tol=args.tol)
-        reports.append(result)
-    main = reports[0]
-    payload = {
-        "schema": eio.SCHEMA_VERSION,
-        "p_star": main.p_star,
-        "status": main.status,
-        "evaluations": main.evaluations,
-    }
-    if runs > 1:
-        payload["runs"] = [
-            {"p_star": r.p_star, "status": r.status, "evaluations": r.evaluations}
-            for r in reports
-        ]
+    n_runs = 2 if (args.two_run and mc_based) else 1
+    runs = []
+    for run in range(n_runs):
+        market = _build_market(args, run_tag=f":run{run}" if n_runs > 1 else "")
+        r = min_p(market, bracket=bracket, tol=args.tol)
+        runs.append({"p_star": r.p_star, "status": r.status, "evaluations": r.evaluations})
+    payload = {"schema": eio.SCHEMA_VERSION, **runs[0]}
+    if n_runs > 1:
+        payload["runs"] = runs
         spread = None
-        if all(r.p_star is not None for r in reports):
-            spread = abs(reports[0].p_star - reports[1].p_star)
+        if all(r["p_star"] is not None for r in runs):
+            spread = abs(runs[0]["p_star"] - runs[1]["p_star"])
         payload["spread"] = spread
     _emit(args, payload)
-    return 3 if main.p_star is not None else 0
+    return 3 if payload["p_star"] is not None else 0
 
 
 def _cmd_analytic(args) -> int:
@@ -155,27 +143,23 @@ def _cmd_analytic(args) -> int:
         if not args.model:
             raise ValueError("analytic markowitz needs --model with mu/sigma/c/rf")
         verdict = markowitz_arbitrage(eio.read_markowitz(args.model), args.p)
-        payload = {
-            "schema": eio.SCHEMA_VERSION,
-            "p": args.p,
-            "arbitrage": verdict.arbitrage,
-            "reason": verdict.reason,
-            "gradient": verdict.gradient,
-            "threshold": verdict.threshold,
-        }
+        details = {"reason": verdict.reason, "gradient": verdict.gradient}
     else:
         if not args.density:
             raise ValueError("analytic complete needs --density")
         verdict = complete_market_arbitrage(eio.read_density(args.density), args.p)
-        payload = {
-            "schema": eio.SCHEMA_VERSION,
-            "p": args.p,
-            "arbitrage": verdict.arbitrage,
+        details = {
             "sup_density": verdict.sup_density,
-            "threshold": verdict.threshold,
             "boundary": verdict.boundary,
             "plateau": verdict.plateau,
         }
+    payload = {
+        "schema": eio.SCHEMA_VERSION,
+        "p": args.p,
+        "arbitrage": verdict.arbitrage,
+        "threshold": verdict.threshold,
+        **details,
+    }
     _emit(args, payload)
     return 3 if verdict.arbitrage else 0
 
@@ -186,43 +170,21 @@ def _cmd_calibrate(args) -> int:
             raise ValueError("calibrate mixture needs --chain and --market")
         params = eio.read_market_params(args.market)
         quotes = eio.read_chain(args.chain)
-        try:
-            fit = calibrate_mixture(quotes, params.spot, params.rate, params.maturity, seed=args.seed)
-        except CalibrationError as exc:
-            if exc.fit is not None and args.out:
-                payload = eio.mixture_to_dict(exc.fit.mixture)
-                payload["schema"] = eio.SCHEMA_VERSION
-                payload["diagnostics"] = {"rmse": exc.fit.rmse, "converged": False}
-                eio.write_json(args.out, payload)
-            raise
-        payload = eio.mixture_to_dict(fit.mixture)
-        payload["schema"] = eio.SCHEMA_VERSION
-        payload["diagnostics"] = {
-            "rmse": fit.rmse,
-            "converged": fit.converged,
-            "start_index": fit.start_index,
-        }
+        fit_model = partial(
+            calibrate_mixture, quotes, params.spot, params.rate, params.maturity, seed=args.seed
+        )
     else:
         if not args.returns:
             raise ValueError("calibrate garch needs --returns")
         returns = eio.read_returns(args.returns)
-        try:
-            fit = fit_garch(returns, steps_ahead=args.steps, seed=args.seed)
-        except CalibrationError as exc:
-            if exc.fit is not None and args.out:
-                payload = eio.garch_to_dict(exc.fit.model)
-                payload["schema"] = eio.SCHEMA_VERSION
-                payload["diagnostics"] = {"loglik": exc.fit.loglik, "converged": False}
-                eio.write_json(args.out, payload)
-            raise
-        payload = eio.garch_to_dict(fit.model)
-        payload["schema"] = eio.SCHEMA_VERSION
-        payload["diagnostics"] = {
-            "loglik": fit.loglik,
-            "converged": fit.converged,
-            "start_index": fit.start_index,
-        }
-    _emit(args, payload)
+        fit_model = partial(fit_garch, returns, steps_ahead=args.steps, seed=args.seed)
+    try:
+        fit = fit_model()
+    except CalibrationError as exc:
+        if exc.fit is not None and args.out:
+            eio.write_json(args.out, eio.fit_to_dict(exc.fit))
+        raise
+    _emit(args, eio.fit_to_dict(fit))
     return 0
 
 
@@ -262,8 +224,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         eio.write_returns(args.out, values)
     else:
-        for v in values:
-            sys.stdout.write(repr(float(v)) + "\n")
+        sys.stdout.write(eio.dumps_returns(values))
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import CompleteMarketDensity, MarkowitzMarket
 from .detector import DetectionResult
 from .market import InstrumentQuote, ScenarioSet
-from .models import GarchModel, LognormalMixture
+from .models import GarchFit, GarchModel, LognormalMixture, MixtureFit
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +90,25 @@ def _csv_rows(path: str, header: list[str]) -> list[list[str]]:
     return rows
 
 
+def _float_table(path: str, header: list[str]) -> np.ndarray:
+    """The data rows of a CSV of float columns as an (n, len(header)) array."""
+    rows = [[float(cell) for cell in row] for row in _csv_rows(path, header)]
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _float_csv_text(header: list[str], *columns) -> str:
+    """CSV text of float columns, each value written exactly (repr)."""
+    return _csv_text(header, ([repr(float(v)) for v in row] for row in zip(*columns)))
+
+
 # ---------------------------------------------------------------- chain CSV
 
 _CHAIN_HEADER = ["kind", "strike", "bid", "ask"]
@@ -111,14 +130,12 @@ def read_chain(path: str) -> list[InstrumentQuote]:
 
 
 def write_chain(path: str, quotes: list[InstrumentQuote]) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CHAIN_HEADER)
+    rows = []
     for q in quotes:
         strike = "" if q.strike is None else repr(float(q.strike))
         ask = "" if math.isinf(q.ask) else repr(float(q.ask))
-        writer.writerow([q.kind, strike, repr(float(q.bid)), ask])
-    _atomic_write(path, buf.getvalue())
+        rows.append([q.kind, strike, repr(float(q.bid)), ask])
+    _atomic_write(path, _csv_text(_CHAIN_HEADER, rows))
 
 
 # ------------------------------------------------------------- market JSON
@@ -143,20 +160,12 @@ def read_market_params(path: str) -> MarketParams:
 
 
 def read_scenarios(path: str) -> ScenarioSet:
-    points, weights = [], []
-    for row in _csv_rows(path, ["point", "weight"]):
-        points.append(float(row[0]))
-        weights.append(float(row[1]))
-    return ScenarioSet(np.asarray(points), np.asarray(weights))
+    table = _float_table(path, ["point", "weight"])
+    return ScenarioSet(table[:, 0], table[:, 1])
 
 
 def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point", "weight"])
-    for point, weight in zip(scenarios.points, scenarios.weights):
-        writer.writerow([repr(float(point)), repr(float(weight))])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, _float_csv_text(["point", "weight"], scenarios.points, scenarios.weights))
 
 
 # -------------------------------------------------------------- returns CSV
@@ -178,9 +187,13 @@ def read_returns(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
+def dumps_returns(returns) -> str:
+    """One exact float (repr) per line."""
+    return "".join(repr(float(r)) + "\n" for r in np.asarray(returns, dtype=float))
+
+
 def write_returns(path: str, returns) -> None:
-    lines = "".join(repr(float(r)) + "\n" for r in np.asarray(returns, dtype=float))
-    _atomic_write(path, lines)
+    _atomic_write(path, dumps_returns(returns))
 
 
 # -------------------------------------------------------------- density CSV
@@ -190,23 +203,15 @@ def read_density(path: str) -> CompleteMarketDensity:
     """Density CSV `u,q` with u ascending. A first row at u = 0 marks a
     piecewise-linear table of nodes; otherwise rows are step cells keyed by
     right endpoint, the last of which must be 1."""
-    us, qs = [], []
-    for row in _csv_rows(path, ["u", "q"]):
-        us.append(float(row[0]))
-        qs.append(float(row[1]))
-    if not us:
+    table = _float_table(path, ["u", "q"])
+    if not len(table):
         raise ValueError(f"{path}: empty density file")
-    kind = "linear" if us[0] == 0.0 else "step"
-    return CompleteMarketDensity(kind, np.asarray(us), np.asarray(qs))
+    kind = "linear" if table[0, 0] == 0.0 else "step"
+    return CompleteMarketDensity(kind, table[:, 0], table[:, 1])
 
 
 def write_density(path: str, density: CompleteMarketDensity) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "q"])
-    for u, q in zip(density.grid, density.values):
-        writer.writerow([repr(float(u)), repr(float(q))])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, _float_csv_text(["u", "q"], density.grid, density.values))
 
 
 # ----------------------------------------------------------- markowitz JSON
@@ -242,6 +247,19 @@ def garch_to_dict(model: GarchModel) -> dict:
         "init_var": model.init_var,
         "drift": model.drift,
     }
+
+
+def fit_to_dict(fit: MixtureFit | GarchFit) -> dict:
+    """Calibration report: the fitted model's JSON plus schema and diagnostics."""
+    if isinstance(fit, MixtureFit):
+        payload = mixture_to_dict(fit.mixture)
+        payload["diagnostics"] = {"rmse": fit.rmse}
+    else:
+        payload = garch_to_dict(fit.model)
+        payload["diagnostics"] = {"loglik": fit.loglik}
+    payload["diagnostics"].update(converged=fit.converged, start_index=fit.start_index)
+    payload["schema"] = SCHEMA_VERSION
+    return payload
 
 
 def read_model(path: str) -> LognormalMixture | GarchModel:
@@ -283,14 +301,10 @@ def detection_to_dict(result: DetectionResult, labels: list[str]) -> dict:
 
 
 def dumps_scan_csv(rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "spec", "expected_utility", "price", "es_p"])
-    for row in rows:
-        writer.writerow(
-            [repr(row.lam), row.spec, repr(row.expected_utility), repr(row.price), repr(row.es_p)]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["lambda", "spec", "expected_utility", "price", "es_p"],
+        ([repr(r.lam), r.spec, repr(r.expected_utility), repr(r.price), repr(r.es_p)] for r in rows),
+    )
 
 
 def write_scan_csv(path: str, rows) -> None:

@@ -10,7 +10,7 @@ price = -bid), which keeps the feasible set a box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -92,9 +92,6 @@ class WeightedSample:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.weights.tolist()))
 
     def mean(self) -> float:
         return float(self.values @ self.weights)

@@ -29,13 +29,9 @@ def as_level(level: RiskLevel | float) -> RiskLevel:
     return level if isinstance(level, RiskLevel) else RiskLevel(float(level))
 
 
-def _level(level: RiskLevel | float) -> float:
-    return as_level(level).p
-
-
 def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     """VaR_p = -inf{x : F_X(x) > p} on the discrete distribution."""
-    return tail_envelope(sample.values, sample.weights, _level(level))[2]
+    return tail_envelope(sample.values, sample.weights, as_level(level).p)[2]
 
 
 def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
@@ -97,7 +93,7 @@ def tail_envelope(
 
 def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     """ES_p = (1/p) * integral of VaR_u over (0, p], exact by tail splitting."""
-    return tail_envelope(sample.values, sample.weights, _level(level))[0]
+    return tail_envelope(sample.values, sample.weights, as_level(level).p)[0]
 
 
 def ru_objective(sample: WeightedSample, level: RiskLevel | float, alpha: float) -> float:
@@ -105,7 +101,7 @@ def ru_objective(sample: WeightedSample, level: RiskLevel | float, alpha: float)
 
     Its minimum over alpha equals ES_p and is attained at alpha = VaR_p.
     """
-    p = _level(level)
+    p = as_level(level).p
     hinge = np.maximum(-sample.values - alpha, 0.0)
     return float(alpha + (sample.weights @ hinge) / p)
 

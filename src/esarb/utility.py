@@ -10,14 +10,13 @@ arbitrage from its absence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .market import MarketSnapshot, Portfolio, WeightedSample
-from .risk import RiskLevel, _level, es_p
+from .risk import RiskLevel, as_level, es_p
 from .seeding import substream
 
 _KINDS = ("limited_liability", "s_shaped_power", "risk_manager_power")
@@ -112,7 +111,7 @@ def scaling_scan(
         raise ValueError("lambdas must be a nonempty 1-d list")
     if (lams < 0).any() or np.any(np.diff(lams) < 0):
         raise ValueError("lambdas must be ascending and nonnegative")
-    lvl = _level(level)
+    lvl = as_level(level).p
     q_base, q_ray = base.quantities, ray.quantities
     if len(q_base) != market.n_legs or len(q_ray) != market.n_legs:
         raise ValueError("portfolio length does not match market legs")

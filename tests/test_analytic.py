@@ -123,6 +123,16 @@ def test_markowitz_validation():
         MarkowitzMarket([1.0], [[-0.01]], [1.0], 0.0)  # not PSD
 
 
+def test_markowitz_market_copies_caller_arrays():
+    mu, sigma, c = np.array([1.3]), np.array([[0.01]]), np.array([1.0])
+    m = MarkowitzMarket(mu, sigma, c, 0.0)
+    assert mu.flags.writeable and sigma.flags.writeable and c.flags.writeable
+    mu[0], sigma[0, 0], c[0] = 9.0, 9.0, 9.0
+    assert (m.mu[0], m.sigma[0, 0], m.c[0]) == (1.3, 0.01, 1.0)
+    with pytest.raises(ValueError):
+        m.mu[0] = 2.0
+
+
 def test_markowitz_arbitrage_gradient_reason():
     m = MarkowitzMarket([1.3], [[0.01]], [1.0], 0.0)
     v = markowitz_arbitrage(m, 0.01)
@@ -179,6 +189,17 @@ def test_density_validation():
         CompleteMarketDensity("step", [0.5, 0.4], [2.0, 0.5])  # grid not ascending
     with pytest.raises(ValueError, match="bad density"):
         CompleteMarketDensity("step", [0.5, 1.0], [2.0, -0.5])  # negative
+
+
+def test_density_copies_caller_arrays():
+    grid, values = np.array([1.0 / 3.0, 1.0]), np.array([2.0, 0.5])
+    density = CompleteMarketDensity("step", grid, values)
+    assert grid.flags.writeable and values.flags.writeable
+    grid[0], values[0] = 0.5, 1.0
+    assert density.grid[0] == 1.0 / 3.0 and density.values[0] == 2.0
+    assert density.sup_density == 2.0 and density.integral_to(1.0) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        density.values[0] = 3.0
 
 
 def test_density_accessors():

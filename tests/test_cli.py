@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esarb import InstrumentQuote
+from esarb import InstrumentQuote, cli
 from esarb.analytic import CompleteMarketDensity
 from esarb.cli import main
 from esarb.io import (
@@ -19,7 +19,7 @@ from esarb.io import (
     write_json,
     write_returns,
 )
-from esarb.models import GarchModel, synthesize_chain
+from esarb.models import CalibrationError, GarchFit, GarchModel, MixtureFit, synthesize_chain
 
 from test_models import make_mixture
 
@@ -258,6 +258,31 @@ class TestCalibrate:
         assert code == 1
         assert "too few quotes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["mixture", "garch"])
+    def test_unconverged_fit_written_then_exit_2(self, work, tmp_path, monkeypatch, capsys,
+                                                 which):
+        if which == "mixture":
+            model = make_mixture()
+            fit = MixtureFit(model, rmse=0.5, converged=False, start_index=1, history=())
+            argv = ["calibrate", "mixture", "--chain", work["chain"], "--market", work["market"]]
+            expected = {**mixture_to_dict(model), "diagnostics": {"rmse": 0.5}}
+        else:
+            model = GarchModel(omega=1e-6, arch=0.05, garch_coef=0.9, steps=1, init_var=2e-5)
+            fit = GarchFit(model, loglik=12.5, converged=False, start_index=1, start_logliks=())
+            argv = ["calibrate", "garch", "--returns", work["returns"]]
+            expected = {**garch_to_dict(model), "diagnostics": {"loglik": 12.5}}
+
+        def fail(*args, **kwargs):
+            raise CalibrationError("did not converge", fit=fit)
+
+        monkeypatch.setattr(cli, "calibrate_mixture" if which == "mixture" else "fit_garch", fail)
+        out = tmp_path / "fit.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: did not converge\n"
+        expected["schema"] = SCHEMA_VERSION
+        expected["diagnostics"].update(converged=False, start_index=1)
+        assert json.loads(out.read_text()) == expected
+
 
 class TestUtilityScan:
     def detection_file(self, work, tmp_path, p="0.6"):
@@ -331,6 +356,22 @@ class TestSimulate:
         assert Path(a).read_bytes() == Path(b).read_bytes()
         assert len(Path(a).read_text().splitlines()) == 100
 
+    @pytest.mark.parametrize("model_key", ["garch", "mixture"])
+    def test_stdout_matches_out_file(self, work, tmp_path, capfdbinary, model_key):
+        model = str(tmp_path / "model.json")
+        if model_key == "garch":
+            write_json(model, garch_to_dict(GarchModel(
+                omega=1e-6, arch=0.05, garch_coef=0.9, steps=1, init_var=2e-5)))
+        else:
+            model = work["mixture"]
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--model", model, "--n", "50", "--seed", "4"]
+        capfdbinary.readouterr()
+        assert run(args) == 0
+        printed = capfdbinary.readouterr().out
+        assert run(args + ["--out", str(out)]) == 0
+        assert printed and printed == out.read_bytes()
+
     def test_simulate_then_fit_round_trip(self, work, tmp_path):
         model = str(tmp_path / "g.json")
         write_json(model, garch_to_dict(GarchModel(
@@ -371,6 +412,10 @@ def _malformed_case(work, tmp_path, case):
     if case == "density row with one column":
         bad.write_text("u,q\n1.0\n")
         return ["analytic", "complete", "--density", str(bad), "--p", "0.25"]
+    if case == "scenarios with a quadrature":
+        bad.write_text("point,weight\n80,0.25\n100,0.5\n120,0.25\n")
+        return ["detect", "--scenarios", str(bad), "--chain", work["chain"],
+                "--market", work["market"], "--quadrature", "mc", "--p", "0.2"]
     if case == "null spot":
         write_json(str(bad), {"spot": None, "rate": 0.02, "maturity_years": 1.0})
         return ["detect", "--chain", work["chain"], "--market", str(bad),
@@ -392,6 +437,7 @@ class TestMalformedInputs:
         "null rf",
         "fractional steps",
         "infinite upper bound",
+        "scenarios with a quadrature",
     ])
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1
