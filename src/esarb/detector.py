@@ -188,51 +188,52 @@ class MinPResult:
     evaluations: int
 
 
-def _merged_blocks(market: MarketSnapshot):
-    """Distinct payoff rows and their summed weights, dropping rows whose
-    weight sums to 0. Rows come in lexicographic order (first column
-    major, equal rows by scenario index), and -0.0 entries read +0.0.
+def _merged_rows(market: MarketSnapshot):
+    """Scenario indices of the distinct payoff rows and their summed
+    weights, dropping rows whose weight sums to 0. Rows come in
+    lexicographic order (first leg major, equal rows by scenario index, and
+    -0.0 ties with +0.0).
 
-    The order comes from `lex_order` on a view of the columns from the
-    first one that varies (a constant column never breaks a tie, and
-    leading constant ones would make every row tie on the first key);
-    runs of equal rows are found from those columns, and only the kept
-    rows are gathered, so no sorted copy of the whole matrix is made."""
-    payoffs = market.payoff_matrix() + 0.0  # normalize -0.0 so merged rows carry +0.0
-    varies = (payoffs != payoffs[:1]).any(axis=0)
-    keys = payoffs.T[np.argmax(varies) :]  # every column when none varies: one run
+    The order comes from `lex_order` on the payoff columns from the first
+    one that varies, stacked as key rows (a constant column never breaks a
+    tie, and leading constant ones would make every row tie on the first
+    key); runs of equal rows are found from the same keys."""
+    payoffs = [leg.payoff for leg in market.legs]
+    first = next((j for j, f in enumerate(payoffs) if (f != f[0]).any()), 0)
+    keys = np.stack(payoffs[first:])  # every column when none varies: one run
     order = lex_order(keys)
     new_run = np.zeros(len(order) - 1, dtype=bool)
-    for col in keys:
-        s = col[order]
+    for key in keys:
+        s = key[order]
         new_run |= s[1:] != s[:-1]
     starts = np.flatnonzero(np.concatenate([[True], new_run]))
     merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
     keep = merged_w > 0
-    return np.take(payoffs, order[starts[keep]], axis=0), merged_w[keep]
+    return order[starts[keep]], merged_w[keep]
 
 
-def _net_columns(payoffs: np.ndarray, prices: np.ndarray):
-    """Pair each leg with an earlier unpaired leg whose (merged) payoff
-    column and price are its exact negation. Returns (legs, shorts): one
-    entry per LP column, at its first leg's position; shorts is -1 for a
-    leg left single.
+def _net_columns(market: MarketSnapshot, rows: np.ndarray, prices: np.ndarray):
+    """Pair each leg with an earlier unpaired leg whose merged payoff
+    column (its payoffs at `rows`) and price are its exact negation.
+    Returns (legs, shorts): one entry per LP column, at its first leg's
+    position; shorts is -1 for a leg left single. Each leg's column is
+    gathered on its own, so no copy of the merged matrix is made.
 
     A pair with a constant payoff (cash, a bond) stays two legs: its net
     column would be parallel to alpha's in every hinge row, and at the
     exact threshold HiGHS then returned vertices that miss a bound by up
     to 4e-8 (15 of 3596 random 40-scenario option markets)."""
-    cols = np.ascontiguousarray(payoffs.T)
-    varies = (cols != cols[:, :1]).any(axis=1)
     waiting: dict = {}  # (price, payoff bytes) -> columns whose leg awaits its negation
     legs, shorts = [], []
-    for j, price in enumerate(prices.tolist()):
+    for j, (leg, price) in enumerate(zip(market.legs, prices.tolist())):
+        col = leg.payoff[rows]
+        col += 0.0  # a zero entry or price of either sign keys as +0.0
         match = None
-        if varies[j]:
-            # +0.0: a zero entry or price of either sign keys as +0.0
-            match = waiting.get((-price + 0.0, (-cols[j] + 0.0).tobytes()))
+        if (col != col[0]).any():
+            # 0.0 - x negates x, reading a zero of either sign as +0.0
+            match = waiting.get((0.0 - price, (0.0 - col).tobytes()))
             if not match:
-                waiting.setdefault((price + 0.0, cols[j].tobytes()), []).append(len(legs))
+                waiting.setdefault((price + 0.0, col.tobytes()), []).append(len(legs))
         if match:
             shorts[match.pop(0)] = j
         else:
@@ -247,14 +248,22 @@ def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     Scenarios with identical payoff rows are merged by summing their weights
     (identical hinge rows share one auxiliary variable, which is exact), and
     each frictionless pair of legs becomes one net column (see `LpProblem`).
+    The payoff matrix is gathered once, from the legs straight into a
+    column-major block: only the merged rows of the kept columns, with -0.0
+    read as +0.0. That layout fixes the order in which BLAS sums each
+    product with the matrix, and so the bits of every result computed
+    from it.
     """
     level = as_level(level)
-    payoffs, weights = _merged_blocks(market)
+    rows, weights = _merged_rows(market)
     prices = market.prices()
-    legs, shorts = _net_columns(payoffs, prices)
+    legs, shorts = _net_columns(market, rows, prices)
+    payoffs = np.empty((len(rows), len(legs)), order="F")
+    for k, j in enumerate(legs):
+        np.add(market.legs[j].payoff[rows], 0.0, out=payoffs[:, k])
     return LpProblem(
         kind="min_es",
-        payoffs=payoffs[:, legs],
+        payoffs=payoffs,
         weights=weights,
         prices=prices[legs],
         level=level,
@@ -382,10 +391,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     The path follows from the problem's size, with no override. At most 64
     legs and at least 600 (merged) scenarios take the cutting-plane path
     (`_solve_cuts`, one loop for both LP kinds): its master LPs stay tiny
-    while each cut is one sort of the scenarios, and a confirmation LP from
-    `_confirmation_lp` starts from the cuts its detection LP found. Sparse
-    HiGHS takes everything else, and also answers when the cutting planes
-    fail. Every solution passes `_check_residuals` or raises SolverError.
+    while each cut sorts only the scenarios in the ES tail, and a
+    confirmation LP from `_confirmation_lp` starts from the cuts its
+    detection LP found. Sparse HiGHS takes everything else, and also
+    answers when the cutting planes fail. Every solution passes
+    `_check_residuals` or raises SolverError.
     """
     solution = None
     if problem.n_legs <= _CUT_LEGS and problem.n_scenarios >= _CUT_SCENARIOS:

@@ -72,6 +72,18 @@ def _numbers(data: dict, keys, where: str) -> list[float]:
     return [float(v) for v in values]
 
 
+def _arrays(data: dict, keys, where: str) -> list[np.ndarray]:
+    """The values at keys as float arrays; each must be a (nested) JSON
+    array of numbers."""
+    arrays = []
+    for key, value in zip(keys, _require(data, keys, where)):
+        try:
+            arrays.append(np.asarray(value, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {key} must be an array of numbers, got {value!r}") from exc
+    return arrays
+
+
 def _csv_rows(path: str, header: list[str]) -> list[list[str]]:
     """Every non-blank data row of a CSV that must start with the given
     header and have one cell per header column."""
@@ -219,9 +231,9 @@ def write_density(path: str, density: CompleteMarketDensity) -> None:
 
 def read_markowitz(path: str) -> MarkowitzMarket:
     data = read_json(path)
-    mu, sigma, c = _require(data, ["mu", "sigma", "c"], path)
+    mu, sigma, c = _arrays(data, ["mu", "sigma", "c"], path)
     (rf,) = _numbers(data, ["rf"], path)
-    return MarkowitzMarket(np.asarray(mu, float), np.asarray(sigma, float), np.asarray(c, float), rf)
+    return MarkowitzMarket(mu, sigma, c, rf)
 
 
 # --------------------------------------------------------------- model JSON
@@ -267,9 +279,9 @@ def read_model(path: str) -> LognormalMixture | GarchModel:
     or GARCH (omega/arch/garch_coef/steps/init_var/drift), told apart by keys."""
     data = read_json(path)
     if "weights" in data:
-        w, m, s = _require(data, ["weights", "log_means", "log_sds"], path)
+        w, m, s = _arrays(data, ["weights", "log_means", "log_sds"], path)
         spot, rate, mat = _numbers(data, ["spot", "rate", "maturity_years"], path)
-        return LognormalMixture(np.asarray(w), np.asarray(m), np.asarray(s), spot, rate, mat)
+        return LognormalMixture(w, m, s, spot, rate, mat)
     if "omega" in data:
         # steps stays a float here so that GarchModel rejects a fractional value
         keys = ["omega", "arch", "garch_coef", "steps", "init_var", "drift"]

@@ -87,6 +87,8 @@ class WeightedSample:
             raise ValueError("values and weights must be 1-d and equal length")
         if len(values) == 0:
             raise ValueError("empty sample")
+        if not np.isfinite(values).all():
+            raise ValueError("sample values must be finite")
         if (weights < 0).any() or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError("weights must be >= 0 and sum to 1")
 

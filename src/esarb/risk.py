@@ -68,26 +68,47 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
 def tail_envelope(
     values: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, float]:
-    """ES_p of raw payoff values and weights, the envelope point q attaining
-    it, and VaR_p, all from one sort.
+    """ES_p of raw (finite) payoff values and weights, the envelope point q
+    attaining it, and VaR_p, from a sort of the tail alone.
 
-    Losses are sorted descending, in the ascending order of values that
+    Losses are taken descending, in the ascending order of values that
     `lex_order` gives (equal values by index); each loss contributes its
     weight until the cumulative mass reaches p, with the straddling atom
     taken fractionally. q is that split divided by p: the maximizer of
     E_w[-values q] over the ES dual set {0 <= q <= 1/p, E_w q = 1}. VaR_p
     is the loss at the first sorted position whose cumulative mass exceeds
     p (strict CDF).
+
+    Only that prefix of the order is built: `np.partition` gives the k-th
+    smallest value t, the values below t are ordered by `lex_order` and
+    the values equal to t follow in index order, which is their order in
+    the full sort. k starts at p n + 1 and doubles while the mass of this
+    prefix is <= p (or until it holds every value). Positions past the
+    prefix take no mass, and ES is the dot product of zero-padded arrays
+    of the full length, so every output is bit for bit that of the full
+    sort: BLAS groups the terms by position.
     """
-    order = lex_order(values[None, :])
-    losses = -values[order]  # descending
-    sorted_w = weights[order]
-    cum = np.cumsum(sorted_w)
-    prev = cum - sorted_w
-    take = np.clip(p - prev, 0.0, sorted_w)
+    n = len(values)
+    k = min(int(p * n) + 1, n)
+    while True:
+        t = np.partition(values, k - 1)[k - 1]
+        below = np.flatnonzero(values < t)
+        order = np.concatenate(
+            [below[lex_order(values[below][None, :])], np.flatnonzero(values == t)]
+        )
+        sorted_w = weights[order]
+        cum = np.cumsum(sorted_w)
+        if cum[-1] > p or len(order) == n:
+            break
+        k = min(2 * k, n)
+    m = len(order)
+    losses = np.zeros(n)
+    losses[:m] = -values[order]  # descending
+    take = np.zeros(n)
+    take[:m] = np.clip(p - (cum - sorted_w), 0.0, sorted_w)
     q = np.zeros_like(weights)
-    q[order] = take / p
-    idx = min(int(np.searchsorted(cum, p, side="right")), len(losses) - 1)
+    q[order] = take[:m] / p
+    idx = min(int(np.searchsorted(cum, p, side="right")), m - 1)
     return float(losses @ take) / p, q, float(losses[idx])
 
 

@@ -210,14 +210,17 @@ def classic_constraint_sup(
     rng = substream(seed, "classic-sup")
     starts.extend(rng.uniform(0.0, 1.0, n) for _ in range(n_starts))
 
-    constraints = [
-        {"type": "ineq", "fun": lambda z: -(prices @ z), "jac": lambda z: -prices},
-    ]
     results: list[CapResult] = []
     carried: list[np.ndarray] = []
     for cap in caps:
         # floor seen from the unit box: g(B z) = B^eta g(z)
         floor_z = floor / cap**eta
+        # rows: price <= 0, then the floor
+        constraint = {
+            "type": "ineq",
+            "fun": lambda z: np.array([-(prices @ z), g_value(z) - floor_z]),
+            "jac": lambda z: np.vstack([-prices, g_grad(z)]),
+        }
         polished = []
         for z0 in starts:
             res = minimize(
@@ -226,8 +229,7 @@ def classic_constraint_sup(
                 jac=lambda z: -f_grad(z),
                 method="SLSQP",
                 bounds=[(0.0, 1.0)] * n,
-                constraints=constraints
-                + [{"type": "ineq", "fun": lambda z: g_value(z) - floor_z, "jac": g_grad}],
+                constraints=constraint,
                 options={"maxiter": 200, "ftol": 1e-12},
             )
             polished.append(np.clip(res.x, 0.0, 1.0))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,3 +38,22 @@ def random_market(rng, n_scenarios=None, n_legs=None, upper_bound=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+def run_with_one_blas_thread(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter with one BLAS thread and
+    `src` and the tests directory on its path.
+
+    BLAS splits long sums between its threads, so the last bits of a
+    result depend on the thread count. Bitwise pins are taken with one
+    thread, as the benchmark's worker runs; they also depend on the BLAS
+    kernel the CPU selects."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=path, **threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -353,9 +353,12 @@ def test_criterion_08_utility_scaling_along_detected_rays():
     )
 
 
-def test_criterion_09_capped_supremum_growth():
-    t0 = time.perf_counter()
-    caps = [1e2, 1e3, 1e4]
+CRITERION_9_CAPS = [1e2, 1e3, 1e4]
+
+
+def criterion_9_markets():
+    """Criterion 9's free market (an asset and short cash) and the same
+    market with a zero-price lottery planted."""
     rng = np.random.default_rng(7)
     points = np.sort(1.05 + 0.2 * rng.standard_normal(2000))
     scen = ScenarioSet(points, np.full(2000, 5e-4))
@@ -366,6 +369,13 @@ def test_criterion_09_capped_supremum_growth():
     free = MarketSnapshot(scen, base_legs, spot=1.0)
     lottery = TradableLeg("lottery", 0.0, 2.0 * (points > np.median(points)))
     planted = MarketSnapshot(scen, base_legs + (lottery,), spot=1.0)
+    return free, planted
+
+
+def test_criterion_09_capped_supremum_growth():
+    t0 = time.perf_counter()
+    caps = CRITERION_9_CAPS
+    free, planted = criterion_9_markets()
 
     free_vals = [r.value for r in classic_constraint_sup(free, RM2, -0.01, caps, seed=11)]
     planted_vals = [r.value for r in classic_constraint_sup(planted, RM2, -0.01, caps, seed=11)]

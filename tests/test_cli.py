@@ -420,6 +420,13 @@ def _malformed_case(work, tmp_path, case):
         write_json(str(bad), {"spot": None, "rate": 0.02, "maturity_years": 1.0})
         return ["detect", "--chain", work["chain"], "--market", str(bad),
                 "--model", work["mixture"], "--quadrature", "pl", "--p", "0.2"]
+    if case == "object in mu":
+        write_json(str(bad), {"mu": {"a": 1}, "sigma": [[0.01]], "c": [0.1], "rf": 0.0})
+        return ["analytic", "markowitz", "--model", str(bad), "--p", "0.01"]
+    if case == "object in weights":
+        write_json(str(bad), {"weights": {"a": 1}, "log_means": [4.6], "log_sds": [0.2],
+                              "spot": 100.0, "rate": 0.02, "maturity_years": 1.0})
+        return ["simulate", "--model", str(bad), "--n", "10"]
     if case == "null rf":
         write_json(str(bad), {"mu": [0.4], "sigma": [[0.01]], "c": [0.1], "rf": None})
         return ["analytic", "markowitz", "--model", str(bad), "--p", "0.01"]
@@ -438,6 +445,8 @@ class TestMalformedInputs:
         "fractional steps",
         "infinite upper bound",
         "scenarios with a quadrature",
+        "object in mu",
+        "object in weights",
     ])
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1

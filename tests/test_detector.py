@@ -33,7 +33,7 @@ from esarb.detector import (
     _confirmation_lp,
     _full_vector,
     _margin_density,
-    _merged_blocks,
+    _merged_rows,
     _solve_cuts,
     _solve_highs,
     _threshold_density,
@@ -44,8 +44,9 @@ from esarb.detector import (
     solve_lp,
 )
 from esarb.io import detection_to_dict
+from esarb.risk import lex_order
 
-from conftest import random_market
+from conftest import random_market, run_with_one_blas_thread
 
 TWO = ScenarioSet([0.0, 1.0], [0.5, 0.5])
 
@@ -110,6 +111,12 @@ def test_build_lp_merges_duplicate_scenarios():
     )
 
 
+def _merged_payoffs(market):
+    """The merged payoff rows `build_lp` works on, every leg's column kept."""
+    rows, weights = _merged_rows(market)
+    return market.payoff_matrix()[rows] + 0.0, weights
+
+
 def _unique_merge(market):
     """Reference merge: np.unique over the rows, weights summed per row."""
     payoffs = market.payoff_matrix() + 0.0
@@ -132,14 +139,14 @@ def test_merge_matches_unique_reference(seed):
     scen = ScenarioSet(np.arange(n_s, dtype=float), weights / weights.sum())
     legs = tuple(TradableLeg(f"c{j}", 0.0, cols[:, j]) for j in range(3))
     market = MarketSnapshot(scen, legs, spot=1.0)
-    rows, w = _merged_blocks(market)
+    rows, w = _merged_payoffs(market)
     ref_rows, ref_w = _unique_merge(market)
     assert rows.shape[0] < n_s
     assert np.array_equal(rows, ref_rows)
-    assert not np.signbit(rows[rows == 0.0]).any()  # -0.0 folded into +0.0
+    lp_payoffs = build_lp(market, 0.5).payoffs
+    assert not np.signbit(lp_payoffs[lp_payoffs == 0.0]).any()  # -0.0 folded into +0.0
     assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
     assert (w > 0).all()
-
 
 
 def _lexsort_merge(market):
@@ -153,6 +160,53 @@ def _lexsort_merge(market):
     return rows[starts[keep]], merged_w[keep]
 
 
+def _merged_blocks(market):
+    """Reference: the merge `build_lp` made from the whole normalized payoff
+    matrix, returning the merged rows of every column."""
+    payoffs = market.payoff_matrix() + 0.0
+    varies = (payoffs != payoffs[:1]).any(axis=0)
+    keys = payoffs.T[np.argmax(varies) :]
+    order = lex_order(keys)
+    new_run = np.zeros(len(order) - 1, dtype=bool)
+    for col in keys:
+        s = col[order]
+        new_run |= s[1:] != s[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], new_run]))
+    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
+    keep = merged_w > 0
+    return np.take(payoffs, order[starts[keep]], axis=0), merged_w[keep]
+
+
+def _net_columns(payoffs, prices):
+    """Reference: the pairing `build_lp` made on a transposed copy of the
+    merged matrix."""
+    cols = np.ascontiguousarray(payoffs.T)
+    varies = (cols != cols[:, :1]).any(axis=1)
+    waiting: dict = {}
+    legs, shorts = [], []
+    for j, price in enumerate(prices.tolist()):
+        match = None
+        if varies[j]:
+            match = waiting.get((-price + 0.0, (-cols[j] + 0.0).tobytes()))
+            if not match:
+                waiting.setdefault((price + 0.0, cols[j].tobytes()), []).append(len(legs))
+        if match:
+            shorts[match.pop(0)] = j
+        else:
+            legs.append(j)
+            shorts.append(-1)
+    return np.array(legs, dtype=int), np.array(shorts, dtype=int)
+
+
+def _reference_lp_blocks(market):
+    """payoffs, weights, prices, legs and shorts as `build_lp` composed them
+    from `_merged_blocks` and `_net_columns`."""
+    payoffs, weights = _merged_blocks(market)
+    prices = market.prices()
+    legs, shorts = _net_columns(payoffs, prices)
+    return payoffs[:, legs], weights, prices[legs], legs, shorts
+
+
 def _doubled(market):
     """The market with every payoff row listed twice at half weight."""
     w = market.scenarios.weights
@@ -161,17 +215,22 @@ def _doubled(market):
     return MarketSnapshot(twice, legs, spot=market.spot)
 
 
+def _merge_market(kind):
+    if kind == "markowitz":  # constant cash columns first, then negated legs
+        return _two_asset_markowitz(3000)
+    if kind == "digital":  # 0/1 columns: every key column is one long tie run
+        return _doubled(density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=64)))
+    if kind == "pairs":
+        return _frictionless_pairs_market()
+    scen = ScenarioSet(np.arange(50.0), np.full(50, 0.02))
+    cash = (TradableLeg("cash", 1.0, np.ones(50)), TradableLeg("-cash", -1.0, -np.ones(50)))
+    return MarketSnapshot(scen, cash, spot=1.0)
+
+
 @pytest.mark.parametrize("kind", ["markowitz", "digital", "constant"])
 def test_merge_matches_lexsort_reference(kind):
-    if kind == "markowitz":  # constant cash columns first, then negated legs
-        market = _two_asset_markowitz(3000)
-    elif kind == "digital":  # 0/1 columns: every key column is one long tie run
-        market = _doubled(density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=64)))
-    else:
-        scen = ScenarioSet(np.arange(50.0), np.full(50, 0.02))
-        cash = (TradableLeg("cash", 1.0, np.ones(50)), TradableLeg("-cash", -1.0, -np.ones(50)))
-        market = MarketSnapshot(scen, cash, spot=1.0)
-    rows, w = _merged_blocks(market)
+    market = _merge_market(kind)
+    rows, w = _merged_payoffs(market)
     ref_rows, ref_w = _lexsort_merge(market)
     assert rows.shape == ref_rows.shape
     assert rows.tobytes() == ref_rows.tobytes()
@@ -180,22 +239,38 @@ def test_merge_matches_lexsort_reference(kind):
     assert len(w) == expected
 
 
-def test_merge_peak_memory_stays_below_three_and_a_half_matrices():
-    # on 1e5 distinct rows a sorted copy of the whole matrix, on top of the
-    # normalized one and the gathered result, costs 3.69 matrices
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "pairs"])
+def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
+    # the LP block gathered from the legs is the one cut from the merged
+    # matrix, layout included: BLAS sums in an order the strides set
+    market = _merge_market(kind)
+    prob = build_lp(market, 0.3)
+    ref = _reference_lp_blocks(market)
+    got = (prob.payoffs, prob.weights, prob.prices, prob.legs, prob.shorts)
+    for array, ref_array in zip(got, ref):
+        assert array.dtype == ref_array.dtype and array.shape == ref_array.shape
+        assert array.tobytes() == ref_array.tobytes()
+    assert prob.payoffs.strides == ref[0].strides
+
+
+def test_build_lp_peak_memory_stays_below_1_8_matrices():
+    # composed from the whole normalized matrix, its merged rows, their
+    # transposed copy and the LP block cut from them, build_lp peaked at
+    # 2.88 matrices on this market; gathered from the legs, at 1.71
     market = _two_asset_markowitz(100_000)
     matrix_bytes = market.payoff_matrix().nbytes
     assert market.payoff_matrix().shape == (100_000, 6)
-    _merged_blocks(market)  # load lazily imported code outside the trace
+    build_lp(market, 0.05)  # load lazily imported code outside the trace
     tracemalloc.start()
     try:
-        _merged_blocks(market)
+        build_lp(market, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * matrix_bytes
+    assert peak < 1.8 * matrix_bytes
 
-def test_build_lp_nets_frictionless_pairs():
+
+def _frictionless_pairs_market():
     scen = ScenarioSet([0.0, 1.0, 2.0], [0.5, 0.5, 0.0])
     f, g = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.0, 4.0])
     legs = (
@@ -207,7 +282,11 @@ def test_build_lp_nets_frictionless_pairs():
         TradableLeg("cash", 1.0, np.ones(3)),  # constant payoffs stay two legs
         TradableLeg("-cash", -1.0, -np.ones(3)),
     )
-    prob = build_lp(MarketSnapshot(scen, legs, spot=1.0, upper_bound=2.0), 0.3)
+    return MarketSnapshot(scen, legs, spot=1.0, upper_bound=2.0)
+
+
+def test_build_lp_nets_frictionless_pairs():
+    prob = build_lp(_frictionless_pairs_market(), 0.3)
     assert prob.legs.tolist() == [0, 1, 2, 4, 5, 6]
     assert prob.shorts.tolist() == [3, -1, -1, -1, -1, -1]
     assert prob.x_lower.tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -460,6 +539,26 @@ def test_cut_loop_alpha_is_var_p():
             assert sol is not None and sol.method == "cutting_plane"
             x = sol.x[1 : 1 + lp.n_legs]
             assert sol.x[0] == var_p(WeightedSample(lp.payoffs @ x, lp.weights), p)
+
+
+def test_cut_loop_iterates_pinned():
+    # master LPs and the bits of min_es and alpha_star, recorded with a full
+    # sort of every iterate: a change to the iterates (a stabilized master,
+    # say) has to update this pin on purpose
+    code = "\n".join([
+        "from esarb import detector",
+        "from test_detector import _two_asset_markowitz",
+        "real, calls = detector.linprog, []",
+        "def counted(*args, **kwargs):",
+        "    calls.append(1)",
+        "    return real(*args, **kwargs)",
+        "detector.linprog = counted",
+        "sol = detector._solve_cuts(detector.build_lp(_two_asset_markowitz(20000), 0.4))",
+        "print(len(calls), sol.method, sol.optimal_value.hex(), float(sol.x[0]).hex())",
+    ])
+    assert run_with_one_blas_thread(code).split() == [
+        "15", "cutting_plane", "-0x1.7ad37137b909cp-5", "-0x1.b94dca18f9b47p-4"
+    ]
 
 
 def _pair_market():

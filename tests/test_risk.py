@@ -71,6 +71,13 @@ def test_var_empty_sample_rejected():
         WeightedSample(np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_rejected(bad):
+    # ES and VaR read finite values only: the tail selection orders them
+    with pytest.raises(ValueError, match="finite"):
+        WeightedSample(np.array([0.0, bad]), np.array([0.5, 0.5]))
+
+
 # ---------------------------------------------------------------------- es_p
 
 
@@ -283,6 +290,44 @@ def test_tail_envelope_bitwise_equals_stable_sort(kind):
         ref_es, ref_q, ref_var = _tail_envelope_stable(values, weights, p)
         assert np.array([es, var]).tobytes() == np.array([ref_es, ref_var]).tobytes()
         assert q.tobytes() == ref_q.tobytes()
+
+
+@st.composite
+def _tails(draw):
+    """(values, weights, p) for `tail_envelope`, made by numpy from a drawn
+    seed: Hypothesis draws the size, the kind of values and weights, and p."""
+    n = draw(st.integers(1, 50_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "ties", "signed zeros", "all equal"]))
+    if kind == "continuous":
+        values = rng.normal(size=n)
+    elif kind == "ties":  # long tie runs at and around every partition value
+        values = np.round(rng.normal(size=n), 1)
+    elif kind == "signed zeros":
+        values = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), n)
+    else:
+        values = np.full(n, rng.normal())
+    weights = rng.random(n)
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):
+        # mass piled on the largest values: the first p n + 1 values hold
+        # little of it, so the selection has to widen
+        weights *= np.argsort(np.argsort(values, kind="stable")) ** 8.0
+    if weights.sum() == 0.0:
+        weights[-1] = 1.0
+    return values, weights / weights.sum(), draw(st.floats(1e-6, 1.0 - 1e-9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tails())
+# the first k = 2 values hold exactly p: VaR_p lies past them, so k widens
+@example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.25, 0.0, 0.0, 0.75]), 0.25))
+def test_tail_envelope_selection_bitwise_equals_stable_sort(case):
+    values, weights, p = case
+    es, q, var = tail_envelope(values, weights, p)
+    ref_es, ref_q, ref_var = _tail_envelope_stable(values, weights, p)
+    assert np.array([es, var]).tobytes() == np.array([ref_es, ref_var]).tobytes()
+    assert q.tobytes() == ref_q.tobytes()
 
 
 # ----------------------------------------------------------- coherence_check

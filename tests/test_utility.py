@@ -20,7 +20,7 @@ from esarb.utility import (
     scaling_scan,
 )
 
-from conftest import random_market
+from conftest import random_market, run_with_one_blas_thread
 
 LL = UtilitySpec.limited_liability()
 RM2 = UtilitySpec.risk_manager_power(2.0)
@@ -239,3 +239,25 @@ class TestClassicConstraintSup:
         assert float(market.prices() @ r.quantities) <= 1e-6
         floor_val = float(w @ RM2.evaluate(payoff))
         assert floor_val >= -1.0 - 1e-6
+
+    def test_capped_sup_pinned_on_criterion_9_markets(self):
+        # SHA-256 of every CapResult's cap, value and quantities, recorded
+        # when the price row and the floor were two constraint dicts: SLSQP
+        # stacks the rows of one vector constraint in the same order
+        code = "\n".join([
+            "import hashlib",
+            "import numpy as np",
+            "from esarb.utility import UtilitySpec, classic_constraint_sup",
+            "from test_acceptance import CRITERION_9_CAPS, criterion_9_markets",
+            "rm2 = UtilitySpec.risk_manager_power(2.0)",
+            "for market in criterion_9_markets():",
+            "    out = classic_constraint_sup(market, rm2, -0.01, CRITERION_9_CAPS, seed=11)",
+            "    h = hashlib.sha256()",
+            "    for r in out:",
+            "        h.update(np.array([r.cap, r.value]).tobytes() + r.quantities.tobytes())",
+            "    print(h.hexdigest())",
+        ])
+        assert run_with_one_blas_thread(code).split() == [
+            "749c145c99f31e740efeffc555886e5fa27ca88fc3b4ea07be928583274fbcdc",
+            "f43c78f218cbad59e49bf394efb5a0fe3652bc1e90f7057a4655cb5813c8ccba",
+        ]
