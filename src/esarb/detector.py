@@ -19,10 +19,11 @@ when the cutting planes fail.
 
 The smallest arbitrage level comes from the dual side, over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
-density lies strictly inside it, 0 < q < 1/p (the margin LP decides this
-at the bracket's lower end), and the least ES at non-positive cost is
-strictly negative iff no pricing density has max q <= 1/p, so one LP for
-the least max q gives the threshold.
+density lies strictly inside it, 0 < q < 1/p, and the least ES at
+non-positive cost is strictly negative iff no pricing density has
+max q <= 1/p, so one LP for the least max q gives the threshold. Its
+density q* also settles the bracket's lower end when it lies strictly
+inside the dual set there; otherwise the confirmation LP decides.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _HIGHS_OPTS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 _GAP_TOL = 1e-10
-_MARGIN_TOL = 1e-7  # least margin s that the margin LP trusts over `detect`
+_MARGIN_TOL = 1e-7  # least gap from q* to 0 and to 1/lo that certifies min_p's lo
 _MAX_CUTS = 2000
 
 
@@ -452,13 +453,11 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     )
 
 
-def _check_density(problem: LpProblem, q: np.ndarray, lam: float, strict: bool = False) -> None:
+def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
     """Certify a pricing density without trusting the solver: q >= 0,
     lam >= 0, E_w q = 1 and E_w[q f_j] <= lam price_j for every column
     (with equality for a netted pair, whose short leg prices -f_j), each
-    within 1e-9 relative. With strict, q must also lie strictly inside the
-    ES dual set at the problem's level: 0 < q_i < 1/p. O(n_scenarios *
-    n_legs)."""
+    within 1e-9 relative. O(n_scenarios * n_legs)."""
     F, w, prices = problem.payoffs, problem.weights, problem.prices
     priced = F.T @ (w * q) - lam * prices
     priced = np.where(problem.shorts >= 0, np.abs(priced), priced)
@@ -471,18 +470,20 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float, strict: bool =
             f"numerical failure: pricing residual {worst:.3e}, mass error {mass_err:.3e}, "
             f"sign violation {sign_viol:.3e}"
         )
-    if strict and not (q.min() > 0.0 and q.max() < 1.0 / problem.level.p):
-        raise SolverError(
-            f"numerical failure: density range [{q.min():.3e}, {q.max():.3e}] is not strictly "
-            f"inside (0, 1/p) at p = {problem.level.p!r}"
-        )
 
 
-def _density_lp(problem: LpProblem, rows, rhs, z_cost: float):
-    """HiGHS over (q, lam, z) with q, lam >= 0 and z free: minimize
-    z_cost * z subject to the caller's rows over (q, lam, z) <= rhs, the
-    pricing rows E_w[q f_j] <= lam price_j (equalities for netted pairs)
-    and the mass row E_w q = 1."""
+def _threshold_density(problem: LpProblem) -> np.ndarray | None:
+    """Checked pricing density q with the least max_i q_i, or None when
+    HiGHS finds the LP infeasible: no pricing density exists.
+
+    HiGHS solves min t over (q, lam, t), q, lam >= 0 and t free, subject to
+    q_i <= t, the pricing rows E_w[q f_j] <= lam price_j (equalities for
+    netted pairs) and the mass row E_w q = 1. Any such q with max q <= 1/p
+    lies in the ES dual set at level p and prices every portfolio of
+    non-positive cost at <= 0, so it certifies ES >= 0 there; by LP duality
+    the least ES at non-positive cost is strictly negative exactly when
+    p > 1/t*.
+    """
     F, w, prices = problem.payoffs, problem.weights, problem.prices
     n_s = problem.n_scenarios
     net = problem.shorts >= 0
@@ -490,63 +491,21 @@ def _density_lp(problem: LpProblem, rows, rhs, z_cost: float):
         [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((problem.n_legs, 1))],
         format="csr",
     )
-    return _linprog_highs(
-        np.concatenate([np.zeros(n_s + 1), [z_cost]]),
-        sparse.vstack([rows, pricing[~net]], format="csr"),
-        np.concatenate([rhs, np.zeros(int((~net).sum()))]),
+    cap = sparse.hstack([sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))])
+    res = _linprog_highs(
+        np.concatenate([np.zeros(n_s + 1), [1.0]]),
+        sparse.vstack([cap, pricing[~net]], format="csr"),
+        np.zeros(n_s + int((~net).sum())),
         [(0.0, None)] * (n_s + 1) + [(None, None)],
         A_eq=sparse.vstack([pricing[net], np.concatenate([w, [0.0, 0.0]])[None, :]], format="csr"),
         b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0]]),
     )
-
-
-def _threshold_density(problem: LpProblem) -> np.ndarray:
-    """Checked pricing density q with the least max_i q_i.
-
-    Solves min t over (q, lam, t) subject to q_i <= t and the pricing and
-    mass rows of `_density_lp`. Any such q with max q <= 1/p lies in the ES
-    dual set at level p and prices every portfolio of non-positive cost at
-    <= 0, so it certifies ES >= 0 there; by LP duality the least ES at
-    non-positive cost is strictly negative exactly when p > 1/t*.
-    """
-    n_s = problem.n_scenarios
-    rows = sparse.hstack([sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))])
-    res = _density_lp(problem, rows, np.zeros(n_s), 1.0)
+    if res.status == 2:
+        return None
     if res.status != 0:
         raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
     q, lam = res.x[:n_s], float(res.x[n_s])
     _check_density(problem, q, lam)
-    return q
-
-
-def _margin_density(problem: LpProblem) -> np.ndarray | None:
-    """Checked pricing density strictly inside the ES dual set at the
-    problem's level, or None when the margin LP finds none.
-
-    Solves max s over (q, lam, s) subject to s <= q_i <= 1/p - (1/p - 1) s
-    and the pricing and mass rows of `_density_lp`. With s > 0, for small
-    eps the density (1 + eps) q - eps also lies in the dual set, so
-    ES_p(F x) >= eps E[F x] for every x at non-positive cost: no
-    ES_p-arbitrage at p. Conversely, with no arbitrage at p some density
-    has s > 0. None (no optimum, or a gap s or (1/p - 1) s to either end of
-    (0, 1/p) within _MARGIN_TOL) leaves the verdict to `detect`; a q that
-    fails `_check_density` raises SolverError.
-    """
-    n_s, inv_p = problem.n_scenarios, 1.0 / problem.level.p
-    eye, lam_col = sparse.eye(n_s), sparse.csr_matrix((n_s, 1))
-    rows = sparse.vstack(
-        [
-            sparse.hstack([-eye, lam_col, np.ones((n_s, 1))]),
-            sparse.hstack([eye, lam_col, np.full((n_s, 1), inv_p - 1.0)]),
-        ],
-        format="csr",
-    )
-    res = _density_lp(problem, rows, np.concatenate([np.zeros(n_s), np.full(n_s, inv_p)]), -1.0)
-    # both sides of the range must clear q by more than the tolerance
-    if res.status != 0 or min(1.0, inv_p - 1.0) * res.x[-1] <= _MARGIN_TOL:
-        return None
-    q, lam = res.x[:n_s], float(res.x[n_s])
-    _check_density(problem, q, lam, strict=True)
     return q
 
 
@@ -557,37 +516,43 @@ def min_p(
 ) -> MinPResult:
     """Smallest level in the bracket admitting arbitrage, from pricing densities.
 
-    At lo, the margin LP (`_margin_density`) either certifies no arbitrage
-    with a density strictly inside the ES dual set or leaves the verdict to
-    `detect(lo)`, whose arbitrage means "at or below bracket". Otherwise
-    the threshold LP (`_threshold_density`) gives p0 = 1 / min max q: above
-    p0 the least ES at non-positive cost is strictly negative, at p0 no
-    density lies strictly inside the dual set, so p0 itself admits
-    arbitrage. p* = p0 once the confirmation LP at p0 (maximum expected
-    payoff subject to ES <= 0, on the LP built at lo) exceeds
-    `arbitrage_epsilon`, else SolverError. `detect`'s phase 1 is not
-    needed there: the threshold density certifies ES >= 0 at p0, and a
-    portfolio with ES < -eps would also have expected payoff > eps.
-    p0 > hi is "none in bracket". tol must be > 0 but no longer moves p*;
-    it stays for callers that pass it. `evaluations` counts the LPs and
-    detects solved: 3 when the margin LP certifies lo, at most 4.
+    Two LP kinds, both on the one LP `build_lp` makes at lo. The threshold LP
+    (`_threshold_density`) gives the density q* with the least max q. When
+    q* clears both ends of (0, 1/lo) by more than _MARGIN_TOL it lies
+    strictly inside the ES dual set at lo and certifies no arbitrage there.
+    Otherwise (or when no pricing density exists) the confirmation LP at lo
+    (maximum expected payoff subject to ES <= 0) decides: a maximum above
+    `arbitrage_epsilon` means "at or below bracket", the verdict of
+    `detect(lo)`, since ES_p(X) >= -E[X] gives any portfolio with
+    ES < -eps an expected payoff > eps. No density and no arbitrage at lo
+    raises SolverError. Then p0 = 1 / max q*: above p0 the least ES at
+    non-positive cost is strictly negative, at p0 no density lies strictly
+    inside the dual set, so p0 itself admits arbitrage. p* = p0 once the
+    confirmation LP at p0 exceeds `arbitrage_epsilon`, by the same
+    argument, else SolverError. p0 > hi is "none in bracket". tol must be
+    > 0 but no longer moves p*; it stays for callers that pass it.
+    `evaluations` counts the LPs solved: 2 when q* certifies lo and p0 is
+    in the bracket, at most 3.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"invalid bracket {bracket}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    eps = arbitrage_epsilon(market)
     problem = build_lp(market, lo)
+    q = _threshold_density(problem)
     evals = 1
-    if _margin_density(problem) is None:
+    if q is None or not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
         evals += 1
-        if detect(market, lo).arbitrage:
+        if 0.0 - solve_lp(_confirmation_lp(problem)).optimal_value > eps:
             return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
-    p0 = max(1.0 / float(_threshold_density(problem).max()), lo)
-    evals += 1
+        if q is None:
+            raise SolverError(f"no pricing density, yet no arbitrage confirmed at lo = {lo!r}")
+    p0 = max(1.0 / float(q.max()), lo)
     if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
     confirmation = solve_lp(replace(problem, level=as_level(p0), kind="max_expected"))
-    if not 0.0 - confirmation.optimal_value > arbitrage_epsilon(market):
+    if not 0.0 - confirmation.optimal_value > eps:
         raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r}")
     return MinPResult(p_star=p0, status="found", evaluations=evals + 1)

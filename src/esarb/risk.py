@@ -138,9 +138,6 @@ class CoherenceReport:
     def passed(self) -> bool:
         return all(v <= self.tolerance for v in self.violations.values())
 
-    def failures(self) -> list[str]:
-        return [name for name, v in self.violations.items() if v > self.tolerance]
-
 
 def coherence_check(
     measure: Callable[[WeightedSample], float],

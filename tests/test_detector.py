@@ -32,7 +32,6 @@ from esarb.detector import (
     _check_residuals,
     _confirmation_lp,
     _full_vector,
-    _margin_density,
     _merged_rows,
     _solve_cuts,
     _solve_highs,
@@ -872,7 +871,7 @@ def test_min_p_exact_on_complete_densities(density):
     market = density_market(density)
     res = min_p(market, bracket=(1e-4, 0.9), tol=1e-4)
     assert res.status == "found"
-    assert res.evaluations <= 3
+    assert res.evaluations == 2  # q* certifies lo: threshold LP, confirmation at p0
     assert abs(res.p_star - 1.0 / density.sup_density) <= 1e-8
     assert detect(market, res.p_star).arbitrage
     assert not detect(market, res.p_star - 1e-6).arbitrage
@@ -903,7 +902,7 @@ def test_min_p_matches_detect_on_small_markets(seed):
     market = _priced_market(np.random.default_rng(seed))
     lo, hi, tol = 0.01, 0.95, 1e-3
     res = min_p(market, bracket=(lo, hi), tol=tol)
-    assert res.evaluations <= 4
+    assert res.evaluations <= 3
     if res.status == "at or below bracket":
         assert res.p_star == lo and detect(market, lo).arbitrage
     elif res.status == "none in bracket":
@@ -959,47 +958,92 @@ def _option_market(rng):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_margin_lp_matches_detect_around_threshold(seed):
+def test_min_p_lower_end_matches_detect_around_threshold(seed):
     market = _option_market(np.random.default_rng(seed))
     assert market.n_legs == 10
     p0 = 1.0 / float(_threshold_density(build_lp(market, 0.01)).max())
     assert p0 < 0.99
     for factor in (0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.1):
-        p = factor * p0
-        if p >= 1.0:
+        lo = factor * p0
+        if lo >= 1.0:
             continue
-        certified = _margin_density(build_lp(market, p)) is not None
-        assert certified == (not detect(market, p).arbitrage) == (factor < 1.0)
-    # at p0 no density lies strictly inside the dual set: s = 0, arbitrage
-    assert _margin_density(build_lp(market, p0)) is None
+        res = min_p(market, bracket=(lo, 0.5 * (1.0 + max(lo, 0.99))))  # p0 < 0.99 < hi
+        below = res.status == "at or below bracket"
+        assert below == detect(market, lo).arbitrage == (factor >= 1.0)
+        if not below:  # the threshold LP does not depend on the level
+            assert res.status == "found" and res.p_star == p0
+    # at p0 no density lies strictly inside the dual set: max q* = 1/p0
+    res = min_p(market, bracket=(p0, 0.995))
+    assert res.status == "at or below bracket" and res.evaluations == 2
     assert detect(market, p0).arbitrage
 
 
-@pytest.mark.parametrize("tamper", ["floor", "cap"])
-def test_margin_density_rejects_tampered_answer(monkeypatch, tamper):
+def _dear_asset_market():
     # a bond pair, which any q with E_w q = 1 prices, and a dear asset that
-    # every q in [0, 1/p] prices: the strict range is the one check a
-    # tampered q can fail
+    # every q in [0, 1/p] prices: no arbitrage at any level, q* = 1
     scen = ScenarioSet([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
     legs = (
         TradableLeg("bond", 1.0, np.ones(3)),
         TradableLeg("-bond", -1.0, -np.ones(3)),
         TradableLeg("asset", 10.0, np.array([0.0, 1.0, 2.0])),
     )
-    problem = build_lp(MarketSnapshot(scen, legs, spot=1.0), 0.5)
-    assert problem.n_scenarios == 3
-    real = detector._linprog_highs
+    return MarketSnapshot(scen, legs, spot=1.0)
+
+
+@pytest.mark.parametrize("tamper", ["floor", "cap"])
+def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
+    market, bracket = _dear_asset_market(), (0.5, 0.9)
+    untampered = min_p(market, bracket=bracket)
+    assert (untampered.status, untampered.evaluations) == ("none in bracket", 1)
+    real_highs, real_solve, solved = detector._linprog_highs, detector.solve_lp, []
 
     def tampered(*args, **kwargs):
-        res = real(*args, **kwargs)
-        # E_w q stays 1; "floor" touches q = 0, "cap" touches q = 1/p = 2
-        res.x[:3] = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
+        res = real_highs(*args, **kwargs)
+        if "A_eq" in kwargs:  # the threshold LP, the one density LP
+            # E_w q stays 1 and every pricing row holds; "floor" touches
+            # q = 0, "cap" touches q = 1/lo = 2
+            res.x[:3] = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
         return res
 
-    assert _margin_density(problem) is not None  # the untampered answer passes its check
+    def recorded(problem):
+        solved.append((problem.kind, problem.level.p))
+        return real_solve(problem)
+
     monkeypatch.setattr(detector, "_linprog_highs", tampered)
-    with pytest.raises(SolverError, match="not strictly inside"):
-        _margin_density(problem)
+    monkeypatch.setattr(detector, "solve_lp", recorded)
+    # the confirmation at lo runs and finds no arbitrage; p0 = 1 / max q
+    # then lands in the bracket, where the confirmation refuses it too
+    with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):
+        min_p(market, bracket=bracket)
+    assert [kind for kind, _ in solved] == ["max_expected"] * 2 and solved[0][1] == 0.5
+
+
+@pytest.mark.parametrize("market", [true_arb_market, capped_density_market])
+def test_min_p_builds_one_lp_and_never_detects(monkeypatch, market):
+    market = market()
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(detector, "build_lp", counted(detector.build_lp))
+    monkeypatch.setattr(detector, "detect", counted(detector.detect))
+    min_p(market, bracket=(0.01, 0.9), tol=1e-3)
+    assert calls == ["build_lp"]
+
+
+def test_min_p_without_pricing_density_is_below_bracket():
+    # a zero-price gift leg pays >= 0.28 in every scenario: no pricing density
+    market = _priced_market(np.random.default_rng(22971))
+    assert market.legs[-1].label == "gift" and market.legs[-1].price == 0.0
+    assert market.legs[-1].payoff.min() >= 0.28
+    assert _threshold_density(build_lp(market, 0.01)) is None
+    res = min_p(market, bracket=(0.01, 0.95), tol=1e-3)
+    assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 2)
 
 
 def test_min_p_raises_when_threshold_not_confirmed(monkeypatch):

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: an imported name that is never referenced afterwards is dead.
 `__init__.py` is skipped because its imports are the package's re-exports,
-and `from __future__` imports are compiler directives, not names.
+and `from __future__` imports are compiler directives, not names. A
+private (single-underscore) function, class or constant defined at module
+level that no module of the package references is dead code too.
 """
 
 import ast
@@ -45,3 +48,58 @@ def test_checker_flags_an_unused_import():
     )
     assert _unused_imports(source) == ["line 1: math", "line 3: field"]
     assert "cli.py" in [p.name for p in MODULES]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module references: a load of the
+    name, an attribute of that name, or an import of it by name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{name}: {defined}"
+        for name, tree in trees.items()
+        for defined in _private_definitions(tree)
+        if defined not in used
+    ]
+
+
+def test_no_dead_private_code():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _dead_private_names(sources) == []
+
+
+def test_checker_flags_dead_private_code():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    pass\n"
+            "class _Gone:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _helper\nprint(_helper())\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _UNUSED", "a.py: _dead", "a.py: _Gone"]
