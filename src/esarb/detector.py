@@ -15,7 +15,12 @@ markets with at most 64 columns and at least 600 scenarios (after merging
 identical payoff rows) solve both LPs with one Kelley cutting-plane loop
 over the portfolio block, and the confirmation starts from the cuts phase 1
 found. Every other market goes to sparse HiGHS, which is also the fallback
-when the cutting planes fail.
+when the cutting planes fail. On HiGHS, sorted payoff rows that differ
+from their predecessor in few entries (digital and step payoffs) are
+difference-encoded: free chain variables carry F x (or, in the threshold
+LP, the tail sums of w q) from row to row, so the LP holds the row
+differences instead of the dense payoff block. The chain form is used
+exactly when it has at most half the constraint nonzeros of the plain form.
 
 The smallest arbitrage level comes from the dual side, over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
@@ -48,6 +53,7 @@ _HIGHS_OPTS = {
 _GAP_TOL = 1e-10
 _MARGIN_TOL = 1e-7  # least gap from q* to 0 and to 1/lo that certifies min_p's lo
 _MAX_CUTS = 2000
+_MERGE_BLOCK = 1 << 16  # key entries gathered per compare in _merged_rows
 
 
 class SolverError(RuntimeError):
@@ -64,7 +70,10 @@ class LpProblem:
     [0, upper_bound]; when shorts[k] >= 0 it is the net position of the
     frictionless pair (legs[k], shorts[k]) and its lower bound is
     -upper_bound. Rows: one cost row then one hinge row per scenario; for
-    kind "max_expected" an ES row is appended.
+    kind "max_expected" an ES row is appended. When `chain` is not None,
+    the matrix HiGHS gets carries one free chain column per scenario after
+    these variables, and one chain row per scenario before the ES row (see
+    `constraint_matrix`); the variable layout above is unchanged.
 
     cuts pools the ES support lines (g, h), es(x') >= g.x' + h, that the
     cutting-plane path finds for this problem; `_confirmation_lp` hands
@@ -106,30 +115,68 @@ class LpProblem:
         return np.concatenate([[0.0], -(self.payoffs.T @ self.weights), np.zeros(n_s)])
 
     @cached_property
+    def chain(self) -> sparse.csr_matrix | None:
+        """The payoff rows' differences D (D_0 = F_0, D_i = F_i - F_{i-1})
+        when the chain form of the constraints takes at most half the
+        nonzeros of the plain form, else None. The merged rows come in
+        lexicographic order, so on digital and step payoffs D is nearly
+        empty while F is a dense triangle."""
+        F, n_s = self.payoffs, self.n_scenarios
+        steps = F[1:] != F[:-1]
+        nnz_d = np.count_nonzero(F[0]) + np.count_nonzero(steps)
+        nnz_cost = np.count_nonzero(self.prices)
+        # cost row, then the hinge rows: alpha, F x, u (plain) or alpha, y,
+        # u and the chain rows y_i, y_{i-1}, D_i x
+        plain = nnz_cost + 2 * n_s + np.count_nonzero(F)
+        if 2 * (nnz_cost + 5 * n_s - 1 + nnz_d) > plain:
+            return None
+        first = np.flatnonzero(F[0])
+        i, j = np.nonzero(steps)
+        values = np.concatenate([F[0, first], F[i + 1, j] - F[i, j]])
+        rows = np.concatenate([np.zeros(first.size, dtype=int), i + 1])
+        return sparse.csr_matrix((values, (rows, np.concatenate([first, j]))), shape=F.shape)
+
+    @cached_property
     def constraint_matrix(self) -> sparse.csr_matrix:
+        """Rows of the LP HiGHS solves, every one <= 0 (see `rhs`). In the
+        chain form (when `chain` is not None) free columns y follow
+        (alpha, x, u): hinge row i reads -alpha - y_i - u_i and chain row i
+        y_i - y_{i-1} - D_i x, so y_i <= F_i x. Whatever y the solver picks,
+        (alpha, x, u) is then feasible in the plain form, and y = F x
+        attains every plain point, so both forms have the same optimum."""
         n_s, n_l = self.n_scenarios, self.n_legs
+        chain = self.chain
+        n_y = 0 if chain is None else n_s
         cost = sparse.csr_matrix(
             (self.prices, (np.zeros(n_l, dtype=int), 1 + np.arange(n_l))),
-            shape=(1, self.n_variables),
+            shape=(1, self.n_variables + n_y),
         )
-        hinge = sparse.hstack(
-            [
-                sparse.csr_matrix(-np.ones((n_s, 1))),
-                sparse.csr_matrix(-self.payoffs),
-                -sparse.eye(n_s, format="csr"),
-            ],
-            format="csr",
-        )
-        blocks = [cost, hinge]
+        hinge = [
+            sparse.csr_matrix(-np.ones((n_s, 1))),
+            sparse.csr_matrix(-self.payoffs) if chain is None else sparse.csr_matrix((n_s, n_l)),
+            -sparse.eye(n_s, format="csr"),
+        ]
+        if chain is not None:
+            hinge.append(-sparse.eye(n_s, format="csr"))
+        blocks = [cost, sparse.hstack(hinge, format="csr")]
+        if chain is not None:
+            shift = sparse.eye(n_s, format="csr") - sparse.eye(n_s, k=-1, format="csr")
+            blocks.append(
+                sparse.hstack(
+                    [sparse.csr_matrix((n_s, 1)), -chain, sparse.csr_matrix((n_s, n_s)), shift],
+                    format="csr",
+                )
+            )
         if self.kind == "max_expected":
-            es_row = np.concatenate([[1.0], np.zeros(n_l), self.weights / self.level.p])
+            es_row = np.concatenate(
+                [[1.0], np.zeros(n_l), self.weights / self.level.p, np.zeros(n_y)]
+            )
             blocks.append(sparse.csr_matrix(es_row[None, :]))
         return sparse.vstack(blocks, format="csr")
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        extra = 1 if self.kind == "max_expected" else 0
-        return np.zeros(1 + self.n_scenarios + extra)
+        return np.zeros(self.constraint_matrix.shape[0])
 
     @cached_property
     def lower_bounds(self) -> np.ndarray:
@@ -198,16 +245,23 @@ def _merged_rows(market: MarketSnapshot):
     The order comes from `lex_order` on the payoff columns from the first
     one that varies, stacked as key rows (a constant column never breaks a
     tie, and leading constant ones would make every row tie on the first
-    key); runs of equal rows are found from the same keys."""
+    key). A run of equal rows ends where a sorted row differs from the one
+    before it: on the first key, or else on any other key, compared for
+    one block of adjacent sorted rows (at most _MERGE_BLOCK gathered
+    entries) at a time, and only in blocks where the first key ties."""
     payoffs = [leg.payoff for leg in market.legs]
     first = next((j for j, f in enumerate(payoffs) if (f != f[0]).any()), 0)
     keys = np.stack(payoffs[first:])  # every column when none varies: one run
     order = lex_order(keys)
-    new_run = np.zeros(len(order) - 1, dtype=bool)
-    for key in keys:
-        s = key[order]
-        new_run |= s[1:] != s[:-1]
-    starts = np.flatnonzero(np.concatenate([[True], new_run]))
+    s = keys[0, order]
+    new_run = np.concatenate([[True], s[1:] != s[:-1]])
+    step = max(1, _MERGE_BLOCK // len(keys))
+    for start in range(1, len(order), step):
+        stop = start + step
+        if not new_run[start:stop].all():
+            block = np.take(keys[1:], order[start - 1 : stop], axis=1)
+            new_run[start:stop] |= np.logical_or.reduce(block[:, 1:] != block[:, :-1], axis=0)
+    starts = np.flatnonzero(new_run)
     merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
     keep = merged_w > 0
     return order[starts[keep]], merged_w[keep]
@@ -326,11 +380,21 @@ def _linprog_highs(c, A_ub, b_ub, bounds, **equalities):
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
-    bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
-    res = _linprog_highs(problem.objective, problem.constraint_matrix, problem.rhs, bounds)
+    """HiGHS on `constraint_matrix`; the chain form's y columns are free,
+    cost nothing, and are dropped from the answer."""
+    n_v = problem.n_variables
+    n_y = problem.constraint_matrix.shape[1] - n_v
+    bounds = np.column_stack(
+        [
+            np.append(problem.lower_bounds, np.full(n_y, -math.inf)),
+            np.append(problem.upper_bounds, np.full(n_y, math.inf)),
+        ]
+    )
+    c = np.append(problem.objective, np.zeros(n_y))
+    res = _linprog_highs(c, problem.constraint_matrix, problem.rhs, bounds)
     if res.status != 0:
         raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
-    return LpSolution(float(res.fun), res.x, "highs")
+    return LpSolution(float(res.fun), res.x[:n_v], "highs")
 
 
 def _solve_cuts(problem: LpProblem) -> LpSolution | None:
@@ -395,8 +459,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     while each cut sorts only the scenarios in the ES tail, and a
     confirmation LP from `_confirmation_lp` starts from the cuts its
     detection LP found. Sparse HiGHS takes everything else, and also
-    answers when the cutting planes fail. Every solution passes
-    `_check_residuals` or raises SolverError.
+    answers when the cutting planes fail; it solves the chain form of
+    `constraint_matrix` when that form has at most half the plain form's
+    nonzeros. Every solution passes `_check_residuals`, which reads the
+    dense payoffs, or raises SolverError.
     """
     solution = None
     if problem.n_legs <= _CUT_LEGS and problem.n_scenarios >= _CUT_SCENARIOS:
@@ -483,22 +549,42 @@ def _threshold_density(problem: LpProblem) -> np.ndarray | None:
     non-positive cost at <= 0, so it certifies ES >= 0 there; by LP duality
     the least ES at non-positive cost is strictly negative exactly when
     p > 1/t*.
+
+    With the problem's `chain` D, the pricing rows read D^T r with free
+    r_i = sum_{k >= i} w_k q_k, set by the equalities r_i - r_{i+1} = w_i q_i
+    (r_{n_s} = 0): F^T (w q) = D^T r, with one nonzero per row change in
+    place of the dense block. `_check_density` still checks q against F.
     """
     F, w, prices = problem.payoffs, problem.weights, problem.prices
-    n_s = problem.n_scenarios
+    n_s, n_l = problem.n_scenarios, problem.n_legs
     net = problem.shorts >= 0
-    pricing = sparse.hstack(
-        [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((problem.n_legs, 1))],
-        format="csr",
-    )
-    cap = sparse.hstack([sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))])
+    chain = problem.chain
+    n_r = 0 if chain is None else n_s
+    pricing = [
+        sparse.csr_matrix(F.T * w) if chain is None else sparse.csr_matrix((n_l, n_s)),
+        -prices[:, None],
+        sparse.csr_matrix((n_l, 1)),
+    ]
+    cap = [sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))]
+    equalities = []
+    if chain is not None:
+        pricing.append(chain.T)
+        cap.append(sparse.csr_matrix((n_s, n_s)))
+        shift = sparse.eye(n_s, format="csr") - sparse.eye(n_s, k=1, format="csr")
+        equalities.append(
+            sparse.hstack([-sparse.diags(w, format="csr"), sparse.csr_matrix((n_s, 2)), shift])
+        )
+    pricing = sparse.hstack(pricing, format="csr")
     res = _linprog_highs(
-        np.concatenate([np.zeros(n_s + 1), [1.0]]),
-        sparse.vstack([cap, pricing[~net]], format="csr"),
+        np.concatenate([np.zeros(n_s + 1), [1.0], np.zeros(n_r)]),
+        sparse.vstack([sparse.hstack(cap), pricing[~net]], format="csr"),
         np.zeros(n_s + int((~net).sum())),
-        [(0.0, None)] * (n_s + 1) + [(None, None)],
-        A_eq=sparse.vstack([pricing[net], np.concatenate([w, [0.0, 0.0]])[None, :]], format="csr"),
-        b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0]]),
+        [(0.0, None)] * (n_s + 1) + [(None, None)] * (1 + n_r),
+        A_eq=sparse.vstack(
+            [pricing[net], np.concatenate([w, [0.0, 0.0], np.zeros(n_r)])[None, :], *equalities],
+            format="csr",
+        ),
+        b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0], np.zeros(n_r)]),
     )
     if res.status == 2:
         return None

@@ -1,0 +1,301 @@
+"""The chain form of the HiGHS LPs against the plain assembly.
+
+On sorted digital and step payoffs, consecutive merged rows differ in a
+few entries, and `LpProblem.chain` holds those differences. The detection,
+confirmation and threshold LPs then carry free chain variables in place of
+the dense payoff block. Here the chain LPs are compared with the plain
+assembly kept below, and the markets that stay plain are checked to hand
+HiGHS that assembly byte for byte.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esarb import MarketSnapshot, ScenarioSet, TradableLeg
+from esarb import detector
+from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
+from esarb.detector import (
+    SolverError,
+    _check_density,
+    _check_residuals,
+    _confirmation_lp,
+    _linprog_highs,
+    _solve_highs,
+    _threshold_density,
+    arbitrage_epsilon,
+    build_lp,
+    detect,
+    min_p,
+)
+
+from test_detector import _two_asset_markowitz
+
+
+# ------------------------------------------------------- the plain assembly
+
+
+def _plain_constraint_matrix(lp):
+    """Rows (cost, hinge, ES for "max_expected") with the dense payoff block."""
+    n_s, n_l = lp.n_scenarios, lp.n_legs
+    cost = sparse.csr_matrix(
+        (lp.prices, (np.zeros(n_l, dtype=int), 1 + np.arange(n_l))),
+        shape=(1, lp.n_variables),
+    )
+    hinge = sparse.hstack(
+        [
+            sparse.csr_matrix(-np.ones((n_s, 1))),
+            sparse.csr_matrix(-lp.payoffs),
+            -sparse.eye(n_s, format="csr"),
+        ],
+        format="csr",
+    )
+    blocks = [cost, hinge]
+    if lp.kind == "max_expected":
+        es_row = np.concatenate([[1.0], np.zeros(n_l), lp.weights / lp.level.p])
+        blocks.append(sparse.csr_matrix(es_row[None, :]))
+    return sparse.vstack(blocks, format="csr")
+
+
+def _plain_highs_args(lp):
+    """The arguments `_solve_highs` handed HiGHS with the plain assembly."""
+    A = _plain_constraint_matrix(lp)
+    bounds = np.column_stack([lp.lower_bounds, lp.upper_bounds])
+    return (lp.objective, A, np.zeros(A.shape[0]), bounds), {}
+
+
+def _plain_threshold_args(lp):
+    """The threshold LP over (q, lam, t) with the dense pricing rows."""
+    F, w, prices = lp.payoffs, lp.weights, lp.prices
+    n_s = lp.n_scenarios
+    net = lp.shorts >= 0
+    pricing = sparse.hstack(
+        [sparse.csr_matrix(F.T * w), -prices[:, None], sparse.csr_matrix((lp.n_legs, 1))],
+        format="csr",
+    )
+    cap = sparse.hstack([sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))])
+    args = (
+        np.concatenate([np.zeros(n_s + 1), [1.0]]),
+        sparse.vstack([cap, pricing[~net]], format="csr"),
+        np.zeros(n_s + int((~net).sum())),
+        [(0.0, None)] * (n_s + 1) + [(None, None)],
+    )
+    kwargs = dict(
+        A_eq=sparse.vstack([pricing[net], np.concatenate([w, [0.0, 0.0]])[None, :]], format="csr"),
+        b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0]]),
+    )
+    return args, kwargs
+
+
+def _plain_value(lp):
+    """Optimal value of the plain LP, its answer certified."""
+    args, kwargs = _plain_highs_args(lp)
+    res = _linprog_highs(*args, **kwargs)
+    assert res.status == 0, res.message
+    _check_residuals(lp, res.x)
+    return float(res.fun)
+
+
+def _plain_p0(lp):
+    """1 / max q* from the plain threshold LP (certified), or None when no
+    pricing density exists."""
+    args, kwargs = _plain_threshold_args(lp)
+    res = _linprog_highs(*args, **kwargs)
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    q = res.x[: lp.n_scenarios]
+    _check_density(lp, q, float(res.x[lp.n_scenarios]))
+    return 1.0 / float(q.max())
+
+
+def _plain_nnz(lp):
+    return _plain_constraint_matrix(lp).nnz
+
+
+# ------------------------------------------------------------------ markets
+
+
+def _ladder_market(rng):
+    """Digital ladder over 40-70 cells with 1-3 scenarios per cell (duplicate
+    rows), some zero weights, a bond pair, netted digital pairs, 1-ulp near
+    pairs (bid one ulp under the ask) and single long digitals, priced by a
+    random density; in half the markets a tenth of the legs are marked up
+    or down."""
+    n_cells = int(rng.integers(40, 71))
+    per_cell = rng.integers(1, 4, n_cells)
+    edges = np.sort(rng.uniform(0.0, 1.0, n_cells - 1))
+    cell = np.repeat(np.arange(n_cells), per_cell)
+    points = np.concatenate([[0.0], edges])[cell] + 1e-9 * (1 + np.arange(cell.size))
+    weights = rng.random(cell.size) + 0.05
+    weights[rng.random(cell.size) < 0.1] = 0.0
+    weights /= weights.sum()
+    q = rng.uniform(0.2, 3.0, cell.size)
+    q /= weights @ q
+    scale = float(rng.choice([1.0, 100.0]))
+    markup = float(rng.choice([0.0, 0.1]))  # share of legs priced off the density
+    legs = [TradableLeg("bond", scale, np.full(cell.size, scale)),
+            TradableLeg("-bond", -scale, np.full(cell.size, -scale))]
+    for k in range(n_cells - 1):
+        pay = scale * (cell <= k).astype(float)
+        price = float(weights @ (q * pay))
+        if rng.random() < markup:
+            price *= float(rng.uniform(0.5, 1.5))
+        kind = rng.random()
+        legs.append(TradableLeg(f"d{k}", price, pay))
+        if kind < 0.6:
+            legs.append(TradableLeg(f"-d{k}", -price, -pay))
+        elif kind < 0.8:
+            legs.append(TradableLeg(f"-d{k}", -np.nextafter(price, 0.0), -pay))
+    scen = ScenarioSet(points, weights)
+    return MarketSnapshot(scen, tuple(legs), spot=scale, upper_bound=float(rng.choice([1.0, 3.0])))
+
+
+def _step_market(rng):
+    """Criterion 5's construction on a random nonincreasing step density of
+    40-70 cells."""
+    n_cells = int(rng.integers(40, 71))
+    grid = np.concatenate([np.sort(rng.uniform(0.0, 1.0, n_cells - 1)), [1.0]])
+    values = np.sort(rng.uniform(0.1, 4.0, n_cells))[::-1]
+    values /= values @ np.diff(grid, prepend=0.0)
+    return density_market(CompleteMarketDensity("step", grid, values))
+
+
+def _solved(solve):
+    """The solve's result, or the SolverError it raised."""
+    try:
+        return solve()
+    except SolverError as err:
+        return err
+
+
+def _pl_market():
+    """A 200-scenario x 54-leg piecewise-linear quadrature market."""
+    from esarb.market import expand_quotes
+    from esarb.models import LognormalMixture, default_pl_grid, pl_quadrature, synthesize_chain
+
+    spot, rate, maturity = 100.0, 0.02, 1.0
+
+    def mixture(weights, forwards, sds):
+        sds = np.asarray(sds)
+        return LognormalMixture(
+            np.asarray(weights), np.log(forwards) - 0.5 * sds**2, sds, spot, rate, maturity
+        )
+
+    fwd = spot * math.exp(rate * maturity)
+    pricing = mixture((0.6, 0.4), (0.95 * fwd, (fwd - 0.6 * 0.95 * fwd) / 0.4), (0.15, 0.35))
+    strikes = np.arange(70.0, 131.0, 5.0)
+    chain = synthesize_chain(pricing, strikes, rel_spread=0.02)
+    model = mixture((0.2, 0.8), (70.0, 108.0), (0.3, 0.15))
+    scen = pl_quadrature(model, default_pl_grid(model, strikes))
+    return MarketSnapshot(scen, tuple(expand_quotes(chain, scen, spot, rate, maturity)),
+                          spot, rate, maturity)
+
+
+def _quick_start_market():
+    """The README quick start's market."""
+    rng = np.random.default_rng(0)
+    draws = np.sort(1.25 + 0.1 * rng.standard_normal(5000))
+    scen = ScenarioSet(draws, np.full(5000, 1.0 / 5000))
+    legs = (
+        TradableLeg("asset", 1.0, draws.copy()),
+        TradableLeg("short cash", -1.0, -np.ones(5000)),
+    )
+    return MarketSnapshot(scen, legs, spot=1.0)
+
+
+# -------------------------------------------------------------------- tests
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.booleans())
+def test_chain_matches_plain_reference(seed, steps):
+    rng = np.random.default_rng(seed)
+    market = _step_market(rng) if steps else _ladder_market(rng)
+    p = float(rng.uniform(0.02, 0.9))
+    prob = build_lp(market, p)
+    assert prob.chain is not None
+    assert 2 * prob.constraint_matrix.nnz <= _plain_nnz(prob)
+    payoff_scale = 1.0 + float(np.abs(prob.payoffs).max()) * prob.upper_bound
+    values = {}
+    for lp in (prob, _confirmation_lp(prob)):
+        ref = _plain_value(lp)
+        got = _solved(lambda: _solve_highs(lp))
+        if isinstance(got, SolverError):  # never a wrong answer, but no answer
+            continue
+        _check_residuals(lp, got.x)
+        assert got.x.shape == (lp.n_variables,)
+        assert abs(got.optimal_value - ref) <= 1e-9 * payoff_scale
+        values[lp.kind] = ref
+    if len(values) == 2:
+        eps = arbitrage_epsilon(market)
+        ref_arbitrage = values["min_es"] < -eps or -values["max_expected"] > eps
+        assert detect(market, p).arbitrage == ref_arbitrage
+    ref_p0 = _plain_p0(prob)
+    q = _solved(lambda: _threshold_density(prob))
+    if isinstance(q, SolverError):
+        return
+    assert (q is None) == (ref_p0 is None)
+    if q is not None:
+        assert abs(1.0 / float(q.max()) - ref_p0) <= 1e-12 * ref_p0
+    if steps:  # complete markets: p* = 1 / sup q exactly
+        res = _solved(lambda: min_p(market, bracket=(1e-4, 0.99)))
+        if not isinstance(res, SolverError) and ref_p0 < 0.99:
+            assert res.status == "found"
+            assert abs(res.p_star - ref_p0) <= 1e-12 * ref_p0
+
+
+def test_chain_form_on_the_512_cell_market():
+    # each sorted row of the digital ladder differs from the one before in
+    # one entry: 3585 constraint nonzeros in place of 133377
+    market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
+    prob = build_lp(market, 1e-4)
+    assert prob.chain is not None and prob.chain.nnz == 513
+    assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
+    conf = _confirmation_lp(prob)
+    assert abs(_solve_highs(conf).optimal_value - _plain_value(conf)) <= 1e-9
+    q = _threshold_density(prob)
+    assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
+
+
+@pytest.mark.parametrize("name", ["pl", "quick start", "markowitz"])
+def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
+    # the chain would not halve the nonzeros here (6255 vs 6028, 30002 vs
+    # 20002, 3505 vs 3004), so HiGHS must see the plain LP, bit for bit
+    market = {"pl": _pl_market, "quick start": _quick_start_market,
+              "markowitz": lambda: _two_asset_markowitz(500)}[name]()
+    prob = build_lp(market, 0.05)
+    assert prob.chain is None
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _linprog_highs(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "_linprog_highs", recorded)
+    for lp, solve, reference in (
+        (prob, _solve_highs, _plain_highs_args),
+        (_confirmation_lp(prob), _solve_highs, _plain_highs_args),
+        (prob, _threshold_density, _plain_threshold_args),
+    ):
+        calls.clear()
+        solve(lp)
+        (args, kwargs), (ref_args, ref_kwargs) = calls[0], reference(lp)
+        assert len(args) == len(ref_args) and sorted(kwargs) == sorted(ref_kwargs)
+        for got, want in zip(args + tuple(kwargs.values()),
+                             ref_args + tuple(ref_kwargs[k] for k in kwargs)):
+            if isinstance(want, list):  # the threshold LP's bounds
+                assert got == want
+            elif sparse.issparse(want):
+                assert got.format == want.format == "csr" and got.shape == want.shape
+                for attr in ("data", "indices", "indptr"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            else:
+                a, b = np.asarray(got), np.asarray(want)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()

@@ -238,6 +238,20 @@ def test_merge_matches_lexsort_reference(kind):
     assert len(w) == expected
 
 
+@pytest.mark.parametrize("block", [1, 300])
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant"])
+def test_merge_runs_found_across_row_blocks(monkeypatch, kind, block):
+    # runs are found one block of sorted rows at a time; a run that
+    # straddles a block boundary (every run of the doubled digital market,
+    # with blocks of 2 rows) stays one run
+    monkeypatch.setattr(detector, "_MERGE_BLOCK", block)
+    market = _merge_market(kind)
+    rows, w = _merged_payoffs(market)
+    ref_rows, ref_w = _lexsort_merge(market)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "pairs"])
 def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
     # the LP block gathered from the legs is the one cut from the merged
