@@ -20,6 +20,8 @@ from scipy.special import ndtr, ndtri
 from .market import MarketSnapshot, ScenarioSet, TradableLeg, _as_readonly
 from .risk import RiskLevel, as_level
 
+_MC_BLOCK = 1 << 16  # uniforms drawn and binned per step in density_market_mc
+
 
 def normal_tail_factor(level: RiskLevel | float) -> float:
     """E(p) = phi(Phi^-1(p)) / p, the ES of a standard normal at level p."""
@@ -399,12 +401,21 @@ def density_market_mc(
     are binned to threshold cells up front (weight = empirical frequency,
     point = cell midpoint). This is the same collapse the LP would perform
     on identical payoff rows, paid once instead of per detect call, which
-    keeps multi-million draw counts cheap."""
+    keeps multi-million draw counts cheap.
+
+    The draws are made and binned in fixed blocks of _MC_BLOCK uniforms
+    reusing one buffer, so memory does not grow with n_draws. The generator
+    fills doubles in stream order and the counts are sums over draws, so
+    the result is the one a single rng.random(n_draws) would give."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     thr = _cell_thresholds(density)  # strictly increasing, as the density grid is
     edges = np.concatenate([[0.0], thr[(thr > 0.0) & (thr < 1.0)], [1.0]])
-    counts, _ = np.histogram(rng.random(n_draws), bins=edges)
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    block = np.empty(min(n_draws, _MC_BLOCK))
+    for start in range(0, n_draws, _MC_BLOCK):
+        draws = rng.random(out=block[: min(_MC_BLOCK, n_draws - start)])
+        counts += np.histogram(draws, bins=edges)[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     scen = ScenarioSet(mids[keep], counts[keep] / n_draws)

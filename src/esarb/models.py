@@ -109,6 +109,7 @@ class LognormalMixture:
         return self.call_value(strike) - self.mean() + strike
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        _require_draws(n)
         idx = rng.choice(self.weights.size, size=n, p=self.weights)
         z = rng.standard_normal(n)
         return np.exp(self.log_means[idx] + self.log_sds[idx] * z)
@@ -231,6 +232,7 @@ class GarchModel:
 
     def simulate_returns(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """One path of n consecutive log returns starting at init_var."""
+        _require_draws(n)
         z = rng.standard_normal(n)
         out = np.empty(n)
         var = self.init_var
@@ -244,6 +246,7 @@ class GarchModel:
         """n independent terminal prices spot * exp(sum of steps log returns)."""
         if spot <= 0:
             raise ValueError("spot must be positive")
+        _require_draws(n)
         z = rng.standard_normal((n, self.steps))
         var = np.full(n, self.init_var)
         log_total = np.zeros(n)
@@ -252,6 +255,11 @@ class GarchModel:
             log_total += self.drift + eps
             var = self.omega + self.arch * eps**2 + self.garch_coef * var
         return spot * np.exp(log_total)
+
+
+def _require_draws(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def mc_quadrature(
@@ -263,8 +271,7 @@ def mc_quadrature(
     """n equal-weight i.i.d. terminal draws; duplicates merge. Deterministic
     given the seed. GARCH models carry no price level, so spot is required
     for them (mixtures embed their own)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_draws(n)
     rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "mc-quadrature")
     if isinstance(model, GarchModel):
         if spot is None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from esarb.analytic import (
     normal_es,
     step_candidate,
 )
+
+from conftest import run_with_one_blas_thread
 
 CAPPED = CompleteMarketDensity("step", [1.0 / 3.0, 1.0], [2.0, 0.5])
 
@@ -389,12 +392,56 @@ def _unique_binned_mc(density, n_draws, rng):
     ids=["bs512", "step"],
 )
 def test_density_market_mc_matches_unique_binning(density):
-    for seed in (0, 7):
-        market = density_market_mc(density, 100_000, np.random.default_rng(seed))
-        points, weights, prices = _unique_binned_mc(density, 100_000, np.random.default_rng(seed))
-        assert np.array_equal(market.scenarios.points, points)
-        assert np.array_equal(market.scenarios.weights, weights)
-        assert np.array_equal(market.prices(), prices)
+    # the draws are binned in blocks of 65536: one draw, both sides of a
+    # block edge and many blocks must give the one-shot reference's bytes
+    for n in (1, 65535, 65536, 65537, 100_000, 3_000_000):
+        for seed in (0, 7):
+            market = density_market_mc(density, n, np.random.default_rng(seed))
+            points, weights, prices = _unique_binned_mc(density, n, np.random.default_rng(seed))
+            assert np.array_equal(market.scenarios.points, points)
+            assert np.array_equal(market.scenarios.weights, weights)
+            assert np.array_equal(market.prices(), prices)
+
+
+def test_criterion_10_output_bytes_pinned(tmp_path):
+    # SHA-256 of both output files of acceptance criterion 10's CLI run,
+    # recorded with the draws made in one array: any drift in the Monte
+    # Carlo stream or its binning changes these bytes
+    code = "\n".join([
+        "import hashlib",
+        "from esarb import cli, io",
+        "from test_analytic import CAPPED",
+        f"folder = {str(tmp_path)!r}",
+        "io.write_density(folder + '/capped.csv', CAPPED)",
+        "for k in range(2):",
+        "    out = f'{folder}/run{k}.json'",
+        "    rc = cli.main(['min-p', '--density', folder + '/capped.csv', '--quadrature', 'mc',",
+        "                   '--n', '3000000', '--seed', '0', '--two-run',",
+        "                   '--bracket', '1e-4,0.7', '--tol', '1e-4', '--out', out])",
+        "    print(rc, hashlib.sha256(open(out, 'rb').read()).hexdigest())",
+    ])
+    pinned = "f0a8ff2d99f4dee2be20c030349b9158f2b31e8ee48face8b757e9ba8a82f7c0"
+    assert run_with_one_blas_thread(code).split() == ["3", pinned, "3", pinned]
+
+
+def _mc_peak_bytes(density, n_draws):
+    density_market_mc(density, 10, np.random.default_rng(0))  # load lazily imported code
+    tracemalloc.start()
+    try:
+        density_market_mc(density, n_draws, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_density_market_mc_peak_memory_does_not_grow_with_draws():
+    # drawn in one array, 3e6 uniforms peaked at 25 MB; binned block by
+    # block, the peak is the block buffer plus the cells and legs
+    bs512 = bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)
+    assert _mc_peak_bytes(CAPPED, 3_000_000) < 2e6
+    for density in (CAPPED, bs512):
+        assert abs(_mc_peak_bytes(density, 3_000_000) - _mc_peak_bytes(density, 100_000)) < 0.5e6
 
 
 def test_density_market_mc_detects_like_exact():

@@ -427,6 +427,12 @@ def _malformed_case(work, tmp_path, case):
         write_json(str(bad), {"weights": {"a": 1}, "log_means": [4.6], "log_sds": [0.2],
                               "spot": 100.0, "rate": 0.02, "maturity_years": 1.0})
         return ["simulate", "--model", str(bad), "--n", "10"]
+    if case == "zero draws":
+        return ["simulate", "--model", work["mixture"], "--n", "0"]
+    if case == "negative draws":
+        write_json(str(bad), garch_to_dict(GarchModel(omega=1e-6, arch=0.05, garch_coef=0.9,
+                                                      steps=1, init_var=2e-5)))
+        return ["simulate", "--model", str(bad), "--n", "-3"]
     if case == "null rf":
         write_json(str(bad), {"mu": [0.4], "sigma": [[0.01]], "c": [0.1], "rf": None})
         return ["analytic", "markowitz", "--model", str(bad), "--p", "0.01"]
@@ -447,6 +453,8 @@ class TestMalformedInputs:
         "scenarios with a quadrature",
         "object in mu",
         "object in weights",
+        "zero draws",
+        "negative draws",
     ])
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1
