@@ -245,13 +245,20 @@ def _merged_rows(market: MarketSnapshot):
     The order comes from `lex_order` on the payoff columns from the first
     one that varies, stacked as key rows (a constant column never breaks a
     tie, and leading constant ones would make every row tie on the first
-    key). A run of equal rows ends where a sorted row differs from the one
-    before it: on the first key, or else on any other key, compared for
-    one block of adjacent sorted rows (at most _MERGE_BLOCK gathered
-    entries) at a time, and only in blocks where the first key ties."""
+    key). A column that is the exact negation of the key kept before it
+    (a short leg after its long one) never breaks a tie either, so it is
+    not stacked. A run of equal rows ends where a sorted row differs from
+    the one before it: on the first key, or else on any other key,
+    compared for one block of adjacent sorted rows (at most _MERGE_BLOCK
+    gathered entries) at a time, and only in blocks where the first key
+    ties."""
     payoffs = [leg.payoff for leg in market.legs]
     first = next((j for j, f in enumerate(payoffs) if (f != f[0]).any()), 0)
-    keys = np.stack(payoffs[first:])  # every column when none varies: one run
+    kept = [payoffs[first]]  # column 0 when none varies: one run
+    for f in payoffs[first + 1 :]:
+        if (f != -kept[-1]).any():
+            kept.append(f)
+    keys = np.stack(kept)
     order = lex_order(keys)
     s = keys[0, order]
     new_run = np.concatenate([[True], s[1:] != s[:-1]])

@@ -7,9 +7,9 @@ piecewise-linear-exact rule whose weights integrate every payoff that is
 linear between (and beyond) the grid points.
 
 The normal cdf and quantile are the `scipy.special` kernels `ndtr` and
-`ndtri`, the ones `scipy.stats.norm` calls, so importing this module loads
-neither `scipy.stats` nor `scipy.signal` (`fit_garch` imports `lfilter` when
-it runs).
+`ndtri`, the ones `scipy.stats.norm` calls, and `fit_garch` runs its
+variance recursion as a numpy scan, so neither importing nor running this
+module loads `scipy.stats` or `scipy.signal`.
 """
 
 from __future__ import annotations
@@ -407,6 +407,25 @@ def calibrate_mixture(
     return fit
 
 
+def _first_order_scan(first: float, x: np.ndarray, beta: float) -> np.ndarray:
+    """y[0] = first, y[t] = x[t-1] + beta y[t-1], for 0 <= beta < 1.
+
+    A doubling (Hillis-Steele) scan: the pass with shift s adds beta^s
+    times the series shifted by s, after which y[t] sums beta^k x[t-1-k]
+    (and beta^t first) over k < 2s. That is at most ceil(log2 n)
+    vectorized passes, ending early once beta^s underflows to 0. The sums
+    group their terms in tree order, not one by one, so the bits differ
+    from the sequential recursion's; on nonnegative terms the two agree to
+    about 1e-14 relative.
+    """
+    y = np.concatenate([[first], x])
+    a, s = beta, 1
+    while s < y.size and a > 0.0:
+        y[s:] += a * y[:-s]
+        a, s = a * a, 2 * s
+    return y
+
+
 @dataclass(frozen=True)
 class GarchFit:
     model: GarchModel
@@ -423,10 +442,10 @@ def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
     search runs over (ln omega, arch, garch) by Nelder-Mead from six seeded
     starts with out-of-range parameters clipped and distance-penalized.
     The fitted model's init_var is the one-step-ahead forecast, ready for
-    simulation from the end of the sample.
+    simulation from the end of the sample. The variance recursion
+    sig_t^2 = omega + arch eps_{t-1}^2 + garch sig_{t-1}^2 runs as the
+    doubling scan `_first_order_scan`.
     """
-    from scipy.signal import lfilter  # scipy.signal loads scipy.stats: keep it off import
-
     r = np.asarray(returns, dtype=float).ravel()
     if r.size < 250:
         raise ValueError("too few observations")
@@ -441,9 +460,7 @@ def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
     n = r.size
 
     def sigma2_series(omega, alpha, beta):
-        x = omega + alpha * eps2[:-1]
-        rest = lfilter([1.0], [1.0, -beta], x, zi=np.array([beta * var0]))[0]
-        return np.concatenate([[var0], rest])
+        return _first_order_scan(var0, omega + alpha * eps2[:-1], beta)
 
     lo = np.array([-60.0, 0.0, 0.0])
     hi = np.array([60.0, 1.0 - 1e-6, 1.0 - 1e-6])

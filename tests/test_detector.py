@@ -214,9 +214,38 @@ def _doubled(market):
     return MarketSnapshot(twice, legs, spot=market.spot)
 
 
+def _negated_pairs_market():
+    """Legs on few values, zeros of both signs among them, after a constant
+    leg: each long leg is followed by its negation with the zeros' signs
+    flipped at random, then by one of: another such negation, a negation
+    that differs in one entry, or the long leg again."""
+    rng = np.random.default_rng(5)
+    n_s = 300
+    weights = rng.random(n_s)
+    weights[rng.random(n_s) < 0.1] = 0.0
+    scen = ScenarioSet(np.arange(n_s, dtype=float), weights / weights.sum())
+
+    def negation(f):
+        neg = -f
+        zeros = neg == 0.0
+        neg[zeros] = rng.choice(np.array([-0.0, 0.0]), size=int(zeros.sum()))
+        return neg
+
+    cols = [np.ones(n_s)]
+    for k in range(3):  # 27 distinct rows, and one more from the near negation
+        f = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=n_s)
+        near = -f
+        near[7] += 2.0
+        cols += [f, negation(f), [negation(f), near, -negation(f)][k]]
+    legs = tuple(TradableLeg(f"c{j}", 0.0, col) for j, col in enumerate(cols))
+    return MarketSnapshot(scen, legs, spot=1.0)
+
+
 def _merge_market(kind):
     if kind == "markowitz":  # constant cash columns first, then negated legs
         return _two_asset_markowitz(3000)
+    if kind == "negated":  # key columns that negate the key before them
+        return _negated_pairs_market()
     if kind == "digital":  # 0/1 columns: every key column is one long tie run
         return _doubled(density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=64)))
     if kind == "pairs":
@@ -226,7 +255,7 @@ def _merge_market(kind):
     return MarketSnapshot(scen, cash, spot=1.0)
 
 
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant"])
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "negated"])
 def test_merge_matches_lexsort_reference(kind):
     market = _merge_market(kind)
     rows, w = _merged_payoffs(market)
@@ -234,12 +263,12 @@ def test_merge_matches_lexsort_reference(kind):
     assert rows.shape == ref_rows.shape
     assert rows.tobytes() == ref_rows.tobytes()
     assert w.tobytes() == ref_w.tobytes()
-    expected = {"markowitz": 3000, "digital": 64, "constant": 1}[kind]
+    expected = {"markowitz": 3000, "digital": 64, "constant": 1, "negated": 28}[kind]
     assert len(w) == expected
 
 
 @pytest.mark.parametrize("block", [1, 300])
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant"])
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "negated"])
 def test_merge_runs_found_across_row_blocks(monkeypatch, kind, block):
     # runs are found one block of sorted rows at a time; a run that
     # straddles a block boundary (every run of the doubled digital market,
@@ -252,7 +281,23 @@ def test_merge_runs_found_across_row_blocks(monkeypatch, kind, block):
     assert w.tobytes() == ref_w.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "pairs"])
+def test_merge_peak_memory_on_512_cell_market_stays_below_1_5_matrices():
+    # the 1022 key columns of the digital market's 511 long/short pairs
+    # peaked at 2.68 matrices; keying on the long legs alone, at 1.35
+    market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=512))
+    matrix_bytes = market.payoff_matrix().nbytes
+    assert market.payoff_matrix().shape == (512, 1024)
+    _merged_rows(market)
+    tracemalloc.start()
+    try:
+        _merged_rows(market)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes
+
+
+@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "pairs", "negated"])
 def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
     # the LP block gathered from the legs is the one cut from the merged
     # matrix, layout included: BLAS sums in an order the strides set

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is used somewhere in the package, and no
+module imports `scipy.stats` or `scipy.signal`.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: an imported name that is never referenced afterwards is dead.
@@ -7,6 +8,8 @@ syntax tree: an imported name that is never referenced afterwards is dead.
 and `from __future__` imports are compiler directives, not names. A
 private (single-underscore) function, class or constant defined at module
 level that no module of the package references is dead code too.
+`scipy.signal` loads `scipy.stats`, and the two cost about 26 MB of
+resident memory and 0.6 s on first import; the package needs neither.
 """
 
 import ast
@@ -103,3 +106,49 @@ def test_checker_flags_dead_private_code():
         "b.py": "from .a import _helper\nprint(_helper())\n",
     }
     assert _dead_private_names(sources) == ["a.py: _UNUSED", "a.py: _dead", "a.py: _Gone"]
+
+
+_HEAVY = ("scipy.stats", "scipy.signal")
+
+
+def _heavy_imports(source: str) -> list[str]:
+    """Imports of scipy.stats or scipy.signal or anything in them, at any
+    depth: `import scipy.stats`, `from scipy.signal import x`, `from scipy
+    import stats`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in modules
+            if any(name == heavy or name.startswith(heavy + ".") for heavy in _HEAVY)
+        ]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stats_or_signal_imports(module):
+    assert _heavy_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_stats_and_signal_imports():
+    source = (
+        "import scipy.stats\n"
+        "from scipy.special import ndtr\n"
+        "from scipy import optimize, signal\n"
+        "def f():\n"
+        "    from scipy.stats.qmc import Sobol\n"
+        "    import scipy.signal as sig\n"
+        "from .stats import x\n"
+    )
+    assert _heavy_imports(source) == [
+        "line 1: scipy.stats",
+        "line 3: scipy.signal",
+        "line 5: scipy.stats.qmc.Sobol",
+        "line 6: scipy.signal",
+    ]

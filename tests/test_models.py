@@ -9,6 +9,7 @@ from esarb.models import (
     CalibrationError,
     GarchModel,
     LognormalMixture,
+    _first_order_scan,
     calibrate_mixture,
     default_pl_grid,
     fit_garch,
@@ -17,6 +18,7 @@ from esarb.models import (
     pl_quadrature,
     synthesize_chain,
 )
+from esarb.seeding import substream
 
 
 def make_mixture(w1=0.6, s1=0.15, s2=0.35, spot=100.0, rate=0.02,
@@ -364,6 +366,50 @@ class TestFitGarch:
         rets[5] = np.nan
         with pytest.raises(ValueError):
             fit_garch(rets)
+
+    # (omega, arch, garch_coef, loglik) fitted by the sequential recursion
+    # (scipy.signal.lfilter) before the scan replaced it
+    @pytest.mark.parametrize("series, seed, want", [
+        ("criterion 7", 3,
+         (2.384198150838183e-06, 0.08382481450447911, 0.8943728943262423, 16047.019094229301)),
+        ("TestFitGarch", 0,
+         (1.7718076922073141e-06, 0.09592409037974675, 0.8687290550201616, 17920.574623239718)),
+    ])
+    def test_fit_pinned_to_sequential_recursion(self, series, seed, want):
+        if series == "criterion 7":
+            model = GarchModel(omega=2e-6, arch=0.08, garch_coef=0.90, steps=1, init_var=1e-4)
+            rets = model.simulate_returns(5000, substream(77, "acc-garch"))
+        else:
+            _, rets = self.make_returns()
+        fit = fit_garch(rets, seed=seed)
+        got = (fit.model.omega, fit.model.arch, fit.model.garch_coef)
+        assert got == pytest.approx(want[:3], rel=1e-6, abs=0.0)
+        assert fit.loglik == pytest.approx(want[3], rel=1e-9, abs=0.0)
+
+
+def _sequential_recursion(first, x, beta):
+    """y[0] = first, y[t] = x[t-1] + beta y[t-1], one term at a time: the
+    arithmetic of scipy.signal.lfilter([1], [1, -beta], x, zi=[beta first])."""
+    y = [first]
+    for v in x.tolist():
+        y.append(v + beta * y[-1])
+    return np.array(y)
+
+
+@pytest.mark.parametrize("n", [250, 4999, 5000])
+@pytest.mark.parametrize("beta", [0.0, 1e-300, 0.3, 0.9, 1.0 - 1e-6])
+def test_first_order_scan_matches_sequential_recursion(beta, n):
+    rng = np.random.default_rng(n)
+    eps2 = (0.01 * rng.standard_t(4, n)) ** 2
+    var0 = float(eps2.mean())
+    alpha = 0.5 * (1.0 - beta)
+    x = var0 * (1.0 - alpha - beta) + 1e-12 + alpha * eps2[:-1]
+    got = _first_order_scan(var0, x, beta)
+    want = _sequential_recursion(var0, x, beta)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    if beta <= 1e-300:  # no term beyond the first shift survives
+        assert np.array_equal(got, want)
 
 
 class TestSynthesizeChain:

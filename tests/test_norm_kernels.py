@@ -138,17 +138,29 @@ def ref_objective(quotes, spot, rate, maturity):
 # ------------------------------------------------------------------ tests
 
 
-def test_import_loads_neither_stats_nor_signal():
-    # a subprocess: the test modules import scipy.stats themselves
+def test_import_loads_neither_stats_nor_signal(tmp_path):
+    # a subprocess: the test modules import scipy.stats themselves; neither
+    # the import, nor fit_garch, nor the CLI's garch calibration loads them
+    returns, fit_json = tmp_path / "returns.csv", tmp_path / "fit.json"
     code = "\n".join([
         "import sys",
         "import numpy as np",
         "import esarb, esarb.cli",
-        "loaded = [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]",
-        "assert not loaded, loaded",
+        "def check(after):",
+        "    loaded = [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]",
+        "    assert not loaded, (after, loaded)",
+        "check('import')",
+        "from esarb.io import write_returns",
         "from esarb.models import GarchModel, fit_garch",
         "model = GarchModel(omega=2e-6, arch=0.08, garch_coef=0.9, steps=1, init_var=1e-4)",
-        "fit = fit_garch(model.simulate_returns(300, np.random.default_rng(5)))",
+        "rets = model.simulate_returns(300, np.random.default_rng(5))",
+        "fit = fit_garch(rets)",
+        "check('fit_garch')",
+        f"write_returns({str(returns)!r}, rets)",
+        f"code = esarb.cli.main(['calibrate', 'garch', '--returns', {str(returns)!r},"
+        f" '--out', {str(fit_json)!r}])",
+        "assert code == 0, code",
+        "check('calibrate garch')",
         "print(fit.loglik, fit.model.arch + fit.model.garch_coef)",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -158,6 +170,7 @@ def test_import_loads_neither_stats_nor_signal():
     assert proc.returncode == 0, proc.stderr
     loglik, persistence = map(float, proc.stdout.split())
     assert math.isfinite(loglik) and 0.0 <= persistence < 1.0
+    assert fit_json.exists()
 
 
 def _captured_objective(monkeypatch, quotes, spot, rate, maturity):
