@@ -189,11 +189,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_utility_scan(args) -> int:
-    report = eio.read_json(args.detection)
-    if not report.get("arbitrage"):
-        raise ValueError("stored detection has no arbitrage portfolio")
+    by_label = eio.read_arbitrage_portfolio(args.detection)
     market = _build_market(args)
-    by_label = {row["label"]: float(row["qty"]) for row in report.get("portfolio", [])}
     labels = market.labels()
     missing = [label for label in labels if label not in by_label]
     if missing or len(by_label) != len(labels):

@@ -10,17 +10,14 @@ difference, so this is exact. Verdicts
 use a two-phase rule: a strictly negative optimum is an arbitrage outright,
 an optimum at the zero boundary is confirmed by a second LP maximizing
 expected payoff subject to the linearized ES <= 0 rows.
-The solver path follows from the market's size alone, with no override:
-markets with at most 64 columns and at least 600 scenarios (after merging
-identical payoff rows) solve both LPs with one Kelley cutting-plane loop
-over the portfolio block, and the confirmation starts from the cuts phase 1
-found. Every other market goes to sparse HiGHS, which is also the fallback
-when the cutting planes fail. On HiGHS, sorted payoff rows that differ
-from their predecessor in few entries (digital and step payoffs) are
-difference-encoded: free chain variables carry F x (or, in the threshold
-LP, the tail sums of w q) from row to row, so the LP holds the row
-differences instead of the dense payoff block. The chain form is used
-exactly when it has at most half the constraint nonzeros of the plain form.
+Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
+cutting-plane loop over the portfolio block (`solve_lp` states the rule).
+On HiGHS, sorted payoff rows that differ from their predecessor in few
+entries (digital and step payoffs) are difference-encoded: free chain
+variables carry F x (or, in the threshold LP, the tail sums of w q) from
+row to row, so the LP holds the row differences instead of the dense
+payoff block. The chain form is used exactly when it has at most half the
+constraint nonzeros of the plain form.
 
 The smallest arbitrage level comes from the dual side, over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
@@ -44,7 +41,6 @@ from scipy.optimize import linprog
 from .market import MarketSnapshot, Portfolio
 from .risk import RiskLevel, as_level, lex_order, tail_envelope
 
-_CUT_LEGS = 64
 _CUT_SCENARIOS = 600
 _HIGHS_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -120,15 +116,19 @@ class LpProblem:
         when the chain form of the constraints takes at most half the
         nonzeros of the plain form, else None. The merged rows come in
         lexicographic order, so on digital and step payoffs D is nearly
-        empty while F is a dense triangle."""
+        empty while F is a dense triangle. A problem with a chain form
+        stays on HiGHS (see `solve_lp`)."""
         F, n_s = self.payoffs, self.n_scenarios
-        steps = F[1:] != F[:-1]
-        nnz_d = np.count_nonzero(F[0]) + np.count_nonzero(steps)
         nnz_cost = np.count_nonzero(self.prices)
         # cost row, then the hinge rows: alpha, F x, u (plain) or alpha, y,
         # u and the chain rows y_i, y_{i-1}, D_i x
-        plain = nnz_cost + 2 * n_s + np.count_nonzero(F)
-        if 2 * (nnz_cost + 5 * n_s - 1 + nnz_d) > plain:
+        chain_nnz = nnz_cost + 5 * n_s - 1
+        # first with F dense and D empty, which reads no entry of F
+        if 2 * chain_nnz > nnz_cost + n_s * (2 + self.n_legs):
+            return None
+        steps = F[1:] != F[:-1]
+        chain_nnz += np.count_nonzero(F[0]) + np.count_nonzero(steps)
+        if 2 * chain_nnz > nnz_cost + 2 * n_s + np.count_nonzero(F):
             return None
         first = np.flatnonzero(F[0])
         i, j = np.nonzero(steps)
@@ -236,29 +236,22 @@ class MinPResult:
     evaluations: int
 
 
-def _merged_rows(market: MarketSnapshot):
+def _merged_rows(market: MarketSnapshot, keys: np.ndarray):
     """Scenario indices of the distinct payoff rows and their summed
     weights, dropping rows whose weight sums to 0. Rows come in
     lexicographic order (first leg major, equal rows by scenario index, and
     -0.0 ties with +0.0).
 
-    The order comes from `lex_order` on the payoff columns from the first
-    one that varies, stacked as key rows (a constant column never breaks a
-    tie, and leading constant ones would make every row tie on the first
-    key). A column that is the exact negation of the key kept before it
-    (a short leg after its long one) never breaks a tie either, so it is
-    not stacked. A run of equal rows ends where a sorted row differs from
-    the one before it: on the first key, or else on any other key,
+    The order comes from `lex_order` on the payoff columns of the legs
+    `keys`, stacked as key rows: the LP columns that vary (`_net_columns`).
+    The other LP columns are constant, and a pair's short leg negates its
+    long one wherever the weight is positive, so rows that tie on every key
+    hold one LP row. A run of equal rows ends where a sorted row differs
+    from the one before it: on the first key, or else on any other key,
     compared for one block of adjacent sorted rows (at most _MERGE_BLOCK
     gathered entries) at a time, and only in blocks where the first key
     ties."""
-    payoffs = [leg.payoff for leg in market.legs]
-    first = next((j for j, f in enumerate(payoffs) if (f != f[0]).any()), 0)
-    kept = [payoffs[first]]  # column 0 when none varies: one run
-    for f in payoffs[first + 1 :]:
-        if (f != -kept[-1]).any():
-            kept.append(f)
-    keys = np.stack(kept)
+    keys = np.stack([market.legs[j].payoff for j in keys])
     order = lex_order(keys)
     s = keys[0, order]
     new_run = np.concatenate([[True], s[1:] != s[:-1]])
@@ -274,24 +267,26 @@ def _merged_rows(market: MarketSnapshot):
     return order[starts[keep]], merged_w[keep]
 
 
-def _net_columns(market: MarketSnapshot, rows: np.ndarray, prices: np.ndarray):
-    """Pair each leg with an earlier unpaired leg whose merged payoff
-    column (its payoffs at `rows`) and price are its exact negation.
-    Returns (legs, shorts): one entry per LP column, at its first leg's
-    position; shorts is -1 for a leg left single. Each leg's column is
-    gathered on its own, so no copy of the merged matrix is made.
+def _net_columns(market: MarketSnapshot, prices: np.ndarray):
+    """Pair each leg with an earlier unpaired leg whose payoffs where the
+    weight is positive (so on every merged row) and price are its exact
+    negation. Returns (legs, shorts, varies): one entry per LP column, at
+    its first leg's position; shorts is -1 for a leg left single, and
+    varies tells whether the column's payoffs differ on any scenario. Each
+    leg's column is gathered on its own, so no copy of the matrix is made.
 
     A pair with a constant payoff (cash, a bond) stays two legs: its net
     column would be parallel to alpha's in every hinge row, and at the
     exact threshold HiGHS then returned vertices that miss a bound by up
     to 4e-8 (15 of 3596 random 40-scenario option markets)."""
+    rows = np.flatnonzero(market.scenarios.weights > 0)
     waiting: dict = {}  # (price, payoff bytes) -> columns whose leg awaits its negation
-    legs, shorts = [], []
+    legs, shorts, varies = [], [], []
     for j, (leg, price) in enumerate(zip(market.legs, prices.tolist())):
         col = leg.payoff[rows]
         col += 0.0  # a zero entry or price of either sign keys as +0.0
         match = None
-        if (col != col[0]).any():
+        if varying := bool((col != col[0]).any()):
             # 0.0 - x negates x, reading a zero of either sign as +0.0
             match = waiting.get((0.0 - price, (0.0 - col).tobytes()))
             if not match:
@@ -301,7 +296,8 @@ def _net_columns(market: MarketSnapshot, rows: np.ndarray, prices: np.ndarray):
         else:
             legs.append(j)
             shorts.append(-1)
-    return np.array(legs, dtype=int), np.array(shorts, dtype=int)
+            varies.append(varying or bool((leg.payoff != col[0]).any()))
+    return np.array(legs, dtype=int), np.array(shorts, dtype=int), np.array(varies)
 
 
 def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
@@ -317,9 +313,10 @@ def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     from it.
     """
     level = as_level(level)
-    rows, weights = _merged_rows(market)
     prices = market.prices()
-    legs, shorts = _net_columns(market, rows, prices)
+    legs, shorts, varies = _net_columns(market, prices)
+    # with no column varying, every row is one run
+    rows, weights = _merged_rows(market, legs[varies] if varies.any() else legs[:1])
     payoffs = np.empty((len(rows), len(legs)), order="F")
     for k, j in enumerate(legs):
         np.add(market.legs[j].payoff[rows], 0.0, out=payoffs[:, k])
@@ -460,19 +457,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP to a certified optimum (objective within 1e-9, residuals
     within 1e-9 relative), deterministically.
 
-    The path follows from the problem's size, with no override. At most 64
-    legs and at least 600 (merged) scenarios take the cutting-plane path
-    (`_solve_cuts`, one loop for both LP kinds): its master LPs stay tiny
-    while each cut sorts only the scenarios in the ES tail, and a
-    confirmation LP from `_confirmation_lp` starts from the cuts its
-    detection LP found. Sparse HiGHS takes everything else, and also
-    answers when the cutting planes fail; it solves the chain form of
-    `constraint_matrix` when that form has at most half the plain form's
-    nonzeros. Every solution passes `_check_residuals`, which reads the
-    dense payoffs, or raises SolverError.
+    The path follows from the LP, with no override. At least 600 (merged)
+    scenarios and no `chain` form take the cutting-plane path
+    (`_solve_cuts`, one loop for both LP kinds), whatever the number of
+    legs: its master LPs stay small while each cut sorts only the scenarios
+    in the ES tail, and a confirmation LP from `_confirmation_lp` starts
+    from the cuts its detection LP found. Sparse HiGHS takes fewer
+    scenarios and the chain form, whose few nonzeros make it fast; it also
+    answers when the cutting planes fail. Every solution passes
+    `_check_residuals`, which reads the dense payoffs, or raises SolverError.
     """
     solution = None
-    if problem.n_legs <= _CUT_LEGS and problem.n_scenarios >= _CUT_SCENARIOS:
+    if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
         solution = _solve_cuts(problem)
     if solution is None:
         solution = _solve_highs(problem)
@@ -496,7 +492,7 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     arbitrage holds iff that maximum is positive. When the verdict comes from
     the confirmation phase, the reported portfolio is the confirmation
     maximizer so that it always witnesses the verdict. Both LPs take the
-    solver path `solve_lp` picks from the market's size; there is no override.
+    solver path `solve_lp` picks from the LP; there is no override.
     """
     level = as_level(level)
     problem = build_lp(market, level)

@@ -433,6 +433,16 @@ def _malformed_case(work, tmp_path, case):
         write_json(str(bad), garch_to_dict(GarchModel(omega=1e-6, arch=0.05, garch_coef=0.9,
                                                       steps=1, init_var=2e-5)))
         return ["simulate", "--model", str(bad), "--n", "-3"]
+    portfolios = {
+        "null qty": [{"label": "long call(70)", "qty": None}],
+        "portfolio object": {"label": "long call(70)", "qty": 1.0},
+        "number rows": [1.0, 2.0],
+        "list label": [{"label": ["long call(70)"], "qty": 1.0}],
+    }
+    if case in portfolios:
+        write_json(str(bad), {"arbitrage": True, "portfolio": portfolios[case]})
+        return ["utility-scan", "--density", work["density"], "--p", "0.6",
+                "--detection", str(bad)]
     if case == "null rf":
         write_json(str(bad), {"mu": [0.4], "sigma": [[0.01]], "c": [0.1], "rf": None})
         return ["analytic", "markowitz", "--model", str(bad), "--p", "0.01"]
@@ -455,6 +465,10 @@ class TestMalformedInputs:
         "object in weights",
         "zero draws",
         "negative draws",
+        "null qty",
+        "portfolio object",
+        "number rows",
+        "list label",
     ])
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1

@@ -46,6 +46,7 @@ from esarb.io import detection_to_dict
 from esarb.risk import lex_order
 
 from conftest import random_market, run_with_one_blas_thread
+from test_models import make_mixture
 
 TWO = ScenarioSet([0.0, 1.0], [0.5, 0.5])
 
@@ -110,9 +111,15 @@ def test_build_lp_merges_duplicate_scenarios():
     )
 
 
+def _merge_keys(market):
+    """The key legs `build_lp` merges on."""
+    legs, _, varies = detector._net_columns(market, market.prices())
+    return legs[varies] if varies.any() else legs[:1]
+
+
 def _merged_payoffs(market):
     """The merged payoff rows `build_lp` works on, every leg's column kept."""
-    rows, weights = _merged_rows(market)
+    rows, weights = _merged_rows(market, _merge_keys(market))
     return market.payoff_matrix()[rows] + 0.0, weights
 
 
@@ -241,7 +248,24 @@ def _negated_pairs_market():
     return MarketSnapshot(scen, legs, spot=1.0)
 
 
+def _zero_weight_market():
+    """A zero-weight first scenario that ties with positive-weight ones on
+    every leg but the bond, which is constant on the positive weights."""
+    n_s = 40
+    weights = np.full(n_s, 1.0 / (n_s - 1))
+    weights[0] = 0.0
+    scen = ScenarioSet(np.arange(n_s, dtype=float), weights)
+    stock = np.arange(n_s) % 8 * 1.0
+    bond = np.ones(n_s)
+    bond[0] = 5.0
+    legs = (TradableLeg("bond", 1.0, bond), TradableLeg("stock", 3.0, stock),
+            TradableLeg("-stock", -3.0, -stock))
+    return MarketSnapshot(scen, legs, spot=1.0)
+
+
 def _merge_market(kind):
+    if kind == "zero weight":
+        return _zero_weight_market()
     if kind == "markowitz":  # constant cash columns first, then negated legs
         return _two_asset_markowitz(3000)
     if kind == "negated":  # key columns that negate the key before them
@@ -287,17 +311,20 @@ def test_merge_peak_memory_on_512_cell_market_stays_below_1_5_matrices():
     market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=512))
     matrix_bytes = market.payoff_matrix().nbytes
     assert market.payoff_matrix().shape == (512, 1024)
-    _merged_rows(market)
+    keys = _merge_keys(market)
+    _merged_rows(market, keys)
     tracemalloc.start()
     try:
-        _merged_rows(market)
+        _merged_rows(market, keys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix_bytes
 
 
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "pairs", "negated"])
+@pytest.mark.parametrize(
+    "kind", ["markowitz", "digital", "constant", "pairs", "negated", "zero weight"]
+)
 def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
     # the LP block gathered from the legs is the one cut from the merged
     # matrix, layout included: BLAS sums in an order the strides set
@@ -531,6 +558,53 @@ def test_cutting_plane_handles_large_market():
     market = MarketSnapshot(scen, legs, spot=1.0)
     big, ref = _solve_both(build_lp(market, 0.1))
     assert big.optimal_value == pytest.approx(ref.optimal_value, abs=1e-8)
+
+
+def _option_chain_market(n_draws):
+    """Draws of incomplete-study's first alternative real-world mixture
+    under a chain priced at 2 % spreads by its first pricing mixture: calls
+    and puts at bid and ask on 16 strikes, and a bond."""
+    from esarb.models import LognormalMixture, mc_quadrature, synthesize_chain
+
+    pricing = make_mixture(w1=0.6, s1=0.15, s2=0.35, split=0.95)
+    sds = np.array([0.25, 0.12])
+    real = LognormalMixture(np.array([0.5, 0.5]), np.log([95.0, 115.0]) - 0.5 * sds**2, sds,
+                            100.0, 0.02, 1.0)
+    quotes = synthesize_chain(pricing, np.linspace(70.0, 145.0, 16), rel_spread=0.02)
+    scen = mc_quadrature(real, n_draws, np.random.default_rng(16))
+    return MarketSnapshot(scen, tuple(expand_quotes(quotes, scen, 100.0, 0.02, 1.0)),
+                          100.0, 0.02, 1.0)
+
+
+def test_wide_option_chain_takes_the_cut_loop():
+    # 66 columns on 2000 draws and no chain form: both LP kinds take the cut
+    # loop, and agree with HiGHS on values and on the two-phase verdict
+    market = _option_chain_market(2000)
+    eps = arbitrage_epsilon(market)
+    verdicts = []
+    for p in (0.05, 0.3):
+        prob = build_lp(market, p)
+        assert (prob.n_scenarios, prob.n_legs, prob.chain) == (2000, 66, None)
+        solution = solve_lp(prob)
+        conf = _confirmation_lp(prob)
+        highs = {}
+        for lp, sol in ((prob, solution), (conf, solve_lp(conf))):
+            highs[lp.kind] = ref = _solve_highs(lp).optimal_value
+            assert sol.method == "cutting_plane"
+            assert abs(sol.optimal_value - ref) <= 1e-8 * (1.0 + abs(ref))
+        highs_arbitrage = highs["min_es"] < -eps or 0.0 - highs["max_expected"] > eps
+        assert detect(market, p).arbitrage == highs_arbitrage
+        verdicts.append(highs_arbitrage)
+    assert verdicts == [False, True]
+
+
+def test_digital_market_in_chain_form_stays_on_highs():
+    # 640 merged scenarios would take the cut loop, but the chain form
+    # keeps the digital ladder on HiGHS
+    market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=640))
+    prob = build_lp(market, 0.05)
+    assert prob.n_scenarios == 640 and prob.chain is not None
+    assert solve_lp(prob).method == solve_lp(_confirmation_lp(prob)).method == "highs"
 
 
 def test_pooled_cuts_support_es(rng):
