@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_flags(p_minp)
     p_minp.add_argument("--bracket", default="1e-4,0.5")
     p_minp.add_argument("--tol", type=float, default=1e-4,
-                        help="must be > 0; p* does not depend on it")
+                        help="must be finite and > 0; p* does not depend on it")
     p_minp.add_argument("--two-run", action="store_true", help="repeat mc run with a second substream")
     p_minp.add_argument("--out")
     p_minp.set_defaults(func=_cmd_min_p)

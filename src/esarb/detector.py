@@ -14,18 +14,18 @@ Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
 cutting-plane loop over the portfolio block (`solve_lp` states the rule).
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
-variables carry F x (or, in the threshold LP, the tail sums of w q) from
-row to row, so the LP holds the row differences instead of the dense
-payoff block. The chain form is used exactly when it has at most half the
-constraint nonzeros of the plain form.
+variables carry F x from row to row, so the LP holds the row differences
+instead of the dense payoff block. The chain form is used exactly when it
+has at most half the constraint nonzeros of the plain form.
 
 The smallest arbitrage level comes from the dual side, over the ES dual set
 {0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
 density lies strictly inside it, 0 < q < 1/p, and the least ES at
 non-positive cost is strictly negative iff no pricing density has
-max q <= 1/p, so one LP for the least max q gives the threshold. Its
-density q* also settles the bracket's lower end when it lies strictly
-inside the dual set there; otherwise the confirmation LP decides.
+max q <= 1/p. The detection LP at alpha = -1 with weights w gives the
+threshold, and its hinge-row duals the density q* with the least max q.
+q* also settles the bracket's lower end when it lies strictly inside the
+dual set there; otherwise the confirmation LP decides.
 """
 
 from __future__ import annotations
@@ -371,13 +371,11 @@ def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
         )
 
 
-def _linprog_highs(c, A_ub, b_ub, bounds, **equalities):
+def _linprog_highs(c, A_ub, b_ub, bounds):
     """HiGHS at tight tolerances, retried once at stock tolerances when it
     ends without a verdict (neither optimal, infeasible nor unbounded)."""
     for opts in (dict(_HIGHS_OPTS), {}):
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=opts, **equalities
-        )
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=opts)
         if res.status in (0, 2, 3):
             break
     return res
@@ -542,59 +540,36 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
 
 
 def _threshold_density(problem: LpProblem) -> np.ndarray | None:
-    """Checked pricing density q with the least max_i q_i, or None when
-    HiGHS finds the LP infeasible: no pricing density exists.
+    """Checked pricing density q with the least max_i q_i, or None when the
+    hinge rows' duals r sum to 0: no pricing density exists.
 
-    HiGHS solves min t over (q, lam, t), q, lam >= 0 and t free, subject to
-    q_i <= t, the pricing rows E_w[q f_j] <= lam price_j (equalities for
-    netted pairs) and the mass row E_w q = 1. Any such q with max q <= 1/p
-    lies in the ES dual set at level p and prices every portfolio of
-    non-positive cost at <= 0, so it certifies ES >= 0 there; by LP duality
-    the least ES at non-positive cost is strictly negative exactly when
-    p > 1/t*.
-
-    With the problem's `chain` D, the pricing rows read D^T r with free
-    r_i = sum_{k >= i} w_k q_k, set by the equalities r_i - r_{i+1} = w_i q_i
-    (r_{n_s} = 0): F^T (w q) = D^T r, with one nonzero per row change in
-    place of the dense block. `_check_density` still checks q against F.
+    HiGHS solves the detection LP's `constraint_matrix` (chain form
+    included) with objective sum w_i u_i, alpha fixed at -1, x unbounded
+    above and netted columns free: p0 = min E_w[(1 - F x)^+] over
+    prices.x <= 0. Its dual is max sum r over 0 <= r <= w and
+    F^T r <= lam prices (equalities for netted pairs), lam the cost row's
+    dual, so q = r / (w sum r) is a pricing density (multiplier
+    lam / sum r) with the least max q = 1 / p0. Such a q certifies ES >= 0
+    at non-positive cost for every p <= p0; above p0 the least ES is
+    strictly negative. `_check_density` checks q against the dense F.
     """
-    F, w, prices = problem.payoffs, problem.weights, problem.prices
-    n_s, n_l = problem.n_scenarios, problem.n_legs
-    net = problem.shorts >= 0
-    chain = problem.chain
-    n_r = 0 if chain is None else n_s
-    pricing = [
-        sparse.csr_matrix(F.T * w) if chain is None else sparse.csr_matrix((n_l, n_s)),
-        -prices[:, None],
-        sparse.csr_matrix((n_l, 1)),
-    ]
-    cap = [sparse.eye(n_s), sparse.csr_matrix((n_s, 1)), -np.ones((n_s, 1))]
-    equalities = []
-    if chain is not None:
-        pricing.append(chain.T)
-        cap.append(sparse.csr_matrix((n_s, n_s)))
-        shift = sparse.eye(n_s, format="csr") - sparse.eye(n_s, k=1, format="csr")
-        equalities.append(
-            sparse.hstack([-sparse.diags(w, format="csr"), sparse.csr_matrix((n_s, 2)), shift])
-        )
-    pricing = sparse.hstack(pricing, format="csr")
-    res = _linprog_highs(
-        np.concatenate([np.zeros(n_s + 1), [1.0], np.zeros(n_r)]),
-        sparse.vstack([sparse.hstack(cap), pricing[~net]], format="csr"),
-        np.zeros(n_s + int((~net).sum())),
-        [(0.0, None)] * (n_s + 1) + [(None, None)] * (1 + n_r),
-        A_eq=sparse.vstack(
-            [pricing[net], np.concatenate([w, [0.0, 0.0], np.zeros(n_r)])[None, :], *equalities],
-            format="csr",
-        ),
-        b_eq=np.concatenate([np.zeros(int(net.sum())), [1.0], np.zeros(n_r)]),
-    )
-    if res.status == 2:
-        return None
+    A, n_l, n_s = problem.constraint_matrix, problem.n_legs, problem.n_scenarios
+    u = slice(1 + n_l, 1 + n_l + n_s)
+    c = np.zeros(A.shape[1])
+    c[u] = problem.weights
+    bounds = np.full((A.shape[1], 2), [-math.inf, math.inf])
+    bounds[0] = -1.0
+    bounds[1 : 1 + n_l, 0] = np.where(problem.shorts >= 0, -math.inf, 0.0)
+    bounds[u, 0] = 0.0
+    res = _linprog_highs(c, A, problem.rhs, bounds)
     if res.status != 0:
         raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
-    q, lam = res.x[:n_s], float(res.x[n_s])
-    _check_density(problem, q, lam)
+    duals = -res.ineqlin.marginals
+    mass = float(duals[1 : 1 + n_s].sum())
+    if mass == 0.0:
+        return None
+    q = duals[1 : 1 + n_s] / (problem.weights * mass)
+    _check_density(problem, q, float(duals[0]) / mass)
     return q
 
 
@@ -606,28 +581,28 @@ def min_p(
     """Smallest level in the bracket admitting arbitrage, from pricing densities.
 
     Two LP kinds, both on the one LP `build_lp` makes at lo. The threshold LP
-    (`_threshold_density`) gives the density q* with the least max q. When
-    q* clears both ends of (0, 1/lo) by more than _MARGIN_TOL it lies
-    strictly inside the ES dual set at lo and certifies no arbitrage there.
-    Otherwise (or when no pricing density exists) the confirmation LP at lo
-    (maximum expected payoff subject to ES <= 0) decides: a maximum above
-    `arbitrage_epsilon` means "at or below bracket", the verdict of
-    `detect(lo)`, since ES_p(X) >= -E[X] gives any portfolio with
-    ES < -eps an expected payoff > eps. No density and no arbitrage at lo
-    raises SolverError. Then p0 = 1 / max q*: above p0 the least ES at
-    non-positive cost is strictly negative, at p0 no density lies strictly
+    (`_threshold_density`) gives p0 and the density q* with the least
+    max q = 1 / p0. When q* clears both ends of (0, 1/lo) by more than
+    _MARGIN_TOL it lies strictly inside the ES dual set at lo and certifies
+    no arbitrage there. Otherwise (or when no pricing density exists) the
+    confirmation LP at lo (maximum expected payoff subject to ES <= 0)
+    decides: a maximum above `arbitrage_epsilon` means "at or below
+    bracket", the verdict of `detect(lo)`, since ES_p(X) >= -E[X] gives any
+    portfolio with ES < -eps an expected payoff > eps. No density and no
+    arbitrage at lo raises SolverError. Above p0 the least ES at
+    non-positive cost is strictly negative; at p0 no density lies strictly
     inside the dual set, so p0 itself admits arbitrage. p* = p0 once the
     confirmation LP at p0 exceeds `arbitrage_epsilon`, by the same
     argument, else SolverError. p0 > hi is "none in bracket". tol must be
-    > 0 but no longer moves p*; it stays for callers that pass it.
-    `evaluations` counts the LPs solved: 2 when q* certifies lo and p0 is
-    in the bracket, at most 3.
+    finite and > 0 but no longer moves p*; it stays for callers that pass
+    it. `evaluations` counts the LPs solved: 2 when q* certifies lo and p0
+    is in the bracket, at most 3.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"invalid bracket {bracket}")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     eps = arbitrage_epsilon(market)
     problem = build_lp(market, lo)
     q = _threshold_density(problem)

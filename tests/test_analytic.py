@@ -405,8 +405,9 @@ def test_density_market_mc_matches_unique_binning(density):
 
 def test_criterion_10_output_bytes_pinned(tmp_path):
     # SHA-256 of both output files of acceptance criterion 10's CLI run,
-    # recorded with the draws made in one array: any drift in the Monte
-    # Carlo stream or its binning changes these bytes
+    # recorded with p* read from the threshold LP's hinge-row duals (the
+    # draws' bytes are pinned by test_density_market_mc_matches_unique_binning):
+    # any drift in the Monte Carlo stream, its binning or p* changes these bytes
     code = "\n".join([
         "import hashlib",
         "from esarb import cli, io",
@@ -420,7 +421,7 @@ def test_criterion_10_output_bytes_pinned(tmp_path):
         "                   '--bracket', '1e-4,0.7', '--tol', '1e-4', '--out', out])",
         "    print(rc, hashlib.sha256(open(out, 'rb').read()).hexdigest())",
     ])
-    pinned = "f0a8ff2d99f4dee2be20c030349b9158f2b31e8ee48face8b757e9ba8a82f7c0"
+    pinned = "0336ae67e1c760ca4fb06e7a2805684d3e95da300da4b3b43b0ed786f1c16145"
     assert run_with_one_blas_thread(code).split() == ["3", pinned, "3", pinned]
 
 

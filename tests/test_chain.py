@@ -1,11 +1,13 @@
 """The chain form of the HiGHS LPs against the plain assembly.
 
 On sorted digital and step payoffs, consecutive merged rows differ in a
-few entries, and `LpProblem.chain` holds those differences. The detection,
-confirmation and threshold LPs then carry free chain variables in place of
-the dense payoff block. Here the chain LPs are compared with the plain
-assembly kept below, and the markets that stay plain are checked to hand
-HiGHS that assembly byte for byte.
+few entries, and `LpProblem.chain` holds those differences. The detection
+and confirmation LPs then carry free chain variables in place of the dense
+payoff block, and so does the threshold LP, which is the detection LP's
+own `constraint_matrix` at alpha = -1. Here the chain LPs are compared
+with the plain assembly kept below, the threshold with an independent
+density LP over (q, lam, t), and the markets that stay plain are checked
+to hand HiGHS that assembly byte for byte.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,8 +71,22 @@ def _plain_highs_args(lp):
     return (lp.objective, A, np.zeros(A.shape[0]), bounds), {}
 
 
+def _threshold_highs_args(lp, A):
+    """The arguments `_threshold_density` hands HiGHS for the matrix A:
+    objective (0, 0, w), alpha = -1, x >= 0 on single columns and free on
+    netted ones, u >= 0, chain columns free."""
+    n_l, n_s = lp.n_legs, lp.n_scenarios
+    n_y = A.shape[1] - lp.n_variables
+    c = np.concatenate([np.zeros(1 + n_l), lp.weights, np.zeros(n_y)])
+    lower = np.concatenate([[-1.0], np.where(lp.shorts >= 0, -np.inf, 0.0), np.zeros(n_s),
+                            np.full(n_y, -np.inf)])
+    upper = np.concatenate([[-1.0], np.full(n_l + n_s + n_y, np.inf)])
+    return (c, A, np.zeros(A.shape[0]), np.column_stack([lower, upper])), {}
+
+
 def _plain_threshold_args(lp):
-    """The threshold LP over (q, lam, t) with the dense pricing rows."""
+    """The least max q density LP over (q, lam, t), with the dense pricing
+    rows: an independent reference for the threshold."""
     F, w, prices = lp.payoffs, lp.weights, lp.prices
     n_s = lp.n_scenarios
     net = lp.shorts >= 0
@@ -103,8 +120,9 @@ def _plain_value(lp):
 def _plain_p0(lp):
     """1 / max q* from the plain threshold LP (certified), or None when no
     pricing density exists."""
-    args, kwargs = _plain_threshold_args(lp)
-    res = _linprog_highs(*args, **kwargs)
+    (c, A_ub, b_ub, bounds), kwargs = _plain_threshold_args(lp)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                  options=dict(detector._HIGHS_OPTS), **kwargs)
     if res.status == 2:
         return None
     assert res.status == 0, res.message
@@ -115,6 +133,34 @@ def _plain_p0(lp):
 
 def _plain_nnz(lp):
     return _plain_constraint_matrix(lp).nnz
+
+
+def _assert_same_args(got, want):
+    """HiGHS got exactly these arguments: equal dtypes, shapes and bytes."""
+    (args, kwargs), (ref_args, ref_kwargs) = got, want
+    assert len(args) == len(ref_args) and sorted(kwargs) == sorted(ref_kwargs)
+    for a, b in zip(args + tuple(kwargs.values()), ref_args + tuple(ref_kwargs[k] for k in kwargs)):
+        if sparse.issparse(b):
+            assert a.format == b.format == "csr" and a.shape == b.shape
+            for attr in ("data", "indices", "indptr"):
+                x, y = getattr(a, attr), getattr(b, attr)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        else:
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def _recording(monkeypatch):
+    """Record the arguments of every `_linprog_highs` call."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _linprog_highs(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "_linprog_highs", recorded)
+    return calls
 
 
 # ------------------------------------------------------------------ markets
@@ -249,7 +295,7 @@ def test_chain_matches_plain_reference(seed, steps):
             assert abs(res.p_star - ref_p0) <= 1e-12 * ref_p0
 
 
-def test_chain_form_on_the_512_cell_market():
+def test_chain_form_on_the_512_cell_market(monkeypatch):
     # each sorted row of the digital ladder differs from the one before in
     # one entry: 3585 constraint nonzeros in place of 133377
     market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
@@ -258,44 +304,30 @@ def test_chain_form_on_the_512_cell_market():
     assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
     conf = _confirmation_lp(prob)
     assert abs(_solve_highs(conf).optimal_value - _plain_value(conf)) <= 1e-9
+    calls = _recording(monkeypatch)
     q = _threshold_density(prob)
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
+    # the threshold LP is the detection LP's chain-form matrix itself
+    assert len(calls) == 1 and calls[0][0][1] is prob.constraint_matrix
+    _assert_same_args(calls[0], _threshold_highs_args(prob, prob.constraint_matrix))
 
 
 @pytest.mark.parametrize("name", ["pl", "quick start", "markowitz"])
 def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     # the chain would not halve the nonzeros here (6255 vs 6028, 30002 vs
-    # 20002, 3505 vs 3004), so HiGHS must see the plain LP, bit for bit
+    # 20002, 3505 vs 3004), so HiGHS must see the plain LP, bit for bit,
+    # and so must the threshold LP, with its own objective and bounds
     market = {"pl": _pl_market, "quick start": _quick_start_market,
               "markowitz": lambda: _two_asset_markowitz(500)}[name]()
     prob = build_lp(market, 0.05)
     assert prob.chain is None
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return _linprog_highs(*args, **kwargs)
-
-    monkeypatch.setattr(detector, "_linprog_highs", recorded)
+    calls = _recording(monkeypatch)
     for lp, solve, reference in (
         (prob, _solve_highs, _plain_highs_args),
         (_confirmation_lp(prob), _solve_highs, _plain_highs_args),
-        (prob, _threshold_density, _plain_threshold_args),
+        (prob, _threshold_density,
+         lambda lp: _threshold_highs_args(lp, _plain_constraint_matrix(lp))),
     ):
         calls.clear()
         solve(lp)
-        (args, kwargs), (ref_args, ref_kwargs) = calls[0], reference(lp)
-        assert len(args) == len(ref_args) and sorted(kwargs) == sorted(ref_kwargs)
-        for got, want in zip(args + tuple(kwargs.values()),
-                             ref_args + tuple(ref_kwargs[k] for k in kwargs)):
-            if isinstance(want, list):  # the threshold LP's bounds
-                assert got == want
-            elif sparse.issparse(want):
-                assert got.format == want.format == "csr" and got.shape == want.shape
-                for attr in ("data", "indices", "indptr"):
-                    a, b = getattr(got, attr), getattr(want, attr)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            else:
-                a, b = np.asarray(got), np.asarray(want)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+        _assert_same_args(calls[0], reference(lp))

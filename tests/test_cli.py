@@ -427,6 +427,8 @@ def _malformed_case(work, tmp_path, case):
         write_json(str(bad), {"weights": {"a": 1}, "log_means": [4.6], "log_sds": [0.2],
                               "spot": 100.0, "rate": 0.02, "maturity_years": 1.0})
         return ["simulate", "--model", str(bad), "--n", "10"]
+    if case == "nan tol":
+        return ["min-p", "--density", work["density"], "--tol", "nan"]
     if case == "zero draws":
         return ["simulate", "--model", work["mixture"], "--n", "0"]
     if case == "negative draws":
@@ -465,6 +467,7 @@ class TestMalformedInputs:
         "object in weights",
         "zero draws",
         "negative draws",
+        "nan tol",
         "null qty",
         "portfolio object",
         "number rows",

@@ -950,8 +950,9 @@ def test_min_p_bad_bracket_rejected():
     for bracket in ((0.5, 0.1), (0.0, 0.5), (0.1, 1.0)):
         with pytest.raises(ValueError):
             min_p(market, bracket=bracket)
-    with pytest.raises(ValueError):
-        min_p(market, bracket=(0.1, 0.5), tol=0.0)
+    for tol in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            min_p(market, bracket=(0.1, 0.5), tol=tol)
 
 
 def test_min_p_on_quadrature_market_with_singular_dense_basis():
@@ -1050,19 +1051,19 @@ def test_min_p_matches_detect_on_small_markets(seed):
 @pytest.mark.parametrize("tamper", ["mass", "negative", "pricing"])
 def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
     problem = build_lp(capped_density_market(), 0.01)
-    w = problem.weights
     real = detector._linprog_highs
 
-    def tampered(*args, **kwargs):
-        res = real(*args, **kwargs)
-        q = res.x[: problem.n_scenarios]
-        if tamper == "mass":
-            q *= 1.001
+    def tampered(*args):
+        res = real(*args)
+        # minus the hinge rows' duals r, from which q = r / (w sum r)
+        marginals = res.ineqlin.marginals[1 : 1 + problem.n_scenarios]
+        if tamper == "mass":  # E_w q stays 1, but the cost row's dual no
+            marginals *= 1.001  # longer scales with sum r: q misprices the bond
         elif tamper == "negative":
-            q[-1] = -1e-3
-        else:  # move mass from the last cell to the first: E q stays 1
-            q[0] += 1e-3 / w[0]
-            q[-1] -= 1e-3 / w[-1]
+            marginals[-1] = 1e-3
+        else:  # move dual mass from the last cell to the first: sum r stays
+            marginals[0] -= 1e-3
+            marginals[-1] += 1e-3
         return res
 
     _threshold_density(problem)  # the untampered answer passes its check
@@ -1130,12 +1131,13 @@ def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
     assert (untampered.status, untampered.evaluations) == ("none in bracket", 1)
     real_highs, real_solve, solved = detector._linprog_highs, detector.solve_lp, []
 
-    def tampered(*args, **kwargs):
-        res = real_highs(*args, **kwargs)
-        if "A_eq" in kwargs:  # the threshold LP, the one density LP
-            # E_w q stays 1 and every pricing row holds; "floor" touches
-            # q = 0, "cap" touches q = 1/lo = 2
-            res.x[:3] = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
+    def tampered(c, A, b, bounds):
+        res = real_highs(c, A, b, bounds)
+        if bounds[0][0] == -1.0:  # alpha fixed at -1: the threshold LP
+            # hinge duals r = w q with sum r = 1 = p0 keep E_w q = 1 and
+            # every pricing row; "floor" touches q = 0, "cap" q = 1/lo = 2
+            q = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
+            res.ineqlin.marginals[1:4] = -market.scenarios.weights * q
         return res
 
     def recorded(problem):

@@ -10,6 +10,9 @@ private (single-underscore) function, class or constant defined at module
 level that no module of the package references is dead code too.
 `scipy.signal` loads `scipy.stats`, and the two cost about 26 MB of
 resident memory and 0.6 s on first import; the package needs neither.
+The detector keeps one LP assembly and one HiGHS call: `sparse` is
+referenced only inside `LpProblem`, and `linprog` only inside
+`_linprog_highs`.
 """
 
 import ast
@@ -151,4 +154,46 @@ def test_checker_flags_stats_and_signal_imports():
         "line 3: scipy.signal",
         "line 5: scipy.stats.qmc.Sobol",
         "line 6: scipy.signal",
+    ]
+
+
+_CONFINED = {"sparse": "LpProblem", "linprog": "_linprog_highs"}
+
+
+def _stray_references(source: str, confined: dict[str, str]) -> list[str]:
+    """References to a confined name outside the one module-level
+    definition it belongs to; import statements are not references."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        found += [
+            (node.lineno, node.id)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and confined.get(node.id, owner) != owner
+        ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_has_one_lp_assembly_and_one_linprog_call():
+    assert _stray_references((SRC / "detector.py").read_text(encoding="utf-8"), _CONFINED) == []
+
+
+def test_checker_flags_stray_references():
+    source = (
+        "import scipy.sparse as sparse\n"
+        "from scipy.optimize import linprog\n"
+        "class LpProblem:\n"
+        "    def matrix(self) -> sparse.csr_matrix:\n"
+        "        return sparse.eye(2)\n"
+        "def _linprog_highs(c):\n"
+        "    return linprog(c)\n"
+        "def _threshold_density(problem):\n"
+        "    A = sparse.vstack([problem.matrix()])\n"
+        "    return linprog(A)\n"
+        "EMPTY = sparse.csr_matrix((0, 0))\n"
+    )
+    assert _stray_references(source, _CONFINED) == [
+        "line 9: sparse",
+        "line 10: linprog",
+        "line 11: sparse",
     ]
