@@ -6,11 +6,13 @@ its optimum is the least expected shortfall reachable at non-positive
 cost. Every LP trades one column per frictionless long/short pair (payoffs
 and prices exact negations, payoffs not constant), a net quantity in
 [-B, B]; the pair's two legs enter every row only through their
-difference, so this is exact. Verdicts
-use a two-phase rule: a strictly negative optimum is an arbitrage outright,
-an optimum at the zero boundary is confirmed by a second LP maximizing
-expected payoff subject to the linearized ES <= 0 rows.
-Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
+difference, so this is exact. Verdicts use a two-phase rule: a strictly
+negative optimum is an arbitrage outright, an optimum at the zero boundary
+is confirmed by a second LP maximizing expected payoff subject to the
+linearized ES <= 0 rows. The rows are the same at every level: p enters
+only as the weight 1/p of the ES objective and of that LP's ES row, so
+`build_lp` makes one LP per market, and `solve_lp` takes the level and the
+LP kind. Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
 cutting-plane loop over the portfolio block (`solve_lp` states the rule).
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
@@ -31,7 +33,7 @@ dual set there; otherwise the confirmation LP decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,33 +60,28 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """The materializable LP plus the structured blocks it was built from.
+    """The market's hinge LP, the same at every level and for both LP kinds.
 
     Variable layout: index 0 is alpha (free), the next n_legs entries are the
     portfolio columns, the remaining n_scenarios entries are the hinge
     auxiliaries (lower bound 0). Column k trades market leg legs[k] in
     [0, upper_bound]; when shorts[k] >= 0 it is the net position of the
     frictionless pair (legs[k], shorts[k]) and its lower bound is
-    -upper_bound. Rows: one cost row then one hinge row per scenario; for
-    kind "max_expected" an ES row is appended. When `chain` is not None,
-    the matrix HiGHS gets carries one free chain column per scenario after
-    these variables, and one chain row per scenario before the ES row (see
-    `constraint_matrix`); the variable layout above is unchanged.
-
-    cuts pools the ES support lines (g, h), es(x') >= g.x' + h, that the
-    cutting-plane path finds for this problem; `_confirmation_lp` hands
-    them on to the confirmation LP at the same level.
+    -upper_bound. Rows (`constraint_matrix`): one cost row then one hinge
+    row per scenario. When `chain` is not None, the matrix HiGHS gets
+    carries one free chain column per scenario after these variables, and
+    one chain row per scenario after the hinge rows; the variable layout
+    above is unchanged. The level p enters only as the weights w / p of the
+    "min_es" objective and of the ES row `matrix` appends for kind
+    "max_expected", so one LpProblem serves a whole `detect` or `min_p` call.
     """
 
-    kind: str  # "min_es" | "max_expected"
     payoffs: np.ndarray  # n_scenarios x n_legs (portfolio columns)
     weights: np.ndarray
     prices: np.ndarray
-    level: RiskLevel
     upper_bound: float
     legs: np.ndarray  # column -> market leg (a pair's long leg)
     shorts: np.ndarray  # column -> the pair's short leg, -1 for a single leg
-    cuts: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def n_legs(self) -> int:
@@ -102,13 +99,14 @@ class LpProblem:
     def x_lower(self) -> np.ndarray:
         return np.where(self.shorts >= 0, -self.upper_bound, 0.0)
 
-    @cached_property
-    def objective(self) -> np.ndarray:
-        n_s = self.n_scenarios
-        if self.kind == "min_es":
-            return np.concatenate([[1.0], np.zeros(self.n_legs), self.weights / self.level.p])
-        # maximize expected payoff == minimize its negation
-        return np.concatenate([[0.0], -(self.payoffs.T @ self.weights), np.zeros(n_s)])
+    def objective(self, p: float, kind: str) -> np.ndarray:
+        """Costs over (alpha, x, u): alpha + sum w_i u_i / p for "min_es",
+        the negated expected payoff for "max_expected"."""
+        if kind == "min_es":
+            return np.concatenate([[1.0], np.zeros(self.n_legs), self.weights / p])
+        if kind != "max_expected":
+            raise ValueError(f"unknown LP kind {kind!r}")
+        return np.concatenate([[0.0], -(self.payoffs.T @ self.weights), np.zeros(self.n_scenarios)])
 
     @cached_property
     def chain(self) -> sparse.csr_matrix | None:
@@ -138,9 +136,9 @@ class LpProblem:
 
     @cached_property
     def constraint_matrix(self) -> sparse.csr_matrix:
-        """Rows of the LP HiGHS solves, every one <= 0 (see `rhs`). In the
-        chain form (when `chain` is not None) free columns y follow
-        (alpha, x, u): hinge row i reads -alpha - y_i - u_i and chain row i
+        """Cost, hinge and chain rows, every one <= 0. In the chain form
+        (when `chain` is not None) free columns y follow (alpha, x, u):
+        hinge row i reads -alpha - y_i - u_i and chain row i
         y_i - y_{i-1} - D_i x, so y_i <= F_i x. Whatever y the solver picks,
         (alpha, x, u) is then feasible in the plain form, and y = F x
         attains every plain point, so both forms have the same optimum."""
@@ -167,16 +165,16 @@ class LpProblem:
                     format="csr",
                 )
             )
-        if self.kind == "max_expected":
-            es_row = np.concatenate(
-                [[1.0], np.zeros(n_l), self.weights / self.level.p, np.zeros(n_y)]
-            )
-            blocks.append(sparse.csr_matrix(es_row[None, :]))
         return sparse.vstack(blocks, format="csr")
 
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        return np.zeros(self.constraint_matrix.shape[0])
+    def matrix(self, p: float, kind: str) -> sparse.csr_matrix:
+        """The rows HiGHS gets: `constraint_matrix`, plus for "max_expected"
+        the ES row alpha + sum w_i u_i / p <= 0 (the "min_es" costs)."""
+        A = self.constraint_matrix
+        if kind == "min_es":
+            return A
+        es_row = np.append(self.objective(p, "min_es"), np.zeros(A.shape[1] - self.n_variables))
+        return sparse.vstack([A, sparse.csr_matrix(es_row[None, :])], format="csr")
 
     @cached_property
     def lower_bounds(self) -> np.ndarray:
@@ -300,8 +298,8 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
     return np.array(legs, dtype=int), np.array(shorts, dtype=int), np.array(varies)
 
 
-def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
-    """Assemble the hinge LP for the market at the given level.
+def build_lp(market: MarketSnapshot) -> LpProblem:
+    """Assemble the market's hinge LP, for every level and LP kind.
 
     Scenarios with identical payoff rows are merged by summing their weights
     (identical hinge rows share one auxiliary variable, which is exact), and
@@ -312,7 +310,6 @@ def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     product with the matrix, and so the bits of every result computed
     from it.
     """
-    level = as_level(level)
     prices = market.prices()
     legs, shorts, varies = _net_columns(market, prices)
     # with no column varying, every row is one run
@@ -320,22 +317,7 @@ def build_lp(market: MarketSnapshot, level: RiskLevel | float) -> LpProblem:
     payoffs = np.empty((len(rows), len(legs)), order="F")
     for k, j in enumerate(legs):
         np.add(market.legs[j].payoff[rows], 0.0, out=payoffs[:, k])
-    return LpProblem(
-        kind="min_es",
-        payoffs=payoffs,
-        weights=weights,
-        prices=prices[legs],
-        level=level,
-        upper_bound=market.upper_bound,
-        legs=legs,
-        shorts=shorts,
-    )
-
-
-def _confirmation_lp(problem: LpProblem) -> LpProblem:
-    conf = replace(problem, kind="max_expected")
-    conf.cuts.extend(problem.cuts)  # every support line of ES also cuts ES <= 0
-    return conf
+    return LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
 
 
 def _full_vector(problem: LpProblem, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -345,9 +327,10 @@ def _full_vector(problem: LpProblem, x: np.ndarray, alpha: float) -> np.ndarray:
     return np.concatenate([[alpha], x, u])
 
 
-def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
-    """Certify (alpha, x, u) row block by row block, without the matrix:
-    each row's residual is scaled by 1 + sum |a_ij v_j| over its entries."""
+def _check_residuals(problem: LpProblem, v: np.ndarray, p: float, kind: str) -> None:
+    """Certify (alpha, x, u) for the LP of this kind at level p row block by
+    row block, without the matrix: each row's residual is scaled by
+    1 + sum |a_ij v_j| over its entries."""
     n_l = problem.n_legs
     alpha, x, u = float(v[0]), v[1 : 1 + n_l], v[1 + n_l :]
     abs_x = np.abs(x)
@@ -356,8 +339,8 @@ def _check_residuals(problem: LpProblem, v: np.ndarray) -> None:
         [np.abs(problem.prices) @ abs_x],
         abs(alpha) + np.abs(problem.payoffs) @ abs_x + np.abs(u),
     ]
-    if problem.kind == "max_expected":
-        tail = problem.weights / problem.level.p
+    if kind == "max_expected":
+        tail = problem.weights / p
         resid.append([alpha + tail @ u])
         scale.append([abs(alpha) + tail @ np.abs(u)])
     worst = float((np.concatenate(resid) / (1.0 + np.concatenate(scale))).max(initial=0.0))
@@ -381,49 +364,47 @@ def _linprog_highs(c, A_ub, b_ub, bounds):
     return res
 
 
-def _solve_highs(problem: LpProblem) -> LpSolution:
-    """HiGHS on `constraint_matrix`; the chain form's y columns are free,
+def _solve_highs(problem: LpProblem, p: float, kind: str) -> LpSolution:
+    """HiGHS on `matrix(p, kind)`; the chain form's y columns are free,
     cost nothing, and are dropped from the answer."""
-    n_v = problem.n_variables
-    n_y = problem.constraint_matrix.shape[1] - n_v
+    A, n_v = problem.matrix(p, kind), problem.n_variables
+    n_y = A.shape[1] - n_v
     bounds = np.column_stack(
         [
             np.append(problem.lower_bounds, np.full(n_y, -math.inf)),
             np.append(problem.upper_bounds, np.full(n_y, math.inf)),
         ]
     )
-    c = np.append(problem.objective, np.zeros(n_y))
-    res = _linprog_highs(c, problem.constraint_matrix, problem.rhs, bounds)
+    c = np.append(problem.objective(p, kind), np.zeros(n_y))
+    res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
     if res.status != 0:
         raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
     return LpSolution(float(res.fun), res.x[:n_v], "highs")
 
 
-def _solve_cuts(problem: LpProblem) -> LpSolution | None:
+def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSolution | None:
     """Kelley cutting planes on the portfolio block, for either LP kind.
 
-    Each cut is the support line es(x') >= g.x' + h of ES at an iterate,
-    g = -(F.T q) from the envelope point q there; it joins the problem's
-    pool, and an empty pool is seeded at x = 0. The master over (x, t) has
-    rows g.x - t <= -h and prices.x <= 0 with x in the box. "min_es"
-    minimizes t (free) and stops once the best ES seen is within the gap
-    tolerance of the master's lower bound: the master dual mixes envelope
-    points into a dual-feasible certificate. "max_expected" fixes t = 0,
-    maximizes expected payoff and stops at the first master point whose ES
-    is <= 0 up to 1e-10 of the payoff scale. None means a master failed or
-    the cut budget ran out; the caller falls back to HiGHS.
+    Each cut is the support line es(x') >= g.x' + h of ES_p at an iterate,
+    g = -(F.T q) from the envelope point q there; it joins the caller's pool
+    `cuts` (one level, both LP kinds), and an empty pool is seeded at x = 0.
+    The master over (x, t) has rows g.x - t <= -h and prices.x <= 0 with x
+    in the box. "min_es" minimizes t (free) and stops once the best ES seen
+    is within the gap tolerance of the master's lower bound: the master
+    dual mixes envelope points into a dual-feasible certificate.
+    "max_expected" fixes t = 0, maximizes expected payoff and stops at the
+    first master point whose ES is <= 0 up to 1e-10 of the payoff scale.
+    None means a master failed or the cut budget ran out; the caller falls
+    back to HiGHS.
     """
-    F, w, p = problem.payoffs, problem.weights, problem.level.p
-    n_l = problem.n_legs
-    min_es = problem.kind == "min_es"
-    if min_es:
-        c, t_bounds = np.concatenate([np.zeros(n_l), [1.0]]), (None, None)
-    else:
-        c, t_bounds = np.concatenate([-(F.T @ w), [0.0]]), (0.0, 0.0)
+    F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
+    min_es = kind == "min_es"
+    objective = problem.objective(p, kind)
+    c = np.append(objective[1 : 1 + n_l], float(min_es))  # t costs 1 for "min_es"
+    t_bounds = (None, None) if min_es else (0.0, 0.0)
     bounds = [(lo, problem.upper_bound) for lo in problem.x_lower] + [t_bounds]
     cost_row = np.concatenate([problem.prices, [0.0]])
     es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
-    cuts = problem.cuts
     x = None if cuts else np.zeros(n_l)
     lower, best, best_x, best_alpha = None, math.inf, None, None
     for _ in range(_MAX_CUTS):
@@ -439,7 +420,7 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
                 if min_es:
                     x, alpha = best_x, best_alpha
                 v = _full_vector(problem, x, alpha)
-                return LpSolution(float(problem.objective @ v), v, "cutting_plane")
+                return LpSolution(float(objective @ v), v, "cutting_plane")
             g = -(F.T @ q)
             cuts.append((g, es - g @ x))
         A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
@@ -451,26 +432,31 @@ def _solve_cuts(problem: LpProblem) -> LpSolution | None:
     return None
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP to a certified optimum (objective within 1e-9, residuals
-    within 1e-9 relative), deterministically.
+def solve_lp(
+    problem: LpProblem, level: RiskLevel | float, kind: str = "min_es", cuts: list | None = None
+) -> LpSolution:
+    """Solve the LP of this kind ("min_es" or "max_expected") at the level
+    to a certified optimum (objective within 1e-9, residuals within 1e-9
+    relative), deterministically.
 
     The path follows from the LP, with no override. At least 600 (merged)
     scenarios and no `chain` form take the cutting-plane path
     (`_solve_cuts`, one loop for both LP kinds), whatever the number of
     legs: its master LPs stay small while each cut sorts only the scenarios
-    in the ES tail, and a confirmation LP from `_confirmation_lp` starts
-    from the cuts its detection LP found. Sparse HiGHS takes fewer
+    in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
+    at this level (None: a fresh one), so a confirmation LP handed its
+    detection LP's pool starts from those. Sparse HiGHS takes fewer
     scenarios and the chain form, whose few nonzeros make it fast; it also
     answers when the cutting planes fail. Every solution passes
     `_check_residuals`, which reads the dense payoffs, or raises SolverError.
     """
+    p = as_level(level).p
     solution = None
     if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
-        solution = _solve_cuts(problem)
+        solution = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
     if solution is None:
-        solution = _solve_highs(problem)
-    _check_residuals(problem, solution.x)
+        solution = _solve_highs(problem, p, kind)
+    _check_residuals(problem, solution.x, p, kind)
     return solution
 
 
@@ -489,12 +475,14 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     the confirmation LP, which maximizes expected payoff subject to ES <= 0;
     arbitrage holds iff that maximum is positive. When the verdict comes from
     the confirmation phase, the reported portfolio is the confirmation
-    maximizer so that it always witnesses the verdict. Both LPs take the
-    solver path `solve_lp` picks from the LP; there is no override.
+    maximizer so that it always witnesses the verdict. Both phases solve the
+    one LP `build_lp` makes, on the solver path `solve_lp` picks from it
+    (there is no override), and share one pool of cuts: every support line
+    of ES from phase 1 also cuts ES <= 0.
     """
     level = as_level(level)
-    problem = build_lp(market, level)
-    solution = solve_lp(problem)
+    problem, cuts = build_lp(market), []
+    solution = solve_lp(problem, level, "min_es", cuts)
     eps = arbitrage_epsilon(market)
     n_l = problem.n_legs
     min_es = solution.optimal_value + 0.0  # +0.0: no field reads -0.0
@@ -504,7 +492,7 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     if min_es < -eps:
         arbitrage = True
     else:
-        conf = solve_lp(_confirmation_lp(problem))
+        conf = solve_lp(problem, level, "max_expected", cuts)
         max_expected = 0.0 - conf.optimal_value  # a zero maximum reads +0.0, not -0.0
         confirmation = Confirmation(max_expected_payoff=max_expected)
         arbitrage = max_expected > eps
@@ -561,7 +549,7 @@ def _threshold_density(problem: LpProblem) -> np.ndarray | None:
     bounds[0] = -1.0
     bounds[1 : 1 + n_l, 0] = np.where(problem.shorts >= 0, -math.inf, 0.0)
     bounds[u, 0] = 0.0
-    res = _linprog_highs(c, A, problem.rhs, bounds)
+    res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
     if res.status != 0:
         raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
     duals = -res.ineqlin.marginals
@@ -580,7 +568,8 @@ def min_p(
 ) -> MinPResult:
     """Smallest level in the bracket admitting arbitrage, from pricing densities.
 
-    Two LP kinds, both on the one LP `build_lp` makes at lo. The threshold LP
+    The threshold LP and the confirmation LPs all solve the one LP
+    `build_lp` makes, each at its own level. The threshold LP
     (`_threshold_density`) gives p0 and the density q* with the least
     max q = 1 / p0. When q* clears both ends of (0, 1/lo) by more than
     _MARGIN_TOL it lies strictly inside the ES dual set at lo and certifies
@@ -604,19 +593,19 @@ def min_p(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     eps = arbitrage_epsilon(market)
-    problem = build_lp(market, lo)
+    problem = build_lp(market)
     q = _threshold_density(problem)
     evals = 1
     if q is None or not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
         evals += 1
-        if 0.0 - solve_lp(_confirmation_lp(problem)).optimal_value > eps:
+        if 0.0 - solve_lp(problem, lo, "max_expected").optimal_value > eps:
             return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
         if q is None:
             raise SolverError(f"no pricing density, yet no arbitrage confirmed at lo = {lo!r}")
     p0 = max(1.0 / float(q.max()), lo)
     if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    confirmation = solve_lp(replace(problem, level=as_level(p0), kind="max_expected"))
+    confirmation = solve_lp(problem, p0, "max_expected")
     if not 0.0 - confirmation.optimal_value > eps:
         raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r}")
     return MinPResult(p_star=p0, status="found", evaluations=evals + 1)

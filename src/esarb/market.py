@@ -168,6 +168,9 @@ class MarketSnapshot:
                 raise ValueError(f"leg {leg.label!r} has {len(leg.payoff)} payoffs for {n} scenarios")
         if not 0 < self.upper_bound < _INFINITE_BOUND:
             raise ValueError(f"upper_bound must be > 0 and below {_INFINITE_BOUND:g}")
+        for name in ("spot", "rate", "maturity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def n_legs(self) -> int:
@@ -194,6 +197,8 @@ class Portfolio:
         q = self.quantities
         if q.ndim != 1:
             raise ValueError("quantities must be 1-d")
+        if not np.isfinite(q).all():
+            raise ValueError("quantities must be finite")
         if (q < 0).any() or (q > self.upper_bound * (1 + 1e-12)).any():
             raise ValueError(f"quantities must lie in [0, {self.upper_bound}]")
 

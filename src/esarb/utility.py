@@ -109,6 +109,8 @@ def scaling_scan(
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lambdas must be a nonempty 1-d list")
+    if not np.isfinite(lams).all():
+        raise ValueError("lambdas must be finite")
     if (lams < 0).any() or np.any(np.diff(lams) < 0):
         raise ValueError("lambdas must be ascending and nonnegative")
     lvl = as_level(level).p
@@ -164,7 +166,11 @@ def classic_constraint_sup(
         raise ValueError("constraint spec must be risk_manager_power")
     if floor > 0:
         raise ValueError("floor excludes zero portfolio")
+    if not np.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor!r}")
     caps = np.asarray(qty_caps, dtype=float)
+    if not np.isfinite(caps).all():
+        raise ValueError("qty_caps must be finite")
     if caps.ndim != 1 or caps.size == 0 or (caps <= 0).any() or np.any(np.diff(caps) < 0):
         raise ValueError("qty_caps must be ascending and positive")
     payoffs = market.payoff_matrix()

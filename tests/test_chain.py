@@ -26,7 +26,6 @@ from esarb.detector import (
     SolverError,
     _check_density,
     _check_residuals,
-    _confirmation_lp,
     _linprog_highs,
     _solve_highs,
     _threshold_density,
@@ -42,8 +41,9 @@ from test_detector import _two_asset_markowitz
 # ------------------------------------------------------- the plain assembly
 
 
-def _plain_constraint_matrix(lp):
-    """Rows (cost, hinge, ES for "max_expected") with the dense payoff block."""
+def _plain_constraint_matrix(lp, p=None, kind="min_es"):
+    """Rows (cost, hinge, ES for "max_expected" at level p) with the dense
+    payoff block."""
     n_s, n_l = lp.n_scenarios, lp.n_legs
     cost = sparse.csr_matrix(
         (lp.prices, (np.zeros(n_l, dtype=int), 1 + np.arange(n_l))),
@@ -58,17 +58,17 @@ def _plain_constraint_matrix(lp):
         format="csr",
     )
     blocks = [cost, hinge]
-    if lp.kind == "max_expected":
-        es_row = np.concatenate([[1.0], np.zeros(n_l), lp.weights / lp.level.p])
+    if kind == "max_expected":
+        es_row = np.concatenate([[1.0], np.zeros(n_l), lp.weights / p])
         blocks.append(sparse.csr_matrix(es_row[None, :]))
     return sparse.vstack(blocks, format="csr")
 
 
-def _plain_highs_args(lp):
+def _plain_highs_args(lp, p, kind):
     """The arguments `_solve_highs` handed HiGHS with the plain assembly."""
-    A = _plain_constraint_matrix(lp)
+    A = _plain_constraint_matrix(lp, p, kind)
     bounds = np.column_stack([lp.lower_bounds, lp.upper_bounds])
-    return (lp.objective, A, np.zeros(A.shape[0]), bounds), {}
+    return (lp.objective(p, kind), A, np.zeros(A.shape[0]), bounds), {}
 
 
 def _threshold_highs_args(lp, A):
@@ -108,12 +108,13 @@ def _plain_threshold_args(lp):
     return args, kwargs
 
 
-def _plain_value(lp):
-    """Optimal value of the plain LP, its answer certified."""
-    args, kwargs = _plain_highs_args(lp)
+def _plain_value(lp, p, kind):
+    """Optimal value of the plain LP of this kind at level p, its answer
+    certified."""
+    args, kwargs = _plain_highs_args(lp, p, kind)
     res = _linprog_highs(*args, **kwargs)
     assert res.status == 0, res.message
-    _check_residuals(lp, res.x)
+    _check_residuals(lp, res.x, p, kind)
     return float(res.fun)
 
 
@@ -263,20 +264,20 @@ def test_chain_matches_plain_reference(seed, steps):
     rng = np.random.default_rng(seed)
     market = _step_market(rng) if steps else _ladder_market(rng)
     p = float(rng.uniform(0.02, 0.9))
-    prob = build_lp(market, p)
+    prob = build_lp(market)
     assert prob.chain is not None
     assert 2 * prob.constraint_matrix.nnz <= _plain_nnz(prob)
     payoff_scale = 1.0 + float(np.abs(prob.payoffs).max()) * prob.upper_bound
     values = {}
-    for lp in (prob, _confirmation_lp(prob)):
-        ref = _plain_value(lp)
-        got = _solved(lambda: _solve_highs(lp))
+    for kind in ("min_es", "max_expected"):
+        ref = _plain_value(prob, p, kind)
+        got = _solved(lambda: _solve_highs(prob, p, kind))
         if isinstance(got, SolverError):  # never a wrong answer, but no answer
             continue
-        _check_residuals(lp, got.x)
-        assert got.x.shape == (lp.n_variables,)
+        _check_residuals(prob, got.x, p, kind)
+        assert got.x.shape == (prob.n_variables,)
         assert abs(got.optimal_value - ref) <= 1e-9 * payoff_scale
-        values[lp.kind] = ref
+        values[kind] = ref
     if len(values) == 2:
         eps = arbitrage_epsilon(market)
         ref_arbitrage = values["min_es"] < -eps or -values["max_expected"] > eps
@@ -299,11 +300,11 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     # each sorted row of the digital ladder differs from the one before in
     # one entry: 3585 constraint nonzeros in place of 133377
     market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
-    prob = build_lp(market, 1e-4)
+    prob = build_lp(market)
     assert prob.chain is not None and prob.chain.nnz == 513
     assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
-    conf = _confirmation_lp(prob)
-    assert abs(_solve_highs(conf).optimal_value - _plain_value(conf)) <= 1e-9
+    conf = _solve_highs(prob, 1e-4, "max_expected")
+    assert abs(conf.optimal_value - _plain_value(prob, 1e-4, "max_expected")) <= 1e-9
     calls = _recording(monkeypatch)
     q = _threshold_density(prob)
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
@@ -319,15 +320,13 @@ def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     # and so must the threshold LP, with its own objective and bounds
     market = {"pl": _pl_market, "quick start": _quick_start_market,
               "markowitz": lambda: _two_asset_markowitz(500)}[name]()
-    prob = build_lp(market, 0.05)
+    prob = build_lp(market)
     assert prob.chain is None
     calls = _recording(monkeypatch)
-    for lp, solve, reference in (
-        (prob, _solve_highs, _plain_highs_args),
-        (_confirmation_lp(prob), _solve_highs, _plain_highs_args),
-        (prob, _threshold_density,
-         lambda lp: _threshold_highs_args(lp, _plain_constraint_matrix(lp))),
-    ):
+    for kind in ("min_es", "max_expected"):
         calls.clear()
-        solve(lp)
-        _assert_same_args(calls[0], reference(lp))
+        _solve_highs(prob, 0.05, kind)
+        _assert_same_args(calls[0], _plain_highs_args(prob, 0.05, kind))
+    calls.clear()
+    _threshold_density(prob)
+    _assert_same_args(calls[0], _threshold_highs_args(prob, _plain_constraint_matrix(prob)))

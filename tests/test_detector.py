@@ -30,7 +30,6 @@ from esarb.detector import (
     LpProblem,
     SolverError,
     _check_residuals,
-    _confirmation_lp,
     _full_vector,
     _merged_rows,
     _solve_cuts,
@@ -70,7 +69,7 @@ def test_build_lp_counts_and_roles():
         TradableLeg("a", 1.0, np.array([1.0, 2.0, 3.0])),
         TradableLeg("b", -0.5, np.array([0.0, 1.0, 0.0])),
     )
-    prob = build_lp(MarketSnapshot(scen, legs, spot=1.0), 0.3)
+    prob = build_lp(MarketSnapshot(scen, legs, spot=1.0))
     assert prob.n_variables == 6  # alpha + 2 legs + 3 scenarios
     assert prob.n_legs == 2
     assert prob.n_scenarios == 3
@@ -83,31 +82,30 @@ def test_build_lp_counts_and_roles():
 
 def test_build_lp_objective_weights():
     scen = ScenarioSet([0.0, 1.0], [0.25, 0.75])
-    prob = build_lp(MarketSnapshot(scen, (TradableLeg("a", 1.0, np.array([1.0, 2.0])),), spot=1.0), 0.5)
-    assert prob.objective[0] == 1.0
-    assert prob.objective[1] == 0.0
-    assert np.allclose(prob.objective[2:], [0.5, 1.5])  # w_i / p
+    prob = build_lp(MarketSnapshot(scen, (TradableLeg("a", 1.0, np.array([1.0, 2.0])),), spot=1.0))
+    objective = prob.objective(0.5, "min_es")
+    assert objective[0] == 1.0
+    assert objective[1] == 0.0
+    assert np.allclose(objective[2:], [0.5, 1.5])  # w_i / p
 
 
 def test_build_lp_merges_duplicate_scenarios():
     scen = ScenarioSet([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.25, 0.25])
     leg = TradableLeg("flat then up", 1.0, np.array([0.0, 0.0, 0.0, 6.0]))
     market = MarketSnapshot(scen, (leg,), spot=1.0)
-    merged = build_lp(market, 0.5)
+    merged = build_lp(market)
     verbatim = LpProblem(
-        kind="min_es",
         payoffs=market.payoff_matrix(),
         weights=market.scenarios.weights,
         prices=market.prices(),
-        level=merged.level,
         upper_bound=market.upper_bound,
         legs=np.arange(market.n_legs),
         shorts=np.full(market.n_legs, -1),
     )
     assert merged.n_scenarios == 2
     assert verbatim.n_scenarios == 4
-    assert solve_lp(merged).optimal_value == pytest.approx(
-        solve_lp(verbatim).optimal_value, abs=1e-12
+    assert solve_lp(merged, 0.5).optimal_value == pytest.approx(
+        solve_lp(verbatim, 0.5).optimal_value, abs=1e-12
     )
 
 
@@ -149,7 +147,7 @@ def test_merge_matches_unique_reference(seed):
     ref_rows, ref_w = _unique_merge(market)
     assert rows.shape[0] < n_s
     assert np.array_equal(rows, ref_rows)
-    lp_payoffs = build_lp(market, 0.5).payoffs
+    lp_payoffs = build_lp(market).payoffs
     assert not np.signbit(lp_payoffs[lp_payoffs == 0.0]).any()  # -0.0 folded into +0.0
     assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
     assert (w > 0).all()
@@ -329,7 +327,7 @@ def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
     # the LP block gathered from the legs is the one cut from the merged
     # matrix, layout included: BLAS sums in an order the strides set
     market = _merge_market(kind)
-    prob = build_lp(market, 0.3)
+    prob = build_lp(market)
     ref = _reference_lp_blocks(market)
     got = (prob.payoffs, prob.weights, prob.prices, prob.legs, prob.shorts)
     for array, ref_array in zip(got, ref):
@@ -345,10 +343,10 @@ def test_build_lp_peak_memory_stays_below_1_8_matrices():
     market = _two_asset_markowitz(100_000)
     matrix_bytes = market.payoff_matrix().nbytes
     assert market.payoff_matrix().shape == (100_000, 6)
-    build_lp(market, 0.05)  # load lazily imported code outside the trace
+    build_lp(market)  # load lazily imported code outside the trace
     tracemalloc.start()
     try:
-        build_lp(market, 0.05)
+        build_lp(market)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,7 +369,7 @@ def _frictionless_pairs_market():
 
 
 def test_build_lp_nets_frictionless_pairs():
-    prob = build_lp(_frictionless_pairs_market(), 0.3)
+    prob = build_lp(_frictionless_pairs_market())
     assert prob.legs.tolist() == [0, 1, 2, 4, 5, 6]
     assert prob.shorts.tolist() == [3, -1, -1, -1, -1, -1]
     assert prob.x_lower.tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -444,7 +442,7 @@ def test_netting_matches_unnetted_reference(n_s, seed):
     rng = np.random.default_rng(seed)
     market = _paired_market(rng, n_s)
     p = float(rng.uniform(0.05, 0.9))
-    prob = build_lp(market, p)
+    prob = build_lp(market)
     pairs = [(int(a), int(b)) for a, b in zip(prob.legs, prob.shorts) if b >= 0]
     netted = sorted(market.legs[a].label.lstrip("-") for a, _ in pairs)
     assert netted == sorted(l.label for l in market.legs if l.label.startswith("p"))
@@ -471,14 +469,14 @@ def test_netting_matches_unnetted_reference(n_s, seed):
 
 def test_zero_payoff_legs_give_zero():
     market = MarketSnapshot(TWO, (TradableLeg("nil", 0.5, np.zeros(2)),), spot=1.0)
-    sol = solve_lp(build_lp(market, 0.3))
+    sol = solve_lp(build_lp(market), 0.3)
     assert sol.optimal_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_true_arb_leg_optimum():
     leg = TradableLeg("gift", -1.0, np.array([1.0, 1.0]))
     market = MarketSnapshot(TWO, (leg,), spot=1.0)
-    sol = solve_lp(build_lp(market, 0.5))
+    sol = solve_lp(build_lp(market), 0.5)
     assert sol.optimal_value == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -500,7 +498,7 @@ def test_lp_matches_brute_force_grid(rng):
     for _ in range(5):
         market = random_market(rng, n_scenarios=5, n_legs=2)
         p = float(rng.uniform(0.1, 0.6))
-        lp_val = solve_lp(build_lp(market, p)).optimal_value
+        lp_val = solve_lp(build_lp(market), p).optimal_value
         prices = market.prices()
         payoffs = market.payoff_matrix()
         best = 0.0
@@ -516,32 +514,39 @@ def test_lp_matches_brute_force_grid(rng):
         assert lp_val == pytest.approx(best, abs=2e-2)
 
 
-def _solve_both(lp):
-    """The LP on both paths, each certified as `solve_lp` certifies it."""
-    cuts = _solve_cuts(lp)
+def _solve_both(lp, p, kind="min_es", pool=None):
+    """The LP of this kind at level p on both paths, each certified as
+    `solve_lp` certifies it; the cut loop starts from the pool of cuts."""
+    cuts = _solve_cuts(lp, p, kind, [] if pool is None else pool)
     assert cuts is not None and cuts.method == "cutting_plane"
-    highs = _solve_highs(lp)
+    highs = _solve_highs(lp, p, kind)
     for sol in (cuts, highs):
-        _check_residuals(lp, sol.x)
+        _check_residuals(lp, sol.x, p, kind)
     return cuts, highs
 
 
 def test_solver_backends_agree(rng):
     for _ in range(12):
         market = random_market(rng)
-        prob = build_lp(market, float(rng.uniform(0.05, 0.7)))
-        for lp in (prob, _confirmation_lp(prob)):
-            cuts, highs = (sol.optimal_value for sol in _solve_both(lp))
+        p, prob = float(rng.uniform(0.05, 0.7)), build_lp(market)
+        for kind in ("min_es", "max_expected"):
+            cuts, highs = (sol.optimal_value for sol in _solve_both(prob, p, kind))
             assert abs(cuts - highs) <= 1e-8 * (1.0 + abs(highs))
+
+
+def test_unknown_lp_kind_is_rejected():
+    prob = build_lp(true_arb_market())
+    with pytest.raises(ValueError, match="unknown LP kind 'max-expected'"):
+        solve_lp(prob, 0.3, "max-expected")
 
 
 def test_lp_solution_is_primal_feasible(rng):
     market = random_market(rng, n_scenarios=30, n_legs=4)
-    prob = build_lp(market, 0.2)
-    sol = solve_lp(prob)
+    prob = build_lp(market)
+    sol = solve_lp(prob, 0.2)
     x = sol.x
-    residual = prob.constraint_matrix @ x - prob.rhs
-    assert residual.max() <= 1e-9 * (1.0 + np.abs(prob.rhs).max())
+    residual = prob.constraint_matrix @ x  # every row reads <= 0
+    assert residual.max() <= 1e-9
     assert np.all(x >= prob.lower_bounds - 1e-9)
     assert np.all(x <= prob.upper_bounds + 1e-9)
 
@@ -556,7 +561,7 @@ def test_cutting_plane_handles_large_market():
         TradableLeg("short asset", -0.05, -points),
     )
     market = MarketSnapshot(scen, legs, spot=1.0)
-    big, ref = _solve_both(build_lp(market, 0.1))
+    big, ref = _solve_both(build_lp(market), 0.1)
     assert big.optimal_value == pytest.approx(ref.optimal_value, abs=1e-8)
 
 
@@ -583,13 +588,12 @@ def test_wide_option_chain_takes_the_cut_loop():
     eps = arbitrage_epsilon(market)
     verdicts = []
     for p in (0.05, 0.3):
-        prob = build_lp(market, p)
+        prob = build_lp(market)
         assert (prob.n_scenarios, prob.n_legs, prob.chain) == (2000, 66, None)
-        solution = solve_lp(prob)
-        conf = _confirmation_lp(prob)
-        highs = {}
-        for lp, sol in ((prob, solution), (conf, solve_lp(conf))):
-            highs[lp.kind] = ref = _solve_highs(lp).optimal_value
+        cuts, highs = [], {}  # the confirmation starts from phase 1's cuts, as in detect
+        for kind in ("min_es", "max_expected"):
+            sol = solve_lp(prob, p, kind, cuts)
+            highs[kind] = ref = _solve_highs(prob, p, kind).optimal_value
             assert sol.method == "cutting_plane"
             assert abs(sol.optimal_value - ref) <= 1e-8 * (1.0 + abs(ref))
         highs_arbitrage = highs["min_es"] < -eps or 0.0 - highs["max_expected"] > eps
@@ -602,9 +606,9 @@ def test_digital_market_in_chain_form_stays_on_highs():
     # 640 merged scenarios would take the cut loop, but the chain form
     # keeps the digital ladder on HiGHS
     market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=640))
-    prob = build_lp(market, 0.05)
+    prob = build_lp(market)
     assert prob.n_scenarios == 640 and prob.chain is not None
-    assert solve_lp(prob).method == solve_lp(_confirmation_lp(prob)).method == "highs"
+    assert solve_lp(prob, 0.05).method == solve_lp(prob, 0.05, "max_expected").method == "highs"
 
 
 def test_pooled_cuts_support_es(rng):
@@ -612,15 +616,15 @@ def test_pooled_cuts_support_es(rng):
     # stays valid at any box point, and so for the confirmation LP too
     for _ in range(3):
         market = random_market(rng, n_scenarios=800, n_legs=4)
-        prob = build_lp(market, float(rng.uniform(0.05, 0.5)))
-        sol = _solve_cuts(prob)
+        p, prob, cuts = float(rng.uniform(0.05, 0.5)), build_lp(market), []
+        sol = _solve_cuts(prob, p, "min_es", cuts)
         assert sol is not None and sol.method == "cutting_plane"
-        assert prob.cuts
-        F, w, p = prob.payoffs, prob.weights, prob.level.p
+        assert cuts
+        F, w = prob.payoffs, prob.weights
         scale = 1.0 + float(np.abs(F).max()) * prob.upper_bound
         for x in rng.uniform(0.0, prob.upper_bound, size=(20, prob.n_legs)):
             es = es_p(WeightedSample(F @ x, w), p)
-            for g, h in prob.cuts:
+            for g, h in cuts:
                 assert es >= g @ x + h - 1e-9 * scale
 
 
@@ -637,11 +641,10 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     # gradient 1.5 < E(0.05) = 2.06: no arbitrage, so the verdict rests on
     # the confirmation; seeded with phase 1's cuts it needs one master LP
     market = _two_asset_markowitz(5000)
-    prob = build_lp(market, 0.05)
-    assert _solve_cuts(prob) is not None
-    assert build_lp(market, 0.05).cuts == []  # every problem starts its own pool
-    seeded, fresh = _confirmation_lp(prob), _confirmation_lp(build_lp(market, 0.05))
-    assert len(seeded.cuts) == len(prob.cuts) > 0
+    prob, seeded, fresh = build_lp(market), [], []
+    assert _solve_cuts(prob, 0.05, "min_es", seeded) is not None
+    assert not hasattr(prob, "cuts")  # the caller owns every pool
+    assert len(seeded) > 0
     real, calls = detector.linprog, []
 
     def counted(*args, **kwargs):
@@ -650,9 +653,9 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
 
     monkeypatch.setattr(detector, "linprog", counted)
     masters, values = [], []
-    for lp in (seeded, fresh):
+    for pool in (seeded, fresh):
         calls.clear()
-        sol = _solve_cuts(lp)
+        sol = _solve_cuts(prob, 0.05, "max_expected", pool)
         masters.append(len(calls))
         assert sol is not None
         values.append(sol.optimal_value)
@@ -664,13 +667,13 @@ def test_cut_loop_alpha_is_var_p():
     # alpha comes from the loop's own sort of the point it returns; it must
     # be VaR_p of that point, bit for bit, on both LP kinds
     market = _two_asset_markowitz(3000)
+    prob = build_lp(market)
     for p in (0.05, 0.4):
-        prob = build_lp(market, p)
-        for lp in (prob, _confirmation_lp(prob)):
-            sol = _solve_cuts(lp)
+        for kind in ("min_es", "max_expected"):
+            sol = _solve_cuts(prob, p, kind, [])
             assert sol is not None and sol.method == "cutting_plane"
-            x = sol.x[1 : 1 + lp.n_legs]
-            assert sol.x[0] == var_p(WeightedSample(lp.payoffs @ x, lp.weights), p)
+            x = sol.x[1 : 1 + prob.n_legs]
+            assert sol.x[0] == var_p(WeightedSample(prob.payoffs @ x, prob.weights), p)
 
 
 def test_cut_loop_iterates_pinned():
@@ -685,7 +688,8 @@ def test_cut_loop_iterates_pinned():
         "    calls.append(1)",
         "    return real(*args, **kwargs)",
         "detector.linprog = counted",
-        "sol = detector._solve_cuts(detector.build_lp(_two_asset_markowitz(20000), 0.4))",
+        "lp = detector.build_lp(_two_asset_markowitz(20000))",
+        "sol = detector._solve_cuts(lp, 0.4, 'min_es', [])",
         "print(len(calls), sol.method, sol.optimal_value.hex(), float(sol.x[0]).hex())",
     ])
     assert run_with_one_blas_thread(code).split() == [
@@ -702,33 +706,34 @@ def _pair_market():
     return MarketSnapshot(TWO, legs, spot=1.0)
 
 
-def _exact_vector(lp, x):
-    return _full_vector(lp, x, var_p(WeightedSample(lp.payoffs @ x, lp.weights), lp.level))
+def _exact_vector(lp, x, p):
+    return _full_vector(lp, x, var_p(WeightedSample(lp.payoffs @ x, lp.weights), p))
 
 
 def test_check_residuals_accepts_exact_vectors():
-    prob = build_lp(_pair_market(), 0.5)
+    prob = build_lp(_pair_market())
     assert prob.n_legs == 1  # the frictionless pair is one net column in [-1, 1]
-    for lp in (prob, _confirmation_lp(prob)):
+    for kind in ("min_es", "max_expected"):
         for net in (1.0, 0.5, 0.0):
-            _check_residuals(lp, _exact_vector(lp, np.array([net])))
-    _check_residuals(prob, _exact_vector(prob, np.array([-1.0])))  # ES > 0 breaks only the ES row
+            _check_residuals(prob, _exact_vector(prob, np.array([net]), 0.5), 0.5, kind)
+    # ES > 0 breaks only the ES row
+    _check_residuals(prob, _exact_vector(prob, np.array([-1.0]), 0.5), 0.5, "min_es")
 
 
 def test_check_residuals_rejects_hinge_row_violation():
-    prob = build_lp(_pair_market(), 0.5)
-    v = _exact_vector(prob, np.array([0.5]))
+    prob = build_lp(_pair_market())
+    v = _exact_vector(prob, np.array([0.5]), 0.5)
     v[0] -= 1.0  # alpha below the attaining quantile: every hinge row is short by 1
     with pytest.raises(SolverError, match=r"bound violation -?0\.000e"):
-        _check_residuals(prob, v)
+        _check_residuals(prob, v, 0.5, "min_es")
 
 
 def test_check_residuals_rejects_bound_violation():
-    prob = build_lp(_pair_market(), 0.5)
+    prob = build_lp(_pair_market())
     for net in (1.5, -1.5):
-        v = _exact_vector(prob, np.array([net]))  # rows hold, the box [-1, 1] does not
+        v = _exact_vector(prob, np.array([net]), 0.5)  # rows hold, the box [-1, 1] does not
         with pytest.raises(SolverError, match=r"residual 0\.000e"):
-            _check_residuals(prob, v)
+            _check_residuals(prob, v, 0.5, "min_es")
 
 
 # --------------------------------------------------------------------- detect
@@ -752,9 +757,9 @@ def test_zero_price_lottery_confirmed_on_cutting_planes():
     market = MarketSnapshot(base.scenarios, base.legs + (TradableLeg("lottery", 0.0, pay),), spot=1.0)
     res = detect(market, 0.05)
     assert res.arbitrage
-    prob = build_lp(market, 0.05)
-    assert _solve_cuts(prob) is not None
-    cuts, highs = _solve_both(_confirmation_lp(prob))
+    prob, pool = build_lp(market), []
+    assert _solve_cuts(prob, 0.05, "min_es", pool) is not None
+    cuts, highs = _solve_both(prob, 0.05, "max_expected", pool)
     # detect took the same cutting-plane path, so it reports the same bits
     assert res.confirmation.max_expected_payoff == 0.0 - cuts.optimal_value
     assert cuts.optimal_value == pytest.approx(highs.optimal_value, abs=1e-8)
@@ -775,7 +780,7 @@ def test_markowitz_below_threshold_agrees_across_paths():
         assert not res.arbitrage
         reported = detection_to_dict(res, market.labels())["confirmation"]["max_expected_payoff"]
         assert reported == 0.0 and math.copysign(1.0, reported) == 1.0
-        cuts, highs = _solve_both(_confirmation_lp(build_lp(market, 0.05)))
+        cuts, highs = _solve_both(build_lp(market), 0.05, "max_expected")
         assert abs(cuts.optimal_value - highs.optimal_value) <= 1e-8
 
 
@@ -980,7 +985,7 @@ def test_min_p_on_quadrature_market_with_singular_dense_basis():
 
     res = min_p(market, bracket=(1e-4, 0.9))
     assert res.status == "found"
-    assert build_lp(market, res.p_star).n_scenarios < detector._CUT_SCENARIOS  # HiGHS path
+    assert build_lp(market).n_scenarios < detector._CUT_SCENARIOS  # HiGHS path
     assert detect(market, res.p_star).arbitrage
     assert not detect(market, res.p_star - 1e-4).arbitrage
 
@@ -1050,7 +1055,7 @@ def test_min_p_matches_detect_on_small_markets(seed):
 
 @pytest.mark.parametrize("tamper", ["mass", "negative", "pricing"])
 def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
-    problem = build_lp(capped_density_market(), 0.01)
+    problem = build_lp(capped_density_market())
     real = detector._linprog_highs
 
     def tampered(*args):
@@ -1095,7 +1100,7 @@ def _option_market(rng):
 def test_min_p_lower_end_matches_detect_around_threshold(seed):
     market = _option_market(np.random.default_rng(seed))
     assert market.n_legs == 10
-    p0 = 1.0 / float(_threshold_density(build_lp(market, 0.01)).max())
+    p0 = 1.0 / float(_threshold_density(build_lp(market)).max())
     assert p0 < 0.99
     for factor in (0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.1):
         lo = factor * p0
@@ -1140,9 +1145,9 @@ def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
             res.ineqlin.marginals[1:4] = -market.scenarios.weights * q
         return res
 
-    def recorded(problem):
-        solved.append((problem.kind, problem.level.p))
-        return real_solve(problem)
+    def recorded(problem, level, kind="min_es", cuts=None):
+        solved.append((kind, level))
+        return real_solve(problem, level, kind, cuts)
 
     monkeypatch.setattr(detector, "_linprog_highs", tampered)
     monkeypatch.setattr(detector, "solve_lp", recorded)
@@ -1171,12 +1176,36 @@ def test_min_p_builds_one_lp_and_never_detects(monkeypatch, market):
     assert calls == ["build_lp"]
 
 
+@pytest.mark.parametrize("call", ["min_p", "detect"])
+def test_one_call_builds_chain_and_matrix_once(monkeypatch, call):
+    # level and LP kind are arguments of solve_lp, so min_p's threshold LP
+    # and confirmation, and detect's two phases, share one LpProblem: its
+    # chain form and constraint matrix are built once per call
+    market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
+    counts = dict.fromkeys(["chain", "constraint_matrix"], 0)
+    for name in counts:
+        prop = vars(LpProblem)[name]
+
+        def counted(problem, real=prop.func, name=name):
+            counts[name] += 1
+            return real(problem)
+
+        monkeypatch.setattr(prop, "func", counted)
+    if call == "min_p":
+        res = min_p(market, bracket=(1e-4, 0.9))
+        assert (res.status, res.evaluations) == ("found", 2)
+    else:
+        res = detect(market, 0.005)  # below p* = 0.0104: the confirmation decides
+        assert res.confirmation is not None and not res.arbitrage
+    assert counts == {"chain": 1, "constraint_matrix": 1}
+
+
 def test_min_p_without_pricing_density_is_below_bracket():
     # a zero-price gift leg pays >= 0.28 in every scenario: no pricing density
     market = _priced_market(np.random.default_rng(22971))
     assert market.legs[-1].label == "gift" and market.legs[-1].price == 0.0
     assert market.legs[-1].payoff.min() >= 0.28
-    assert _threshold_density(build_lp(market, 0.01)) is None
+    assert _threshold_density(build_lp(market)) is None
     res = min_p(market, bracket=(0.01, 0.95), tol=1e-3)
     assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 2)
 
@@ -1187,9 +1216,9 @@ def test_min_p_raises_when_threshold_not_confirmed(monkeypatch):
     market = capped_density_market()
     real, kinds = detector.solve_lp, []
 
-    def unconfirmed(problem):
-        kinds.append(problem.kind)
-        return replace(real(problem), optimal_value=0.0)
+    def unconfirmed(problem, level, kind="min_es", cuts=None):
+        kinds.append(kind)
+        return replace(real(problem, level, kind, cuts), optimal_value=0.0)
 
     monkeypatch.setattr(detector, "solve_lp", unconfirmed)
     with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):

@@ -12,7 +12,8 @@ level that no module of the package references is dead code too.
 resident memory and 0.6 s on first import; the package needs neither.
 The detector keeps one LP assembly and one HiGHS call: `sparse` is
 referenced only inside `LpProblem`, and `linprog` only inside
-`_linprog_highs`.
+`_linprog_highs`. It copies no LP per level or LP kind either: it does
+not use `dataclasses.replace`.
 """
 
 import ast
@@ -197,3 +198,34 @@ def test_checker_flags_stray_references():
         "line 10: linprog",
         "line 11: sparse",
     ]
+
+
+def _replace_uses(source: str) -> list[str]:
+    """Imports and attribute reads of `dataclasses.replace`: `from
+    dataclasses import replace` under any alias, or `dataclasses.replace`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = node.module == "dataclasses" and any(a.name == "replace" for a in node.names)
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "replace"
+                   and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
+        if hit:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_copies_no_lp():
+    assert _replace_uses((SRC / "detector.py").read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_dataclasses_replace():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, replace\n"
+        "from dataclasses import replace as copy_with\n"
+        "lp = dataclasses.replace(lp, level=0.5)\n"
+        "label = 'a-b'.replace('-', '_')\n"
+        "from .market import replace\n"
+    )
+    assert _replace_uses(source) == ["line 2", "line 3", "line 4"]

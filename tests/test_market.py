@@ -167,6 +167,18 @@ def test_snapshot_rejects_unusable_upper_bound():
     assert MarketSnapshot(scen, gift, spot=1.0, upper_bound=1e19).upper_bound == 1e19
 
 
+@pytest.mark.parametrize("name", ["spot", "rate", "maturity"])
+def test_snapshot_rejects_non_finite_scalars(name):
+    # arbitrage_epsilon scales with the spot: with spot NaN it read NaN, and
+    # detect called the README quick-start market free of arbitrage at a
+    # least ES of -0.03
+    scen = ScenarioSet([0.0, 1.0], [0.5, 0.5])
+    legs = (TradableLeg("x", 1.0, np.array([0.5, 2.0])),)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MarketSnapshot(scen, legs, **{name: value})
+
+
 def test_portfolio_box():
     Portfolio([0.0, 1.0])
     with pytest.raises(ValueError):
@@ -174,6 +186,11 @@ def test_portfolio_box():
     with pytest.raises(ValueError):
         Portfolio([0.5, 1.5])
     Portfolio([0.5, 1.5], upper_bound=2.0)
+    for bad in ([math.nan], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="quantities must be finite"):
+            Portfolio(bad)
+    with pytest.raises(ValueError, match="quantities must be finite"):
+        Portfolio([math.inf], upper_bound=math.inf)
 
 
 def test_price_examples():

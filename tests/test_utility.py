@@ -174,6 +174,9 @@ class TestScalingScan:
         short = Portfolio([1.0])
         with pytest.raises(ValueError, match="does not match"):
             scaling_scan(market, short, ray, [1.0], [LL], 0.3)
+        for bad in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
+            with pytest.raises(ValueError, match="lambdas must be finite"):
+                scaling_scan(market, base, ray, bad, [LL], 0.3)
 
 
 class TestClassicConstraintSup:
@@ -195,6 +198,14 @@ class TestClassicConstraintSup:
             classic_constraint_sup(market, RM2, -1.0, [100.0, 10.0])
         with pytest.raises(ValueError):
             classic_constraint_sup(market, RM2, -1.0, [-5.0, 10.0])
+        # a NaN cap used to get the value 0.0, and a NaN floor values
+        # under no stated floor, each without an error
+        for caps in ([np.nan], [10.0, np.nan], [10.0, np.inf]):
+            with pytest.raises(ValueError, match="qty_caps must be finite"):
+                classic_constraint_sup(market, RM2, -1.0, caps)
+        for floor in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="floor must be finite"):
+                classic_constraint_sup(market, RM2, floor, [10.0])
 
     def test_true_arbitrage_grows_linearly(self):
         scen = ScenarioSet([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
