@@ -25,9 +25,10 @@ The smallest arbitrage level comes from the dual side, over the ES dual set
 density lies strictly inside it, 0 < q < 1/p, and the least ES at
 non-positive cost is strictly negative iff no pricing density has
 max q <= 1/p. The detection LP at alpha = -1 with weights w gives the
-threshold, and its hinge-row duals the density q* with the least max q.
-q* also settles the bracket's lower end when it lies strictly inside the
-dual set there; otherwise the confirmation LP decides.
+threshold p0, its hinge-row duals the density q* with the least max q,
+and its portfolio an arbitrage at every p >= p0, which `min_p` checks
+without the solver. q* also settles the bracket's lower end when it lies
+strictly inside the dual set there; otherwise the confirmation LP decides.
 """
 
 from __future__ import annotations
@@ -527,9 +528,25 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
         )
 
 
-def _threshold_density(problem: LpProblem) -> np.ndarray | None:
-    """Checked pricing density q with the least max_i q_i, or None when the
-    hinge rows' duals r sum to 0: no pricing density exists.
+def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> None:
+    """Certify portfolio columns x, scaled by min(1, B / max|x|) into the
+    box, as an ES_p-arbitrage without trusting the solver: cost and
+    ES_p(F x) <= 0 within 1e-9 of the payoff scale, and E_w[F x] > eps."""
+    F, w, B = problem.payoffs, problem.weights, problem.upper_bound
+    x = x * (B / max(float(np.abs(x).max(initial=0.0)), B))
+    X, cost = F @ x, float(problem.prices @ x)
+    top = max(F.max(initial=0.0), -F.min(initial=0.0), np.abs(problem.prices).max(initial=0.0))
+    tol = 1e-9 * (1.0 + float(top) * float(np.abs(x).sum()))
+    es, gain = tail_envelope(X, w, p)[0], float(w @ X)
+    if not (cost <= tol and es <= tol and gain > eps):
+        raise SolverError(f"no arbitrage witnessed at p = {p!r}: cost {cost:.3e}, "
+                          f"ES {es:.3e}, expected payoff {gain:.3e}")
+
+
+def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarray]:
+    """The checked pricing density q with the least max_i q_i, or None when
+    the hinge rows' duals r sum to 0 (no pricing density exists), and the
+    threshold LP's portfolio columns x*.
 
     HiGHS solves the detection LP's `constraint_matrix` (chain form
     included) with objective sum w_i u_i, alpha fixed at -1, x unbounded
@@ -538,8 +555,10 @@ def _threshold_density(problem: LpProblem) -> np.ndarray | None:
     F^T r <= lam prices (equalities for netted pairs), lam the cost row's
     dual, so q = r / (w sum r) is a pricing density (multiplier
     lam / sum r) with the least max q = 1 / p0. Such a q certifies ES >= 0
-    at non-positive cost for every p <= p0; above p0 the least ES is
-    strictly negative. `_check_density` checks q against the dense F.
+    at non-positive cost for every p <= p0, and at every p >= p0 X = F x*
+    has ES_p(X) <= -1 + p0 / p <= 0 (Rockafellar-Uryasev at alpha = -1)
+    and E_w[X] >= 1 - p0 > 0. `_check_density` checks q against the dense
+    F; `min_p` checks x* with `_check_witness`.
     """
     A, n_l, n_s = problem.constraint_matrix, problem.n_legs, problem.n_scenarios
     u = slice(1 + n_l, 1 + n_l + n_s)
@@ -552,13 +571,13 @@ def _threshold_density(problem: LpProblem) -> np.ndarray | None:
     res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
     if res.status != 0:
         raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
-    duals = -res.ineqlin.marginals
+    duals, x = -res.ineqlin.marginals, res.x[1 : 1 + n_l]
     mass = float(duals[1 : 1 + n_s].sum())
     if mass == 0.0:
-        return None
+        return None, x
     q = duals[1 : 1 + n_s] / (problem.weights * mass)
     _check_density(problem, q, float(duals[0]) / mass)
-    return q
+    return q, x
 
 
 def min_p(
@@ -566,26 +585,20 @@ def min_p(
     bracket: tuple[float, float] = (1e-4, 0.5),
     tol: float = 1e-4,
 ) -> MinPResult:
-    """Smallest level in the bracket admitting arbitrage, from pricing densities.
+    """Smallest level in the bracket admitting arbitrage, from one threshold LP.
 
-    The threshold LP and the confirmation LPs all solve the one LP
-    `build_lp` makes, each at its own level. The threshold LP
-    (`_threshold_density`) gives p0 and the density q* with the least
-    max q = 1 / p0. When q* clears both ends of (0, 1/lo) by more than
-    _MARGIN_TOL it lies strictly inside the ES dual set at lo and certifies
-    no arbitrage there. Otherwise (or when no pricing density exists) the
-    confirmation LP at lo (maximum expected payoff subject to ES <= 0)
-    decides: a maximum above `arbitrage_epsilon` means "at or below
-    bracket", the verdict of `detect(lo)`, since ES_p(X) >= -E[X] gives any
-    portfolio with ES < -eps an expected payoff > eps. No density and no
-    arbitrage at lo raises SolverError. Above p0 the least ES at
-    non-positive cost is strictly negative; at p0 no density lies strictly
-    inside the dual set, so p0 itself admits arbitrage. p* = p0 once the
-    confirmation LP at p0 exceeds `arbitrage_epsilon`, by the same
-    argument, else SolverError. p0 > hi is "none in bracket". tol must be
-    finite and > 0 but no longer moves p*; it stays for callers that pass
-    it. `evaluations` counts the LPs solved: 2 when q* certifies lo and p0
-    is in the bracket, at most 3.
+    The threshold LP (`_threshold_density`) gives p0 = 1 / max q*, or 0 when
+    no pricing density exists, and a portfolio x* that is an arbitrage at
+    every p >= p0. When p0 > lo and q* misses either end of (0, 1/lo) by
+    _MARGIN_TOL or less, q* does not certify lo, and the confirmation LP at
+    lo (maximum expected payoff subject to ES <= 0, on the one LP
+    `build_lp` makes) decides: a maximum above `arbitrage_epsilon` means
+    "at or below bracket", the verdict of `detect(lo)`. p0 > hi is "none in
+    bracket". Otherwise `_check_witness` checks x* at max(p0, lo), and the
+    answer is "found" at p0, or "at or below bracket" when p0 <= lo; a
+    failed check raises SolverError. tol must be finite and > 0 but no
+    longer moves p*; it stays for callers that pass it. `evaluations`
+    counts the LPs solved: 1, or 2 with the confirmation at lo.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
@@ -594,18 +607,15 @@ def min_p(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     eps = arbitrage_epsilon(market)
     problem = build_lp(market)
-    q = _threshold_density(problem)
+    q, x = _threshold_density(problem)
+    p0 = 0.0 if q is None else 1.0 / float(q.max())
     evals = 1
-    if q is None or not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
+    if p0 > lo and not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
         evals += 1
         if 0.0 - solve_lp(problem, lo, "max_expected").optimal_value > eps:
             return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
-        if q is None:
-            raise SolverError(f"no pricing density, yet no arbitrage confirmed at lo = {lo!r}")
-    p0 = max(1.0 / float(q.max()), lo)
     if p0 > hi:
         return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    confirmation = solve_lp(problem, p0, "max_expected")
-    if not 0.0 - confirmation.optimal_value > eps:
-        raise SolverError(f"no arbitrage confirmed at the threshold p0 = {p0!r}")
-    return MinPResult(p_star=p0, status="found", evaluations=evals + 1)
+    _check_witness(problem, x, max(p0, lo), eps)
+    status = "found" if p0 > lo else "at or below bracket"
+    return MinPResult(p_star=max(p0, lo), status=status, evaluations=evals)

@@ -89,8 +89,10 @@ class WeightedSample:
             raise ValueError("empty sample")
         if not np.isfinite(values).all():
             raise ValueError("sample values must be finite")
-        if (weights < 0).any() or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must be >= 0 and sum to 1")
+        # a NaN sum is not > the tolerance, so finiteness is checked on its own
+        bad = not np.isfinite(weights).all() or (weights < 0).any()
+        if bad or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            raise ValueError("weights must be finite, >= 0 and sum to 1")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -57,6 +57,8 @@ class LognormalMixture:
             raise ValueError("weights, log_means, log_sds must be 1-d, same length")
         if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(s).all()):
             raise ValueError("non-finite mixture parameters")
+        if not all(map(math.isfinite, (self.spot, self.rate, self.maturity))):
+            raise ValueError("spot, rate and maturity must be finite")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (s <= 0).any():
@@ -214,6 +216,9 @@ class GarchModel:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        params = (self.omega, self.arch, self.garch_coef, self.steps, self.init_var, self.drift)
+        if not all(map(math.isfinite, params)):
+            raise ValueError("GARCH parameters must be finite")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.arch < 0 or self.garch_coef < 0:

@@ -405,9 +405,10 @@ def test_density_market_mc_matches_unique_binning(density):
 
 def test_criterion_10_output_bytes_pinned(tmp_path):
     # SHA-256 of both output files of acceptance criterion 10's CLI run,
-    # recorded with p* read from the threshold LP's hinge-row duals (the
-    # draws' bytes are pinned by test_density_market_mc_matches_unique_binning):
-    # any drift in the Monte Carlo stream, its binning or p* changes these bytes
+    # recorded with p* read from the threshold LP's hinge-row duals and
+    # witnessed by its portfolio, one LP per run (the draws' bytes are
+    # pinned by test_density_market_mc_matches_unique_binning): any drift
+    # in the Monte Carlo stream, its binning, p* or the LP count changes these bytes
     code = "\n".join([
         "import hashlib",
         "from esarb import cli, io",
@@ -421,7 +422,7 @@ def test_criterion_10_output_bytes_pinned(tmp_path):
         "                   '--bracket', '1e-4,0.7', '--tol', '1e-4', '--out', out])",
         "    print(rc, hashlib.sha256(open(out, 'rb').read()).hexdigest())",
     ])
-    pinned = "0336ae67e1c760ca4fb06e7a2805684d3e95da300da4b3b43b0ed786f1c16145"
+    pinned = "4638a3d9cabe8fad38a47a194f33efda5cbab842427dbf3374a976725b893803"
     assert run_with_one_blas_thread(code).split() == ["3", pinned, "3", pinned]
 
 

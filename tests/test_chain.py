@@ -286,6 +286,7 @@ def test_chain_matches_plain_reference(seed, steps):
     q = _solved(lambda: _threshold_density(prob))
     if isinstance(q, SolverError):
         return
+    q = q[0]
     assert (q is None) == (ref_p0 is None)
     if q is not None:
         assert abs(1.0 / float(q.max()) - ref_p0) <= 1e-12 * ref_p0
@@ -306,7 +307,7 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     conf = _solve_highs(prob, 1e-4, "max_expected")
     assert abs(conf.optimal_value - _plain_value(prob, 1e-4, "max_expected")) <= 1e-9
     calls = _recording(monkeypatch)
-    q = _threshold_density(prob)
+    q, _ = _threshold_density(prob)
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
     # the threshold LP is the detection LP's chain-form matrix itself
     assert len(calls) == 1 and calls[0][0][1] is prob.constraint_matrix

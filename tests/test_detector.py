@@ -1006,11 +1006,19 @@ def _step(sup, first_cell):
     ],
     ids=["step1.5", "step2", "step4", "step10", "bs512"],
 )
-def test_min_p_exact_on_complete_densities(density):
-    market = density_market(density)
+def test_min_p_exact_on_complete_densities(monkeypatch, density):
+    market, calls = density_market(density), []
+    real = detector._linprog_highs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detector, "_linprog_highs", counted)
     res = min_p(market, bracket=(1e-4, 0.9), tol=1e-4)
     assert res.status == "found"
-    assert res.evaluations == 2  # q* certifies lo: threshold LP, confirmation at p0
+    # q* certifies lo and x* witnesses p0: HiGHS solves the threshold LP alone
+    assert res.evaluations == len(calls) == 1
     assert abs(res.p_star - 1.0 / density.sup_density) <= 1e-8
     assert detect(market, res.p_star).arbitrage
     assert not detect(market, res.p_star - 1e-6).arbitrage
@@ -1041,7 +1049,7 @@ def test_min_p_matches_detect_on_small_markets(seed):
     market = _priced_market(np.random.default_rng(seed))
     lo, hi, tol = 0.01, 0.95, 1e-3
     res = min_p(market, bracket=(lo, hi), tol=tol)
-    assert res.evaluations <= 3
+    assert res.evaluations <= 2
     if res.status == "at or below bracket":
         assert res.p_star == lo and detect(market, lo).arbitrage
     elif res.status == "none in bracket":
@@ -1100,7 +1108,7 @@ def _option_market(rng):
 def test_min_p_lower_end_matches_detect_around_threshold(seed):
     market = _option_market(np.random.default_rng(seed))
     assert market.n_legs == 10
-    p0 = 1.0 / float(_threshold_density(build_lp(market)).max())
+    p0 = 1.0 / float(_threshold_density(build_lp(market))[0].max())
     assert p0 < 0.99
     for factor in (0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.1):
         lo = factor * p0
@@ -1113,7 +1121,7 @@ def test_min_p_lower_end_matches_detect_around_threshold(seed):
             assert res.status == "found" and res.p_star == p0
     # at p0 no density lies strictly inside the dual set: max q* = 1/p0
     res = min_p(market, bracket=(p0, 0.995))
-    assert res.status == "at or below bracket" and res.evaluations == 2
+    assert res.status == "at or below bracket" and res.evaluations == 1  # x* witnesses lo
     assert detect(market, p0).arbitrage
 
 
@@ -1151,11 +1159,13 @@ def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
 
     monkeypatch.setattr(detector, "_linprog_highs", tampered)
     monkeypatch.setattr(detector, "solve_lp", recorded)
-    # the confirmation at lo runs and finds no arbitrage; p0 = 1 / max q
-    # then lands in the bracket, where the confirmation refuses it too
-    with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):
+    # "floor": p0 = 1 / max q = 0.625 > lo, the confirmation at lo runs and
+    # finds no arbitrage; "cap": p0 = lo and no LP runs. Either way the
+    # threshold LP's portfolio, zero here, witnesses no arbitrage at max(p0, lo)
+    at = "0.625" if tamper == "floor" else "0.5:"
+    with pytest.raises(SolverError, match=f"no arbitrage witnessed at p = {at}"):
         min_p(market, bracket=bracket)
-    assert [kind for kind, _ in solved] == ["max_expected"] * 2 and solved[0][1] == 0.5
+    assert solved == ([("max_expected", 0.5)] if tamper == "floor" else [])
 
 
 @pytest.mark.parametrize("market", [true_arb_market, capped_density_market])
@@ -1193,7 +1203,7 @@ def test_one_call_builds_chain_and_matrix_once(monkeypatch, call):
         monkeypatch.setattr(prop, "func", counted)
     if call == "min_p":
         res = min_p(market, bracket=(1e-4, 0.9))
-        assert (res.status, res.evaluations) == ("found", 2)
+        assert (res.status, res.evaluations) == ("found", 1)
     else:
         res = detect(market, 0.005)  # below p* = 0.0104: the confirmation decides
         assert res.confirmation is not None and not res.arbitrage
@@ -1205,22 +1215,32 @@ def test_min_p_without_pricing_density_is_below_bracket():
     market = _priced_market(np.random.default_rng(22971))
     assert market.legs[-1].label == "gift" and market.legs[-1].price == 0.0
     assert market.legs[-1].payoff.min() >= 0.28
-    assert _threshold_density(build_lp(market)) is None
+    assert _threshold_density(build_lp(market))[0] is None
     res = min_p(market, bracket=(0.01, 0.95), tol=1e-3)
-    assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 2)
+    assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 1)
 
 
-def test_min_p_raises_when_threshold_not_confirmed(monkeypatch):
-    # min_p confirms p0 with one expected-payoff LP; a zero maximum there
-    # must not pass for arbitrage
+@pytest.mark.parametrize("tamper", ["zero", "halve"])
+def test_min_p_raises_when_threshold_portfolio_is_no_witness(monkeypatch, tamper):
+    # min_p answers p0 from the threshold LP's own portfolio x*, checked
+    # with es_p, E_w and the cost row; a tampered x* must not pass for
+    # arbitrage, and no LP may stand in for it
     market = capped_density_market()
-    real, kinds = detector.solve_lp, []
+    real, solved = detector._linprog_highs, []
 
-    def unconfirmed(problem, level, kind="min_es", cuts=None):
-        kinds.append(kind)
-        return replace(real(problem, level, kind, cuts), optimal_value=0.0)
+    def tampered(c, A, b, bounds):
+        res = real(c, A, b, bounds)
+        solved.append(bounds[0][0])
+        if bounds[0][0] == -1.0:  # alpha fixed at -1: the threshold LP
+            x = res.x[1 : 1 + build_lp(market).n_legs]
+            if tamper == "zero":
+                x[:] = 0.0
+            else:
+                x[np.argmax(np.abs(x))] *= 0.5
+        return res
 
-    monkeypatch.setattr(detector, "solve_lp", unconfirmed)
-    with pytest.raises(SolverError, match="no arbitrage confirmed at the threshold"):
+    assert min_p(market, bracket=(0.01, 0.9)).status == "found"
+    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    with pytest.raises(SolverError, match="no arbitrage witnessed at p = 0.5"):
         min_p(market, bracket=(0.01, 0.9))
-    assert kinds == ["max_expected"]
+    assert solved == [-1.0]  # alpha's lower bound: HiGHS solved the threshold LP alone

@@ -13,7 +13,9 @@ resident memory and 0.6 s on first import; the package needs neither.
 The detector keeps one LP assembly and one HiGHS call: `sparse` is
 referenced only inside `LpProblem`, and `linprog` only inside
 `_linprog_highs`. It copies no LP per level or LP kind either: it does
-not use `dataclasses.replace`.
+not use `dataclasses.replace`. `min_p` solves at most one LP through
+`solve_lp` (the confirmation at lo): the threshold LP's own portfolio
+witnesses arbitrage at p0, so no LP confirms it.
 """
 
 import ast
@@ -229,3 +231,37 @@ def test_checker_flags_dataclasses_replace():
         "from .market import replace\n"
     )
     assert _replace_uses(source) == ["line 2", "line 3", "line 4"]
+
+
+def _solve_lp_calls(source: str, function: str) -> list[str]:
+    """Calls of `solve_lp` inside the module-level function `function`,
+    by name or as an attribute (`detector.solve_lp(...)`)."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            found += [
+                f"line {node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_lp"
+            ]
+    return found
+
+
+def test_min_p_solves_at_most_one_lp_through_solve_lp():
+    assert len(_solve_lp_calls((SRC / "detector.py").read_text(encoding="utf-8"), "min_p")) <= 1
+
+
+def test_checker_counts_solve_lp_calls():
+    source = (
+        "def min_p(problem):\n"
+        "    a = solve_lp(problem, 0.1)\n"
+        "    def inner():\n"
+        "        return detector.solve_lp(problem, 0.2)\n"
+        "    solve = solve_lp\n"
+        "    return build_lp(problem), solve_lp_helper(problem)\n"
+        "def detect(problem):\n"
+        "    return solve_lp(problem, 0.3)\n"
+    )
+    assert _solve_lp_calls(source, "min_p") == ["line 2", "line 4"]
+    assert _solve_lp_calls(source, "detect") == ["line 8"]

@@ -434,3 +434,23 @@ class TestSynthesizeChain:
             mid = 0.5 * (q.bid + q.ask)
             assert q.ask - q.bid == pytest.approx(0.02 * mid, rel=1e-9)
             assert q.bid > 0
+
+
+class TestNonFiniteParameters:
+    # a NaN fails every "<= 0" check, so each model checks finiteness on its
+    # own: a NaN omega or an infinite init_var simulated NaN or +-inf returns
+    GARCH = dict(omega=1e-6, arch=0.08, garch_coef=0.90, steps=10, init_var=1e-4, drift=0.0)
+
+    @pytest.mark.parametrize("name", ["omega", "arch", "garch_coef", "steps", "init_var", "drift"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_garch_rejects(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GarchModel(**dict(self.GARCH, **{name: bad}))
+
+    @pytest.mark.parametrize("name", ["spot", "rate", "maturity"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mixture_rejects(self, name, bad):
+        mix = make_mixture()
+        args = dict(dict(spot=mix.spot, rate=mix.rate, maturity=mix.maturity), **{name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            LognormalMixture(mix.weights, mix.log_means, mix.log_sds, **args)

@@ -76,6 +76,9 @@ def test_non_finite_sample_rejected(bad):
     # ES and VaR read finite values only: the tail selection orders them
     with pytest.raises(ValueError, match="finite"):
         WeightedSample(np.array([0.0, bad]), np.array([0.5, 0.5]))
+    # nor weights: a NaN weight made the sum check pass, VaR read 1.0, ES NaN
+    with pytest.raises(ValueError, match="finite"):
+        WeightedSample(np.array([-1.0, 2.0, 3.0]), np.array([bad, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------- es_p
