@@ -60,7 +60,8 @@ class MarkowitzMarket:
             raise ValueError("sigma must be a square matrix")
         if mu.shape != c.shape or mu.shape[0] != sigma.shape[0]:
             raise ValueError("mu, c and sigma sizes disagree")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and np.isfinite(c).all()):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and np.isfinite(c).all()
+                and math.isfinite(self.rf)):
             raise ValueError("non-finite market data")
         scale = max(float(np.abs(sigma).max()), 1.0)
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10 * scale):
@@ -168,8 +169,10 @@ class CompleteMarketDensity:
         slack = 1e-12 * max(1.0, float(values.max()))
         if np.any(np.diff(values) > slack):
             raise ValueError("bad density: values must be nonincreasing")
-        if self.horizon <= 0:
-            raise ValueError("bad density: horizon must be positive")
+        if not math.isfinite(self.rate):
+            raise ValueError("bad density: rate must be finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("bad density: horizon must be finite and positive")
         total = self._knot_cumulative[-1]
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"bad density: integral is {total!r}, expected 1")

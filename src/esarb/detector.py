@@ -56,7 +56,7 @@ _MERGE_BLOCK = 1 << 16  # key entries gathered per compare in _merged_rows
 
 
 class SolverError(RuntimeError):
-    """Raised when no solver path produces a certified solution."""
+    """Raised when an LP's one solver path ends without a certified solution."""
 
 
 @dataclass(frozen=True)
@@ -356,12 +356,11 @@ def _check_residuals(problem: LpProblem, v: np.ndarray, p: float, kind: str) -> 
 
 
 def _linprog_highs(c, A_ub, b_ub, bounds):
-    """HiGHS at tight tolerances, retried once at stock tolerances when it
-    ends without a verdict (neither optimal, infeasible nor unbounded)."""
-    for opts in (dict(_HIGHS_OPTS), {}):
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=opts)
-        if res.status in (0, 2, 3):
-            break
+    """HiGHS at tight tolerances, once. Every LP esarb solves is feasible
+    and bounded, so any status but optimal raises SolverError."""
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=dict(_HIGHS_OPTS))
+    if res.status != 0:
+        raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
     return res
 
 
@@ -378,12 +377,10 @@ def _solve_highs(problem: LpProblem, p: float, kind: str) -> LpSolution:
     )
     c = np.append(problem.objective(p, kind), np.zeros(n_y))
     res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
-    if res.status != 0:
-        raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
     return LpSolution(float(res.fun), res.x[:n_v], "highs")
 
 
-def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSolution | None:
+def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSolution:
     """Kelley cutting planes on the portfolio block, for either LP kind.
 
     Each cut is the support line es(x') >= g.x' + h of ES_p at an iterate,
@@ -395,8 +392,8 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSoluti
     dual mixes envelope points into a dual-feasible certificate.
     "max_expected" fixes t = 0, maximizes expected payoff and stops at the
     first master point whose ES is <= 0 up to 1e-10 of the payoff scale.
-    None means a master failed or the cut budget ran out; the caller falls
-    back to HiGHS.
+    A failed master or a spent cut budget (_MAX_CUTS masters) raises
+    SolverError.
     """
     F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
     min_es = kind == "min_es"
@@ -427,10 +424,8 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSoluti
         A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
         b = np.array([-h for _, h in cuts] + [0.0])
         res = _linprog_highs(c, A, b, bounds)
-        if res.status != 0:
-            return None
         x, lower = res.x[:n_l], float(res.fun)
-    return None
+    raise SolverError(f"cutting planes did not converge in {_MAX_CUTS} master LPs")
 
 
 def solve_lp(
@@ -447,15 +442,14 @@ def solve_lp(
     in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
     at this level (None: a fresh one), so a confirmation LP handed its
     detection LP's pool starts from those. Sparse HiGHS takes fewer
-    scenarios and the chain form, whose few nonzeros make it fast; it also
-    answers when the cutting planes fail. Every solution passes
-    `_check_residuals`, which reads the dense payoffs, or raises SolverError.
+    scenarios and the chain form, whose few nonzeros make it fast. Each LP
+    has this one path: a failure on it raises SolverError, and so does a
+    solution that fails `_check_residuals`, which reads the dense payoffs.
     """
     p = as_level(level).p
-    solution = None
     if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
         solution = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
-    if solution is None:
+    else:
         solution = _solve_highs(problem, p, kind)
     _check_residuals(problem, solution.x, p, kind)
     return solution
@@ -569,8 +563,6 @@ def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarra
     bounds[1 : 1 + n_l, 0] = np.where(problem.shorts >= 0, -math.inf, 0.0)
     bounds[u, 0] = 0.0
     res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
-    if res.status != 0:
-        raise SolverError(f"threshold LP ended with HiGHS status {res.status}: {res.message}")
     duals, x = -res.ineqlin.marginals, res.x[1 : 1 + n_l]
     mass = float(duals[1 : 1 + n_s].sum())
     if mass == 0.0:

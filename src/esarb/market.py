@@ -201,6 +201,8 @@ class Portfolio:
             raise ValueError("quantities must be 1-d")
         if not np.isfinite(q).all():
             raise ValueError("quantities must be finite")
+        if not self.upper_bound > 0:
+            raise ValueError(f"upper_bound must be > 0, got {self.upper_bound!r}")
         if (q < 0).any() or (q > self.upper_bound * (1 + 1e-12)).any():
             raise ValueError(f"quantities must lie in [0, {self.upper_bound}]")
 

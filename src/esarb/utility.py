@@ -10,6 +10,7 @@ arbitrage from its absence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,15 @@ class UtilitySpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.kind == "s_shaped_power":
-            if not self.c1 > 0:
-                raise ValueError("need C1 > 0")
-            if self.c2 < 0:
-                raise ValueError("need C2 >= 0")
+            if not 0.0 < self.c1 < math.inf:
+                raise ValueError("need finite C1 > 0")
+            if not 0.0 <= self.c2 < math.inf:
+                raise ValueError("need finite C2 >= 0")
             if not 0.0 < self.a2 < self.a1 <= 1.0:
                 raise ValueError("need 0 < a2 < a1 <= 1")
         elif self.kind == "risk_manager_power":
-            if not self.eta > 1.0:
-                raise ValueError("need eta > 1")
+            if not 1.0 < self.eta < math.inf:
+                raise ValueError("need finite eta > 1")
 
     @classmethod
     def limited_liability(cls) -> "UtilitySpec":

@@ -124,6 +124,9 @@ def test_markowitz_validation():
         MarkowitzMarket([1.0, 1.0], [[0.01, 0.02], [0.0, 0.01]], [1.0, 1.0], 0.0)  # asymmetric
     with pytest.raises(ValueError):
         MarkowitzMarket([1.0], [[-0.01]], [1.0], 0.0)  # not PSD
+    for rf in (math.nan, math.inf, -math.inf):  # -inf would read as a negative gross rf
+        with pytest.raises(ValueError, match="non-finite market data"):
+            MarkowitzMarket([1.3], [[0.01]], [1.0], rf)
 
 
 def test_markowitz_market_copies_caller_arrays():
@@ -192,6 +195,12 @@ def test_density_validation():
         CompleteMarketDensity("step", [0.5, 0.4], [2.0, 0.5])  # grid not ascending
     with pytest.raises(ValueError, match="bad density"):
         CompleteMarketDensity("step", [0.5, 1.0], [2.0, -0.5])  # negative
+    for rate in (math.nan, math.inf, -math.inf):  # NaN would price every step as NaN
+        with pytest.raises(ValueError, match="bad density: rate"):
+            CompleteMarketDensity("step", [0.5, 1.0], [1.5, 0.5], rate=rate)
+    for horizon in (0.0, -1.0, math.nan, math.inf):  # inf would make `discount` NaN
+        with pytest.raises(ValueError, match="bad density: horizon"):
+            CompleteMarketDensity("step", [0.5, 1.0], [1.5, 0.5], horizon=horizon)
 
 
 def test_density_copies_caller_arrays():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from esarb import (
     InstrumentQuote,
@@ -618,7 +618,7 @@ def test_pooled_cuts_support_es(rng):
         market = random_market(rng, n_scenarios=800, n_legs=4)
         p, prob, cuts = float(rng.uniform(0.05, 0.5)), build_lp(market), []
         sol = _solve_cuts(prob, p, "min_es", cuts)
-        assert sol is not None and sol.method == "cutting_plane"
+        assert sol.method == "cutting_plane"
         assert cuts
         F, w = prob.payoffs, prob.weights
         scale = 1.0 + float(np.abs(F).max()) * prob.upper_bound
@@ -642,7 +642,7 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     # the confirmation; seeded with phase 1's cuts it needs one master LP
     market = _two_asset_markowitz(5000)
     prob, seeded, fresh = build_lp(market), [], []
-    assert _solve_cuts(prob, 0.05, "min_es", seeded) is not None
+    assert _solve_cuts(prob, 0.05, "min_es", seeded).method == "cutting_plane"
     assert not hasattr(prob, "cuts")  # the caller owns every pool
     assert len(seeded) > 0
     real, calls = detector.linprog, []
@@ -657,7 +657,7 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
         calls.clear()
         sol = _solve_cuts(prob, 0.05, "max_expected", pool)
         masters.append(len(calls))
-        assert sol is not None
+        assert sol.method == "cutting_plane"
         values.append(sol.optimal_value)
     assert masters[0] == 1 < masters[1]
     assert values[0] == pytest.approx(values[1], abs=1e-12)
@@ -671,7 +671,7 @@ def test_cut_loop_alpha_is_var_p():
     for p in (0.05, 0.4):
         for kind in ("min_es", "max_expected"):
             sol = _solve_cuts(prob, p, kind, [])
-            assert sol is not None and sol.method == "cutting_plane"
+            assert sol.method == "cutting_plane"
             x = sol.x[1 : 1 + prob.n_legs]
             assert sol.x[0] == var_p(WeightedSample(prob.payoffs @ x, prob.weights), p)
 
@@ -695,6 +695,40 @@ def test_cut_loop_iterates_pinned():
     assert run_with_one_blas_thread(code).split() == [
         "15", "cutting_plane", "-0x1.7ad37137b909cp-5", "-0x1.b94dca18f9b47p-4"
     ]
+
+
+@pytest.mark.parametrize("path", ["highs", "cutting_plane", "threshold"])
+def test_non_optimal_highs_status_raises_after_one_solve(monkeypatch, path):
+    # each LP has one solver path and HiGHS runs once on it: a non-optimal
+    # status raises SolverError, with no retry and no second path
+    market = _two_asset_markowitz(2000) if path == "cutting_plane" else capped_density_market()
+    problem = build_lp(market)
+    if path != "threshold":
+        assert solve_lp(problem, 0.05).method == path
+    calls = []
+
+    def failing(*args, **kwargs):  # HiGHS ending every LP at status 4
+        calls.append(1)
+        return OptimizeResult(status=4, message="stub numerical difficulties", success=False)
+
+    monkeypatch.setattr(detector, "linprog", failing)
+    with pytest.raises(SolverError, match="HiGHS status 4: stub numerical difficulties"):
+        if path == "threshold":
+            min_p(market, bracket=(0.01, 0.9))
+        else:
+            solve_lp(problem, 0.05)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["min_es", "max_expected"])
+def test_spent_cut_budget_raises(monkeypatch, kind):
+    # the cut loop hands nothing to HiGHS: once _MAX_CUTS master LPs end
+    # without convergence, solve_lp raises
+    problem = build_lp(_two_asset_markowitz(2000))
+    assert solve_lp(problem, 0.05, kind).method == "cutting_plane"
+    monkeypatch.setattr(detector, "_MAX_CUTS", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 master LPs"):
+        solve_lp(problem, 0.05, kind)
 
 
 def _pair_market():
@@ -758,7 +792,7 @@ def test_zero_price_lottery_confirmed_on_cutting_planes():
     res = detect(market, 0.05)
     assert res.arbitrage
     prob, pool = build_lp(market), []
-    assert _solve_cuts(prob, 0.05, "min_es", pool) is not None
+    assert _solve_cuts(prob, 0.05, "min_es", pool).method == "cutting_plane"
     cuts, highs = _solve_both(prob, 0.05, "max_expected", pool)
     # detect took the same cutting-plane path, so it reports the same bits
     assert res.confirmation.max_expected_payoff == 0.0 - cuts.optimal_value

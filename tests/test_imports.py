@@ -12,8 +12,9 @@ level that no module of the package references is dead code too.
 resident memory and 0.6 s on first import; the package needs neither.
 The detector keeps one LP assembly and one HiGHS call: `sparse` is
 referenced only inside `LpProblem`, and `linprog` only inside
-`_linprog_highs`. It copies no LP per level or LP kind either: it does
-not use `dataclasses.replace`. `min_p` solves at most one LP through
+`_linprog_highs`, which alone reads HiGHS's `status`: each LP has one
+solver path, and a non-optimal status ends it. It copies no LP per level
+or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
 `solve_lp` (the confirmation at lo): the threshold LP's own portfolio
 witnesses arbitrage at p0, so no LP confirms it.
 """
@@ -199,6 +200,45 @@ def test_checker_flags_stray_references():
         "line 9: sparse",
         "line 10: linprog",
         "line 11: sparse",
+    ]
+
+
+def _stray_attribute_reads(source: str, attr: str, owner: str) -> list[str]:
+    """Reads of the attribute `attr` (`res.status`) outside the module-level
+    definition `owner`."""
+    lines = [
+        node.lineno
+        for top in ast.parse(source).body
+        if getattr(top, "name", None) != owner
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+    return [f"line {line}: .{attr}" for line in sorted(lines)]
+
+
+def test_detector_reads_highs_status_in_one_place():
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert _stray_attribute_reads(source, "status", "_linprog_highs") == []
+
+
+def test_checker_flags_stray_status_reads():
+    source = (
+        "def _linprog_highs(c):\n"
+        "    res = linprog(c)\n"
+        "    if res.status != 0:\n"
+        "        raise SolverError(res.message)\n"
+        "    return res\n"
+        "def _solve_cuts(problem):\n"
+        "    status = 'found'\n"
+        "    if _linprog_highs(problem).status != 0:\n"
+        "        return MinPResult(status=status)\n"
+        "class MinPResult:\n"
+        "    status: str\n"
+        "OK = (lambda r: r.status)(None)\n"
+    )
+    assert _stray_attribute_reads(source, "status", "_linprog_highs") == [
+        "line 8: .status",
+        "line 12: .status",
     ]
 
 

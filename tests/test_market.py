@@ -191,6 +191,9 @@ def test_portfolio_box():
             Portfolio(bad)
     with pytest.raises(ValueError, match="quantities must be finite"):
         Portfolio([math.inf], upper_bound=math.inf)
+    for bound in (math.nan, 0.0, -1.0):  # a NaN bound would let any quantity through
+        with pytest.raises(ValueError, match="upper_bound must be > 0"):
+            Portfolio([5.0], upper_bound=bound)
 
 
 def test_price_examples():

@@ -53,6 +53,16 @@ class TestUtilitySpec:
                 UtilitySpec.s_shaped_power(1.0, 1.0, a1, a2)
         with pytest.raises(ValueError, match="eta"):
             UtilitySpec.risk_manager_power(1.0)
+        # non-finite parameters: NaN utilities, or inf passing eta > 1
+        for c1, c2 in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite C"):
+                UtilitySpec.s_shaped_power(c1, c2, 1.0, 0.5)
+        for a1, a2 in [(math.nan, 0.5), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="a2 < a1"):
+                UtilitySpec.s_shaped_power(1.0, 1.0, a1, a2)
+        for eta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite eta"):
+                UtilitySpec.risk_manager_power(eta)
 
     def test_evaluate_shapes(self):
         x = np.array([-2.0, 0.0, 3.0])
