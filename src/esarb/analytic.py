@@ -31,8 +31,8 @@ def normal_tail_factor(level: RiskLevel | float) -> float:
 
 
 def normal_es(level: RiskLevel | float, mean: float = 0.0, sd: float = 1.0) -> float:
-    if sd < 0:
-        raise ValueError("sd must be >= 0")
+    if not (math.isfinite(mean) and 0.0 <= sd < math.inf):
+        raise ValueError("need a finite mean and a finite sd >= 0")
     return sd * normal_tail_factor(level) - mean
 
 
@@ -307,8 +307,8 @@ def step_candidate(
     p = lvl.p
     if beta == alpha:
         raise ValueError("need beta > alpha")
-    if not (alpha <= 0.0 < beta):
-        raise ValueError("need alpha <= 0 < beta")
+    if not (-math.inf < alpha <= 0.0 < beta < math.inf):
+        raise ValueError("need finite alpha <= 0 < beta")
     p_tilde = beta * p / (beta - alpha)
     mass = density.integral_to(p_tilde)
     price = density.discount * beta * (1.0 - (p / p_tilde) * mass)

@@ -14,6 +14,10 @@ only as the weight 1/p of the ES objective and of that LP's ES row, so
 `build_lp` makes one LP per market, and `solve_lp` takes the level and the
 LP kind. Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
 cutting-plane loop over the portfolio block (`solve_lp` states the rule).
+Either path returns only the portfolio columns x. `_certify` checks x's
+box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
+and reports the value and VaR_p computed from x, so every arbitrage
+verdict rests on a portfolio checked with the ES formula.
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
@@ -204,11 +208,15 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """An optimum of one LP; `solve_lp` certifies it. Both LP kinds are
-    feasible at x = 0 and bounded (x lies in a box and p < 1), so a solve
-    returns an optimum or raises SolverError."""
+    """A certified answer to one LP, built by `_certify` alone: the
+    portfolio columns x a solver path returned, their value (ES_p(F x) for
+    "min_es", -E_w[F x] for "max_expected") and alpha = VaR_p(F x), both
+    recomputed from x without the solver, and the path's name. Both LP
+    kinds are feasible at x = 0 and bounded (x lies in a box and p < 1),
+    so a solve returns an optimum or raises SolverError."""
 
     optimal_value: float
+    alpha: float
     x: np.ndarray
     method: str
 
@@ -321,38 +329,23 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
     return LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
 
 
-def _full_vector(problem: LpProblem, x: np.ndarray, alpha: float) -> np.ndarray:
-    """Assemble (alpha, x, u); alpha is VaR_p of the payoff at x, the
-    attaining quantile, taken from the sort that priced x."""
-    u = np.maximum(-(problem.payoffs @ x) - alpha, 0.0)
-    return np.concatenate([[alpha], x, u])
-
-
-def _check_residuals(problem: LpProblem, v: np.ndarray, p: float, kind: str) -> None:
-    """Certify (alpha, x, u) for the LP of this kind at level p row block by
-    row block, without the matrix: each row's residual is scaled by
-    1 + sum |a_ij v_j| over its entries."""
-    n_l = problem.n_legs
-    alpha, x, u = float(v[0]), v[1 : 1 + n_l], v[1 + n_l :]
-    abs_x = np.abs(x)
-    resid = [[problem.prices @ x], -alpha - problem.payoffs @ x - u]
-    scale = [
-        [np.abs(problem.prices) @ abs_x],
-        abs(alpha) + np.abs(problem.payoffs) @ abs_x + np.abs(u),
-    ]
-    if kind == "max_expected":
-        tail = problem.weights / p
-        resid.append([alpha + tail @ u])
-        scale.append([abs(alpha) + tail @ np.abs(u)])
-    worst = float((np.concatenate(resid) / (1.0 + np.concatenate(scale))).max(initial=0.0))
-    bound_viol = max(
-        float((problem.lower_bounds[1:] - v[1:]).max(initial=0.0)),
-        float((v[1:] - problem.upper_bounds[1:]).max(initial=0.0)),
-    )
-    if worst > 1e-9 or bound_viol > 1e-9 * (1.0 + float(np.abs(v).max())):
-        raise SolverError(
-            f"numerical failure: residual {worst:.3e}, bound violation {bound_viol:.3e}"
-        )
+def _certify(problem: LpProblem, x: np.ndarray, p: float, kind: str, method: str) -> LpSolution:
+    """The LpSolution of portfolio columns x for the LP of this kind at
+    level p, checked without trusting the solver: x lies in the box within
+    1e-9 of B, prices.x <= tol and, for "max_expected", ES_p(F x) <= tol,
+    tol being 1e-9 of the payoff scale; otherwise SolverError. The value
+    and alpha come from one `tail_envelope` of F x."""
+    F, w, B = problem.payoffs, problem.weights, problem.upper_bound
+    X, cost = F @ x, float(problem.prices @ x)
+    es, _, alpha = tail_envelope(X, w, p)
+    top = max(F.max(initial=0.0), -F.min(initial=0.0), np.abs(problem.prices).max(initial=0.0))
+    tol = 1e-9 * (1.0 + float(top) * float(np.abs(x).sum()))
+    outside = max(float((problem.x_lower - x).max(initial=0.0)), float((x - B).max(initial=0.0)))
+    if not (outside <= 1e-9 * (1.0 + B) and cost <= tol and (kind == "min_es" or es <= tol)):
+        raise SolverError(f"portfolio fails its check at p = {p!r}: box excess {outside:.3e}, "
+                          f"cost {cost:.3e}, ES {es:.3e}")
+    value = es if kind == "min_es" else 0.0 - float(w @ X)
+    return LpSolution(value, alpha, x, method)
 
 
 def _linprog_highs(c, A_ub, b_ub, bounds):
@@ -364,11 +357,10 @@ def _linprog_highs(c, A_ub, b_ub, bounds):
     return res
 
 
-def _solve_highs(problem: LpProblem, p: float, kind: str) -> LpSolution:
-    """HiGHS on `matrix(p, kind)`; the chain form's y columns are free,
-    cost nothing, and are dropped from the answer."""
-    A, n_v = problem.matrix(p, kind), problem.n_variables
-    n_y = A.shape[1] - n_v
+def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
+    """HiGHS on `matrix(p, kind)`; the portfolio columns of its optimum."""
+    A = problem.matrix(p, kind)
+    n_y = A.shape[1] - problem.n_variables
     bounds = np.column_stack(
         [
             np.append(problem.lower_bounds, np.full(n_y, -math.inf)),
@@ -377,48 +369,42 @@ def _solve_highs(problem: LpProblem, p: float, kind: str) -> LpSolution:
     )
     c = np.append(problem.objective(p, kind), np.zeros(n_y))
     res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
-    return LpSolution(float(res.fun), res.x[:n_v], "highs")
+    return res.x[1 : 1 + problem.n_legs]
 
 
-def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSolution:
-    """Kelley cutting planes on the portfolio block, for either LP kind.
+def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarray:
+    """Kelley cutting planes on the portfolio block, for either LP kind;
+    the portfolio columns of the answer.
 
     Each cut is the support line es(x') >= g.x' + h of ES_p at an iterate,
     g = -(F.T q) from the envelope point q there; it joins the caller's pool
     `cuts` (one level, both LP kinds), and an empty pool is seeded at x = 0.
     The master over (x, t) has rows g.x - t <= -h and prices.x <= 0 with x
-    in the box. "min_es" minimizes t (free) and stops once the best ES seen
-    is within the gap tolerance of the master's lower bound: the master
-    dual mixes envelope points into a dual-feasible certificate.
-    "max_expected" fixes t = 0, maximizes expected payoff and stops at the
+    in the box. "min_es" minimizes t (free) and returns the best iterate
+    once its ES is within the gap tolerance of the master's lower bound:
+    the master dual mixes envelope points into a dual-feasible certificate.
+    "max_expected" fixes t = 0, maximizes expected payoff and returns the
     first master point whose ES is <= 0 up to 1e-10 of the payoff scale.
-    A failed master or a spent cut budget (_MAX_CUTS masters) raises
-    SolverError.
+    A spent cut budget (_MAX_CUTS masters) raises SolverError.
     """
     F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
     min_es = kind == "min_es"
-    objective = problem.objective(p, kind)
-    c = np.append(objective[1 : 1 + n_l], float(min_es))  # t costs 1 for "min_es"
+    c = np.append(problem.objective(p, kind)[1 : 1 + n_l], float(min_es))  # t costs 1 for "min_es"
     t_bounds = (None, None) if min_es else (0.0, 0.0)
     bounds = [(lo, problem.upper_bound) for lo in problem.x_lower] + [t_bounds]
     cost_row = np.concatenate([problem.prices, [0.0]])
     es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
     x = None if cuts else np.zeros(n_l)
-    lower, best, best_x, best_alpha = None, math.inf, None, None
+    lower, best, best_x = None, math.inf, None
     for _ in range(_MAX_CUTS):
         if x is not None:
-            es, q, alpha = tail_envelope(F @ x, w, p)
+            es, q, _ = tail_envelope(F @ x, w, p)
             if es < best:
-                best, best_x, best_alpha = es, x, alpha
-            if min_es:
-                done = lower is not None and best - lower <= _GAP_TOL * max(1.0, abs(best))
-            else:  # never accept the unsolved start
-                done = lower is not None and es <= es_tol
-            if done:
-                if min_es:
-                    x, alpha = best_x, best_alpha
-                v = _full_vector(problem, x, alpha)
-                return LpSolution(float(objective @ v), v, "cutting_plane")
+                best, best_x = es, x
+            if min_es and lower is not None and best - lower <= _GAP_TOL * max(1.0, abs(best)):
+                return best_x
+            if not min_es and lower is not None and es <= es_tol:  # never the unsolved start
+                return x
             g = -(F.T @ q)
             cuts.append((g, es - g @ x))
         A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
@@ -431,9 +417,10 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> LpSoluti
 def solve_lp(
     problem: LpProblem, level: RiskLevel | float, kind: str = "min_es", cuts: list | None = None
 ) -> LpSolution:
-    """Solve the LP of this kind ("min_es" or "max_expected") at the level
-    to a certified optimum (objective within 1e-9, residuals within 1e-9
-    relative), deterministically.
+    """Solve the LP of this kind ("min_es" or "max_expected") at the level,
+    deterministically, and certify the portfolio it finds (`_certify`): the
+    reported value and alpha are recomputed from that portfolio, not read
+    from the solver.
 
     The path follows from the LP, with no override. At least 600 (merged)
     scenarios and no `chain` form take the cutting-plane path
@@ -444,20 +431,22 @@ def solve_lp(
     detection LP's pool starts from those. Sparse HiGHS takes fewer
     scenarios and the chain form, whose few nonzeros make it fast. Each LP
     has this one path: a failure on it raises SolverError, and so does a
-    solution that fails `_check_residuals`, which reads the dense payoffs.
+    portfolio that fails its certificate.
     """
     p = as_level(level).p
     if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
-        solution = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
+        x, method = _solve_cuts(problem, p, kind, [] if cuts is None else cuts), "cutting_plane"
     else:
-        solution = _solve_highs(problem, p, kind)
-    _check_residuals(problem, solution.x, p, kind)
-    return solution
+        x, method = _solve_highs(problem, p, kind), "highs"
+    return _certify(problem, x, p, kind, method)
 
 
 def arbitrage_epsilon(market: MarketSnapshot) -> float:
-    """Strict-negativity threshold: 1e-6 of the market's payoff scale."""
-    biggest = max((float(np.abs(leg.payoff).max(initial=0.0)) for leg in market.legs), default=0.0)
+    """Strict-negativity threshold: 1e-6 of the market's payoff scale, read
+    on the positive-weight scenarios (the rows `build_lp` keeps)."""
+    rows = market.scenarios.weights > 0
+    biggest = max((float(np.abs(leg.payoff[rows]).max(initial=0.0)) for leg in market.legs),
+                  default=0.0)
     return 1e-6 * max(market.spot, biggest)
 
 
@@ -473,16 +462,16 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     maximizer so that it always witnesses the verdict. Both phases solve the
     one LP `build_lp` makes, on the solver path `solve_lp` picks from it
     (there is no override), and share one pool of cuts: every support line
-    of ES from phase 1 also cuts ES <= 0.
+    of ES from phase 1 also cuts ES <= 0. min_es and alpha_star are ES_p
+    and VaR_p of phase 1's portfolio, as `solve_lp` recomputes them.
     """
     level = as_level(level)
     problem, cuts = build_lp(market), []
     solution = solve_lp(problem, level, "min_es", cuts)
     eps = arbitrage_epsilon(market)
-    n_l = problem.n_legs
     min_es = solution.optimal_value + 0.0  # +0.0: no field reads -0.0
-    alpha_star = float(solution.x[0]) + 0.0
-    quantities = problem.leg_quantities(solution.x[1 : 1 + n_l])
+    alpha_star = solution.alpha + 0.0
+    quantities = problem.leg_quantities(solution.x)
     confirmation = None
     if min_es < -eps:
         arbitrage = True
@@ -492,7 +481,7 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
         confirmation = Confirmation(max_expected_payoff=max_expected)
         arbitrage = max_expected > eps
         if arbitrage:
-            quantities = problem.leg_quantities(conf.x[1 : 1 + n_l])
+            quantities = problem.leg_quantities(conf.x)
     return DetectionResult(
         level=level,
         min_es=min_es,
@@ -524,17 +513,14 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
 
 def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> None:
     """Certify portfolio columns x, scaled by min(1, B / max|x|) into the
-    box, as an ES_p-arbitrage without trusting the solver: cost and
-    ES_p(F x) <= 0 within 1e-9 of the payoff scale, and E_w[F x] > eps."""
-    F, w, B = problem.payoffs, problem.weights, problem.upper_bound
+    box, as an ES_p-arbitrage without trusting the solver: `_certify`'s
+    "max_expected" checks (the threshold LP is a HiGHS solve) and
+    E_w[F x] > eps."""
+    B = problem.upper_bound
     x = x * (B / max(float(np.abs(x).max(initial=0.0)), B))
-    X, cost = F @ x, float(problem.prices @ x)
-    top = max(F.max(initial=0.0), -F.min(initial=0.0), np.abs(problem.prices).max(initial=0.0))
-    tol = 1e-9 * (1.0 + float(top) * float(np.abs(x).sum()))
-    es, gain = tail_envelope(X, w, p)[0], float(w @ X)
-    if not (cost <= tol and es <= tol and gain > eps):
-        raise SolverError(f"no arbitrage witnessed at p = {p!r}: cost {cost:.3e}, "
-                          f"ES {es:.3e}, expected payoff {gain:.3e}")
+    gain = 0.0 - _certify(problem, x, p, "max_expected", "highs").optimal_value
+    if not gain > eps:
+        raise SolverError(f"no arbitrage witnessed at p = {p!r}: expected payoff {gain:.3e}")
 
 
 def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarray]:

@@ -68,6 +68,11 @@ def test_normal_es_domain():
     for bad in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             normal_es(bad)
+    # a NaN sd or mean returned NaN, an infinite one an infinite ES
+    for mean, sd in ((0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                     (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite mean and a finite sd"):
+            normal_es(0.05, mean=mean, sd=sd)
 
 
 # ------------------------------------------------------------------ markowitz
@@ -311,6 +316,11 @@ def test_step_candidate_frozen_example():
 def test_step_candidate_rejects_equal_bounds():
     with pytest.raises(ValueError):
         step_candidate(CAPPED, 0.1, 1.0, 1.0)
+    # beta = inf priced NaN (is_arbitrage False) and alpha = -inf raised
+    # ZeroDivisionError; NaN stays rejected
+    for alpha, beta in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="need finite alpha <= 0 < beta"):
+            step_candidate(CAPPED, 0.1, alpha, beta)
 
 
 def test_step_payoff_has_zero_es_exact_law():

@@ -24,8 +24,8 @@ from esarb import detector
 from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
 from esarb.detector import (
     SolverError,
+    _certify,
     _check_density,
-    _check_residuals,
     _linprog_highs,
     _solve_highs,
     _threshold_density,
@@ -33,6 +33,7 @@ from esarb.detector import (
     build_lp,
     detect,
     min_p,
+    solve_lp,
 )
 
 from test_detector import _two_asset_markowitz
@@ -109,13 +110,12 @@ def _plain_threshold_args(lp):
 
 
 def _plain_value(lp, p, kind):
-    """Optimal value of the plain LP of this kind at level p, its answer
-    certified."""
+    """Optimal value of the plain LP of this kind at level p, certified
+    and recomputed from its portfolio."""
     args, kwargs = _plain_highs_args(lp, p, kind)
     res = _linprog_highs(*args, **kwargs)
     assert res.status == 0, res.message
-    _check_residuals(lp, res.x, p, kind)
-    return float(res.fun)
+    return _certify(lp, res.x[1 : 1 + lp.n_legs], p, kind, "highs").optimal_value
 
 
 def _plain_p0(lp):
@@ -271,11 +271,10 @@ def test_chain_matches_plain_reference(seed, steps):
     values = {}
     for kind in ("min_es", "max_expected"):
         ref = _plain_value(prob, p, kind)
-        got = _solved(lambda: _solve_highs(prob, p, kind))
+        got = _solved(lambda: _certify(prob, _solve_highs(prob, p, kind), p, kind, "highs"))
         if isinstance(got, SolverError):  # never a wrong answer, but no answer
             continue
-        _check_residuals(prob, got.x, p, kind)
-        assert got.x.shape == (prob.n_variables,)
+        assert got.x.shape == (prob.n_legs,)
         assert abs(got.optimal_value - ref) <= 1e-9 * payoff_scale
         values[kind] = ref
     if len(values) == 2:
@@ -304,7 +303,8 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     prob = build_lp(market)
     assert prob.chain is not None and prob.chain.nnz == 513
     assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
-    conf = _solve_highs(prob, 1e-4, "max_expected")
+    conf = solve_lp(prob, 1e-4, "max_expected")
+    assert conf.method == "highs"
     assert abs(conf.optimal_value - _plain_value(prob, 1e-4, "max_expected")) <= 1e-9
     calls = _recording(monkeypatch)
     q, _ = _threshold_density(prob)

@@ -29,8 +29,7 @@ from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_mark
 from esarb.detector import (
     LpProblem,
     SolverError,
-    _check_residuals,
-    _full_vector,
+    _certify,
     _merged_rows,
     _solve_cuts,
     _solve_highs,
@@ -481,20 +480,6 @@ def test_single_true_arb_leg_optimum():
 
 
 def test_lp_matches_brute_force_grid(rng):
-    def golden(f, lo, hi, iters=120):
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(iters):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c, fc = b - phi * (b - a), f(b - phi * (b - a))
-            else:
-                a, c, fc = c, d, fd
-                d, fd = a + phi * (b - a), f(a + phi * (b - a))
-        return min(fc, fd)
-
     for _ in range(5):
         market = random_market(rng, n_scenarios=5, n_legs=2)
         p = float(rng.uniform(0.1, 0.6))
@@ -508,21 +493,23 @@ def test_lp_matches_brute_force_grid(rng):
             if prices @ q > 0.0:
                 continue
             s = WeightedSample(payoffs @ q, market.scenarios.weights)
-            span = float(np.abs(s.values).max()) + 1.0
-            val = golden(lambda a: ru_objective(s, p, a), -span, span)
-            best = min(best, val)
+            # RU(alpha) is convex and piecewise linear with kinks at -X_i,
+            # so its least kink value is its minimum
+            best = min(best, min(ru_objective(s, p, -v) for v in s.values))
         assert lp_val == pytest.approx(best, abs=2e-2)
+
+
+def _highs(lp, p, kind="min_es"):
+    """The LP of this kind at level p on HiGHS, certified as `solve_lp`
+    certifies it."""
+    return _certify(lp, _solve_highs(lp, p, kind), p, kind, "highs")
 
 
 def _solve_both(lp, p, kind="min_es", pool=None):
     """The LP of this kind at level p on both paths, each certified as
     `solve_lp` certifies it; the cut loop starts from the pool of cuts."""
     cuts = _solve_cuts(lp, p, kind, [] if pool is None else pool)
-    assert cuts is not None and cuts.method == "cutting_plane"
-    highs = _solve_highs(lp, p, kind)
-    for sol in (cuts, highs):
-        _check_residuals(lp, sol.x, p, kind)
-    return cuts, highs
+    return _certify(lp, cuts, p, kind, "cutting_plane"), _highs(lp, p, kind)
 
 
 def test_solver_backends_agree(rng):
@@ -544,11 +531,14 @@ def test_lp_solution_is_primal_feasible(rng):
     market = random_market(rng, n_scenarios=30, n_legs=4)
     prob = build_lp(market)
     sol = solve_lp(prob, 0.2)
-    x = sol.x
-    residual = prob.constraint_matrix @ x  # every row reads <= 0
-    assert residual.max() <= 1e-9
-    assert np.all(x >= prob.lower_bounds - 1e-9)
-    assert np.all(x <= prob.upper_bounds + 1e-9)
+    x = sol.x  # the portfolio columns alone
+    assert x.shape == (prob.n_legs,)
+    assert prob.prices @ x <= 1e-9
+    assert np.all(x >= prob.x_lower - 1e-9)
+    assert np.all(x <= prob.upper_bound + 1e-9)
+    # value and alpha are ES_p and VaR_p of the portfolio, not the solver's
+    sample = WeightedSample(prob.payoffs @ x, prob.weights)
+    assert (sol.optimal_value, sol.alpha) == (es_p(sample, 0.2), var_p(sample, 0.2))
 
 
 def test_cutting_plane_handles_large_market():
@@ -593,7 +583,7 @@ def test_wide_option_chain_takes_the_cut_loop():
         cuts, highs = [], {}  # the confirmation starts from phase 1's cuts, as in detect
         for kind in ("min_es", "max_expected"):
             sol = solve_lp(prob, p, kind, cuts)
-            highs[kind] = ref = _solve_highs(prob, p, kind).optimal_value
+            highs[kind] = ref = _highs(prob, p, kind).optimal_value
             assert sol.method == "cutting_plane"
             assert abs(sol.optimal_value - ref) <= 1e-8 * (1.0 + abs(ref))
         highs_arbitrage = highs["min_es"] < -eps or 0.0 - highs["max_expected"] > eps
@@ -617,8 +607,7 @@ def test_pooled_cuts_support_es(rng):
     for _ in range(3):
         market = random_market(rng, n_scenarios=800, n_legs=4)
         p, prob, cuts = float(rng.uniform(0.05, 0.5)), build_lp(market), []
-        sol = _solve_cuts(prob, p, "min_es", cuts)
-        assert sol.method == "cutting_plane"
+        _solve_cuts(prob, p, "min_es", cuts)
         assert cuts
         F, w = prob.payoffs, prob.weights
         scale = 1.0 + float(np.abs(F).max()) * prob.upper_bound
@@ -642,7 +631,7 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     # the confirmation; seeded with phase 1's cuts it needs one master LP
     market = _two_asset_markowitz(5000)
     prob, seeded, fresh = build_lp(market), [], []
-    assert _solve_cuts(prob, 0.05, "min_es", seeded).method == "cutting_plane"
+    _solve_cuts(prob, 0.05, "min_es", seeded)
     assert not hasattr(prob, "cuts")  # the caller owns every pool
     assert len(seeded) > 0
     real, calls = detector.linprog, []
@@ -655,31 +644,32 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     masters, values = [], []
     for pool in (seeded, fresh):
         calls.clear()
-        sol = _solve_cuts(prob, 0.05, "max_expected", pool)
+        x = _solve_cuts(prob, 0.05, "max_expected", pool)
         masters.append(len(calls))
-        assert sol.method == "cutting_plane"
-        values.append(sol.optimal_value)
+        values.append(_certify(prob, x, 0.05, "max_expected", "cutting_plane").optimal_value)
     assert masters[0] == 1 < masters[1]
     assert values[0] == pytest.approx(values[1], abs=1e-12)
 
 
 def test_cut_loop_alpha_is_var_p():
-    # alpha comes from the loop's own sort of the point it returns; it must
-    # be VaR_p of that point, bit for bit, on both LP kinds
-    market = _two_asset_markowitz(3000)
-    prob = build_lp(market)
+    # alpha and the value come from the portfolio solve_lp returns, not from
+    # the loop: VaR_p and (for "min_es") ES_p of it, bit for bit, on both LP
+    # kinds; `test_lp_solution_is_primal_feasible` checks HiGHS the same way
+    prob = build_lp(_two_asset_markowitz(3000))
     for p in (0.05, 0.4):
         for kind in ("min_es", "max_expected"):
-            sol = _solve_cuts(prob, p, kind, [])
+            sol = solve_lp(prob, p, kind)
             assert sol.method == "cutting_plane"
-            x = sol.x[1 : 1 + prob.n_legs]
-            assert sol.x[0] == var_p(WeightedSample(prob.payoffs @ x, prob.weights), p)
+            sample = WeightedSample(prob.payoffs @ sol.x, prob.weights)
+            assert sol.alpha == var_p(sample, p)
+            gain = float(prob.weights @ sample.values)
+            assert sol.optimal_value == (es_p(sample, p) if kind == "min_es" else 0.0 - gain)
 
 
 def test_cut_loop_iterates_pinned():
-    # master LPs and the bits of min_es and alpha_star, recorded with a full
-    # sort of every iterate: a change to the iterates (a stabilized master,
-    # say) has to update this pin on purpose
+    # master LPs and the bits of min_es and alpha_star (ES_p and VaR_p of the
+    # best iterate), recorded with a full sort of every iterate: a change to
+    # the iterates (a stabilized master, say) has to update this pin on purpose
     code = "\n".join([
         "from esarb import detector",
         "from test_detector import _two_asset_markowitz",
@@ -689,11 +679,11 @@ def test_cut_loop_iterates_pinned():
         "    return real(*args, **kwargs)",
         "detector.linprog = counted",
         "lp = detector.build_lp(_two_asset_markowitz(20000))",
-        "sol = detector._solve_cuts(lp, 0.4, 'min_es', [])",
-        "print(len(calls), sol.method, sol.optimal_value.hex(), float(sol.x[0]).hex())",
+        "sol = detector.solve_lp(lp, 0.4, 'min_es')",
+        "print(len(calls), sol.method, sol.optimal_value.hex(), sol.alpha.hex())",
     ])
     assert run_with_one_blas_thread(code).split() == [
-        "15", "cutting_plane", "-0x1.7ad37137b909cp-5", "-0x1.b94dca18f9b47p-4"
+        "15", "cutting_plane", "-0x1.7ad37137b9611p-5", "-0x1.b94dca18f9b47p-4"
     ]
 
 
@@ -740,34 +730,52 @@ def _pair_market():
     return MarketSnapshot(TWO, legs, spot=1.0)
 
 
-def _exact_vector(lp, x, p):
-    return _full_vector(lp, x, var_p(WeightedSample(lp.payoffs @ x, lp.weights), p))
-
-
-def test_check_residuals_accepts_exact_vectors():
+def test_certify_accepts_box_points():
     prob = build_lp(_pair_market())
     assert prob.n_legs == 1  # the frictionless pair is one net column in [-1, 1]
     for kind in ("min_es", "max_expected"):
         for net in (1.0, 0.5, 0.0):
-            _check_residuals(prob, _exact_vector(prob, np.array([net]), 0.5), 0.5, kind)
-    # ES > 0 breaks only the ES row
-    _check_residuals(prob, _exact_vector(prob, np.array([-1.0]), 0.5), 0.5, "min_es")
+            sol = _certify(prob, np.array([net]), 0.5, kind, "highs")
+            assert sol.alpha == var_p(WeightedSample(prob.payoffs[:, 0] * net, prob.weights), 0.5)
+    # ES > 0 fails only the ES check of "max_expected"
+    assert _certify(prob, np.array([-1.0]), 0.5, "min_es", "highs").optimal_value == 2.0
+    with pytest.raises(SolverError, match=r"box excess 0\.000e\+00, cost 0\.000e\+00, ES 2\.000e"):
+        _certify(prob, np.array([-1.0]), 0.5, "max_expected", "highs")
 
 
-def test_check_residuals_rejects_hinge_row_violation():
+def test_certify_rejects_box_violation():
     prob = build_lp(_pair_market())
-    v = _exact_vector(prob, np.array([0.5]), 0.5)
-    v[0] -= 1.0  # alpha below the attaining quantile: every hinge row is short by 1
-    with pytest.raises(SolverError, match=r"bound violation -?0\.000e"):
-        _check_residuals(prob, v, 0.5, "min_es")
+    for net in (1.5, -1.5):  # the box [-1, 1] does not hold
+        with pytest.raises(SolverError, match=r"box excess 5\.000e-01"):
+            _certify(prob, np.array([net]), 0.5, "min_es", "highs")
 
 
-def test_check_residuals_rejects_bound_violation():
-    prob = build_lp(_pair_market())
-    for net in (1.5, -1.5):
-        v = _exact_vector(prob, np.array([net]), 0.5)  # rows hold, the box [-1, 1] does not
-        with pytest.raises(SolverError, match=r"residual 0\.000e"):
-            _check_residuals(prob, v, 0.5, "min_es")
+@pytest.mark.parametrize("fault", ["box", "cost", "es"])
+def test_faulty_highs_portfolio_raises_after_one_solve(monkeypatch, fault):
+    # HiGHS reports an optimum whose portfolio leaves the box, costs more
+    # than 0, or (for the confirmation LP) has ES_p > 0: the certificate
+    # rejects it after the one solve
+    asset = TradableLeg("asset", 0.5, np.array([0.0, 1.0]))
+    market = MarketSnapshot(TWO, _pair_market().legs + (asset,), spot=1.0)
+    problem = build_lp(market)
+    assert problem.n_legs == 2 and solve_lp(problem, 0.5).method == "highs"
+    x, kind, match = {
+        "box": ([0.0, 1.5], "min_es", r"box excess 5\.000e-01"),
+        "cost": ([0.0, 0.5], "min_es", r"cost 2\.500e-01"),
+        "es": ([-1.0, 0.0], "max_expected", r"ES 2\.000e\+00"),  # the pair short: costs 0
+    }[fault]
+    calls = []
+
+    def stub(c, **kwargs):  # an optimal status with alpha = 0, u = 0 and this x
+        calls.append(1)
+        v = np.zeros(len(c))
+        v[1:3] = x
+        return OptimizeResult(status=0, x=v, fun=float(c @ v), message="stub", success=True)
+
+    monkeypatch.setattr(detector, "linprog", stub)
+    with pytest.raises(SolverError, match=match):
+        solve_lp(problem, 0.5, kind)
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------- detect
@@ -792,7 +800,7 @@ def test_zero_price_lottery_confirmed_on_cutting_planes():
     res = detect(market, 0.05)
     assert res.arbitrage
     prob, pool = build_lp(market), []
-    assert _solve_cuts(prob, 0.05, "min_es", pool).method == "cutting_plane"
+    _solve_cuts(prob, 0.05, "min_es", pool)
     cuts, highs = _solve_both(prob, 0.05, "max_expected", pool)
     # detect took the same cutting-plane path, so it reports the same bits
     assert res.confirmation.max_expected_payoff == 0.0 - cuts.optimal_value
@@ -866,6 +874,45 @@ def test_witness_portfolio_properties(rng):
             assert es_p(dist, p) <= eps
             assert float(dist.weights @ np.maximum(dist.values, 0.0)) > 0.0
     assert found >= 5  # high levels make random markets arbitrageable often
+
+
+@pytest.mark.parametrize("n_scenarios, path", [(40, "highs"), (800, "cutting_plane")])
+def test_every_arbitrage_portfolio_checks_without_the_solver(rng, n_scenarios, path):
+    # each arbitrage verdict's portfolio, recomputed here from the market
+    # with `price`, `es_p` and the weights: cost and ES_p at most 1e-9 of
+    # the payoff scale, expected payoff above epsilon, on both solver paths
+    found = 0
+    for _ in range(6):
+        market = random_market(rng, n_scenarios=n_scenarios, n_legs=int(rng.integers(3, 7)))
+        assert solve_lp(build_lp(market), 0.5).method == path
+        eps = arbitrage_epsilon(market)
+        tol = 1e-9 * (1.0 + float(np.abs(market.payoff_matrix()).max()) * market.upper_bound)
+        for p in (0.6, 0.9, 0.99):  # many scenarios: arbitrage only near p = 1
+            res = detect(market, p)
+            if not res.arbitrage:
+                continue
+            found += 1
+            dist = payoff_distribution(market, res.portfolio)
+            assert price(market, res.portfolio) <= tol
+            assert es_p(dist, p) <= tol
+            assert float(dist.weights @ dist.values) > eps
+    assert found >= 3
+
+
+def test_epsilon_ignores_zero_weight_scenarios():
+    # a weight-0 scenario paying 1e9 must not set the strict-negativity
+    # threshold: the zero-price lottery is an arbitrage with or without it
+    lottery = np.array([1.0, 0.0, 0.0])
+    leg = np.array([1.0, 1.0, 1e9])
+    for n in (3, 2):  # with the weight-0 scenario, then without it
+        scen = ScenarioSet([1.0, 2.0, 3.0][:n], [0.5, 0.5, 0.0][:n])
+        market = MarketSnapshot(scen, (TradableLeg("lottery", 0.0, lottery[:n]),
+                                       TradableLeg("leg", 1.0, leg[:n])), spot=1.0)
+        assert arbitrage_epsilon(market) == 1e-6
+        res = detect(market, 0.3)
+        assert res.arbitrage and res.confirmation.max_expected_payoff == 0.5
+        found = min_p(market, bracket=(0.01, 0.9))
+        assert (found.p_star, found.status) == (0.01, "at or below bracket")
 
 
 def test_scale_invariance(rng):
@@ -1275,6 +1322,9 @@ def test_min_p_raises_when_threshold_portfolio_is_no_witness(monkeypatch, tamper
 
     assert min_p(market, bracket=(0.01, 0.9)).status == "found"
     monkeypatch.setattr(detector, "_linprog_highs", tampered)
-    with pytest.raises(SolverError, match="no arbitrage witnessed at p = 0.5"):
+    # the zero portfolio has no expected payoff; the halved one costs 0.5
+    match = {"zero": r"no arbitrage witnessed at p = 0\.5: expected payoff 0\.000e\+00",
+             "halve": r"portfolio fails its check at p = 0\.5: .*cost 5\.000e-01"}[tamper]
+    with pytest.raises(SolverError, match=match):
         min_p(market, bracket=(0.01, 0.9))
     assert solved == [-1.0]  # alpha's lower bound: HiGHS solved the threshold LP alone

@@ -242,6 +242,47 @@ def test_checker_flags_stray_status_reads():
     ]
 
 
+def _stray_calls(source: str, name: str, owner: str) -> list[str]:
+    """Calls of `name` (`LpSolution(...)`, by name or as an attribute)
+    outside the module-level definition `owner`."""
+    lines = [
+        node.lineno
+        for top in ast.parse(source).body
+        if getattr(top, "name", None) != owner
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+    return [f"line {line}: {name}(" for line in sorted(lines)]
+
+
+def test_detector_builds_lp_solutions_in_the_certificate_alone():
+    # no solver path can hand back a value that `_certify` has not checked
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert _stray_calls(source, "LpSolution", "_certify") == []
+    assert len(_stray_calls(source, "LpSolution", "")) == 1  # and it builds one
+
+
+def test_checker_flags_stray_lp_solution_calls():
+    source = (
+        "class LpSolution:\n"
+        "    value: float\n"
+        "def _certify(problem, x) -> LpSolution:\n"
+        "    return LpSolution(x)\n"
+        "def _solve_highs(problem) -> LpSolution:\n"
+        "    return LpSolution(problem)\n"
+        "def solve_lp(problem):\n"
+        "    make = lambda v: detector.LpSolution(v)\n"
+        "    return make, LpSolution, LpSolutions(problem)\n"
+        "ZERO = LpSolution(0.0)\n"
+    )
+    assert _stray_calls(source, "LpSolution", "_certify") == [
+        "line 6: LpSolution(",
+        "line 8: LpSolution(",
+        "line 10: LpSolution(",
+    ]
+
+
 def _replace_uses(source: str) -> list[str]:
     """Imports and attribute reads of `dataclasses.replace`: `from
     dataclasses import replace` under any alias, or `dataclasses.replace`."""
