@@ -189,13 +189,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_utility_scan(args) -> int:
-    by_label = eio.read_arbitrage_portfolio(args.detection)
+    rows = eio.read_arbitrage_portfolio(args.detection)
     market = _build_market(args)
-    labels = market.labels()
-    missing = [label for label in labels if label not in by_label]
-    if missing or len(by_label) != len(labels):
+    if [label for label, _ in rows] != market.labels():  # matched by position
         raise ValueError("portfolio labels do not match market legs")
-    ray = Portfolio(np.array([by_label[label] for label in labels]), upper_bound=market.upper_bound)
+    ray = Portfolio(np.array([qty for _, qty in rows]), upper_bound=market.upper_bound)
     base = Portfolio(np.zeros(market.n_legs), upper_bound=market.upper_bound)
     lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
     specs = [

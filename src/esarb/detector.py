@@ -12,8 +12,11 @@ is confirmed by a second LP maximizing expected payoff subject to the
 linearized ES <= 0 rows. The rows are the same at every level: p enters
 only as the weight 1/p of the ES objective and of that LP's ES row, so
 `build_lp` makes one LP per market, and `solve_lp` takes the level and the
-LP kind. Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
-cutting-plane loop over the portfolio block (`solve_lp` states the rule).
+LP kind. The detection, confirmation and threshold LPs differ only in
+costs and bounds (and the confirmation's ES row), and
+`LpProblem.highs_args` alone poses each of them for HiGHS. Sparse HiGHS
+solves the LP, or, on many scenarios, one Kelley cutting-plane loop over
+the portfolio block (`solve_lp` states the rule).
 Either path returns only the portfolio columns x. `_certify` checks x's
 box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
 and reports the value and VaR_p computed from x, so every arbitrage
@@ -31,8 +34,9 @@ non-positive cost is strictly negative iff no pricing density has
 max q <= 1/p. The detection LP at alpha = -1 with weights w gives the
 threshold p0, its hinge-row duals the density q* with the least max q,
 and its portfolio an arbitrage at every p >= p0, which `min_p` checks
-without the solver. q* also settles the bracket's lower end when it lies
-strictly inside the dual set there; otherwise the confirmation LP decides.
+without the solver and returns with p*. q* also settles the bracket's
+lower end when it lies strictly inside the dual set there; otherwise the
+confirmation LP decides.
 """
 
 from __future__ import annotations
@@ -65,20 +69,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """The market's hinge LP, the same at every level and for both LP kinds.
+    """The market's hinge LP, the same at every level and for every LP kind.
 
-    Variable layout: index 0 is alpha (free), the next n_legs entries are the
-    portfolio columns, the remaining n_scenarios entries are the hinge
-    auxiliaries (lower bound 0). Column k trades market leg legs[k] in
+    Column k of the portfolio block trades market leg legs[k] in
     [0, upper_bound]; when shorts[k] >= 0 it is the net position of the
     frictionless pair (legs[k], shorts[k]) and its lower bound is
-    -upper_bound. Rows (`constraint_matrix`): one cost row then one hinge
-    row per scenario. When `chain` is not None, the matrix HiGHS gets
-    carries one free chain column per scenario after these variables, and
-    one chain row per scenario after the hinge rows; the variable layout
-    above is unchanged. The level p enters only as the weights w / p of the
-    "min_es" objective and of the ES row `matrix` appends for kind
-    "max_expected", so one LpProblem serves a whole `detect` or `min_p` call.
+    -upper_bound. `constraint_matrix` holds the rows every LP shares, and
+    `highs_args` states the column layout and gives each LP kind's costs
+    and bounds, so one LpProblem serves a whole `detect` or `min_p` call.
     """
 
     payoffs: np.ndarray  # n_scenarios x n_legs (portfolio columns)
@@ -96,22 +94,9 @@ class LpProblem:
     def n_scenarios(self) -> int:
         return self.payoffs.shape[0]
 
-    @property
-    def n_variables(self) -> int:
-        return 1 + self.n_legs + self.n_scenarios
-
     @cached_property
     def x_lower(self) -> np.ndarray:
         return np.where(self.shorts >= 0, -self.upper_bound, 0.0)
-
-    def objective(self, p: float, kind: str) -> np.ndarray:
-        """Costs over (alpha, x, u): alpha + sum w_i u_i / p for "min_es",
-        the negated expected payoff for "max_expected"."""
-        if kind == "min_es":
-            return np.concatenate([[1.0], np.zeros(self.n_legs), self.weights / p])
-        if kind != "max_expected":
-            raise ValueError(f"unknown LP kind {kind!r}")
-        return np.concatenate([[0.0], -(self.payoffs.T @ self.weights), np.zeros(self.n_scenarios)])
 
     @cached_property
     def chain(self) -> sparse.csr_matrix | None:
@@ -152,7 +137,7 @@ class LpProblem:
         n_y = 0 if chain is None else n_s
         cost = sparse.csr_matrix(
             (self.prices, (np.zeros(n_l, dtype=int), 1 + np.arange(n_l))),
-            shape=(1, self.n_variables + n_y),
+            shape=(1, 1 + n_l + n_s + n_y),
         )
         hinge = [
             sparse.csr_matrix(-np.ones((n_s, 1))),
@@ -172,27 +157,34 @@ class LpProblem:
             )
         return sparse.vstack(blocks, format="csr")
 
-    def matrix(self, p: float, kind: str) -> sparse.csr_matrix:
-        """The rows HiGHS gets: `constraint_matrix`, plus for "max_expected"
-        the ES row alpha + sum w_i u_i / p <= 0 (the "min_es" costs)."""
-        A = self.constraint_matrix
-        if kind == "min_es":
-            return A
-        es_row = np.append(self.objective(p, "min_es"), np.zeros(A.shape[1] - self.n_variables))
-        return sparse.vstack([A, sparse.csr_matrix(es_row[None, :])], format="csr")
+    def highs_args(self, kind: str, p: float | None = None) -> tuple:
+        """HiGHS's (c, A_ub, b_ub, bounds) for the LP of this kind at level p.
 
-    @cached_property
-    def lower_bounds(self) -> np.ndarray:
-        lo = np.zeros(self.n_variables)
-        lo[0] = -math.inf
-        lo[1 : 1 + self.n_legs] = self.x_lower
-        return lo
-
-    @cached_property
-    def upper_bounds(self) -> np.ndarray:
-        hi = np.full(self.n_variables, math.inf)
-        hi[1 : 1 + self.n_legs] = self.upper_bound
-        return hi
+        Columns: alpha, the n_legs portfolio columns x, the n_scenarios
+        hinge auxiliaries u >= 0 and, when `chain` is not None, the
+        n_scenarios free chain columns y. "min_es" costs alpha + sum w_i
+        u_i / p with alpha free and x in [x_lower, upper_bound];
+        "max_expected" costs -E_w[F x] under the same bounds, with the
+        "min_es" costs appended to `constraint_matrix` as the ES row <= 0;
+        "threshold" costs sum w_i u_i with alpha fixed at -1 and x >= 0 on
+        single columns, free on netted ones, unbounded above."""
+        A, n_l, n_s = self.constraint_matrix, self.n_legs, self.n_scenarios
+        x, u = slice(1, 1 + n_l), slice(1 + n_l, 1 + n_l + n_s)
+        c = np.zeros(A.shape[1])
+        bounds = np.full((A.shape[1], 2), [-math.inf, math.inf])
+        bounds[u, 0] = 0.0
+        if kind == "threshold":
+            c[u] = self.weights
+            bounds[0] = -1.0
+            bounds[x, 0] = np.where(self.shorts >= 0, -math.inf, 0.0)
+        else:
+            c[0], c[u] = 1.0, self.weights / p
+            bounds[x, 0], bounds[x, 1] = self.x_lower, self.upper_bound
+            if kind == "max_expected":
+                A = sparse.vstack([A, sparse.csr_matrix(c[None, :])], format="csr")
+                c = np.zeros(A.shape[1])
+                c[x] = -(self.payoffs.T @ self.weights)
+        return c, A, np.zeros(A.shape[0]), bounds
 
     def leg_quantities(self, x: np.ndarray) -> np.ndarray:
         """Per-leg quantities in [0, upper_bound] for portfolio columns x: a
@@ -241,6 +233,7 @@ class MinPResult:
     p_star: float | None
     status: str  # "found" | "none in bracket" | "at or below bracket"
     evaluations: int
+    portfolio: Portfolio | None  # an arbitrage at p_star, None when p_star is None
 
 
 def _merged_rows(market: MarketSnapshot, keys: np.ndarray):
@@ -358,18 +351,8 @@ def _linprog_highs(c, A_ub, b_ub, bounds):
 
 
 def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
-    """HiGHS on `matrix(p, kind)`; the portfolio columns of its optimum."""
-    A = problem.matrix(p, kind)
-    n_y = A.shape[1] - problem.n_variables
-    bounds = np.column_stack(
-        [
-            np.append(problem.lower_bounds, np.full(n_y, -math.inf)),
-            np.append(problem.upper_bounds, np.full(n_y, math.inf)),
-        ]
-    )
-    c = np.append(problem.objective(p, kind), np.zeros(n_y))
-    res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
-    return res.x[1 : 1 + problem.n_legs]
+    """HiGHS on `highs_args(kind, p)`; the portfolio columns of its optimum."""
+    return _linprog_highs(*problem.highs_args(kind, p)).x[1 : 1 + problem.n_legs]
 
 
 def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarray:
@@ -389,7 +372,7 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarr
     """
     F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
     min_es = kind == "min_es"
-    c = np.append(problem.objective(p, kind)[1 : 1 + n_l], float(min_es))  # t costs 1 for "min_es"
+    c = np.append(np.zeros(n_l) if min_es else -(F.T @ w), float(min_es))  # t costs 1 for "min_es"
     t_bounds = (None, None) if min_es else (0.0, 0.0)
     bounds = [(lo, problem.upper_bound) for lo in problem.x_lower] + [t_bounds]
     cost_row = np.concatenate([problem.prices, [0.0]])
@@ -433,6 +416,8 @@ def solve_lp(
     has this one path: a failure on it raises SolverError, and so does a
     portfolio that fails its certificate.
     """
+    if kind not in ("min_es", "max_expected"):
+        raise ValueError(f"unknown LP kind {kind!r}")
     p = as_level(level).p
     if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
         x, method = _solve_cuts(problem, p, kind, [] if cuts is None else cuts), "cutting_plane"
@@ -511,9 +496,9 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
         )
 
 
-def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> None:
-    """Certify portfolio columns x, scaled by min(1, B / max|x|) into the
-    box, as an ES_p-arbitrage without trusting the solver: `_certify`'s
+def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Portfolio columns x, scaled by min(1, B / max|x|) into the box and
+    certified as an ES_p-arbitrage without trusting the solver: `_certify`'s
     "max_expected" checks (the threshold LP is a HiGHS solve) and
     E_w[F x] > eps."""
     B = problem.upper_bound
@@ -521,6 +506,7 @@ def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> N
     gain = 0.0 - _certify(problem, x, p, "max_expected", "highs").optimal_value
     if not gain > eps:
         raise SolverError(f"no arbitrage witnessed at p = {p!r}: expected payoff {gain:.3e}")
+    return x
 
 
 def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarray]:
@@ -529,26 +515,19 @@ def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarra
     threshold LP's portfolio columns x*.
 
     HiGHS solves the detection LP's `constraint_matrix` (chain form
-    included) with objective sum w_i u_i, alpha fixed at -1, x unbounded
-    above and netted columns free: p0 = min E_w[(1 - F x)^+] over
-    prices.x <= 0. Its dual is max sum r over 0 <= r <= w and
-    F^T r <= lam prices (equalities for netted pairs), lam the cost row's
-    dual, so q = r / (w sum r) is a pricing density (multiplier
+    included) as `highs_args("threshold")` poses it: objective
+    sum w_i u_i, alpha fixed at -1, x unbounded above and netted columns
+    free: p0 = min E_w[(1 - F x)^+] over prices.x <= 0. Its dual is
+    max sum r over 0 <= r <= w and F^T r <= lam prices (equalities for
+    netted pairs), lam the cost row's dual, so q = r / (w sum r) is a pricing density (multiplier
     lam / sum r) with the least max q = 1 / p0. Such a q certifies ES >= 0
     at non-positive cost for every p <= p0, and at every p >= p0 X = F x*
     has ES_p(X) <= -1 + p0 / p <= 0 (Rockafellar-Uryasev at alpha = -1)
     and E_w[X] >= 1 - p0 > 0. `_check_density` checks q against the dense
     F; `min_p` checks x* with `_check_witness`.
     """
-    A, n_l, n_s = problem.constraint_matrix, problem.n_legs, problem.n_scenarios
-    u = slice(1 + n_l, 1 + n_l + n_s)
-    c = np.zeros(A.shape[1])
-    c[u] = problem.weights
-    bounds = np.full((A.shape[1], 2), [-math.inf, math.inf])
-    bounds[0] = -1.0
-    bounds[1 : 1 + n_l, 0] = np.where(problem.shorts >= 0, -math.inf, 0.0)
-    bounds[u, 0] = 0.0
-    res = _linprog_highs(c, A, np.zeros(A.shape[0]), bounds)
+    n_l, n_s = problem.n_legs, problem.n_scenarios
+    res = _linprog_highs(*problem.highs_args("threshold"))
     duals, x = -res.ineqlin.marginals, res.x[1 : 1 + n_l]
     mass = float(duals[1 : 1 + n_s].sum())
     if mass == 0.0:
@@ -576,7 +555,9 @@ def min_p(
     answer is "found" at p0, or "at or below bracket" when p0 <= lo; a
     failed check raises SolverError. tol must be finite and > 0 but no
     longer moves p*; it stays for callers that pass it. `evaluations`
-    counts the LPs solved: 1, or 2 with the confirmation at lo.
+    counts the LPs solved: 1, or 2 with the confirmation at lo. The
+    result's portfolio is the arbitrage behind p*: the checked x*, or the
+    confirmation LP's maximizer when that LP decides.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
@@ -590,10 +571,12 @@ def min_p(
     evals = 1
     if p0 > lo and not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
         evals += 1
-        if 0.0 - solve_lp(problem, lo, "max_expected").optimal_value > eps:
-            return MinPResult(p_star=lo, status="at or below bracket", evaluations=evals)
+        conf = solve_lp(problem, lo, "max_expected")
+        if 0.0 - conf.optimal_value > eps:
+            witness = Portfolio(problem.leg_quantities(conf.x), upper_bound=market.upper_bound)
+            return MinPResult(lo, "at or below bracket", evals, witness)
     if p0 > hi:
-        return MinPResult(p_star=None, status="none in bracket", evaluations=evals)
-    _check_witness(problem, x, max(p0, lo), eps)
-    status = "found" if p0 > lo else "at or below bracket"
-    return MinPResult(p_star=max(p0, lo), status=status, evaluations=evals)
+        return MinPResult(None, "none in bracket", evals, None)
+    x = _check_witness(problem, x, max(p0, lo), eps)
+    witness = Portfolio(problem.leg_quantities(x), upper_bound=market.upper_bound)
+    return MinPResult(max(p0, lo), "found" if p0 > lo else "at or below bracket", evals, witness)

@@ -312,22 +312,25 @@ def detection_to_dict(result: DetectionResult, labels: list[str]) -> dict:
     }
 
 
-def read_arbitrage_portfolio(path: str) -> dict[str, float]:
-    """Label -> quantity of a stored detection's arbitrage portfolio, whose
-    rows must be objects with a string label and a finite-number qty."""
+def read_arbitrage_portfolio(path: str) -> list[tuple[str, float]]:
+    """The (label, quantity) rows of a stored detection's arbitrage
+    portfolio, in their stored order (one per market leg, and two legs may
+    share a label); each must be an object with a string label and a
+    finite-number qty."""
     data = read_json(path)
     if not data.get("arbitrage"):
         raise ValueError("stored detection has no arbitrage portfolio")
     rows = data.get("portfolio", [])
     if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
         raise ValueError(f"{path}: portfolio must be a list of objects")
-    by_label = {}
+    portfolio = []
     for row in rows:
         (label,) = _require(row, ["label"], path)
         if not isinstance(label, str):
             raise ValueError(f"{path}: label must be a string, got {label!r}")
-        (by_label[label],) = _numbers(row, ["qty"], path)
-    return by_label
+        (qty,) = _numbers(row, ["qty"], path)
+        portfolio.append((label, qty))
+    return portfolio
 
 
 def dumps_scan_csv(rows) -> str:

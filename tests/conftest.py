@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esarb import MarketSnapshot, ScenarioSet, TradableLeg, WeightedSample
+from esarb import (
+    MarketSnapshot,
+    ScenarioSet,
+    TradableLeg,
+    WeightedSample,
+    detector,
+    es_p,
+    payoff_distribution,
+    price,
+)
 
 
 def random_sample(rng, size=None, nonuniform=True):
@@ -33,6 +42,26 @@ def random_market(rng, n_scenarios=None, n_legs=None, upper_bound=1.0):
         for i in range(n_l)
     )
     return MarketSnapshot(scen, legs, spot=1.0, upper_bound=upper_bound)
+
+
+def checked_min_p(market, *args, **kwargs):
+    """`min_p`, with the portfolio it returns checked without the solver:
+    None when p* is None, else an ES_p-arbitrage at p*, recomputed from the
+    market with `price`, `es_p` and `payoff_distribution`: cost and ES at
+    most 1e-9 of the payoff scale, expected payoff above
+    `arbitrage_epsilon`."""
+    res = detector.min_p(market, *args, **kwargs)
+    if res.p_star is None:
+        assert res.portfolio is None
+        return res
+    qty = res.portfolio.quantities
+    top = max(float(np.abs(market.payoff_matrix()).max()), float(np.abs(market.prices()).max()))
+    tol = 1e-9 * (1.0 + top * float(np.abs(qty).sum()))
+    dist = payoff_distribution(market, res.portfolio)
+    assert price(market, res.portfolio) <= tol
+    assert es_p(dist, res.p_star) <= tol
+    assert float(dist.weights @ dist.values) > detector.arbitrage_epsilon(market)
+    return res
 
 
 @pytest.fixture

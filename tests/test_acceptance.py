@@ -35,7 +35,7 @@ from esarb.analytic import (
     markowitz_market,
     normal_es,
 )
-from esarb.detector import detect, min_p
+from esarb.detector import detect
 from esarb.models import (
     GarchModel,
     LognormalMixture,
@@ -48,6 +48,8 @@ from esarb.models import (
 from esarb.risk import coherence_check, es_p, ru_objective, var_p
 from esarb.seeding import substream
 from esarb.utility import UtilitySpec, classic_constraint_sup, expected_utility, scaling_scan
+
+from conftest import checked_min_p as min_p  # every result's portfolio is checked
 
 LL = UtilitySpec.limited_liability()
 RM2 = UtilitySpec.risk_manager_power(2.0)

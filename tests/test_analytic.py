@@ -13,7 +13,6 @@ from esarb import (
     WeightedSample,
     detect,
     es_p,
-    min_p,
 )
 from esarb.analytic import (
     CompleteMarketDensity,
@@ -29,6 +28,7 @@ from esarb.analytic import (
     step_candidate,
 )
 
+from conftest import checked_min_p as min_p  # every result's portfolio is checked
 from conftest import run_with_one_blas_thread
 
 CAPPED = CompleteMarketDensity("step", [1.0 / 3.0, 1.0], [2.0, 0.5])

@@ -6,8 +6,10 @@ and confirmation LPs then carry free chain variables in place of the dense
 payoff block, and so does the threshold LP, which is the detection LP's
 own `constraint_matrix` at alpha = -1. Here the chain LPs are compared
 with the plain assembly kept below, the threshold with an independent
-density LP over (q, lam, t), and the markets that stay plain are checked
-to hand HiGHS that assembly byte for byte.
+density LP over (q, lam, t). The arguments HiGHS gets are checked byte for
+byte against `_highs_args`, which builds each LP kind's costs and bounds
+from the LP's data alone: on the chain rows for the 512-cell market, and
+on the plain assembly for the markets that stay plain.
 """
 
 import math
@@ -32,23 +34,22 @@ from esarb.detector import (
     arbitrage_epsilon,
     build_lp,
     detect,
-    min_p,
     solve_lp,
 )
 
+from conftest import checked_min_p as min_p  # every result's portfolio is checked
 from test_detector import _two_asset_markowitz
 
 
 # ------------------------------------------------------- the plain assembly
 
 
-def _plain_constraint_matrix(lp, p=None, kind="min_es"):
-    """Rows (cost, hinge, ES for "max_expected" at level p) with the dense
-    payoff block."""
-    n_s, n_l = lp.n_scenarios, lp.n_legs
+def _plain_constraint_matrix(lp):
+    """Rows (cost, hinge) with the dense payoff block."""
+    n_s, n_l = lp.payoffs.shape
     cost = sparse.csr_matrix(
         (lp.prices, (np.zeros(n_l, dtype=int), 1 + np.arange(n_l))),
-        shape=(1, lp.n_variables),
+        shape=(1, 1 + n_l + n_s),
     )
     hinge = sparse.hstack(
         [
@@ -58,30 +59,36 @@ def _plain_constraint_matrix(lp, p=None, kind="min_es"):
         ],
         format="csr",
     )
-    blocks = [cost, hinge]
-    if kind == "max_expected":
-        es_row = np.concatenate([[1.0], np.zeros(n_l), lp.weights / p])
-        blocks.append(sparse.csr_matrix(es_row[None, :]))
-    return sparse.vstack(blocks, format="csr")
+    return sparse.vstack([cost, hinge], format="csr")
 
 
-def _plain_highs_args(lp, p, kind):
-    """The arguments `_solve_highs` handed HiGHS with the plain assembly."""
-    A = _plain_constraint_matrix(lp, p, kind)
-    bounds = np.column_stack([lp.lower_bounds, lp.upper_bounds])
-    return (lp.objective(p, kind), A, np.zeros(A.shape[0]), bounds), {}
-
-
-def _threshold_highs_args(lp, A):
-    """The arguments `_threshold_density` hands HiGHS for the matrix A:
-    objective (0, 0, w), alpha = -1, x >= 0 on single columns and free on
-    netted ones, u >= 0, chain columns free."""
-    n_l, n_s = lp.n_legs, lp.n_scenarios
-    n_y = A.shape[1] - lp.n_variables
-    c = np.concatenate([np.zeros(1 + n_l), lp.weights, np.zeros(n_y)])
-    lower = np.concatenate([[-1.0], np.where(lp.shorts >= 0, -np.inf, 0.0), np.zeros(n_s),
-                            np.full(n_y, -np.inf)])
-    upper = np.concatenate([[-1.0], np.full(n_l + n_s + n_y, np.inf)])
+def _highs_args(lp, kind, p=None, A=None):
+    """The arguments HiGHS should get for the LP of this kind at level p,
+    from the payoffs, weights, prices, shorts and upper bound alone, on the
+    shared rows A (the plain assembly by default; chain columns y are the
+    ones A has beyond (alpha, x, u), all free). "min_es": objective
+    (1, 0, w / p, 0), alpha free, x in the box, u >= 0; "max_expected": the
+    same bounds, objective (0, -F^T w, 0, 0) and the "min_es" objective as
+    an extra row; "threshold": objective (0, 0, w, 0), alpha = -1, x >= 0
+    on single columns and free on netted ones, u >= 0."""
+    F, w, B = lp.payoffs, lp.weights, lp.upper_bound
+    n_s, n_l = F.shape
+    A = _plain_constraint_matrix(lp) if A is None else A
+    n_y = A.shape[1] - (1 + n_l + n_s)
+    net = lp.shorts >= 0
+    if kind == "threshold":
+        c = np.concatenate([np.zeros(1 + n_l), w, np.zeros(n_y)])
+        lower = np.concatenate([[-1.0], np.where(net, -np.inf, 0.0), np.zeros(n_s),
+                                np.full(n_y, -np.inf)])
+        upper = np.concatenate([[-1.0], np.full(n_l + n_s + n_y, np.inf)])
+    else:
+        c = np.concatenate([[1.0], np.zeros(n_l), w / p, np.zeros(n_y)])
+        lower = np.concatenate([[-np.inf], np.where(net, -B, 0.0), np.zeros(n_s),
+                                np.full(n_y, -np.inf)])
+        upper = np.concatenate([[np.inf], np.full(n_l, B), np.full(n_s + n_y, np.inf)])
+        if kind == "max_expected":
+            A = sparse.vstack([A, sparse.csr_matrix(c[None, :])], format="csr")
+            c = np.concatenate([[0.0], -(F.T @ w), np.zeros(n_s + n_y)])
     return (c, A, np.zeros(A.shape[0]), np.column_stack([lower, upper])), {}
 
 
@@ -112,7 +119,7 @@ def _plain_threshold_args(lp):
 def _plain_value(lp, p, kind):
     """Optimal value of the plain LP of this kind at level p, certified
     and recomputed from its portfolio."""
-    args, kwargs = _plain_highs_args(lp, p, kind)
+    args, kwargs = _highs_args(lp, kind, p)
     res = _linprog_highs(*args, **kwargs)
     assert res.status == 0, res.message
     return _certify(lp, res.x[1 : 1 + lp.n_legs], p, kind, "highs").optimal_value
@@ -311,7 +318,14 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
     # the threshold LP is the detection LP's chain-form matrix itself
     assert len(calls) == 1 and calls[0][0][1] is prob.constraint_matrix
-    _assert_same_args(calls[0], _threshold_highs_args(prob, prob.constraint_matrix))
+    _assert_same_args(calls[0], _highs_args(prob, "threshold", A=prob.constraint_matrix))
+    # the detection and confirmation LPs reach HiGHS as the reference poses them
+    for kind in ("min_es", "max_expected"):
+        calls.clear()
+        _solve_highs(prob, 1e-4, kind)
+        assert len(calls) == 1
+        _assert_same_args(calls[0], _highs_args(prob, kind, 1e-4, prob.constraint_matrix))
+    assert calls[0][0][1].shape == (2 + 2 * 512, 1 + 513 + 2 * 512)  # ES row, y columns
 
 
 @pytest.mark.parametrize("name", ["pl", "quick start", "markowitz"])
@@ -327,7 +341,7 @@ def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     for kind in ("min_es", "max_expected"):
         calls.clear()
         _solve_highs(prob, 0.05, kind)
-        _assert_same_args(calls[0], _plain_highs_args(prob, 0.05, kind))
+        _assert_same_args(calls[0], _highs_args(prob, kind, 0.05))
     calls.clear()
     _threshold_density(prob)
-    _assert_same_args(calls[0], _threshold_highs_args(prob, _plain_constraint_matrix(prob)))
+    _assert_same_args(calls[0], _highs_args(prob, "threshold"))

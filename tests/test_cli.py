@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esarb import InstrumentQuote, cli
+from esarb import InstrumentQuote, ScenarioSet, cli
 from esarb.analytic import CompleteMarketDensity
 from esarb.cli import main
 from esarb.io import (
@@ -18,6 +18,7 @@ from esarb.io import (
     write_density,
     write_json,
     write_returns,
+    write_scenarios,
 )
 from esarb.models import CalibrationError, GarchFit, GarchModel, MixtureFit, synthesize_chain
 
@@ -331,6 +332,28 @@ class TestUtilityScan:
         printed = capfdbinary.readouterr().out
         assert run(args + ["--out", str(out)]) == 0
         assert printed and printed == out.read_bytes()
+
+    def test_repeated_quote_round_trip(self, work, tmp_path, capsys):
+        # two rows call,100,0,0 give two legs labelled "long call K=100":
+        # the stored rows match the market's legs by position, not by label
+        scen = str(tmp_path / "scen.csv")
+        write_scenarios(scen, ScenarioSet([90.0, 100.0, 120.0], [0.25, 0.5, 0.25]))
+        chain = str(tmp_path / "dup.csv")
+        write_chain(chain, [InstrumentQuote("call", 100.0, 0.0, 0.0)] * 2)
+        market = ["--scenarios", scen, "--chain", chain, "--market", work["market"], "--p", "0.5"]
+        det = tmp_path / "det.json"
+        assert run(["detect", *market, "--out", str(det)]) == 3
+        labels = [row["label"] for row in json.loads(det.read_text())["portfolio"]]
+        assert labels[:2] == ["long call K=100"] * 2
+        assert run(["utility-scan", *market, "--detection", str(det), "--lambdas", "0,1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 2 * 3
+        # the same rows out of order no longer match the legs
+        stored = json.loads(det.read_text())
+        stored["portfolio"] = stored["portfolio"][::-1]
+        write_json(str(det), stored)
+        assert run(["utility-scan", *market, "--detection", str(det)]) == 1
+        assert capsys.readouterr().err == "error: portfolio labels do not match market legs\n"
 
     def test_detection_without_arbitrage_exit_1(self, work, tmp_path, capsys):
         det = str(tmp_path / "noarb.json")

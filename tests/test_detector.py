@@ -37,12 +37,12 @@ from esarb.detector import (
     arbitrage_epsilon,
     build_lp,
     detect,
-    min_p,
     solve_lp,
 )
 from esarb.io import detection_to_dict
 from esarb.risk import lex_order
 
+from conftest import checked_min_p as min_p  # every result's portfolio is checked
 from conftest import random_market, run_with_one_blas_thread
 from test_models import make_mixture
 
@@ -69,20 +69,22 @@ def test_build_lp_counts_and_roles():
         TradableLeg("b", -0.5, np.array([0.0, 1.0, 0.0])),
     )
     prob = build_lp(MarketSnapshot(scen, legs, spot=1.0))
-    assert prob.n_variables == 6  # alpha + 2 legs + 3 scenarios
+    c, _, _, bounds = prob.highs_args("min_es", 0.5)
+    lower, upper = bounds.T
+    assert c.size == 6  # alpha + 2 legs + 3 scenarios
     assert prob.n_legs == 2
     assert prob.n_scenarios == 3
     assert prob.constraint_matrix.shape == (4, 6)  # 1 cost + 3 hinge
     # alpha free; portfolio boxed; auxiliaries bounded below at 0
-    assert prob.lower_bounds[0] == -math.inf and prob.upper_bounds[0] == math.inf
-    assert np.all(prob.lower_bounds[1:3] == 0.0) and np.all(prob.upper_bounds[1:3] == 1.0)
-    assert np.all(prob.lower_bounds[3:] == 0.0)
+    assert lower[0] == -math.inf and upper[0] == math.inf
+    assert np.all(lower[1:3] == 0.0) and np.all(upper[1:3] == 1.0)
+    assert np.all(lower[3:] == 0.0)
 
 
 def test_build_lp_objective_weights():
     scen = ScenarioSet([0.0, 1.0], [0.25, 0.75])
     prob = build_lp(MarketSnapshot(scen, (TradableLeg("a", 1.0, np.array([1.0, 2.0])),), spot=1.0))
-    objective = prob.objective(0.5, "min_es")
+    objective = prob.highs_args("min_es", 0.5)[0]
     assert objective[0] == 1.0
     assert objective[1] == 0.0
     assert np.allclose(objective[2:], [0.5, 1.5])  # w_i / p
@@ -372,7 +374,7 @@ def test_build_lp_nets_frictionless_pairs():
     assert prob.legs.tolist() == [0, 1, 2, 4, 5, 6]
     assert prob.shorts.tolist() == [3, -1, -1, -1, -1, -1]
     assert prob.x_lower.tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    assert prob.lower_bounds[1:7].tolist() == prob.x_lower.tolist()
+    assert prob.highs_args("min_es", 0.5)[3][1:7, 0].tolist() == prob.x_lower.tolist()
     assert prob.prices.tolist() == [0.7, 1.0, -np.nextafter(1.0, 0.0), 0.7, 1.0, -1.0]
     # the zero-weight scenario is gone; merged rows are sorted
     assert prob.payoffs.tolist() == [
@@ -521,10 +523,20 @@ def test_solver_backends_agree(rng):
             assert abs(cuts - highs) <= 1e-8 * (1.0 + abs(highs))
 
 
-def test_unknown_lp_kind_is_rejected():
-    prob = build_lp(true_arb_market())
-    with pytest.raises(ValueError, match="unknown LP kind 'max-expected'"):
-        solve_lp(prob, 0.3, "max-expected")
+def test_unknown_lp_kind_is_rejected(monkeypatch):
+    # "threshold" is a kind of `highs_args` alone: `solve_lp` rejects it,
+    # and a misspelt kind, on either path before any LP is solved
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog was called")
+
+    monkeypatch.setattr(detector, "linprog", no_lp)
+    markets = ((true_arb_market(), "highs"), (_two_asset_markowitz(800), "cutting_plane"))
+    for market, path in markets:
+        prob = build_lp(market)
+        assert (prob.n_scenarios >= detector._CUT_SCENARIOS) == (path == "cutting_plane")
+        for kind in ("max-expected", "threshold"):
+            with pytest.raises(ValueError, match=f"unknown LP kind '{kind}'"):
+                solve_lp(prob, 0.3, kind)
 
 
 def test_lp_solution_is_primal_feasible(rng):
@@ -1299,6 +1311,41 @@ def test_min_p_without_pricing_density_is_below_bracket():
     assert _threshold_density(build_lp(market))[0] is None
     res = min_p(market, bracket=(0.01, 0.95), tol=1e-3)
     assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 1)
+
+
+def _lottery_market():
+    # a zero-price lottery pays where every pricing density is 0: q* = (0, 2)
+    # misses the floor, so the confirmation LP decides lo
+    scen = ScenarioSet([1.0, 2.0], [0.5, 0.5])
+    legs = (TradableLeg("lottery", 0.0, np.array([1.0, 0.0])),
+            TradableLeg("leg", 1.0, np.array([1.0, 1.0])))
+    return MarketSnapshot(scen, legs, spot=1.0)
+
+
+@pytest.mark.parametrize("case", ["found", "x* below", "confirmation below", "none"])
+def test_min_p_returns_its_witness(case):
+    # the portfolio is the arbitrage the verdict rests on: the threshold
+    # LP's x*, scaled into the box, or the confirmation LP's maximizer at lo
+    market, bracket, status, evals = {
+        "found": (capped_density_market(), (0.01, 0.9), "found", 1),
+        "x* below": (_priced_market(np.random.default_rng(22971)), (0.01, 0.95),
+                     "at or below bracket", 1),
+        "confirmation below": (_lottery_market(), (0.01, 0.9), "at or below bracket", 2),
+        "none": (_dear_asset_market(), (0.5, 0.9), "none in bracket", 1),
+    }[case]
+    res = min_p(market, bracket=bracket)
+    assert (res.status, res.evaluations) == (status, evals)
+    if case == "none":
+        assert res.portfolio is None
+        return
+    problem = build_lp(market)
+    if case == "confirmation below":
+        x = solve_lp(problem, bracket[0], "max_expected").x
+    else:
+        x = _threshold_density(problem)[1]
+        x = x * (problem.upper_bound / max(float(np.abs(x).max()), problem.upper_bound))
+    assert res.portfolio.quantities.tobytes() == problem.leg_quantities(x).tobytes()
+    assert res.portfolio.upper_bound == market.upper_bound
 
 
 @pytest.mark.parametrize("tamper", ["zero", "halve"])

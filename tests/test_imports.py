@@ -13,7 +13,9 @@ resident memory and 0.6 s on first import; the package needs neither.
 The detector keeps one LP assembly and one HiGHS call: `sparse` is
 referenced only inside `LpProblem`, and `linprog` only inside
 `_linprog_highs`, which alone reads HiGHS's `status`: each LP has one
-solver path, and a non-optimal status ends it. It copies no LP per level
+solver path, and a non-optimal status ends it. Every HiGHS LP but the cut
+loop's masters is posed by `LpProblem.highs_args`, so no function builds
+LP costs or bounds by hand. It copies no LP per level
 or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
 `solve_lp` (the confirmation at lo): the threshold LP's own portfolio
 witnesses arbitrage at p0, so no LP confirms it.
@@ -281,6 +283,49 @@ def test_checker_flags_stray_lp_solution_calls():
         "line 8: LpSolution(",
         "line 10: LpSolution(",
     ]
+
+
+def _hand_built_highs_calls(source: str) -> list[str]:
+    """Calls of `_linprog_highs` outside `_solve_cuts` whose arguments are
+    anything but exactly `*<expr>.highs_args(...)`."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == "_solve_cuts":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "_linprog_highs":
+                continue
+            (arg,) = node.args if len(node.args) == 1 else (None,)
+            posed = (isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Call)
+                     and isinstance(arg.value.func, ast.Attribute)
+                     and arg.value.func.attr == "highs_args")
+            if not posed or node.keywords:
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_poses_every_highs_lp_with_highs_args():
+    # only the cut loop's masters, over (x, t), are built outside LpProblem
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert _hand_built_highs_calls(source) == []
+    assert len(_stray_calls(source, "_linprog_highs", "_solve_cuts")) == 2  # and it has two
+
+
+def test_checker_flags_hand_built_highs_calls():
+    source = (
+        "def _solve_highs(problem, p, kind):\n"
+        "    return _linprog_highs(*problem.highs_args(kind, p)).x\n"
+        "def _threshold_density(problem):\n"
+        "    c, A, b, bounds = problem.highs_args('threshold')\n"
+        "    res = _linprog_highs(c, A, b, bounds)\n"
+        "    res = detector._linprog_highs(*problem.highs_args('threshold'), x0=None)\n"
+        "    return _linprog_highs(*args), _linprog_highs(*highs_args(problem))\n"
+        "def _solve_cuts(problem, c, A, b, bounds):\n"
+        "    return _linprog_highs(c, A, b, bounds)\n"
+    )
+    assert _hand_built_highs_calls(source) == ["line 5", "line 6", "line 7", "line 7"]
 
 
 def _replace_uses(source: str) -> list[str]:
