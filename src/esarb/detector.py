@@ -16,7 +16,10 @@ LP kind. The detection, confirmation and threshold LPs differ only in
 costs and bounds (and the confirmation's ES row), and
 `LpProblem.highs_args` alone poses each of them for HiGHS. Sparse HiGHS
 solves the LP, or, on many scenarios, one Kelley cutting-plane loop over
-the portfolio block (`solve_lp` states the rule).
+the portfolio block (`solve_lp` states the rule). `_HighsModel` alone
+drives scipy's HiGHS binding: one model per HiGHS LP, and one master LP
+per cut loop, to which each new cut is added as a row and which HiGHS
+re-solves from its last basis.
 Either path returns only the portfolio columns x. `_certify` checks x's
 box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
 and reports the value and VaR_p computed from x, so every arbitrage
@@ -47,13 +50,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
 from .market import MarketSnapshot, Portfolio
 from .risk import RiskLevel, as_level, lex_order, tail_envelope
 
 _CUT_SCENARIOS = 600
 _HIGHS_OPTS = {
+    "output_flag": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -341,18 +345,50 @@ def _certify(problem: LpProblem, x: np.ndarray, p: float, kind: str, method: str
     return LpSolution(value, alpha, x, method)
 
 
-def _linprog_highs(c, A_ub, b_ub, bounds):
-    """HiGHS at tight tolerances, once. Every LP esarb solves is feasible
-    and bounded, so any status but optimal raises SolverError."""
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=dict(_HIGHS_OPTS))
-    if res.status != 0:
-        raise SolverError(f"numerical failure: HiGHS status {res.status}: {res.message}")
-    return res
+class _HighsModel:
+    """One HiGHS LP, min c.x over A x <= b and the (n, 2) column bounds, at
+    _HIGHS_OPTS: the one owner of scipy's HiGHS binding. A is a sparse
+    matrix, or None for a model that starts with no rows; `add_row` appends
+    a row in place, and each `solve` runs the model from its last basis.
+    Every LP esarb solves is feasible and bounded, so any model status but
+    optimal raises SolverError."""
+
+    def __init__(self, c, A, b, bounds):
+        lp, n = HighsLp(), len(c)
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, bounds[:, 0], bounds[:, 1]
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        if A is None:
+            lp.a_matrix_.start_ = np.zeros(n + 1, dtype=np.int32)
+        else:
+            A = A.tocsc()
+            lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+            lp.row_lower_, lp.row_upper_ = np.full(A.shape[0], -math.inf), b
+            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+        self._highs = _Highs()
+        for name, value in _HIGHS_OPTS.items():
+            self._highs.setOptionValue(name, value)
+        self._highs.passModel(lp)
+
+    def add_row(self, a: np.ndarray, b: float) -> None:
+        """Append the row a.x <= b (a dense over every column)."""
+        self._highs.addRow(-math.inf, b, len(a), np.arange(len(a), dtype=np.int32), a)
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The column values, row duals and objective of an optimum."""
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise SolverError(f"numerical failure: HiGHS status {int(status)}: "
+                              f"{self._highs.modelStatusToString(status)}")
+        solution = self._highs.getSolution()
+        return (np.array(solution.col_value), np.array(solution.row_dual),
+                self._highs.getObjectiveValue())
 
 
 def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
     """HiGHS on `highs_args(kind, p)`; the portfolio columns of its optimum."""
-    return _linprog_highs(*problem.highs_args(kind, p)).x[1 : 1 + problem.n_legs]
+    return _HighsModel(*problem.highs_args(kind, p)).solve()[0][1 : 1 + problem.n_legs]
 
 
 def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarray:
@@ -362,20 +398,25 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarr
     Each cut is the support line es(x') >= g.x' + h of ES_p at an iterate,
     g = -(F.T q) from the envelope point q there; it joins the caller's pool
     `cuts` (one level, both LP kinds), and an empty pool is seeded at x = 0.
-    The master over (x, t) has rows g.x - t <= -h and prices.x <= 0 with x
-    in the box. "min_es" minimizes t (free) and returns the best iterate
-    once its ES is within the gap tolerance of the master's lower bound:
-    the master dual mixes envelope points into a dual-feasible certificate.
-    "max_expected" fixes t = 0, maximizes expected payoff and returns the
-    first master point whose ES is <= 0 up to 1e-10 of the payoff scale.
-    A spent cut budget (_MAX_CUTS masters) raises SolverError.
+    One master LP over (x, t) serves the whole loop: it starts with a row
+    g.x - t <= -h for each pooled cut and prices.x <= 0, with x in the box,
+    and each new cut is added to it as a row, so HiGHS re-solves it from
+    the last basis. "min_es" minimizes t (free) and returns the best
+    iterate once its ES is within the gap tolerance of the master's lower
+    bound: the master dual mixes envelope points into a dual-feasible
+    certificate. "max_expected" fixes t = 0, maximizes expected payoff and
+    returns the first master point whose ES is <= 0 up to 1e-10 of the
+    payoff scale. A spent cut budget (_MAX_CUTS masters) raises SolverError.
     """
     F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
     min_es = kind == "min_es"
     c = np.append(np.zeros(n_l) if min_es else -(F.T @ w), float(min_es))  # t costs 1 for "min_es"
-    t_bounds = (None, None) if min_es else (0.0, 0.0)
-    bounds = [(lo, problem.upper_bound) for lo in problem.x_lower] + [t_bounds]
-    cost_row = np.concatenate([problem.prices, [0.0]])
+    bounds = np.column_stack([np.append(problem.x_lower, 0.0), np.full(n_l + 1, problem.upper_bound)])
+    bounds[-1] = (-math.inf, math.inf) if min_es else 0.0  # t
+    master = _HighsModel(c, None, None, bounds)
+    for g, h in cuts:
+        master.add_row(np.append(g, -1.0), -h)
+    master.add_row(np.append(problem.prices, 0.0), 0.0)
     es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
     x = None if cuts else np.zeros(n_l)
     lower, best, best_x = None, math.inf, None
@@ -389,11 +430,11 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarr
             if not min_es and lower is not None and es <= es_tol:  # never the unsolved start
                 return x
             g = -(F.T @ q)
-            cuts.append((g, es - g @ x))
-        A = np.array([np.append(g, -1.0) for g, _ in cuts] + [cost_row])
-        b = np.array([-h for _, h in cuts] + [0.0])
-        res = _linprog_highs(c, A, b, bounds)
-        x, lower = res.x[:n_l], float(res.fun)
+            h = es - g @ x
+            cuts.append((g, h))
+            master.add_row(np.append(g, -1.0), -h)
+        x, _, lower = master.solve()
+        x = x[:n_l]
     raise SolverError(f"cutting planes did not converge in {_MAX_CUTS} master LPs")
 
 
@@ -408,13 +449,14 @@ def solve_lp(
     The path follows from the LP, with no override. At least 600 (merged)
     scenarios and no `chain` form take the cutting-plane path
     (`_solve_cuts`, one loop for both LP kinds), whatever the number of
-    legs: its master LPs stay small while each cut sorts only the scenarios
+    legs: its one master LP stays small, gains each cut as a row and is
+    re-solved from its last basis, while each cut sorts only the scenarios
     in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
     at this level (None: a fresh one), so a confirmation LP handed its
-    detection LP's pool starts from those. Sparse HiGHS takes fewer
-    scenarios and the chain form, whose few nonzeros make it fast. Each LP
-    has this one path: a failure on it raises SolverError, and so does a
-    portfolio that fails its certificate.
+    detection LP's pool starts its master from those. Sparse HiGHS, one
+    model per LP, takes fewer scenarios and the chain form, whose few
+    nonzeros make it fast. Each LP has this one path: a failure on it
+    raises SolverError, and so does a portfolio that fails its certificate.
     """
     if kind not in ("min_es", "max_expected"):
         raise ValueError(f"unknown LP kind {kind!r}")
@@ -527,8 +569,8 @@ def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarra
     F; `min_p` checks x* with `_check_witness`.
     """
     n_l, n_s = problem.n_legs, problem.n_scenarios
-    res = _linprog_highs(*problem.highs_args("threshold"))
-    duals, x = -res.ineqlin.marginals, res.x[1 : 1 + n_l]
+    x, row_duals, _ = _HighsModel(*problem.highs_args("threshold")).solve()
+    duals, x = -row_duals, x[1 : 1 + n_l]
     mass = float(duals[1 : 1 + n_s].sum())
     if mass == 0.0:
         return None, x

@@ -28,7 +28,7 @@ from esarb.detector import (
     SolverError,
     _certify,
     _check_density,
-    _linprog_highs,
+    _HighsModel,
     _solve_highs,
     _threshold_density,
     arbitrage_epsilon,
@@ -120,9 +120,13 @@ def _plain_value(lp, p, kind):
     """Optimal value of the plain LP of this kind at level p, certified
     and recomputed from its portfolio."""
     args, kwargs = _highs_args(lp, kind, p)
-    res = _linprog_highs(*args, **kwargs)
-    assert res.status == 0, res.message
-    return _certify(lp, res.x[1 : 1 + lp.n_legs], p, kind, "highs").optimal_value
+    x = _HighsModel(*args, **kwargs).solve()[0]  # a non-optimal status raises
+    return _certify(lp, x[1 : 1 + lp.n_legs], p, kind, "highs").optimal_value
+
+
+# the detector's HiGHS tolerances, as `linprog` options
+_LINPROG_OPTIONS = {name: detector._HIGHS_OPTS[name]
+                    for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
 
 
 def _plain_p0(lp):
@@ -130,7 +134,7 @@ def _plain_p0(lp):
     pricing density exists."""
     (c, A_ub, b_ub, bounds), kwargs = _plain_threshold_args(lp)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
-                  options=dict(detector._HIGHS_OPTS), **kwargs)
+                  options=_LINPROG_OPTIONS, **kwargs)
     if res.status == 2:
         return None
     assert res.status == 0, res.message
@@ -160,14 +164,14 @@ def _assert_same_args(got, want):
 
 
 def _recording(monkeypatch):
-    """Record the arguments of every `_linprog_highs` call."""
+    """Record the arguments of every HiGHS model the detector builds."""
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
-        return _linprog_highs(*args, **kwargs)
+        return _HighsModel(*args, **kwargs)
 
-    monkeypatch.setattr(detector, "_linprog_highs", recorded)
+    monkeypatch.setattr(detector, "_HighsModel", recorded)
     return calls
 
 
@@ -345,3 +349,29 @@ def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     calls.clear()
     _threshold_density(prob)
     _assert_same_args(calls[0], _highs_args(prob, "threshold"))
+
+
+@pytest.mark.parametrize("name", ["bs512", "step", "pl"])
+def test_highs_answers_match_linprog_byte_for_byte(name):
+    # `linprog` hands HiGHS the same LP at the same tolerances: as a
+    # test-only reference it gives the same columns, row duals and value,
+    # so the portfolio columns and the threshold density are unchanged
+    density = {"bs512": bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512),
+               "step": CompleteMarketDensity("step", [0.1, 1.0], [4.0, 0.6 / 0.9])}.get(name)
+    prob = build_lp(_pl_market() if density is None else density_market(density))
+    n_l, n_s = prob.n_legs, prob.n_scenarios
+    assert (prob.chain is not None) == (name == "bs512")
+    for kind, p in (("min_es", 0.05), ("max_expected", 0.05), ("max_expected", 0.3), ("threshold", None)):
+        c, A, b, bounds = prob.highs_args(kind, p)
+        ref = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LINPROG_OPTIONS)
+        assert ref.status == 0, ref.message
+        x, row_duals, value = _HighsModel(c, A, b, bounds).solve()
+        assert x.tobytes() == ref.x.tobytes() and value == ref.fun
+        assert row_duals.tobytes() == ref.ineqlin.marginals.tobytes()
+        if kind != "threshold":
+            assert _solve_highs(prob, p, kind).tobytes() == ref.x[1 : 1 + n_l].tobytes()
+            continue
+        r = -ref.ineqlin.marginals[1 : 1 + n_s]
+        q, x_star = _threshold_density(prob)
+        assert q.tobytes() == (r / (prob.weights * float(r.sum()))).tobytes()
+        assert x_star.tobytes() == ref.x[1 : 1 + n_l].tobytes()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from esarb import (
     InstrumentQuote,
@@ -527,9 +529,9 @@ def test_unknown_lp_kind_is_rejected(monkeypatch):
     # "threshold" is a kind of `highs_args` alone: `solve_lp` rejects it,
     # and a misspelt kind, on either path before any LP is solved
     def no_lp(*args, **kwargs):
-        raise AssertionError("linprog was called")
+        raise AssertionError("HiGHS was called")
 
-    monkeypatch.setattr(detector, "linprog", no_lp)
+    monkeypatch.setattr(detector, "_Highs", no_lp)
     markets = ((true_arb_market(), "highs"), (_two_asset_markowitz(800), "cutting_plane"))
     for market, path in markets:
         prob = build_lp(market)
@@ -646,13 +648,13 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     _solve_cuts(prob, 0.05, "min_es", seeded)
     assert not hasattr(prob, "cuts")  # the caller owns every pool
     assert len(seeded) > 0
-    real, calls = detector.linprog, []
+    real, calls = detector._HighsModel.solve, []
 
-    def counted(*args, **kwargs):
+    def counted(model):  # one master LP solved
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(model)
 
-    monkeypatch.setattr(detector, "linprog", counted)
+    monkeypatch.setattr(detector._HighsModel, "solve", counted)
     masters, values = [], []
     for pool in (seeded, fresh):
         calls.clear()
@@ -685,11 +687,11 @@ def test_cut_loop_iterates_pinned():
     code = "\n".join([
         "from esarb import detector",
         "from test_detector import _two_asset_markowitz",
-        "real, calls = detector.linprog, []",
-        "def counted(*args, **kwargs):",
+        "real, calls = detector._HighsModel.solve, []",
+        "def counted(model):",
         "    calls.append(1)",
-        "    return real(*args, **kwargs)",
-        "detector.linprog = counted",
+        "    return real(model)",
+        "detector._HighsModel.solve = counted",
         "lp = detector.build_lp(_two_asset_markowitz(20000))",
         "sol = detector.solve_lp(lp, 0.4, 'min_es')",
         "print(len(calls), sol.method, sol.optimal_value.hex(), sol.alpha.hex())",
@@ -697,6 +699,27 @@ def test_cut_loop_iterates_pinned():
     assert run_with_one_blas_thread(code).split() == [
         "15", "cutting_plane", "-0x1.7ad37137b9611p-5", "-0x1.b94dca18f9b47p-4"
     ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_detect_starts_no_thread():
+    # HiGHS runs in the calling thread: a detect on each path (and min_p's
+    # threshold LP) leaves a one-BLAS-thread process at its thread count
+    code = "\n".join([
+        "import os",
+        "from esarb import detector",
+        "from test_detector import _two_asset_markowitz, capped_density_market",
+        "threads = lambda: len(os.listdir('/proc/self/task'))",
+        "before, methods = threads(), []",
+        "for market in (_two_asset_markowitz(2000), capped_density_market()):",
+        "    methods.append(detector.solve_lp(detector.build_lp(market), 0.05).method)",
+        "    detector.detect(market, 0.05)",
+        "detector.min_p(capped_density_market(), bracket=(0.01, 0.9))",
+        "print(*methods, before, threads())",
+    ])
+    methods_and_counts = run_with_one_blas_thread(code).split()
+    assert methods_and_counts[:2] == ["cutting_plane", "highs"]
+    assert methods_and_counts[2] == methods_and_counts[3]
 
 
 @pytest.mark.parametrize("path", ["highs", "cutting_plane", "threshold"])
@@ -709,12 +732,16 @@ def test_non_optimal_highs_status_raises_after_one_solve(monkeypatch, path):
         assert solve_lp(problem, 0.05).method == path
     calls = []
 
-    def failing(*args, **kwargs):  # HiGHS ending every LP at status 4
-        calls.append(1)
-        return OptimizeResult(status=4, message="stub numerical difficulties", success=False)
+    class Failing(detector._Highs):  # HiGHS ending every LP at status 4
+        def run(self):
+            calls.append(1)
+            return super().run()
 
-    monkeypatch.setattr(detector, "linprog", failing)
-    with pytest.raises(SolverError, match="HiGHS status 4: stub numerical difficulties"):
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError
+
+    monkeypatch.setattr(detector, "_Highs", Failing)
+    with pytest.raises(SolverError, match="HiGHS status 4: Solve error"):
         if path == "threshold":
             min_p(market, bracket=(0.01, 0.9))
         else:
@@ -778,13 +805,19 @@ def test_faulty_highs_portfolio_raises_after_one_solve(monkeypatch, fault):
     }[fault]
     calls = []
 
-    def stub(c, **kwargs):  # an optimal status with alpha = 0, u = 0 and this x
-        calls.append(1)
-        v = np.zeros(len(c))
-        v[1:3] = x
-        return OptimizeResult(status=0, x=v, fun=float(c @ v), message="stub", success=True)
+    class Stub(detector._Highs):  # an optimal status with alpha = 0, u = 0 and this x
+        def run(self):
+            calls.append(1)
+            return super().run()
 
-    monkeypatch.setattr(detector, "linprog", stub)
+        def getSolution(self):
+            solution = super().getSolution()
+            v = np.zeros(self.getNumCol())
+            v[1:3] = x
+            solution.col_value = v
+            return solution
+
+    monkeypatch.setattr(detector, "_Highs", Stub)
     with pytest.raises(SolverError, match=match):
         solve_lp(problem, 0.5, kind)
     assert len(calls) == 1
@@ -1101,13 +1134,13 @@ def _step(sup, first_cell):
 )
 def test_min_p_exact_on_complete_densities(monkeypatch, density):
     market, calls = density_market(density), []
-    real = detector._linprog_highs
+    real = detector._HighsModel.solve
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(model):
+        calls.append(model)
+        return real(model)
 
-    monkeypatch.setattr(detector, "_linprog_highs", counted)
+    monkeypatch.setattr(detector._HighsModel, "solve", counted)
     res = min_p(market, bracket=(1e-4, 0.9), tol=1e-4)
     assert res.status == "found"
     # q* certifies lo and x* witnesses p0: HiGHS solves the threshold LP alone
@@ -1154,15 +1187,34 @@ def test_min_p_matches_detect_on_small_markets(seed):
             assert not detect(market, res.p_star - tol).arbitrage
 
 
+def _tampering(monkeypatch, tamper):
+    """Let `tamper(bounds, x, row_duals)` edit each HiGHS answer (column
+    values and row duals) in place before the detector reads it; returns
+    the column bounds of every LP solved, in order."""
+    solved = []
+
+    class Tampered(detector._HighsModel):
+        def __init__(self, c, A, b, bounds):
+            super().__init__(c, A, b, bounds)
+            self.bounds = bounds
+
+        def solve(self):
+            x, row_duals, value = super().solve()
+            solved.append(self.bounds)
+            tamper(self.bounds, x, row_duals)
+            return x, row_duals, value
+
+    monkeypatch.setattr(detector, "_HighsModel", Tampered)
+    return solved
+
+
 @pytest.mark.parametrize("tamper", ["mass", "negative", "pricing"])
 def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
     problem = build_lp(capped_density_market())
-    real = detector._linprog_highs
 
-    def tampered(*args):
-        res = real(*args)
+    def tampered(bounds, x, row_duals):
         # minus the hinge rows' duals r, from which q = r / (w sum r)
-        marginals = res.ineqlin.marginals[1 : 1 + problem.n_scenarios]
+        marginals = row_duals[1 : 1 + problem.n_scenarios]
         if tamper == "mass":  # E_w q stays 1, but the cost row's dual no
             marginals *= 1.001  # longer scales with sum r: q misprices the bond
         elif tamper == "negative":
@@ -1170,10 +1222,9 @@ def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
         else:  # move dual mass from the last cell to the first: sum r stays
             marginals[0] -= 1e-3
             marginals[-1] += 1e-3
-        return res
 
     _threshold_density(problem)  # the untampered answer passes its check
-    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    _tampering(monkeypatch, tampered)
     with pytest.raises(SolverError):
         _threshold_density(problem)
 
@@ -1235,22 +1286,20 @@ def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
     market, bracket = _dear_asset_market(), (0.5, 0.9)
     untampered = min_p(market, bracket=bracket)
     assert (untampered.status, untampered.evaluations) == ("none in bracket", 1)
-    real_highs, real_solve, solved = detector._linprog_highs, detector.solve_lp, []
+    real_solve, solved = detector.solve_lp, []
 
-    def tampered(c, A, b, bounds):
-        res = real_highs(c, A, b, bounds)
+    def tampered(bounds, x, row_duals):
         if bounds[0][0] == -1.0:  # alpha fixed at -1: the threshold LP
             # hinge duals r = w q with sum r = 1 = p0 keep E_w q = 1 and
             # every pricing row; "floor" touches q = 0, "cap" q = 1/lo = 2
             q = [0.0, 1.6, 1.2] if tamper == "floor" else [2.0, 0.4, 0.8]
-            res.ineqlin.marginals[1:4] = -market.scenarios.weights * q
-        return res
+            row_duals[1:4] = -market.scenarios.weights * q
 
     def recorded(problem, level, kind="min_es", cuts=None):
         solved.append((kind, level))
         return real_solve(problem, level, kind, cuts)
 
-    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    _tampering(monkeypatch, tampered)
     monkeypatch.setattr(detector, "solve_lp", recorded)
     # "floor": p0 = 1 / max q = 0.625 > lo, the confirmation at lo runs and
     # finds no arbitrage; "cap": p0 = lo and no LP runs. Either way the
@@ -1354,24 +1403,20 @@ def test_min_p_raises_when_threshold_portfolio_is_no_witness(monkeypatch, tamper
     # with es_p, E_w and the cost row; a tampered x* must not pass for
     # arbitrage, and no LP may stand in for it
     market = capped_density_market()
-    real, solved = detector._linprog_highs, []
 
-    def tampered(c, A, b, bounds):
-        res = real(c, A, b, bounds)
-        solved.append(bounds[0][0])
+    def tampered(bounds, x, row_duals):
         if bounds[0][0] == -1.0:  # alpha fixed at -1: the threshold LP
-            x = res.x[1 : 1 + build_lp(market).n_legs]
+            x = x[1 : 1 + build_lp(market).n_legs]
             if tamper == "zero":
                 x[:] = 0.0
             else:
                 x[np.argmax(np.abs(x))] *= 0.5
-        return res
 
     assert min_p(market, bracket=(0.01, 0.9)).status == "found"
-    monkeypatch.setattr(detector, "_linprog_highs", tampered)
+    solved = _tampering(monkeypatch, tampered)
     # the zero portfolio has no expected payoff; the halved one costs 0.5
     match = {"zero": r"no arbitrage witnessed at p = 0\.5: expected payoff 0\.000e\+00",
              "halve": r"portfolio fails its check at p = 0\.5: .*cost 5\.000e-01"}[tamper]
     with pytest.raises(SolverError, match=match):
         min_p(market, bracket=(0.01, 0.9))
-    assert solved == [-1.0]  # alpha's lower bound: HiGHS solved the threshold LP alone
+    assert [bounds[0][0] for bounds in solved] == [-1.0]  # alpha's lower bound: HiGHS solved the threshold LP alone

@@ -10,12 +10,14 @@ private (single-underscore) function, class or constant defined at module
 level that no module of the package references is dead code too.
 `scipy.signal` loads `scipy.stats`, and the two cost about 26 MB of
 resident memory and 0.6 s on first import; the package needs neither.
-The detector keeps one LP assembly and one HiGHS call: `sparse` is
-referenced only inside `LpProblem`, and `linprog` only inside
-`_linprog_highs`, which alone reads HiGHS's `status`: each LP has one
-solver path, and a non-optimal status ends it. Every HiGHS LP but the cut
-loop's masters is posed by `LpProblem.highs_args`, so no function builds
-LP costs or bounds by hand. It copies no LP per level
+The detector keeps one LP assembly and one owner of HiGHS: `sparse` is
+referenced only inside `LpProblem`, and scipy's HiGHS binding (`_Highs`,
+`HighsLp`, `HighsModelStatus`, `MatrixFormat`) only inside `_HighsModel`,
+which alone reads the model status: each LP has one solver path, and a
+non-optimal status ends it. No module mentions `linprog`, so there is no
+second way to HiGHS. Every HiGHS model but the cut loop's master is posed
+by `LpProblem.highs_args`, so no function builds LP costs or bounds by
+hand. It copies no LP per level
 or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
 `solve_lp` (the confirmation at lo): the threshold LP's own portfolio
 witnesses arbitrage at p0, so no LP confirms it.
@@ -163,7 +165,8 @@ def test_checker_flags_stats_and_signal_imports():
     ]
 
 
-_CONFINED = {"sparse": "LpProblem", "linprog": "_linprog_highs"}
+_HIGHS_BINDING = ("_Highs", "HighsLp", "HighsModelStatus", "MatrixFormat")
+_CONFINED = {"sparse": "LpProblem", **dict.fromkeys(_HIGHS_BINDING, "_HighsModel")}
 
 
 def _stray_references(source: str, confined: dict[str, str]) -> list[str]:
@@ -180,28 +183,43 @@ def _stray_references(source: str, confined: dict[str, str]) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
-def test_detector_has_one_lp_assembly_and_one_linprog_call():
+def test_detector_has_one_lp_assembly_and_one_highs_owner():
     assert _stray_references((SRC / "detector.py").read_text(encoding="utf-8"), _CONFINED) == []
+
+
+def test_no_module_mentions_linprog():
+    # HiGHS is reached through `_HighsModel` alone, not also through linprog
+    assert [p.name for p in SRC.glob("*.py") if "linprog" in p.read_text(encoding="utf-8")] == []
+
+
+def test_scipy_ships_the_highs_binding():
+    # the detector drives scipy's private HiGHS binding, verified on scipy 1.17
+    from scipy.optimize._highspy import _core
+
+    missing = [name for name in _HIGHS_BINDING if not hasattr(_core, name)]
+    assert missing == [], f"scipy.optimize._highspy._core lacks {missing}: esarb needs scipy >= 1.17"
 
 
 def test_checker_flags_stray_references():
     source = (
         "import scipy.sparse as sparse\n"
-        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy._core import HighsLp, _Highs\n"
         "class LpProblem:\n"
         "    def matrix(self) -> sparse.csr_matrix:\n"
         "        return sparse.eye(2)\n"
-        "def _linprog_highs(c):\n"
-        "    return linprog(c)\n"
+        "class _HighsModel:\n"
+        "    def __init__(self, c):\n"
+        "        self._highs, self._lp = _Highs(), HighsLp()\n"
         "def _threshold_density(problem):\n"
         "    A = sparse.vstack([problem.matrix()])\n"
-        "    return linprog(A)\n"
+        "    return _Highs().passModel(HighsLp())\n"
         "EMPTY = sparse.csr_matrix((0, 0))\n"
     )
     assert _stray_references(source, _CONFINED) == [
-        "line 9: sparse",
-        "line 10: linprog",
-        "line 11: sparse",
+        "line 10: sparse",
+        "line 11: HighsLp",
+        "line 11: _Highs",
+        "line 12: sparse",
     ]
 
 
@@ -218,30 +236,31 @@ def _stray_attribute_reads(source: str, attr: str, owner: str) -> list[str]:
     return [f"line {line}: .{attr}" for line in sorted(lines)]
 
 
+_STATUS_READS = ("status", "getModelStatus")
+
+
 def test_detector_reads_highs_status_in_one_place():
     source = (SRC / "detector.py").read_text(encoding="utf-8")
-    assert _stray_attribute_reads(source, "status", "_linprog_highs") == []
+    for attr in _STATUS_READS:
+        assert _stray_attribute_reads(source, attr, "_HighsModel") == []
 
 
 def test_checker_flags_stray_status_reads():
     source = (
-        "def _linprog_highs(c):\n"
-        "    res = linprog(c)\n"
-        "    if res.status != 0:\n"
-        "        raise SolverError(res.message)\n"
-        "    return res\n"
+        "class _HighsModel:\n"
+        "    def solve(self):\n"
+        "        if self._highs.getModelStatus() != HighsModelStatus.kOptimal:\n"
+        "            raise SolverError(self._highs.modelStatusToString(status))\n"
         "def _solve_cuts(problem):\n"
         "    status = 'found'\n"
-        "    if _linprog_highs(problem).status != 0:\n"
+        "    if master._highs.getModelStatus() != 7 or res.status:\n"
         "        return MinPResult(status=status)\n"
         "class MinPResult:\n"
         "    status: str\n"
         "OK = (lambda r: r.status)(None)\n"
     )
-    assert _stray_attribute_reads(source, "status", "_linprog_highs") == [
-        "line 8: .status",
-        "line 12: .status",
-    ]
+    found = [_stray_attribute_reads(source, attr, "_HighsModel") for attr in _STATUS_READS]
+    assert found == [["line 7: .status", "line 11: .status"], ["line 7: .getModelStatus"]]
 
 
 def _stray_calls(source: str, name: str, owner: str) -> list[str]:
@@ -286,7 +305,7 @@ def test_checker_flags_stray_lp_solution_calls():
 
 
 def _hand_built_highs_calls(source: str) -> list[str]:
-    """Calls of `_linprog_highs` outside `_solve_cuts` whose arguments are
+    """Calls of `_HighsModel` outside `_solve_cuts` whose arguments are
     anything but exactly `*<expr>.highs_args(...)`."""
     found = []
     for top in ast.parse(source).body:
@@ -295,35 +314,35 @@ def _hand_built_highs_calls(source: str) -> list[str]:
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
-            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "_linprog_highs":
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "_HighsModel":
                 continue
             (arg,) = node.args if len(node.args) == 1 else (None,)
             posed = (isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Call)
                      and isinstance(arg.value.func, ast.Attribute)
                      and arg.value.func.attr == "highs_args")
             if not posed or node.keywords:
-                found.append(f"line {node.lineno}")
-    return found
+                found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
 
 
 def test_detector_poses_every_highs_lp_with_highs_args():
-    # only the cut loop's masters, over (x, t), are built outside LpProblem
+    # only the cut loop's master, over (x, t), is built outside LpProblem
     source = (SRC / "detector.py").read_text(encoding="utf-8")
     assert _hand_built_highs_calls(source) == []
-    assert len(_stray_calls(source, "_linprog_highs", "_solve_cuts")) == 2  # and it has two
+    assert len(_stray_calls(source, "_HighsModel", "_solve_cuts")) == 2  # and it has two
 
 
 def test_checker_flags_hand_built_highs_calls():
     source = (
         "def _solve_highs(problem, p, kind):\n"
-        "    return _linprog_highs(*problem.highs_args(kind, p)).x\n"
+        "    return _HighsModel(*problem.highs_args(kind, p)).solve()\n"
         "def _threshold_density(problem):\n"
         "    c, A, b, bounds = problem.highs_args('threshold')\n"
-        "    res = _linprog_highs(c, A, b, bounds)\n"
-        "    res = detector._linprog_highs(*problem.highs_args('threshold'), x0=None)\n"
-        "    return _linprog_highs(*args), _linprog_highs(*highs_args(problem))\n"
-        "def _solve_cuts(problem, c, A, b, bounds):\n"
-        "    return _linprog_highs(c, A, b, bounds)\n"
+        "    res = _HighsModel(c, A, b, bounds).solve()\n"
+        "    res = detector._HighsModel(*problem.highs_args('threshold'), x0=None)\n"
+        "    return _HighsModel(*args), _HighsModel(*highs_args(problem))\n"
+        "def _solve_cuts(problem, c, bounds):\n"
+        "    return _HighsModel(c, None, None, bounds)\n"
     )
     assert _hand_built_highs_calls(source) == ["line 5", "line 6", "line 7", "line 7"]
 
