@@ -22,8 +22,11 @@ per cut loop, to which each new cut is added as a row and which HiGHS
 re-solves from its last basis.
 Either path returns only the portfolio columns x. `_certify` checks x's
 box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
-and reports the value and VaR_p computed from x, so every arbitrage
-verdict rests on a portfolio checked with the ES formula.
+and reports the value and VaR_p of x, so every arbitrage verdict rests on
+a portfolio checked with the ES formula. The certificate's (F x, ES_p,
+VaR_p) come from one `tail_envelope` of the returned x, computed once by
+`_evaluate`: the cut loop returns its own evaluation of the x it hands
+back, and the HiGHS path evaluates its x after the solve.
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
@@ -101,6 +104,12 @@ class LpProblem:
     @cached_property
     def x_lower(self) -> np.ndarray:
         return np.where(self.shorts >= 0, -self.upper_bound, 0.0)
+
+    @cached_property
+    def payoff_scale(self) -> float:
+        """max |F|: the payoff scale of the tolerances and of the
+        arbitrage epsilon, read once per LP."""
+        return float(np.abs(self.payoffs).max(initial=0.0))
 
     @cached_property
     def chain(self) -> sparse.csr_matrix | None:
@@ -254,7 +263,8 @@ def _merged_rows(market: MarketSnapshot, keys: np.ndarray):
     from the one before it: on the first key, or else on any other key,
     compared for one block of adjacent sorted rows (at most _MERGE_BLOCK
     gathered entries) at a time, and only in blocks where the first key
-    ties."""
+    ties. When every run is one row (continuous draws), the weights need no
+    summing."""
     keys = np.stack([market.legs[j].payoff for j in keys])
     order = lex_order(keys)
     s = keys[0, order]
@@ -266,7 +276,9 @@ def _merged_rows(market: MarketSnapshot, keys: np.ndarray):
             block = np.take(keys[1:], order[start - 1 : stop], axis=1)
             new_run[start:stop] |= np.logical_or.reduce(block[:, 1:] != block[:, :-1], axis=0)
     starts = np.flatnonzero(new_run)
-    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
+    merged_w = market.scenarios.weights[order]
+    if len(starts) < len(order):  # some run holds more than one row
+        merged_w = np.add.reduceat(merged_w, starts)
     keep = merged_w > 0
     return order[starts[keep]], merged_w[keep]
 
@@ -277,18 +289,19 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
     negation. Returns (legs, shorts, varies): one entry per LP column, at
     its first leg's position; shorts is -1 for a leg left single, and
     varies tells whether the column's payoffs differ on any scenario. Each
-    leg's column is gathered on its own, so no copy of the matrix is made.
+    leg's column is gathered on its own (copied whole when every weight is
+    positive), so no copy of the matrix is made.
 
     A pair with a constant payoff (cash, a bond) stays two legs: its net
     column would be parallel to alpha's in every hinge row, and at the
     exact threshold HiGHS then returned vertices that miss a bound by up
     to 4e-8 (15 of 3596 random 40-scenario option markets)."""
-    rows = np.flatnonzero(market.scenarios.weights > 0)
+    positive = market.scenarios.weights > 0
+    rows = slice(None) if positive.all() else np.flatnonzero(positive)
     waiting: dict = {}  # (price, payoff bytes) -> columns whose leg awaits its negation
     legs, shorts, varies = [], [], []
     for j, (leg, price) in enumerate(zip(market.legs, prices.tolist())):
-        col = leg.payoff[rows]
-        col += 0.0  # a zero entry or price of either sign keys as +0.0
+        col = leg.payoff[rows] + 0.0  # a zero entry or price of either sign keys as +0.0
         match = None
         if varying := bool((col != col[0]).any()):
             # 0.0 - x negates x, reading a zero of either sign as +0.0
@@ -326,22 +339,40 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
     return LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
 
 
-def _certify(problem: LpProblem, x: np.ndarray, p: float, kind: str, method: str) -> LpSolution:
+def _evaluate(problem: LpProblem, x: np.ndarray, p: float) -> tuple[tuple, np.ndarray]:
+    """The evaluation (ES_p, VaR_p, E_w) of X = F x for portfolio columns
+    x, and the envelope point q attaining ES_p, from one `tail_envelope`
+    of X: the one evaluation of a portfolio, made once per x. Only the
+    cut loop reads q; the evaluation holds no array, so the loop keeps
+    three floats for its best iterate."""
+    X = problem.payoffs @ x
+    es, q, var = tail_envelope(X, problem.weights, p)
+    return (es, var, float(problem.weights @ X)), q
+
+
+def _certify(
+    problem: LpProblem, x: np.ndarray, evaluation: tuple, p: float, kind: str, method: str
+) -> LpSolution:
     """The LpSolution of portfolio columns x for the LP of this kind at
     level p, checked without trusting the solver: x lies in the box within
     1e-9 of B, prices.x <= tol and, for "max_expected", ES_p(F x) <= tol,
-    tol being 1e-9 of the payoff scale; otherwise SolverError. The value
-    and alpha come from one `tail_envelope` of F x."""
-    F, w, B = problem.payoffs, problem.weights, problem.upper_bound
-    X, cost = F @ x, float(problem.prices @ x)
-    es, _, alpha = tail_envelope(X, w, p)
-    top = max(F.max(initial=0.0), -F.min(initial=0.0), np.abs(problem.prices).max(initial=0.0))
-    tol = 1e-9 * (1.0 + float(top) * float(np.abs(x).sum()))
+    tol being 1e-9 of `payoff_scale` (or of the largest price) times
+    sum |x|; otherwise SolverError. `evaluation` is the (ES_p, VaR_p, E_w)
+    of F x that `_evaluate` made once for this x (in the cut loop, or
+    after a HiGHS solve), so the certificate's (F x, ES_p, VaR_p) come from
+    one `tail_envelope` of the returned x: the value is its ES_p
+    ("min_es") or -E_w[F x], alpha its VaR_p. No value of the solver (a
+    master's t or lower bound) enters."""
+    B = problem.upper_bound
+    es, alpha, mean = evaluation
+    cost = float(problem.prices @ x)
+    top = max(problem.payoff_scale, float(np.abs(problem.prices).max(initial=0.0)))
+    tol = 1e-9 * (1.0 + top * float(np.abs(x).sum()))
     outside = max(float((problem.x_lower - x).max(initial=0.0)), float((x - B).max(initial=0.0)))
     if not (outside <= 1e-9 * (1.0 + B) and cost <= tol and (kind == "min_es" or es <= tol)):
         raise SolverError(f"portfolio fails its check at p = {p!r}: box excess {outside:.3e}, "
                           f"cost {cost:.3e}, ES {es:.3e}")
-    value = es if kind == "min_es" else 0.0 - float(w @ X)
+    value = es if kind == "min_es" else 0.0 - mean
     return LpSolution(value, alpha, x, method)
 
 
@@ -391,9 +422,11 @@ def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
     return _HighsModel(*problem.highs_args(kind, p)).solve()[0][1 : 1 + problem.n_legs]
 
 
-def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarray:
+def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> tuple[np.ndarray, tuple]:
     """Kelley cutting planes on the portfolio block, for either LP kind;
-    the portfolio columns of the answer.
+    the portfolio columns x of the answer and the loop's own `_evaluate`
+    of that x, the one its cut and stopping test used, for `_certify` to
+    read: each iterate is evaluated once.
 
     Each cut is the support line es(x') >= g.x' + h of ES_p at an iterate,
     g = -(F.T q) from the envelope point q there; it joins the caller's pool
@@ -405,8 +438,9 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarr
     iterate once its ES is within the gap tolerance of the master's lower
     bound: the master dual mixes envelope points into a dual-feasible
     certificate. "max_expected" fixes t = 0, maximizes expected payoff and
-    returns the first master point whose ES is <= 0 up to 1e-10 of the
-    payoff scale. A spent cut budget (_MAX_CUTS masters) raises SolverError.
+    returns the first master point whose ES is <= 0 up to 1e-10 of
+    `payoff_scale` times B. A spent cut budget (_MAX_CUTS masters) raises
+    SolverError.
     """
     F, w, n_l = problem.payoffs, problem.weights, problem.n_legs
     min_es = kind == "min_es"
@@ -417,18 +451,19 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> np.ndarr
     for g, h in cuts:
         master.add_row(np.append(g, -1.0), -h)
     master.add_row(np.append(problem.prices, 0.0), 0.0)
-    es_tol = 1e-10 * (1.0 + float(np.abs(F).max(initial=0.0)) * problem.upper_bound)
+    es_tol = 1e-10 * (1.0 + problem.payoff_scale * problem.upper_bound)
     x = None if cuts else np.zeros(n_l)
-    lower, best, best_x = None, math.inf, None
+    lower, best, answer = None, math.inf, None
     for _ in range(_MAX_CUTS):
         if x is not None:
-            es, q, _ = tail_envelope(F @ x, w, p)
+            evaluation, q = _evaluate(problem, x, p)
+            es = evaluation[0]
             if es < best:
-                best, best_x = es, x
+                best, answer = es, (x, evaluation)
             if min_es and lower is not None and best - lower <= _GAP_TOL * max(1.0, abs(best)):
-                return best_x
+                return answer
             if not min_es and lower is not None and es <= es_tol:  # never the unsolved start
-                return x
+                return x, evaluation
             g = -(F.T @ q)
             h = es - g @ x
             cuts.append((g, h))
@@ -443,8 +478,8 @@ def solve_lp(
 ) -> LpSolution:
     """Solve the LP of this kind ("min_es" or "max_expected") at the level,
     deterministically, and certify the portfolio it finds (`_certify`): the
-    reported value and alpha are recomputed from that portfolio, not read
-    from the solver.
+    reported value and alpha come from one evaluation of that portfolio
+    (`_evaluate`, made once per x), not from the solver.
 
     The path follows from the LP, with no override. At least 600 (merged)
     scenarios and no `chain` form take the cutting-plane path
@@ -462,19 +497,25 @@ def solve_lp(
         raise ValueError(f"unknown LP kind {kind!r}")
     p = as_level(level).p
     if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
-        x, method = _solve_cuts(problem, p, kind, [] if cuts is None else cuts), "cutting_plane"
-    else:
-        x, method = _solve_highs(problem, p, kind), "highs"
-    return _certify(problem, x, p, kind, method)
+        x, evaluation = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
+        return _certify(problem, x, evaluation, p, kind, "cutting_plane")
+    x = _solve_highs(problem, p, kind)
+    return _certify(problem, x, _evaluate(problem, x, p)[0], p, kind, "highs")
 
 
 def arbitrage_epsilon(market: MarketSnapshot) -> float:
     """Strict-negativity threshold: 1e-6 of the market's payoff scale, read
-    on the positive-weight scenarios (the rows `build_lp` keeps)."""
-    rows = market.scenarios.weights > 0
-    biggest = max((float(np.abs(leg.payoff[rows]).max(initial=0.0)) for leg in market.legs),
-                  default=0.0)
-    return 1e-6 * max(market.spot, biggest)
+    on its LP (`_epsilon`)."""
+    return _epsilon(market, build_lp(market))
+
+
+def _epsilon(market: MarketSnapshot, problem: LpProblem) -> float:
+    """1e-6 max(spot, `payoff_scale`) of the market's LP, which `detect`
+    and `min_p` read off the LP they build. The LP's merged rows and kept
+    columns hold every absolute payoff of the positive-weight scenarios (a
+    short leg negates its long one there), so a weight-0 scenario sets no
+    part of it."""
+    return 1e-6 * max(market.spot, problem.payoff_scale)
 
 
 def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
@@ -495,7 +536,7 @@ def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     level = as_level(level)
     problem, cuts = build_lp(market), []
     solution = solve_lp(problem, level, "min_es", cuts)
-    eps = arbitrage_epsilon(market)
+    eps = _epsilon(market, problem)
     min_es = solution.optimal_value + 0.0  # +0.0: no field reads -0.0
     alpha_star = solution.alpha + 0.0
     quantities = problem.leg_quantities(solution.x)
@@ -523,15 +564,17 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
     """Certify a pricing density without trusting the solver: q >= 0,
     lam >= 0, E_w q = 1 and E_w[q f_j] <= lam price_j for every column
     (with equality for a netted pair, whose short leg prices -f_j), each
-    within 1e-9 relative. O(n_scenarios * n_legs)."""
+    within 1e-9 relative; a NaN anywhere fails. O(n_scenarios * n_legs)."""
     F, w, prices = problem.payoffs, problem.weights, problem.prices
     priced = F.T @ (w * q) - lam * prices
     priced = np.where(problem.shorts >= 0, np.abs(priced), priced)
     scale = 1.0 + np.abs(F).T @ (w * np.abs(q)) + abs(lam) * np.abs(prices)
     worst = float((priced / scale).max(initial=0.0))
     mass_err = abs(float(w @ q) - 1.0) / (1.0 + float(w @ np.abs(q)))
-    sign_viol = max(float((-q).max(initial=0.0)), -lam)
-    if worst > 1e-9 or mass_err > 1e-9 or sign_viol > 1e-9 * (1.0 + float(np.abs(q).max())):
+    sign_viol = float(np.append(-q, -lam).max(initial=0.0))
+    # written as not (x <= tol), so that a NaN fails each check
+    if not (worst <= 1e-9 and mass_err <= 1e-9
+            and sign_viol <= 1e-9 * (1.0 + float(np.abs(q).max()))):
         raise SolverError(
             f"numerical failure: pricing residual {worst:.3e}, mass error {mass_err:.3e}, "
             f"sign violation {sign_viol:.3e}"
@@ -545,7 +588,8 @@ def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> n
     E_w[F x] > eps."""
     B = problem.upper_bound
     x = x * (B / max(float(np.abs(x).max(initial=0.0)), B))
-    gain = 0.0 - _certify(problem, x, p, "max_expected", "highs").optimal_value
+    solution = _certify(problem, x, _evaluate(problem, x, p)[0], p, "max_expected", "highs")
+    gain = 0.0 - solution.optimal_value
     if not gain > eps:
         raise SolverError(f"no arbitrage witnessed at p = {p!r}: expected payoff {gain:.3e}")
     return x
@@ -606,8 +650,8 @@ def min_p(
         raise ValueError(f"invalid bracket {bracket}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    eps = arbitrage_epsilon(market)
     problem = build_lp(market)
+    eps = _epsilon(market, problem)
     q, x = _threshold_density(problem)
     p0 = 0.0 if q is None else 1.0 / float(q.max())
     evals = 1

@@ -40,8 +40,11 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     `columns` is a (k, n) array whose rows are the keys (a view such as
     `matrix.T` is not copied), or k 1-D arrays, which are stacked into one.
 
-    The first column is sorted once with numpy's default (unstable) sort;
-    only the rows that tie on it are then re-sorted, with a stable lexsort
+    The first column is sorted once with numpy's default (unstable) sort.
+    When no two sorted neighbours tie, that argsort is returned at once:
+    with distinct values the order is unique, so it is the lexsort's
+    permutation (continuous draws, `tail_envelope`'s tail). Otherwise only
+    the rows that tie on it are re-sorted, with a stable lexsort
     over (run id, remaining columns, row index). The remaining columns of
     those rows are gathered in one (k - 1, tied) block, not one array per
     column: on a wide market of 0/1 payoffs every row ties, and a thousand
@@ -57,6 +60,8 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     nan = s != s
     # link[i]: sorted position i ties with position i - 1
     link = np.concatenate([[False], (s[1:] == s[:-1]) | (nan[1:] & nan[:-1]), [False]])
+    if not link.any():  # no ties: the argsort is the one order
+        return order
     tied = np.flatnonzero(link[:-1] | link[1:])
     rows = order[tied]
     run = np.cumsum(~link[tied])  # a tied position that ties with no predecessor starts a run

@@ -48,8 +48,9 @@ def checked_min_p(market, *args, **kwargs):
     """`min_p`, with the portfolio it returns checked without the solver:
     None when p* is None, else an ES_p-arbitrage at p*, recomputed from the
     market with `price`, `es_p` and `payoff_distribution`: cost and ES at
-    most 1e-9 of the payoff scale, expected payoff above
-    `arbitrage_epsilon`."""
+    most 1e-9 of the payoff scale, expected payoff above epsilon, 1e-6 of
+    the spot or of the largest |payoff| on a positive-weight scenario (the
+    value of `arbitrage_epsilon`, read here without building an LP)."""
     res = detector.min_p(market, *args, **kwargs)
     if res.p_star is None:
         assert res.portfolio is None
@@ -60,7 +61,9 @@ def checked_min_p(market, *args, **kwargs):
     dist = payoff_distribution(market, res.portfolio)
     assert price(market, res.portfolio) <= tol
     assert es_p(dist, res.p_star) <= tol
-    assert float(dist.weights @ dist.values) > detector.arbitrage_epsilon(market)
+    positive = market.payoff_matrix()[market.scenarios.weights > 0]
+    eps = 1e-6 * max(market.spot, float(np.abs(positive).max(initial=0.0)))
+    assert float(dist.weights @ dist.values) > eps
     return res
 
 

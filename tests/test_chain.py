@@ -26,7 +26,6 @@ from esarb import detector
 from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_market
 from esarb.detector import (
     SolverError,
-    _certify,
     _check_density,
     _HighsModel,
     _solve_highs,
@@ -38,7 +37,7 @@ from esarb.detector import (
 )
 
 from conftest import checked_min_p as min_p  # every result's portfolio is checked
-from test_detector import _two_asset_markowitz
+from test_detector import _certified, _two_asset_markowitz
 
 
 # ------------------------------------------------------- the plain assembly
@@ -121,7 +120,7 @@ def _plain_value(lp, p, kind):
     and recomputed from its portfolio."""
     args, kwargs = _highs_args(lp, kind, p)
     x = _HighsModel(*args, **kwargs).solve()[0]  # a non-optimal status raises
-    return _certify(lp, x[1 : 1 + lp.n_legs], p, kind, "highs").optimal_value
+    return _certified(lp, x[1 : 1 + lp.n_legs], p, kind).optimal_value
 
 
 # the detector's HiGHS tolerances, as `linprog` options
@@ -282,7 +281,7 @@ def test_chain_matches_plain_reference(seed, steps):
     values = {}
     for kind in ("min_es", "max_expected"):
         ref = _plain_value(prob, p, kind)
-        got = _solved(lambda: _certify(prob, _solve_highs(prob, p, kind), p, kind, "highs"))
+        got = _solved(lambda: _certified(prob, _solve_highs(prob, p, kind), p, kind))
         if isinstance(got, SolverError):  # never a wrong answer, but no answer
             continue
         assert got.x.shape == (prob.n_legs,)

@@ -32,6 +32,8 @@ from esarb.detector import (
     LpProblem,
     SolverError,
     _certify,
+    _check_density,
+    _evaluate,
     _merged_rows,
     _solve_cuts,
     _solve_highs,
@@ -437,6 +439,27 @@ def _paired_market(rng, n_s):
                           upper_bound=float(rng.choice([1.0, 3.0])))
 
 
+def test_netting_compares_whole_columns():
+    # a near negation that differs in one payoff stays single, and fifty
+    # equal-priced legs listed before their negations, in shuffled order,
+    # each net with their own
+    rng = np.random.default_rng(3)
+    n_s = 640
+    scen = ScenarioSet(np.arange(float(n_s)), np.full(n_s, 1.0 / n_s))
+    f = rng.normal(size=n_s)
+    near = -f
+    near[3] += 1.0
+    legs = [TradableLeg("f", 0.5, f), TradableLeg("near", -0.5, near), TradableLeg("-f", -0.5, -f)]
+    longs = rng.integers(0, 2, size=(50, n_s)).astype(float)
+    shorts = rng.permutation(50)
+    legs += [TradableLeg(f"d{k}", 0.25, longs[k]) for k in range(50)]
+    legs += [TradableLeg(f"-d{k}", -0.25, -longs[k]) for k in shorts]
+    market = MarketSnapshot(scen, tuple(legs), spot=1.0)
+    got_legs, got_shorts, _ = detector._net_columns(market, market.prices())
+    assert got_legs.tolist() == [0, 1, *range(3, 53)]
+    assert got_shorts.tolist() == [2, -1, *(53 + np.argsort(shorts)).tolist()]
+
+
 # 40 scenarios take HiGHS; 700 take the cutting planes
 @pytest.mark.parametrize("n_s", [40, 700])
 @settings(max_examples=20, deadline=None)
@@ -506,14 +529,20 @@ def test_lp_matches_brute_force_grid(rng):
 def _highs(lp, p, kind="min_es"):
     """The LP of this kind at level p on HiGHS, certified as `solve_lp`
     certifies it."""
-    return _certify(lp, _solve_highs(lp, p, kind), p, kind, "highs")
+    return _certified(lp, _solve_highs(lp, p, kind), p, kind)
+
+
+def _certified(lp, x, p, kind):
+    """Portfolio columns x for the LP of this kind at level p, certified
+    with their own evaluation, as `solve_lp` certifies a HiGHS answer."""
+    return _certify(lp, x, _evaluate(lp, x, p)[0], p, kind, "highs")
 
 
 def _solve_both(lp, p, kind="min_es", pool=None):
     """The LP of this kind at level p on both paths, each certified as
     `solve_lp` certifies it; the cut loop starts from the pool of cuts."""
-    cuts = _solve_cuts(lp, p, kind, [] if pool is None else pool)
-    return _certify(lp, cuts, p, kind, "cutting_plane"), _highs(lp, p, kind)
+    x, evaluation = _solve_cuts(lp, p, kind, [] if pool is None else pool)
+    return _certify(lp, x, evaluation, p, kind, "cutting_plane"), _highs(lp, p, kind)
 
 
 def test_solver_backends_agree(rng):
@@ -658,11 +687,46 @@ def test_confirmation_starts_from_phase_one_cuts(monkeypatch):
     masters, values = [], []
     for pool in (seeded, fresh):
         calls.clear()
-        x = _solve_cuts(prob, 0.05, "max_expected", pool)
+        x, evaluation = _solve_cuts(prob, 0.05, "max_expected", pool)
         masters.append(len(calls))
-        values.append(_certify(prob, x, 0.05, "max_expected", "cutting_plane").optimal_value)
+        values.append(_certify(prob, x, evaluation, 0.05, "max_expected", "cutting_plane").optimal_value)
     assert masters[0] == 1 < masters[1]
     assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
+def _one_asset_markowitz(n_draws):
+    from esarb.analytic import MarkowitzMarket, markowitz_market
+
+    mk = MarkowitzMarket([1.1], [[0.01]], [1.0], 0.0)
+    return markowitz_market(mk, n_draws, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("make_market", [_one_asset_markowitz, _two_asset_markowitz])
+def test_cut_path_evaluates_each_portfolio_once(monkeypatch, make_market):
+    # the loop evaluates the start x = 0 of an empty pool and then one
+    # iterate per master LP, one `tail_envelope` each, and `_certify` reads
+    # the returned iterate's evaluation instead of sorting again; the value
+    # and alpha are those of a fresh `tail_envelope` of F x, bit for bit
+    prob = build_lp(make_market(20000))
+    envelope, solve = detector.tail_envelope, detector._HighsModel.solve
+    envelopes, masters = [], []
+    monkeypatch.setattr(detector, "tail_envelope",
+                        lambda *args: envelopes.append(1) or envelope(*args))
+    monkeypatch.setattr(detector._HighsModel, "solve", lambda m: masters.append(1) or solve(m))
+    w = prob.weights
+    for p in (0.05, 0.4):
+        pool = []
+        for kind in ("min_es", "max_expected"):  # the confirmation starts from a seeded pool
+            seeded = bool(pool)
+            envelopes.clear()
+            masters.clear()
+            sol = solve_lp(prob, p, kind, pool)
+            assert sol.method == "cutting_plane"
+            assert len(envelopes) == len(masters) + (not seeded)
+            X = prob.payoffs @ sol.x
+            es, _, var = envelope(X, w, p)
+            assert sol.alpha == var
+            assert sol.optimal_value == (es if kind == "min_es" else 0.0 - float(w @ X))
 
 
 def test_cut_loop_alpha_is_var_p():
@@ -774,19 +838,19 @@ def test_certify_accepts_box_points():
     assert prob.n_legs == 1  # the frictionless pair is one net column in [-1, 1]
     for kind in ("min_es", "max_expected"):
         for net in (1.0, 0.5, 0.0):
-            sol = _certify(prob, np.array([net]), 0.5, kind, "highs")
+            sol = _certified(prob, np.array([net]), 0.5, kind)
             assert sol.alpha == var_p(WeightedSample(prob.payoffs[:, 0] * net, prob.weights), 0.5)
     # ES > 0 fails only the ES check of "max_expected"
-    assert _certify(prob, np.array([-1.0]), 0.5, "min_es", "highs").optimal_value == 2.0
+    assert _certified(prob, np.array([-1.0]), 0.5, "min_es").optimal_value == 2.0
     with pytest.raises(SolverError, match=r"box excess 0\.000e\+00, cost 0\.000e\+00, ES 2\.000e"):
-        _certify(prob, np.array([-1.0]), 0.5, "max_expected", "highs")
+        _certified(prob, np.array([-1.0]), 0.5, "max_expected")
 
 
 def test_certify_rejects_box_violation():
     prob = build_lp(_pair_market())
     for net in (1.5, -1.5):  # the box [-1, 1] does not hold
         with pytest.raises(SolverError, match=r"box excess 5\.000e-01"):
-            _certify(prob, np.array([net]), 0.5, "min_es", "highs")
+            _certified(prob, np.array([net]), 0.5, "min_es")
 
 
 @pytest.mark.parametrize("fault", ["box", "cost", "es"])
@@ -958,6 +1022,52 @@ def test_epsilon_ignores_zero_weight_scenarios():
         assert res.arbitrage and res.confirmation.max_expected_payoff == 0.5
         found = min_p(market, bracket=(0.01, 0.9))
         assert (found.p_star, found.status) == (0.01, "at or below bracket")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_arbitrage_epsilon_reads_positive_weight_payoffs(seed):
+    # epsilon is read off the LP; it is 1e-6 of the spot or of the largest
+    # |payoff| on a positive-weight scenario, bit for bit, on markets with
+    # weight-0 scenarios (paying 1e9 on some legs), duplicate rows, +-0.0
+    # entries, netted pairs (whose short leg need not negate its long one
+    # on a weight-0 row) and constant legs, netted or not
+    rng = np.random.default_rng(seed)
+    n_s = int(rng.integers(2, 12))
+    weights = rng.random(n_s) * (rng.random(n_s) < 0.7)
+    weights[rng.integers(n_s)] += 0.5
+    zero = weights == 0.0
+    scen = ScenarioSet(np.arange(float(n_s)), weights / weights.sum())
+    pool = np.array([0.0, -0.0, 1.0, -2.5, 3.0, *rng.normal(size=2)])
+    legs = []
+    for k in range(int(rng.integers(1, 5))):
+        constant = rng.random() < 0.3
+        pay = np.full(n_s, rng.choice(pool)) if constant else rng.choice(pool, n_s)
+        if rng.random() < 0.3:
+            pay = np.where(zero, 1e9, pay)
+        price = float(rng.normal())
+        legs.append(TradableLeg(f"leg{k}", price, pay))
+        if rng.random() < 0.5:  # its negation, which nets with it
+            short = np.where(zero & (rng.random(n_s) < 0.5), -7e8, 0.0 - pay)
+            legs.append(TradableLeg(f"-leg{k}", 0.0 - price, short))
+    spot = float(rng.choice([1e-3, 1.0, 5.0]))
+    market = MarketSnapshot(scen, tuple(legs), spot=spot)
+    biggest = max(float(np.abs(leg.payoff[~zero]).max()) for leg in market.legs)
+    assert arbitrage_epsilon(market) == 1e-6 * max(market.spot, biggest)
+    prob = build_lp(market)
+    assert prob.payoff_scale == float(np.abs(prob.payoffs).max())
+
+
+def test_check_density_rejects_nan():
+    # a NaN fails every `_check_density` test, as a residual above 1e-9
+    # does: NaN duals under an "optimal" status certify no density
+    prob = build_lp(capped_density_market())
+    q, lam = np.array([0.5, 2.0]), 1.0  # the market's pricing density
+    _check_density(prob, q, lam)
+    for bad_q, bad_lam in [(np.full(2, np.nan), np.nan), (q, np.nan), (np.array([np.nan, 2.0]), lam),
+                           (np.array([0.5, np.nan]), lam)]:
+        with pytest.raises(SolverError, match="numerical failure"):
+            _check_density(prob, bad_q, bad_lam)
 
 
 def test_scale_invariance(rng):

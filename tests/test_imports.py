@@ -17,7 +17,9 @@ which alone reads the model status: each LP has one solver path, and a
 non-optimal status ends it. No module mentions `linprog`, so there is no
 second way to HiGHS. Every HiGHS model but the cut loop's master is posed
 by `LpProblem.highs_args`, so no function builds LP costs or bounds by
-hand. It copies no LP per level
+hand. A portfolio is evaluated in one place: `tail_envelope` is referenced
+only inside `_evaluate`, so the ES_p and VaR_p a certificate reports come
+from the one evaluation of its x. It copies no LP per level
 or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
 `solve_lp` (the confirmation at lo): the threshold LP's own portfolio
 witnesses arbitrage at p0, so no LP confirms it.
@@ -345,6 +347,40 @@ def test_checker_flags_hand_built_highs_calls():
         "    return _HighsModel(c, None, None, bounds)\n"
     )
     assert _hand_built_highs_calls(source) == ["line 5", "line 6", "line 7", "line 7"]
+
+
+def _stray_envelopes(source: str) -> list[str]:
+    """References to `tail_envelope`, by name or as an attribute, outside
+    `_evaluate`."""
+    return (_stray_references(source, {"tail_envelope": "_evaluate"})
+            + _stray_attribute_reads(source, "tail_envelope", "_evaluate"))
+
+
+def test_detector_evaluates_portfolios_in_one_helper():
+    # the cut loop's evaluation of its answer is the one `_certify` reads
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert _stray_envelopes(source) == []
+    assert len(_stray_references(source, {"tail_envelope": "nowhere"})) == 1  # and it has one
+
+
+def test_checker_flags_stray_tail_envelopes():
+    source = (
+        "from .risk import tail_envelope\n"
+        "def _evaluate(problem, x, p):\n"
+        "    return tail_envelope(problem.payoffs @ x, problem.weights, p)\n"
+        "def _certify(problem, x, p):\n"
+        "    es, _, alpha = tail_envelope(problem.payoffs @ x, problem.weights, p)\n"
+        "def _solve_cuts(problem, p):\n"
+        "    sort = tail_envelope\n"
+        "    return risk.tail_envelope(x, w, p), tail_envelope_of(x)\n"
+        "ES = lambda X, w, p: tail_envelope(X, w, p)[0]\n"
+    )
+    assert _stray_envelopes(source) == [
+        "line 5: tail_envelope",
+        "line 7: tail_envelope",
+        "line 9: tail_envelope",
+        "line 8: .tail_envelope",
+    ]
 
 
 def _replace_uses(source: str) -> list[str]:
