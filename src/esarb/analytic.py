@@ -21,6 +21,7 @@ from .market import MarketSnapshot, ScenarioSet, TradableLeg, _as_readonly
 from .risk import RiskLevel, as_level
 
 _MC_BLOCK = 1 << 16  # uniforms drawn and binned per step in density_market_mc
+_SORT_DEPTH = _MC_BLOCK.bit_length() - 1  # log2 _MC_BLOCK: passes a block's sort makes
 
 
 def normal_tail_factor(level: RiskLevel | float) -> float:
@@ -351,13 +352,17 @@ def _digital_market(
     upper_bound: float,
 ) -> MarketSnapshot:
     """Frictionless market over scen: a bond and a digital pair 1{U <= t}
-    per threshold t, priced by exact integrals of q."""
+    per threshold t, priced by exact integrals of q.
+
+    Every payoff comes from one broadcast compare (one row per threshold)
+    and every price from one integral_to call on the threshold array; both
+    are elementwise, so each leg has the bits a per-threshold call gives."""
     disc = density.discount
+    pays = (scen.points <= thresholds[:, None]).astype(float)
+    prices = disc * density.integral_to(thresholds)
     ones = np.ones_like(scen.points)
     legs = [TradableLeg("bond", disc, ones), TradableLeg("-bond", -disc, -ones)]
-    for t in thresholds:
-        pay = (scen.points <= t).astype(float)
-        price = disc * density.integral_to(float(t))
+    for t, price, pay in zip(thresholds.tolist(), prices.tolist(), pays):
         legs.append(TradableLeg(f"digital<={t:g}", price, pay))
         legs.append(TradableLeg(f"-digital<={t:g}", -price, -pay))
     return MarketSnapshot(
@@ -391,6 +396,20 @@ def density_market(density: CompleteMarketDensity, upper_bound: float = 1.0) -> 
     return _digital_market(density, _cell_thresholds(density), scen, upper_bound)
 
 
+def _cell_counts(draws: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Draws per cell [e_i, e_{i+1}) of edges = [0, interior thresholds, 1],
+    for draws in [0, 1): the counts np.histogram(draws, edges) gives.
+
+    np.histogram sorts the block. With fewer interior thresholds than that
+    sort's depth, one compare pass per threshold is cheaper: the counts of
+    draws below each threshold, differenced, are the cells' counts, exactly."""
+    inner = edges[1:-1]
+    if inner.size < _SORT_DEPTH:
+        below = [np.count_nonzero(draws < e) for e in inner]
+        return np.diff(np.array([0, *below, draws.size], dtype=np.int64))
+    return np.histogram(draws, bins=edges)[0]
+
+
 def density_market_mc(
     density: CompleteMarketDensity,
     n_draws: int,
@@ -407,9 +426,12 @@ def density_market_mc(
     keeps multi-million draw counts cheap.
 
     The draws are made and binned in fixed blocks of _MC_BLOCK uniforms
-    reusing one buffer, so memory does not grow with n_draws. The generator
-    fills doubles in stream order and the counts are sums over draws, so
-    the result is the one a single rng.random(n_draws) would give."""
+    reusing one buffer, so memory does not grow with n_draws. A block is
+    counted against each threshold when there are fewer than log2 _MC_BLOCK
+    of them, and sorted by np.histogram otherwise (`_cell_counts`); the
+    counts are the same. The generator fills doubles in stream order and
+    the counts are sums over draws, so the result is the one a single
+    rng.random(n_draws) would give."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     thr = _cell_thresholds(density)  # strictly increasing, as the density grid is
@@ -418,7 +440,7 @@ def density_market_mc(
     block = np.empty(min(n_draws, _MC_BLOCK))
     for start in range(0, n_draws, _MC_BLOCK):
         draws = rng.random(out=block[: min(_MC_BLOCK, n_draws - start)])
-        counts += np.histogram(draws, bins=edges)[0]
+        counts += _cell_counts(draws, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     scen = ScenarioSet(mids[keep], counts[keep] / n_draws)

@@ -17,6 +17,9 @@ from esarb import (
 from esarb.analytic import (
     CompleteMarketDensity,
     MarkowitzMarket,
+    _cell_counts,
+    _cell_thresholds,
+    _digital_market,
     bs_ratio_density,
     capital_line_gradient,
     complete_market_arbitrage,
@@ -32,6 +35,21 @@ from conftest import checked_min_p as min_p  # every result's portfolio is check
 from conftest import run_with_one_blas_thread
 
 CAPPED = CompleteMarketDensity("step", [1.0 / 3.0, 1.0], [2.0, 0.5])
+BS512 = bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)
+
+
+def _step_density(n_thresholds):
+    """Decreasing step density on n_thresholds + 1 equal cells."""
+    grid = np.linspace(0.0, 1.0, n_thresholds + 2)[1:]
+    values = np.linspace(2.0, 0.5, n_thresholds + 1)
+    return CompleteMarketDensity("step", grid, values / values.mean())
+
+
+def _linear_density():
+    grid = np.linspace(0.0, 1.0, 9)
+    values = 2.0 - 1.5 * np.sqrt(grid)
+    mass = float((0.5 * (values[:-1] + values[1:]) * np.diff(grid)).sum())
+    return CompleteMarketDensity("linear", grid, values / mass)
 
 
 # ------------------------------------------------------------------ normal_es
@@ -407,8 +425,9 @@ def _unique_binned_mc(density, n_draws, rng):
 
 @pytest.mark.parametrize(
     "density",
-    [bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512), CAPPED],
-    ids=["bs512", "step"],
+    [bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512), CAPPED,
+     _step_density(15), _step_density(16), _step_density(17), _linear_density()],
+    ids=["bs512", "step", "step15", "step16", "step17", "linear"],
 )
 def test_density_market_mc_matches_unique_binning(density):
     # the draws are binned in blocks of 65536: one draw, both sides of a
@@ -420,6 +439,70 @@ def test_density_market_mc_matches_unique_binning(density):
             assert np.array_equal(market.scenarios.points, points)
             assert np.array_equal(market.scenarios.weights, weights)
             assert np.array_equal(market.prices(), prices)
+
+
+@pytest.mark.parametrize("n_thresholds", [1, 3, 15, 16, 40])
+def test_cell_counts_match_histogram(n_thresholds):
+    # both sides of the compare/sort cut-off, on blocks with draws exactly
+    # on a threshold and at its neighbours, empty cells and one draw
+    inner = np.linspace(0.0, 1.0, n_thresholds + 2)[1:-1]
+    edges = np.concatenate([[0.0], inner, [1.0]])
+    on_edges = np.concatenate([edges[:-1], np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                               [np.nextafter(1.0, 0.0)]])
+    rng = np.random.default_rng(n_thresholds)
+    blocks = [
+        on_edges,
+        np.array([inner[0]]),
+        np.array([0.0]),
+        np.full(5, np.nextafter(inner[-1], 1.0)),  # every cell but the last is empty
+        np.concatenate([on_edges, rng.random(70_000)])[:65_536],
+        rng.random(1234),  # a short last block
+    ]
+    for draws in blocks:
+        got = _cell_counts(draws, edges)
+        want = np.histogram(draws, bins=edges)[0]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got.sum() == draws.size
+
+
+def test_density_market_mc_one_threshold_never_sorts(monkeypatch):
+    want = density_market_mc(CAPPED, 100_000, np.random.default_rng(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw block was sorted")
+
+    monkeypatch.setattr(np, "histogram", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    got = density_market_mc(CAPPED, 100_000, np.random.default_rng(5))
+    assert np.array_equal(got.scenarios.weights, want.scenarios.weights)
+
+
+def _digital_legs_one_by_one(density, thresholds, scen):
+    """Reference: one compare and one integral_to call per threshold."""
+    disc = density.discount
+    ones = np.ones_like(scen.points)
+    legs = [("bond", disc, ones), ("-bond", -disc, -ones)]
+    for t in thresholds:
+        pay = (scen.points <= t).astype(float)
+        price = disc * density.integral_to(float(t))
+        legs += [(f"digital<={t:g}", price, pay), (f"-digital<={t:g}", -price, -pay)]
+    return legs
+
+
+@pytest.mark.parametrize("density", [CAPPED, BS512, _linear_density()], ids=["step", "bs512", "linear"])
+def test_digital_market_matches_per_threshold_legs(density):
+    thresholds = _cell_thresholds(density)
+    exact = density_market(density).scenarios
+    drawn = density_market_mc(density, 20_000, np.random.default_rng(2)).scenarios
+    for scen in (exact, drawn):
+        market = _digital_market(density, thresholds, scen, 1.0)
+        want = _digital_legs_one_by_one(density, thresholds, scen)
+        assert [leg.label for leg in market.legs] == [label for label, _, _ in want]
+        for leg, (_, price, pay) in zip(market.legs, want):
+            assert type(leg.price) is float
+            assert leg.price.hex() == float(price).hex()
+            assert leg.payoff.tobytes() == pay.tobytes()
 
 
 def test_criterion_10_output_bytes_pinned(tmp_path):

@@ -412,6 +412,36 @@ def test_first_order_scan_matches_sequential_recursion(beta, n):
         assert np.array_equal(got, want)
 
 
+def _full_doubling_scan(first, x, beta):
+    """Every doubling pass until the shift passes the end or beta^s is 0."""
+    y = np.concatenate([[first], x])
+    a, s = beta, 1
+    while s < y.size and a > 0.0:
+        y[s:] += a * y[:-s]
+        a, s = a * a, 2 * s
+    return y
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1.0 - 1e-6])
+def test_first_order_scan_stops_without_changing_a_bit(beta):
+    # 300 series per beta, over wide dynamic ranges. One in ten has zero
+    # terms, where the scan must run every pass; one in three drops from
+    # large to small terms, where a pass left out shows in the small tail
+    rng = np.random.default_rng(int(beta * 1e6))
+    for k in range(300):
+        n = int(rng.integers(1, 3000))
+        if k % 3 == 1:
+            x = np.exp(rng.normal(-8.0, 0.01, n))
+            x[int(rng.integers(0, n)):] *= np.exp(-rng.uniform(0.0, 40.0))
+        else:
+            x = np.exp(rng.normal(-8.0, rng.uniform(0.0, 4.0), n))
+        if k % 10 == 0:
+            x[rng.random(n) < 0.1] = 0.0
+        first = float(np.exp(rng.normal(-8.0, 1.0)))
+        got = _first_order_scan(first, x, beta)
+        assert got.tobytes() == _full_doubling_scan(first, x, beta).tobytes()
+
+
 class TestSynthesizeChain:
     def test_prices_match_discounted_values(self):
         mix = make_mixture()
