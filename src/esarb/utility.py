@@ -5,7 +5,10 @@ losses, concave power on gains), and the risk-averse power manager
 -((-x)+)^eta. Scans evaluate expected utility along scaled arbitrage rays;
 the constrained-sup experiment maximizes the limited-liability utility under
 a risk-manager floor, whose boundedness in the position cap separates true
-arbitrage from its absence.
+arbitrage from its absence. Its SLSQP runs go straight to scipy's compiled
+kernel (the private `scipy.optimize._slsqplib`), driven by `_slsqp` alone,
+which evaluates each point the kernel asks for once. Scenarios of weight 0
+are left out of every expected utility.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .market import MarketSnapshot, Portfolio, WeightedSample
 from .risk import RiskLevel, as_level, es_p
@@ -77,10 +79,21 @@ class UtilitySpec:
         return self.c1 * gain**self.a1 - self.c2 * loss**self.a2
 
 
+def _positive_rows(weights: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The weights and each array's rows where the weight is positive, the
+    arrays themselves when every weight is: a weight-0 scenario cannot add
+    0 * inf = NaN to an expectation."""
+    positive = weights > 0
+    if positive.all():
+        return (weights, *arrays)
+    return (weights[positive], *(a[positive] for a in arrays))
+
+
 def expected_utility(sample: WeightedSample, spec: UtilitySpec) -> float:
     if not isinstance(spec, UtilitySpec):
         raise ValueError("spec must be a UtilitySpec")
-    return float(sample.weights @ spec.evaluate(sample.values))
+    weights, values = _positive_rows(sample.weights, sample.values)
+    return float(weights @ spec.evaluate(values))
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,46 @@ class CapResult:
     quantities: np.ndarray
 
 
+def _slsqp(values, gradients, x0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimize f over the unit box subject to two rows c(x) >= 0 with
+    scipy's SLSQP kernel; return the last iterate and the exit mode.
+
+    `values(x)` returns (f, c) and `gradients(x)` the gradient of f and the
+    two rows' normals. The loop is scipy 1.17's `_minimize_slsqp` for this
+    case (same state, workspace sizes, `maxiter=200` and `ftol=1e-12`), so
+    the iterates are bit for bit those of `minimize(method="SLSQP")`, but
+    each point the kernel asks for is evaluated once, with no wrapper.
+    Mode 1 asks for f and c, mode -1 for the gradient and the normals, and
+    any other mode ends the run (0 converged, 8 a failed line search, 9 the
+    iteration limit)."""
+    from scipy.optimize._slsqplib import slsqp
+
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    n, m = len(x), 2
+    acc = 1e-12
+    state = {
+        "acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+        "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * acc, "exact": 0, "inconsistent": 0,
+        "reset": 0, "iter": 0, "itermax": 200, "line": 0, "m": m, "meq": 0, "mode": 0, "n": n,
+    }
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+    mult = np.zeros(m + 2 * n + 2)
+    lower, upper = np.zeros(n), np.ones(n)
+    C = np.zeros((m, n), order="F")
+    d = np.zeros(m)
+    f, d[:] = values(x)
+    g, C[:] = gradients(x)
+    while True:
+        slsqp(state, f, g, C, d, x, mult, lower, upper, buffer, indices)
+        if state["mode"] == 1:
+            f, d[:] = values(x)
+        elif state["mode"] == -1:
+            g, C[:] = gradients(x)
+        else:
+            return x, state["mode"]
+
+
 def classic_constraint_sup(
     market: MarketSnapshot,
     spec: UtilitySpec,
@@ -157,11 +210,14 @@ def classic_constraint_sup(
     and eta), so every candidate splits into a direction d on the unit box
     and a scale t, and the best scale for a fixed direction is closed-form:
     the smaller of the box limit B / max(d) and the floor limit
-    (floor / E[u_R(d)])^(1/eta). Directions come from seeded SLSQP starts on
-    the unit box (shared across caps, so values are monotone in B by
-    construction), plus the zero portfolio, every nonpositive-price corner,
-    and each cap's best direction carried forward. Bounded values as B grows
-    mean the floor is effective; linear growth flags a true arbitrage.
+    (floor / E[u_R(d)])^(1/eta). Directions come from `n_starts` seeded
+    SLSQP runs on the unit box (`_slsqp`, each start shared across caps, so
+    values are monotone in B by construction), plus the zero portfolio,
+    every nonpositive-price corner, and each cap's best direction carried
+    forward. Each point an SLSQP run asks for costs one product F z, which
+    gives the objective and the floor row (or their gradients) together.
+    Scenarios of weight 0 are left out. Bounded values as B grows mean the
+    floor is effective; linear growth flags a true arbitrage.
     """
     if spec.kind != "risk_manager_power":
         raise ValueError("constraint spec must be risk_manager_power")
@@ -174,25 +230,26 @@ def classic_constraint_sup(
         raise ValueError("qty_caps must be finite")
     if caps.ndim != 1 or caps.size == 0 or (caps <= 0).any() or np.any(np.diff(caps) < 0):
         raise ValueError("qty_caps must be ascending and positive")
-    payoffs = market.payoff_matrix()
+    if isinstance(n_starts, bool) or not isinstance(n_starts, (int, np.integer)) or n_starts < 0:
+        raise ValueError(f"n_starts must be an integer >= 0, got {n_starts!r}")
+    weights, payoffs = _positive_rows(market.scenarios.weights, market.payoff_matrix())
     prices = market.prices()
-    weights = market.scenarios.weights
     n = market.n_legs
     eta = spec.eta
     price_tol = 1e-9 * (1.0 + float(np.abs(prices).max()))
 
-    def f_value(z: np.ndarray) -> float:
-        return float(weights @ np.maximum(payoffs @ z, 0.0))
+    def terms(z: np.ndarray) -> tuple[float, float]:
+        """E_w[(F z)+] and E_w[u_R(F z)], from one F z."""
+        X = payoffs @ z
+        return float(weights @ np.maximum(X, 0.0)), -float(weights @ np.maximum(-X, 0.0) ** eta)
 
-    def f_grad(z: np.ndarray) -> np.ndarray:
-        return payoffs.T @ (weights * (payoffs @ z > 0.0))
-
-    def g_value(z: np.ndarray) -> float:
-        return float(weights @ spec.evaluate(payoffs @ z))
-
-    def g_grad(z: np.ndarray) -> np.ndarray:
-        loss = np.maximum(-(payoffs @ z), 0.0)
-        return payoffs.T @ (weights * eta * loss ** (eta - 1.0))
+    def gradients(z: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The gradient of -E_w[(F z)+], and the normals of the price row
+        and the floor row, from one F z."""
+        X = payoffs @ z
+        loss = np.maximum(-X, 0.0)
+        floor_normal = payoffs.T @ (weights * eta * loss ** (eta - 1.0))
+        return -(payoffs.T @ (weights * (X > 0.0))), (-prices, floor_normal)
 
     def direction_value(d: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
         top = float(d.max(initial=0.0))
@@ -204,9 +261,9 @@ def classic_constraint_sup(
         u = d / top
         if prices @ u > price_tol:
             return 0.0, np.zeros(n)
-        gu = g_value(u)
+        fu, gu = terms(u)
         t = cap if gu >= 0.0 else min(cap, (floor / gu) ** (1.0 / eta))
-        return t * f_value(u), t * u
+        return t * fu, t * u
 
     starts = [np.zeros(n)]
     for j in range(n):
@@ -222,24 +279,13 @@ def classic_constraint_sup(
     for cap in caps:
         # floor seen from the unit box: g(B z) = B^eta g(z)
         floor_z = floor / cap**eta
-        # rows: price <= 0, then the floor
-        constraint = {
-            "type": "ineq",
-            "fun": lambda z: np.array([-(prices @ z), g_value(z) - floor_z]),
-            "jac": lambda z: np.vstack([-prices, g_grad(z)]),
-        }
-        polished = []
-        for z0 in starts:
-            res = minimize(
-                lambda z: -f_value(z),
-                z0,
-                jac=lambda z: -f_grad(z),
-                method="SLSQP",
-                bounds=[(0.0, 1.0)] * n,
-                constraints=constraint,
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            polished.append(np.clip(res.x, 0.0, 1.0))
+
+        # minimize -E_w[(F z)+]; rows: price <= 0, then the floor
+        def values(z: np.ndarray) -> tuple[float, tuple[float, float]]:
+            fz, gz = terms(z)
+            return -fz, (-(prices @ z), gz - floor_z)
+
+        polished = [np.clip(_slsqp(values, gradients, z0)[0], 0.0, 1.0) for z0 in starts]
         best_val, best_x, best_dir = 0.0, np.zeros(n), np.zeros(n)
         for d in starts + carried + polished:
             val, x = direction_value(d, float(cap))

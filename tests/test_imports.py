@@ -22,7 +22,9 @@ only inside `_evaluate`, so the ES_p and VaR_p a certificate reports come
 from the one evaluation of its x. It copies no LP per level
 or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
 `solve_lp` (the confirmation at lo): the threshold LP's own portfolio
-witnesses arbitrage at p0, so no LP confirms it.
+witnesses arbitrage at p0, so no LP confirms it. scipy's private SLSQP
+kernel (`_slsqplib.slsqp`) is referenced only inside `utility._slsqp`, and
+no module asks `minimize` for SLSQP, so each SLSQP run has one loop.
 """
 
 import ast
@@ -446,3 +448,78 @@ def test_checker_counts_solve_lp_calls():
     )
     assert _solve_lp_calls(source, "min_p") == ["line 2", "line 4"]
     assert _solve_lp_calls(source, "detect") == ["line 8"]
+
+
+_SLSQP_KERNEL = ("_slsqplib", "slsqp")
+
+
+def _slsqp_kernel_uses(source: str, owner: str = "_slsqp") -> list[str]:
+    """References to scipy's SLSQP kernel (the module `_slsqplib` or its
+    `slsqp`: in an import, as a name or as an attribute) outside the
+    module-level function `owner`, and every string "SLSQP", in any case
+    (`minimize(..., method="SLSQP")`), anywhere."""
+    found = []
+    for top in ast.parse(source).body:
+        inside = getattr(top, "name", None) == owner
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and str(node.value).lower() == "slsqp":
+                found.append((node.lineno, repr(node.value)))
+            if inside:
+                continue
+            if isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(node.lineno, name) for name in names if name in _SLSQP_KERNEL]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_slsqp_kernel_has_one_owner(module):
+    assert _slsqp_kernel_uses(module.read_text(encoding="utf-8")) == []
+
+
+def test_utility_slsqp_drives_the_kernel():
+    source = (SRC / "utility.py").read_text(encoding="utf-8")
+    assert _slsqp_kernel_uses(source, owner="nowhere") != []  # and it has a driver
+
+
+def test_scipy_ships_the_slsqp_kernel():
+    # `utility._slsqp` drives scipy's private SLSQP kernel, verified on scipy 1.17
+    from scipy.optimize import _slsqplib
+
+    assert callable(getattr(_slsqplib, "slsqp", None)), (
+        "scipy.optimize._slsqplib lacks slsqp: esarb needs scipy >= 1.17"
+    )
+
+
+def test_checker_flags_stray_slsqp_kernel_uses():
+    source = (
+        "from scipy.optimize import minimize\n"
+        "from scipy.optimize._slsqplib import slsqp\n"
+        "def _slsqp(values, x):\n"
+        "    from scipy.optimize._slsqplib import slsqp\n"
+        "    return slsqp(values, x)\n"
+        "def polish(f, x):\n"
+        "    kernel = scipy.optimize._slsqplib.slsqp\n"
+        "    return minimize(f, x, method='slsqp'), _slsqp(f, x)\n"
+        "import scipy.optimize._slsqplib as kernel\n"
+        "from scipy.optimize import _slsqplib\n"
+        "METHOD = 'SLSQP'\n"
+    )
+    assert _slsqp_kernel_uses(source) == [
+        "line 2: _slsqplib",
+        "line 2: slsqp",
+        "line 7: _slsqplib",
+        "line 7: slsqp",
+        "line 8: 'slsqp'",
+        "line 9: _slsqplib",
+        "line 10: _slsqplib",
+        "line 11: 'SLSQP'",
+    ]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from esarb import (
     MarketSnapshot,
@@ -15,6 +16,7 @@ from esarb import (
 from esarb.detector import detect
 from esarb.utility import (
     UtilitySpec,
+    _slsqp,
     classic_constraint_sup,
     expected_utility,
     scaling_scan,
@@ -38,6 +40,20 @@ def markowitz_like_market(n=4000, seed=51, mu=1.3, sigma=0.1):
         TradableLeg("short cash", -1.0, -np.ones(n)),
     )
     return MarketSnapshot(scen, legs, spot=1.0)
+
+
+def weight_zero_market(with_zero_row=True):
+    """A leg priced 1 and a short cash leg priced -1, on two scenarios of
+    weight 0.5 and, optionally, a third of weight 0 where the leg pays
+    -1e200: squared, that loss overflows to inf, and 0 * inf is NaN."""
+    points, weights, pay = [0.0, 1.0, 2.0], [0.5, 0.5, 0.0], [0.5, 1.6, -1e200]
+    if not with_zero_row:
+        points, weights, pay = points[:2], weights[:2], pay[:2]
+    legs = (
+        TradableLeg("a", 1.0, np.array(pay)),
+        TradableLeg("cash", -1.0, -np.ones(len(points))),
+    )
+    return MarketSnapshot(ScenarioSet(points, weights), legs, spot=1.0)
 
 
 class TestUtilitySpec:
@@ -109,6 +125,16 @@ class TestExpectedUtility:
             scaled = expected_utility(WeightedSample(lam * x, w), spec)
             assert scaled == pytest.approx(lam**0.7 * base, rel=1e-12)
 
+    def test_weight_zero_scenarios_are_left_out(self):
+        # the -1e200 loss has weight 0, but it squares to inf, and 0 * inf
+        # would turn the risk manager's expectation into NaN
+        for spec in (LL, RM2, UtilitySpec.s_shaped_power(1.0, 2.0, 0.9, 0.5)):
+            for values in ([0.5, 1.6], [-0.5, 1.6]):
+                full = WeightedSample(values + [-1e200], [0.5, 0.5, 0.0])
+                kept = WeightedSample(values, [0.5, 0.5])
+                assert expected_utility(full, spec) == expected_utility(kept, spec)
+        assert expected_utility(WeightedSample([-0.5, 1.6, -1e200], [0.5, 0.5, 0.0]), RM2) == -0.125
+
     def test_worst_case_dominance(self):
         # x+ >= u(x)/C1 - const for every shipped spec: the limited
         # liability trader is the hardest to discipline. The constant
@@ -175,6 +201,14 @@ class TestScalingScan:
         # price and es depend on lambda only, shared across specs
         assert rows[0].price == rows[1].price == rows[2].price
 
+    def test_weight_zero_scenario_leaves_the_scan_finite(self):
+        base, ray = Portfolio([0.0, 0.0]), Portfolio([1.0, 1.0])
+        lams, specs = [0.0, 1.0, 10.0], [LL, RM2]
+        rows = scaling_scan(weight_zero_market(), base, ray, lams, specs, 0.5)
+        kept = scaling_scan(weight_zero_market(False), base, ray, lams, specs, 0.5)
+        assert rows == kept
+        assert [r.expected_utility for r in rows if r.spec == RM2.label] == [0.0, -0.125, -12.5]
+
     def test_input_validation(self):
         market, base, ray = self.scan_setup()
         with pytest.raises(ValueError, match="ascending"):
@@ -216,6 +250,23 @@ class TestClassicConstraintSup:
         for floor in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="floor must be finite"):
                 classic_constraint_sup(market, RM2, floor, [10.0])
+        # a negative count would run no random start, and a float would fail
+        # late inside `range`
+        for n_starts in (-3, 2.5, 3.0, "4", None, True):
+            with pytest.raises(ValueError, match="n_starts must be an integer >= 0"):
+                classic_constraint_sup(market, RM2, -1.0, [10.0], n_starts=n_starts)
+        for n_starts in (0, np.int64(2)):
+            assert len(classic_constraint_sup(market, RM2, -1.0, [10.0], n_starts=n_starts)) == 1
+
+    def test_weight_zero_scenario_is_not_an_arbitrage(self):
+        # a NaN floor fails `gu >= 0` and min(cap, nan) is the cap, so the
+        # value would grow with the cap (2.512, 25.12) like a true arbitrage
+        out = classic_constraint_sup(weight_zero_market(), RM2, -1.0, [10.0, 100.0])
+        kept = classic_constraint_sup(weight_zero_market(False), RM2, -1.0, [10.0, 100.0])
+        for r, k in zip(out, kept):
+            assert r.value == k.value
+            assert r.quantities.tobytes() == k.quantities.tobytes()
+        assert [r.value for r in out] == pytest.approx([0.8485281374, 0.8485281374], rel=1e-9)
 
     def test_true_arbitrage_grows_linearly(self):
         scen = ScenarioSet([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
@@ -282,3 +333,63 @@ class TestClassicConstraintSup:
             "749c145c99f31e740efeffc555886e5fa27ca88fc3b4ea07be928583274fbcdc",
             "f43c78f218cbad59e49bf394efb5a0fe3652bc1e90f7057a4655cb5813c8ccba",
         ]
+
+
+def slsqp_problem(seed):
+    """Callbacks for `_slsqp` on a seeded bid/ask option market at spot-100
+    scale (2-14 legs, 50-300 scenarios) with a floor of 1e-10 to 1e-4, the
+    scale of the capped supremum on quadrature markets, plus three starts:
+    zero, one outside the box and one inside it."""
+    rng = np.random.default_rng(seed)
+    k, n_scenarios = int(rng.integers(1, 8)), int(rng.integers(50, 301))
+    points = 100.0 * np.sort(rng.lognormal(0.0, 0.3, n_scenarios))
+    strikes = 100.0 * rng.uniform(0.6, 1.5, k)
+    kind = rng.integers(0, 3, k)
+    calls = np.maximum(points[:, None] - strikes, 0.0)
+    puts = np.maximum(strikes - points[:, None], 0.0)
+    instruments = np.where(kind == 0, calls, np.where(kind == 1, puts, 1.0))
+    w = rng.dirichlet(np.full(n_scenarios, 2.0))
+    mid, spread = w @ instruments, rng.uniform(0.0, 0.03, k)
+    F = np.hstack([instruments, -instruments])
+    prices = np.concatenate([mid * (1.0 + spread), -mid * (1.0 - spread)])
+    floor = -(10.0 ** rng.uniform(-10.0, -4.0))
+
+    def values(z):
+        X = F @ z
+        floor_row = -float(w @ np.maximum(-X, 0.0) ** 2) - floor
+        return -float(w @ np.maximum(X, 0.0)), (-(prices @ z), floor_row)
+
+    def gradients(z):
+        X = F @ z
+        return -(F.T @ (w * (X > 0.0))), (-prices, F.T @ (w * 2.0 * np.maximum(-X, 0.0)))
+
+    starts = (np.zeros(2 * k), rng.uniform(-0.5, 1.5, 2 * k), rng.uniform(0.0, 1.0, 2 * k))
+    return values, gradients, starts
+
+
+def test_slsqp_matches_scipy_minimize_bit_for_bit():
+    # the kernel loop reproduces `minimize(method="SLSQP")` with the same
+    # callbacks: every iterate, so the last x and the exit mode agree
+    modes, outside = [], []
+    for seed in range(40):
+        values, gradients, starts = slsqp_problem(seed)
+        for z0 in starts:
+            x, mode = _slsqp(values, gradients, z0)
+            res = minimize(
+                lambda z: values(z)[0],
+                z0,
+                jac=lambda z: gradients(z)[0],
+                method="SLSQP",
+                bounds=[(0.0, 1.0)] * len(z0),
+                constraints={
+                    "type": "ineq",
+                    "fun": lambda z: np.array(values(z)[1]),
+                    "jac": lambda z: np.array(gradients(z)[1]),
+                },
+                options={"maxiter": 200, "ftol": 1e-12},
+            )
+            assert (x.tobytes(), mode) == (res.x.tobytes(), res.status), (seed, z0)
+            modes.append(mode)
+            outside.append(bool(((z0 < 0.0) | (z0 > 1.0)).any()))
+    assert {0, 8, 9} <= set(modes)  # converged, failed line search, iteration limit
+    assert sum(outside) >= 30  # starts the loop clips to the box first
