@@ -9,17 +9,20 @@ and prices exact negations, payoffs not constant), a net quantity in
 difference, so this is exact. Verdicts use a two-phase rule: a strictly
 negative optimum is an arbitrage outright, an optimum at the zero boundary
 is confirmed by a second LP maximizing expected payoff subject to the
-linearized ES <= 0 rows. The rows are the same at every level: p enters
-only as the weight 1/p of the ES objective and of that LP's ES row, so
-`build_lp` makes one LP per market, and `solve_lp` takes the level and the
-LP kind. The detection, confirmation and threshold LPs differ only in
-costs and bounds (and the confirmation's ES row), and
+linearized ES <= 0 rows. The rows are the same at every level, so
+`build_lp` makes one LP per market (and hands a HiGHS-path market's LP back
+on later calls), and `solve_lp` takes the level and the LP kind. HiGHS sees
+the ES objective and the ES row scaled by p, p alpha + sum w_i u_i, so the
+level enters one coefficient. The detection, confirmation and threshold
+LPs differ only in costs and bounds (and the confirmation's ES row), and
 `LpProblem.highs_args` alone poses each of them for HiGHS. Sparse HiGHS
 solves the LP, or, on many scenarios, one Kelley cutting-plane loop over
-the portfolio block (`solve_lp` states the rule). `_HighsModel` alone
-drives scipy's HiGHS binding: one model per HiGHS LP, and one master LP
-per cut loop, to which each new cut is added as a row and which HiGHS
-re-solves from its last basis.
+the portfolio block (`LpProblem.on_highs` states the rule). `_HighsModel`
+alone drives scipy's HiGHS binding: one warm model per HiGHS-path LP, so
+per market, which serves every level and both LP kinds as edits of itself
+and re-solves from the last basis of each kind (`_WarmModel`); a cold
+model per threshold LP; and one master LP per cut loop, to which each new
+cut is added as a row and which HiGHS re-solves from its last basis.
 Either path returns only the portfolio columns x. `_certify` checks x's
 box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
 and reports the value and VaR_p of x, so every arbitrage verdict rests on
@@ -48,6 +51,8 @@ confirmation LP decides.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,34 +175,59 @@ class LpProblem:
             )
         return sparse.vstack(blocks, format="csr")
 
+    @property
+    def on_highs(self) -> bool:
+        """Whether `solve_lp` hands this LP to sparse HiGHS: fewer than 600
+        (merged) scenarios, or a `chain` form. Every other LP takes the
+        cutting-plane path."""
+        return self.n_scenarios < _CUT_SCENARIOS or self.chain is not None
+
+    @cached_property
+    def warm(self) -> _WarmModel:
+        """The LP's one HiGHS model, which `_solve_highs` builds at its first
+        solve and edits for every later level and LP kind, so one thread at a
+        time solves an LpProblem (`build_lp` holds one per thread)."""
+        return _WarmModel()
+
+    def objective(self, kind: str, p: float | None = None) -> np.ndarray:
+        """The costs of the LP of this kind at level p (see `highs_args`)."""
+        n_l, n_s = self.n_legs, self.n_scenarios
+        x, u = slice(1, 1 + n_l), slice(1 + n_l, 1 + n_l + n_s)
+        c = np.zeros(self.constraint_matrix.shape[1])
+        if kind == "threshold":
+            c[u] = self.weights
+        elif kind == "max_expected":
+            c[x] = -(self.payoffs.T @ self.weights)
+        else:
+            c[0], c[u] = p, self.weights
+        return c
+
     def highs_args(self, kind: str, p: float | None = None) -> tuple:
         """HiGHS's (c, A_ub, b_ub, bounds) for the LP of this kind at level p.
 
         Columns: alpha, the n_legs portfolio columns x, the n_scenarios
         hinge auxiliaries u >= 0 and, when `chain` is not None, the
-        n_scenarios free chain columns y. "min_es" costs alpha + sum w_i
-        u_i / p with alpha free and x in [x_lower, upper_bound];
-        "max_expected" costs -E_w[F x] under the same bounds, with the
-        "min_es" costs appended to `constraint_matrix` as the ES row <= 0;
-        "threshold" costs sum w_i u_i with alpha fixed at -1 and x >= 0 on
-        single columns, free on netted ones, unbounded above."""
+        n_scenarios free chain columns y. "min_es" costs p alpha + sum w_i
+        u_i, p times the ES objective, with alpha free and x in
+        [x_lower, upper_bound]; "max_expected" costs -E_w[F x] under the
+        same bounds, with the "min_es" costs appended to `constraint_matrix`
+        as the ES row <= 0; "threshold" costs sum w_i u_i with alpha fixed
+        at -1 and x >= 0 on single columns, free on netted ones, unbounded
+        above. The level thus enters one coefficient: alpha's cost, or
+        alpha's entry in the ES row."""
         A, n_l, n_s = self.constraint_matrix, self.n_legs, self.n_scenarios
         x, u = slice(1, 1 + n_l), slice(1 + n_l, 1 + n_l + n_s)
-        c = np.zeros(A.shape[1])
         bounds = np.full((A.shape[1], 2), [-math.inf, math.inf])
         bounds[u, 0] = 0.0
         if kind == "threshold":
-            c[u] = self.weights
             bounds[0] = -1.0
             bounds[x, 0] = np.where(self.shorts >= 0, -math.inf, 0.0)
         else:
-            c[0], c[u] = 1.0, self.weights / p
             bounds[x, 0], bounds[x, 1] = self.x_lower, self.upper_bound
             if kind == "max_expected":
-                A = sparse.vstack([A, sparse.csr_matrix(c[None, :])], format="csr")
-                c = np.zeros(A.shape[1])
-                c[x] = -(self.payoffs.T @ self.weights)
-        return c, A, np.zeros(A.shape[0]), bounds
+                es_row = sparse.csr_matrix(self.objective("min_es", p)[None, :])
+                A = sparse.vstack([A, es_row], format="csr")
+        return self.objective(kind, p), A, np.zeros(A.shape[0]), bounds
 
     def leg_quantities(self, x: np.ndarray) -> np.ndarray:
         """Per-leg quantities in [0, upper_bound] for portfolio columns x: a
@@ -317,8 +347,16 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
     return np.array(legs, dtype=int), np.array(shorts, dtype=int), np.array(varies)
 
 
+_last = threading.local()  # per thread: the most recent HiGHS-path market (by weakref) and its LP
+
+
 def build_lp(market: MarketSnapshot) -> LpProblem:
     """Assemble the market's hinge LP, for every level and LP kind.
+
+    A market whose LP goes to HiGHS (`LpProblem.on_highs`) gets the same
+    LpProblem, and so the same warm HiGHS model, on each call in a thread
+    until that thread builds the LP of another market. The LP is held only
+    while the market lives, and cut-path LPs are never held.
 
     Scenarios with identical payoff rows are merged by summing their weights
     (identical hinge rows share one auxiliary variable, which is exact), and
@@ -329,6 +367,10 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
     product with the matrix, and so the bits of every result computed
     from it.
     """
+    held = getattr(_last, "held", [])
+    if held and held[0]() is market:
+        return held[1]
+    held.clear()  # free the last LP now: the list and its weakref's callback form a cycle
     prices = market.prices()
     legs, shorts, varies = _net_columns(market, prices)
     # with no column varying, every row is one run
@@ -336,18 +378,22 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
     payoffs = np.empty((len(rows), len(legs)), order="F")
     for k, j in enumerate(legs):
         np.add(market.legs[j].payoff[rows], 0.0, out=payoffs[:, k])
-    return LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
+    problem = LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
+    held = []
+    if problem.on_highs:  # emptied when the market dies
+        held += [weakref.ref(market, lambda _: held.clear()), problem]
+    _last.held = held
+    return problem
 
 
 def _evaluate(problem: LpProblem, x: np.ndarray, p: float) -> tuple[tuple, np.ndarray]:
-    """The evaluation (ES_p, VaR_p, E_w) of X = F x for portfolio columns
-    x, and the envelope point q attaining ES_p, from one `tail_envelope`
-    of X: the one evaluation of a portfolio, made once per x. Only the
-    cut loop reads q; the evaluation holds no array, so the loop keeps
-    three floats for its best iterate."""
-    X = problem.payoffs @ x
-    es, q, var = tail_envelope(X, problem.weights, p)
-    return (es, var, float(problem.weights @ X)), q
+    """The evaluation (ES_p, VaR_p) of X = F x for portfolio columns x, and
+    the envelope point q attaining ES_p, from one `tail_envelope` of X: the
+    one evaluation of a portfolio, made once per x. Only the cut loop reads
+    q; the evaluation holds no array, so the loop keeps two floats for its
+    best iterate."""
+    es, q, var = tail_envelope(problem.payoffs @ x, problem.weights, p)
+    return (es, var), q
 
 
 def _certify(
@@ -357,14 +403,15 @@ def _certify(
     level p, checked without trusting the solver: x lies in the box within
     1e-9 of B, prices.x <= tol and, for "max_expected", ES_p(F x) <= tol,
     tol being 1e-9 of `payoff_scale` (or of the largest price) times
-    sum |x|; otherwise SolverError. `evaluation` is the (ES_p, VaR_p, E_w)
-    of F x that `_evaluate` made once for this x (in the cut loop, or
-    after a HiGHS solve), so the certificate's (F x, ES_p, VaR_p) come from
-    one `tail_envelope` of the returned x: the value is its ES_p
-    ("min_es") or -E_w[F x], alpha its VaR_p. No value of the solver (a
-    master's t or lower bound) enters."""
+    sum |x|; otherwise SolverError. `evaluation` is the (ES_p, VaR_p) of
+    F x that `_evaluate` made once for this x (in the cut loop, or after a
+    HiGHS solve), so the certificate's (ES_p, VaR_p) come from one
+    `tail_envelope` of the returned x: the value is its ES_p ("min_es") or
+    -E_w[F x] ("max_expected", the one kind that reads the mean), alpha its
+    VaR_p. No value of the solver (a master's t, its lower bound or the
+    scaled objective of a HiGHS LP) enters."""
     B = problem.upper_bound
-    es, alpha, mean = evaluation
+    es, alpha = evaluation
     cost = float(problem.prices @ x)
     top = max(problem.payoff_scale, float(np.abs(problem.prices).max(initial=0.0)))
     tol = 1e-9 * (1.0 + top * float(np.abs(x).sum()))
@@ -372,17 +419,19 @@ def _certify(
     if not (outside <= 1e-9 * (1.0 + B) and cost <= tol and (kind == "min_es" or es <= tol)):
         raise SolverError(f"portfolio fails its check at p = {p!r}: box excess {outside:.3e}, "
                           f"cost {cost:.3e}, ES {es:.3e}")
-    value = es if kind == "min_es" else 0.0 - mean
+    value = es if kind == "min_es" else 0.0 - float(problem.weights @ (problem.payoffs @ x))
     return LpSolution(value, alpha, x, method)
 
 
 class _HighsModel:
     """One HiGHS LP, min c.x over A x <= b and the (n, 2) column bounds, at
     _HIGHS_OPTS: the one owner of scipy's HiGHS binding. A is a sparse
-    matrix, or None for a model that starts with no rows; `add_row` appends
-    a row in place, and each `solve` runs the model from its last basis.
-    Every LP esarb solves is feasible and bounded, so any model status but
-    optimal raises SolverError."""
+    matrix, or None for a model that starts with no rows. `add_row` appends
+    a row in place, the `set_*` methods edit costs, one coefficient or a
+    row's bound, `basis` and `set_basis` save and restore a basis and
+    `clear_basis` forgets it; each `solve` runs the model from its last
+    basis. Every LP esarb solves is feasible and bounded, so any model
+    status but optimal raises SolverError."""
 
     def __init__(self, c, A, b, bounds):
         lp, n = HighsLp(), len(c)
@@ -405,6 +454,30 @@ class _HighsModel:
         """Append the row a.x <= b (a dense over every column)."""
         self._highs.addRow(-math.inf, b, len(a), np.arange(len(a), dtype=np.int32), a)
 
+    def set_costs(self, c: np.ndarray) -> None:
+        self._highs.changeColsCost(len(c), np.arange(len(c), dtype=np.int32), c)
+
+    def set_cost(self, col: int, value: float) -> None:
+        self._highs.changeColCost(col, value)
+
+    def set_coeff(self, row: int, col: int, value: float) -> None:
+        self._highs.changeCoeff(row, col, value)
+
+    def set_row_upper(self, row: int, b: float) -> None:
+        """Make row `row` read a.x <= b (b = inf frees it)."""
+        self._highs.changeRowBounds(row, -math.inf, b)
+
+    def basis(self):
+        """A copy of the model's current basis, for `set_basis`."""
+        return self._highs.getBasis()
+
+    def set_basis(self, basis) -> None:
+        self._highs.setBasis(basis)
+
+    def clear_basis(self) -> None:
+        """Forget the basis and solution: the next `solve` starts cold."""
+        self._highs.clearSolver()
+
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The column values, row duals and objective of an optimum."""
         self._highs.run()
@@ -417,9 +490,67 @@ class _HighsModel:
                 self._highs.getObjectiveValue())
 
 
+class _WarmModel:
+    """The one HiGHS model of a HiGHS-path LpProblem (`LpProblem.warm`),
+    which serves both LP kinds at every level as edits of itself.
+
+    Its first solve builds it from `highs_args` of that solve's kind and
+    level, so a first solve is a cold one. "max_expected" is the "min_es"
+    model with the ES row (the "min_es" costs) bounded by 0; a model built
+    for "min_es" gains that row at its first "max_expected" solve, and
+    "min_es" frees it. Within a kind a level change is one edit: alpha's
+    cost ("min_es") or alpha's entry in the ES row ("max_expected"), so
+    HiGHS re-solves from the last basis. On a kind switch the model saves
+    its basis for the kind it leaves and restores the one saved for the kind
+    it enters, so each kind re-solves from its own last vertex, and a kind's
+    first solve on the model starts cold. From the other kind's vertex a
+    solve took hundreds of simplex iterations, and on the 512-cell chain LP
+    ended at HiGHS status "Unknown". `drop` forgets the model, so the next
+    solve is cold."""
+
+    def __init__(self):
+        self.model = None
+
+    def drop(self) -> None:
+        self.model = None
+
+    def solve(self, problem: LpProblem, p: float, kind: str) -> np.ndarray:
+        """The column values of an optimum of the LP of this kind at level p."""
+        if self.model is None:
+            self.model = _HighsModel(*problem.highs_args(kind, p))
+            # kind -> the level its coefficient (alpha's cost, or alpha's
+            # entry in the ES row) holds now
+            self.kind, self.levels, self.bases = kind, {kind: p}, {}
+            return self.model.solve()[0]
+        model, es_row = self.model, problem.constraint_matrix.shape[0]
+        if kind != self.kind:
+            if "max_expected" not in self.levels:  # it enters the basis as basic
+                model.add_row(problem.objective("min_es", p), 0.0)
+                self.levels["max_expected"] = p
+            self.bases[self.kind] = model.basis()
+            model.set_costs(problem.objective(kind, p))
+            if kind == "min_es":  # alpha's cost is p now
+                self.levels[kind] = p
+            model.set_row_upper(es_row, math.inf if kind == "min_es" else 0.0)
+            if kind in self.bases:
+                model.set_basis(self.bases[kind])
+            else:
+                model.clear_basis()
+            self.kind = kind
+        if self.levels[kind] != p:
+            if kind == "min_es":
+                model.set_cost(0, p)
+            else:
+                model.set_coeff(es_row, 0, p)
+            self.levels[kind] = p
+        return model.solve()[0]
+
+
 def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
-    """HiGHS on `highs_args(kind, p)`; the portfolio columns of its optimum."""
-    return _HighsModel(*problem.highs_args(kind, p)).solve()[0][1 : 1 + problem.n_legs]
+    """HiGHS on the LP of this kind at level p, as `highs_args(kind, p)`
+    poses it, solved on the LP's one warm model (`_WarmModel`); the
+    portfolio columns of its optimum."""
+    return problem.warm.solve(problem, p, kind)[1 : 1 + problem.n_legs]
 
 
 def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> tuple[np.ndarray, tuple]:
@@ -481,26 +612,32 @@ def solve_lp(
     reported value and alpha come from one evaluation of that portfolio
     (`_evaluate`, made once per x), not from the solver.
 
-    The path follows from the LP, with no override. At least 600 (merged)
-    scenarios and no `chain` form take the cutting-plane path
-    (`_solve_cuts`, one loop for both LP kinds), whatever the number of
-    legs: its one master LP stays small, gains each cut as a row and is
-    re-solved from its last basis, while each cut sorts only the scenarios
-    in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
+    The path follows from the LP (`LpProblem.on_highs`), with no override.
+    At least 600 (merged) scenarios and no `chain` form take the
+    cutting-plane path (`_solve_cuts`, one loop for both LP kinds), whatever
+    the number of legs: its one master LP stays small, gains each cut as a
+    row and is re-solved from its last basis, while each cut sorts only the
+    scenarios in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
     at this level (None: a fresh one), so a confirmation LP handed its
-    detection LP's pool starts its master from those. Sparse HiGHS, one
-    model per LP, takes fewer scenarios and the chain form, whose few
-    nonzeros make it fast. Each LP has this one path: a failure on it
-    raises SolverError, and so does a portfolio that fails its certificate.
+    detection LP's pool starts its master from those. Sparse HiGHS takes
+    fewer scenarios and the chain form, whose few nonzeros make it fast, on
+    the LP's one warm model (`_WarmModel`), re-solved from the last basis of
+    this kind. Each LP has this one path: a failure on it raises
+    SolverError, and so does a portfolio that fails its certificate; on
+    HiGHS the failure also drops the warm model, so the next solve is cold.
     """
     if kind not in ("min_es", "max_expected"):
         raise ValueError(f"unknown LP kind {kind!r}")
     p = as_level(level).p
-    if problem.n_scenarios >= _CUT_SCENARIOS and problem.chain is None:
+    if not problem.on_highs:
         x, evaluation = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
         return _certify(problem, x, evaluation, p, kind, "cutting_plane")
-    x = _solve_highs(problem, p, kind)
-    return _certify(problem, x, _evaluate(problem, x, p)[0], p, kind, "highs")
+    try:
+        x = _solve_highs(problem, p, kind)
+        return _certify(problem, x, _evaluate(problem, x, p)[0], p, kind, "highs")
+    except SolverError:
+        problem.warm.drop()  # the next solve on this LP starts cold
+        raise
 
 
 def arbitrage_epsilon(market: MarketSnapshot) -> float:

@@ -66,7 +66,7 @@ def _highs_args(lp, kind, p=None, A=None):
     from the payoffs, weights, prices, shorts and upper bound alone, on the
     shared rows A (the plain assembly by default; chain columns y are the
     ones A has beyond (alpha, x, u), all free). "min_es": objective
-    (1, 0, w / p, 0), alpha free, x in the box, u >= 0; "max_expected": the
+    (p, 0, w, 0), alpha free, x in the box, u >= 0; "max_expected": the
     same bounds, objective (0, -F^T w, 0, 0) and the "min_es" objective as
     an extra row; "threshold": objective (0, 0, w, 0), alpha = -1, x >= 0
     on single columns and free on netted ones, u >= 0."""
@@ -81,7 +81,7 @@ def _highs_args(lp, kind, p=None, A=None):
                                 np.full(n_y, -np.inf)])
         upper = np.concatenate([[-1.0], np.full(n_l + n_s + n_y, np.inf)])
     else:
-        c = np.concatenate([[1.0], np.zeros(n_l), w / p, np.zeros(n_y)])
+        c = np.concatenate([[p], np.zeros(n_l), w, np.zeros(n_y)])
         lower = np.concatenate([[-np.inf], np.where(net, -B, 0.0), np.zeros(n_s),
                                 np.full(n_y, -np.inf)])
         upper = np.concatenate([[np.inf], np.full(n_l, B), np.full(n_s + n_y, np.inf)])
@@ -322,12 +322,16 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     # the threshold LP is the detection LP's chain-form matrix itself
     assert len(calls) == 1 and calls[0][0][1] is prob.constraint_matrix
     _assert_same_args(calls[0], _highs_args(prob, "threshold", A=prob.constraint_matrix))
-    # the detection and confirmation LPs reach HiGHS as the reference poses them
-    for kind in ("min_es", "max_expected"):
+    # the detection and confirmation LPs reach HiGHS as the reference poses
+    # them: a fresh LP's first solve builds its one model from that kind's
+    # arguments, and the other kind is an edit of that model
+    for first, then in (("min_es", "max_expected"), ("max_expected", "min_es")):
+        fresh = build_lp(density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)))
         calls.clear()
-        _solve_highs(prob, 1e-4, kind)
+        _solve_highs(fresh, 1e-4, first)
+        _solve_highs(fresh, 1e-4, then)
         assert len(calls) == 1
-        _assert_same_args(calls[0], _highs_args(prob, kind, 1e-4, prob.constraint_matrix))
+        _assert_same_args(calls[0], _highs_args(fresh, first, 1e-4, fresh.constraint_matrix))
     assert calls[0][0][1].shape == (2 + 2 * 512, 1 + 513 + 2 * 512)  # ES row, y columns
 
 
@@ -335,15 +339,17 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
 def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     # the chain would not halve the nonzeros here (6255 vs 6028, 30002 vs
     # 20002, 3505 vs 3004), so HiGHS must see the plain LP, bit for bit,
-    # and so must the threshold LP, with its own objective and bounds
-    market = {"pl": _pl_market, "quick start": _quick_start_market,
-              "markowitz": lambda: _two_asset_markowitz(500)}[name]()
-    prob = build_lp(market)
-    assert prob.chain is None
+    # and so must the threshold LP, with its own objective and bounds; the
+    # first solve of a fresh LP builds its model from that kind's arguments
+    make = {"pl": _pl_market, "quick start": _quick_start_market,
+            "markowitz": lambda: _two_asset_markowitz(500)}[name]
     calls = _recording(monkeypatch)
     for kind in ("min_es", "max_expected"):
+        prob = build_lp(make())
+        assert prob.chain is None
         calls.clear()
         _solve_highs(prob, 0.05, kind)
+        assert len(calls) == 1
         _assert_same_args(calls[0], _highs_args(prob, kind, 0.05))
     calls.clear()
     _threshold_density(prob)
@@ -354,13 +360,14 @@ def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
 def test_highs_answers_match_linprog_byte_for_byte(name):
     # `linprog` hands HiGHS the same LP at the same tolerances: as a
     # test-only reference it gives the same columns, row duals and value,
-    # so the portfolio columns and the threshold density are unchanged
+    # so the portfolio columns of a model's first (cold) solve, on a fresh
+    # LP, and the threshold density are unchanged
     density = {"bs512": bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512),
                "step": CompleteMarketDensity("step", [0.1, 1.0], [4.0, 0.6 / 0.9])}.get(name)
-    prob = build_lp(_pl_market() if density is None else density_market(density))
-    n_l, n_s = prob.n_legs, prob.n_scenarios
-    assert (prob.chain is not None) == (name == "bs512")
     for kind, p in (("min_es", 0.05), ("max_expected", 0.05), ("max_expected", 0.3), ("threshold", None)):
+        prob = build_lp(_pl_market() if density is None else density_market(density))
+        n_l, n_s = prob.n_legs, prob.n_scenarios
+        assert (prob.chain is not None) == (name == "bs512")
         c, A, b, bounds = prob.highs_args(kind, p)
         ref = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LINPROG_OPTIONS)
         assert ref.status == 0, ref.message

@@ -88,10 +88,12 @@ def test_build_lp_counts_and_roles():
 def test_build_lp_objective_weights():
     scen = ScenarioSet([0.0, 1.0], [0.25, 0.75])
     prob = build_lp(MarketSnapshot(scen, (TradableLeg("a", 1.0, np.array([1.0, 2.0])),), spot=1.0))
+    # p times the ES objective: alpha costs p and u_i costs w_i, so the
+    # level enters alpha's cost alone
     objective = prob.highs_args("min_es", 0.5)[0]
-    assert objective[0] == 1.0
+    assert objective[0] == 0.5
     assert objective[1] == 0.0
-    assert np.allclose(objective[2:], [0.5, 1.5])  # w_i / p
+    assert objective[2:].tolist() == [0.25, 0.75]  # w_i
 
 
 def test_build_lp_merges_duplicate_scenarios():
@@ -789,11 +791,14 @@ def test_detect_starts_no_thread():
 @pytest.mark.parametrize("path", ["highs", "cutting_plane", "threshold"])
 def test_non_optimal_highs_status_raises_after_one_solve(monkeypatch, path):
     # each LP has one solver path and HiGHS runs once on it: a non-optimal
-    # status raises SolverError, with no retry and no second path
-    market = _two_asset_markowitz(2000) if path == "cutting_plane" else capped_density_market()
-    problem = build_lp(market)
+    # status raises SolverError, with no retry and no second path. HiGHS is
+    # patched before the first solve on a fresh market, so that solve
+    # builds its model on the patched binding
+    make = (lambda: _two_asset_markowitz(2000)) if path == "cutting_plane" else capped_density_market
     if path != "threshold":
-        assert solve_lp(problem, 0.05).method == path
+        assert solve_lp(build_lp(make()), 0.05).method == path
+    market = make()
+    problem = build_lp(market)
     calls = []
 
     class Failing(detector._Highs):  # HiGHS ending every LP at status 4
@@ -858,10 +863,12 @@ def test_faulty_highs_portfolio_raises_after_one_solve(monkeypatch, fault):
     # HiGHS reports an optimum whose portfolio leaves the box, costs more
     # than 0, or (for the confirmation LP) has ES_p > 0: the certificate
     # rejects it after the one solve
+    # (HiGHS is patched before the first solve, on a fresh market)
     asset = TradableLeg("asset", 0.5, np.array([0.0, 1.0]))
-    market = MarketSnapshot(TWO, _pair_market().legs + (asset,), spot=1.0)
-    problem = build_lp(market)
+    make = lambda: MarketSnapshot(TWO, _pair_market().legs + (asset,), spot=1.0)
+    problem = build_lp(make())
     assert problem.n_legs == 2 and solve_lp(problem, 0.5).method == "highs"
+    problem = build_lp(make())
     x, kind, match = {
         "box": ([0.0, 1.5], "min_es", r"box excess 5\.000e-01"),
         "cost": ([0.0, 0.5], "min_es", r"cost 2\.500e-01"),
