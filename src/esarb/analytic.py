@@ -17,11 +17,8 @@ import numpy as np
 from scipy import linalg
 from scipy.special import ndtr, ndtri
 
-from .market import MarketSnapshot, ScenarioSet, TradableLeg, _as_readonly
+from .market import MarketSnapshot, ScenarioSet, TradableLeg, _as_readonly, _require_draws
 from .risk import RiskLevel, as_level
-
-_MC_BLOCK = 1 << 16  # uniforms drawn and binned per step in density_market_mc
-_SORT_DEPTH = _MC_BLOCK.bit_length() - 1  # log2 _MC_BLOCK: passes a block's sort makes
 
 
 def normal_tail_factor(level: RiskLevel | float) -> float:
@@ -396,20 +393,6 @@ def density_market(density: CompleteMarketDensity, upper_bound: float = 1.0) -> 
     return _digital_market(density, _cell_thresholds(density), scen, upper_bound)
 
 
-def _cell_counts(draws: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Draws per cell [e_i, e_{i+1}) of edges = [0, interior thresholds, 1],
-    for draws in [0, 1): the counts np.histogram(draws, edges) gives.
-
-    np.histogram sorts the block. With fewer interior thresholds than that
-    sort's depth, one compare pass per threshold is cheaper: the counts of
-    draws below each threshold, differenced, are the cells' counts, exactly."""
-    inner = edges[1:-1]
-    if inner.size < _SORT_DEPTH:
-        below = [np.count_nonzero(draws < e) for e in inner]
-        return np.diff(np.array([0, *below, draws.size], dtype=np.int64))
-    return np.histogram(draws, bins=edges)[0]
-
-
 def density_market_mc(
     density: CompleteMarketDensity,
     n_draws: int,
@@ -419,28 +402,16 @@ def density_market_mc(
     """Monte Carlo variant: scenarios are uniform draws of U under P, legs
     and prices are the same exact digitals.
 
-    Every leg payoff is constant between adjacent thresholds, so the draws
-    are binned to threshold cells up front (weight = empirical frequency,
-    point = cell midpoint). This is the same collapse the LP would perform
-    on identical payoff rows, paid once instead of per detect call, which
-    keeps multi-million draw counts cheap.
-
-    The draws are made and binned in fixed blocks of _MC_BLOCK uniforms
-    reusing one buffer, so memory does not grow with n_draws. A block is
-    counted against each threshold when there are fewer than log2 _MC_BLOCK
-    of them, and sorted by np.histogram otherwise (`_cell_counts`); the
-    counts are the same. The generator fills doubles in stream order and
-    the counts are sums over draws, so the result is the one a single
-    rng.random(n_draws) would give."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    Every leg payoff is constant between adjacent thresholds, so only the
+    number of draws in each threshold cell matters (weight = empirical
+    frequency, point = cell midpoint). The counts of n_draws uniforms binned
+    into cells follow the multinomial(n_draws, cell lengths) law exactly, so
+    they come from one rng.multinomial call: no uniform is drawn, and time
+    and memory are O(cells) for any n_draws up to 2**63 - 1."""
+    _require_draws(n_draws, "n_draws")
     thr = _cell_thresholds(density)  # strictly increasing, as the density grid is
     edges = np.concatenate([[0.0], thr[(thr > 0.0) & (thr < 1.0)], [1.0]])
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    block = np.empty(min(n_draws, _MC_BLOCK))
-    for start in range(0, n_draws, _MC_BLOCK):
-        draws = rng.random(out=block[: min(_MC_BLOCK, n_draws - start)])
-        counts += _cell_counts(draws, edges)
+    counts = rng.multinomial(n_draws, np.diff(edges))
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     scen = ScenarioSet(mids[keep], counts[keep] / n_draws)
@@ -452,8 +423,7 @@ def markowitz_market(
 ) -> MarketSnapshot:
     """Monte Carlo one-period Gaussian market matching the closed-form test:
     one long/short leg pair per risky asset plus a cash pair returning 1 + rf."""
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
+    _require_draws(n_draws, "n_draws", least=2)
     _require_nondegenerate(market.sigma)
     chol = np.linalg.cholesky(market.sigma)
     draws = market.mu + rng.standard_normal((n_draws, market.n_assets)) @ chol.T

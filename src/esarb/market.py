@@ -19,12 +19,26 @@ QuoteKind = Literal["call", "put", "bond", "underlying"]
 
 _WEIGHT_SUM_TOL = 1e-12
 _INFINITE_BOUND = 1e20  # HiGHS reads a bound this large as infinite: the LPs would be unbounded
+_MAX_DRAWS = 2**63 - 1  # the largest count numpy's samplers take (int64)
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _require_draws(n, name: str = "n", least: int = 1) -> None:
+    """Reject a draw count that is not an integer from least to 2**63 - 1.
+
+    Python and numpy integers pass; bool and float do not, though numpy's
+    samplers would take both."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {type(n).__name__}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if n > _MAX_DRAWS:
+        raise ValueError(f"{name} must be <= 2**63 - 1")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import expit, ndtr, ndtri
 
-from .market import InstrumentQuote, ScenarioSet, _as_readonly
+from .market import InstrumentQuote, ScenarioSet, _as_readonly, _require_draws
 from .seeding import substream
 
 _PL_GRID_POINTS = 200
@@ -260,11 +260,6 @@ class GarchModel:
             log_total += self.drift + eps
             var = self.omega + self.arch * eps**2 + self.garch_coef * var
         return spot * np.exp(log_total)
-
-
-def _require_draws(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
 
 def mc_quadrature(

@@ -17,7 +17,6 @@ from esarb import (
 from esarb.analytic import (
     CompleteMarketDensity,
     MarkowitzMarket,
-    _cell_counts,
     _cell_thresholds,
     _digital_market,
     bs_ratio_density,
@@ -406,13 +405,14 @@ def test_density_market_mc_reproducible():
     assert np.array_equal(a.prices(), b.prices())
 
 
-def _unique_binned_mc(density, n_draws, rng):
-    """Reference binning: np.unique over the cell thresholds, draws counted
-    per threshold cell; returns points, weights and leg prices."""
+def _unique_multinomial_mc(density, n_draws, rng):
+    """Reference: cells from np.unique over the cell thresholds, counts from
+    one multinomial draw over their lengths; returns points, weights and
+    leg prices."""
     edges = density._edges
     cuts = np.unique(edges[1:-1] if edges.size > 2 else edges[1:])
     bins = np.concatenate([[0.0], cuts[(cuts > 0.0) & (cuts < 1.0)], [1.0]])
-    counts, _ = np.histogram(rng.random(n_draws), bins=bins)
+    counts = rng.multinomial(n_draws, np.diff(bins))
     mids = 0.5 * (bins[:-1] + bins[1:])
     keep = counts > 0
     disc = density.discount
@@ -430,52 +430,80 @@ def _unique_binned_mc(density, n_draws, rng):
     ids=["bs512", "step", "step15", "step16", "step17", "linear"],
 )
 def test_density_market_mc_matches_unique_binning(density):
-    # the draws are binned in blocks of 65536: one draw, both sides of a
-    # block edge and many blocks must give the one-shot reference's bytes
-    for n in (1, 65535, 65536, 65537, 100_000, 3_000_000):
+    # one draw (most cells empty), a count and criterion 10's count, and a
+    # count no uniform draw could reach: the reference's bytes every time
+    for n in (1, 65536, 3_000_000, 10**12):
         for seed in (0, 7):
             market = density_market_mc(density, n, np.random.default_rng(seed))
-            points, weights, prices = _unique_binned_mc(density, n, np.random.default_rng(seed))
+            points, weights, prices = _unique_multinomial_mc(density, n, np.random.default_rng(seed))
             assert np.array_equal(market.scenarios.points, points)
             assert np.array_equal(market.scenarios.weights, weights)
             assert np.array_equal(market.prices(), prices)
 
 
-@pytest.mark.parametrize("n_thresholds", [1, 3, 15, 16, 40])
-def test_cell_counts_match_histogram(n_thresholds):
-    # both sides of the compare/sort cut-off, on blocks with draws exactly
-    # on a threshold and at its neighbours, empty cells and one draw
-    inner = np.linspace(0.0, 1.0, n_thresholds + 2)[1:-1]
-    edges = np.concatenate([[0.0], inner, [1.0]])
-    on_edges = np.concatenate([edges[:-1], np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
-                               [np.nextafter(1.0, 0.0)]])
-    rng = np.random.default_rng(n_thresholds)
-    blocks = [
-        on_edges,
-        np.array([inner[0]]),
-        np.array([0.0]),
-        np.full(5, np.nextafter(inner[-1], 1.0)),  # every cell but the last is empty
-        np.concatenate([on_edges, rng.random(70_000)])[:65_536],
-        rng.random(1234),  # a short last block
-    ]
-    for draws in blocks:
-        got = _cell_counts(draws, edges)
-        want = np.histogram(draws, bins=edges)[0]
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert got.sum() == draws.size
+def test_density_market_mc_counts_follow_the_binned_law():
+    # the multinomial counts and counts of binned uniforms are the same law:
+    # over 4000 seeds, n = 50 draws on CAPPED's two cells, each cell's count
+    # has the same mean and variance on both samplers within 4 standard errors
+    n, seeds = 50, range(4000)
+    edges = np.array([0.0, 1.0 / 3.0, 1.0])
+    drawn = np.array([
+        np.rint(density_market_mc(CAPPED, n, np.random.default_rng(seed)).scenarios.weights * n)
+        for seed in seeds
+    ])
+    binned = np.array([
+        np.histogram(np.random.default_rng(seed).random(n), bins=edges)[0] for seed in seeds
+    ])
+    assert (drawn.sum(axis=1) == n).all()
+    size = len(seeds)
+    for cell, p in enumerate(np.diff(edges)):
+        var = n * p * (1.0 - p)
+        fourth = var * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))  # binomial 4th central moment
+        mean_se = math.sqrt(2.0 * var / size)
+        var_se = math.sqrt(2.0 * (fourth - var**2) / size)
+        a, b = drawn[:, cell], binned[:, cell]
+        assert abs(a.mean() - b.mean()) < 4.0 * mean_se
+        assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * var_se
 
 
-def test_density_market_mc_one_threshold_never_sorts(monkeypatch):
-    want = density_market_mc(CAPPED, 100_000, np.random.default_rng(5))
+class _NoUniforms(np.random.Generator):
+    def random(self, *args, **kwargs):
+        raise AssertionError("a uniform was drawn")
+
+
+def test_density_market_mc_draws_no_uniforms(monkeypatch):
+    want = density_market_mc(CAPPED, 10**12, np.random.default_rng(5))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a draw block was sorted")
+        raise AssertionError("draws were sorted")
 
     monkeypatch.setattr(np, "histogram", refuse)
     monkeypatch.setattr(np, "sort", refuse)
-    got = density_market_mc(CAPPED, 100_000, np.random.default_rng(5))
+    got = density_market_mc(CAPPED, 10**12, _NoUniforms(np.random.PCG64(5)))
     assert np.array_equal(got.scenarios.weights, want.scenarios.weights)
+
+
+_BAD_COUNTS = [0, -1, 3e6, 3.0, np.float64(5.0), True, False, np.bool_(True), "5", None,
+               2**63, np.uint64(2**63), 10**30]
+
+
+@pytest.mark.parametrize("n", _BAD_COUNTS, ids=repr)
+def test_density_market_mc_rejects_bad_draw_counts(n):
+    with pytest.raises(ValueError, match=r"^n_draws must be "):
+        density_market_mc(CAPPED, n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1, np.int32(7), np.int64(3_000_000), np.uint64(2**63 - 1), 2**63 - 1])
+def test_density_market_mc_takes_any_integral_count(n):
+    weights = density_market_mc(CAPPED, n, np.random.default_rng(0)).scenarios.weights
+    assert math.isclose(weights.sum(), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [*_BAD_COUNTS, 1], ids=repr)
+def test_markowitz_market_rejects_bad_draw_counts(n):
+    mk = MarkowitzMarket(np.array([1.1]), np.array([[0.04]]), np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match=r"^n_draws must be "):
+        markowitz_market(mk, n, np.random.default_rng(0))
 
 
 def _digital_legs_one_by_one(density, thresholds, scen):
@@ -508,9 +536,9 @@ def test_digital_market_matches_per_threshold_legs(density):
 def test_criterion_10_output_bytes_pinned(tmp_path):
     # SHA-256 of both output files of acceptance criterion 10's CLI run,
     # recorded with p* read from the threshold LP's hinge-row duals and
-    # witnessed by its portfolio, one LP per run (the draws' bytes are
-    # pinned by test_density_market_mc_matches_unique_binning): any drift
-    # in the Monte Carlo stream, its binning, p* or the LP count changes these bytes
+    # witnessed by its portfolio, one LP per run (the cell counts' bytes
+    # are pinned by test_density_market_mc_matches_unique_binning): any
+    # drift in the Monte Carlo counts, p* or the LP count changes these bytes
     code = "\n".join([
         "import hashlib",
         "from esarb import cli, io",
@@ -524,7 +552,7 @@ def test_criterion_10_output_bytes_pinned(tmp_path):
         "                   '--bracket', '1e-4,0.7', '--tol', '1e-4', '--out', out])",
         "    print(rc, hashlib.sha256(open(out, 'rb').read()).hexdigest())",
     ])
-    pinned = "4638a3d9cabe8fad38a47a194f33efda5cbab842427dbf3374a976725b893803"
+    pinned = "cf5873ee4b37d90ec3278de2d81de16584be302ebc5a6907fc8f8fed69d92c38"
     assert run_with_one_blas_thread(code).split() == ["3", pinned, "3", pinned]
 
 
@@ -540,12 +568,16 @@ def _mc_peak_bytes(density, n_draws):
 
 
 def test_density_market_mc_peak_memory_does_not_grow_with_draws():
-    # drawn in one array, 3e6 uniforms peaked at 25 MB; binned block by
-    # block, the peak is the block buffer plus the cells and legs
+    # the counts come from one multinomial draw over the cells, so the peak
+    # is the cells and legs alone: tracemalloc read 5.3-5.9 KB on CAPPED and
+    # 6.66 MB on the 512-cell market (numpy 2.4), the same at 1e5, 3e6 and
+    # 1e12 draws to within 0.7 KB; binned 65536-draw blocks peaked at 0.59 MB
     bs512 = bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)
-    assert _mc_peak_bytes(CAPPED, 3_000_000) < 2e6
+    assert _mc_peak_bytes(CAPPED, 10**12) < 2e4
     for density in (CAPPED, bs512):
-        assert abs(_mc_peak_bytes(density, 3_000_000) - _mc_peak_bytes(density, 100_000)) < 0.5e6
+        small = _mc_peak_bytes(density, 100_000)
+        for n in (3_000_000, 10**12):
+            assert abs(_mc_peak_bytes(density, n) - small) < 1e4
 
 
 def test_density_market_mc_detects_like_exact():

@@ -454,6 +454,11 @@ def _malformed_case(work, tmp_path, case):
         return ["min-p", "--density", work["density"], "--tol", "nan"]
     if case == "zero draws":
         return ["simulate", "--model", work["mixture"], "--n", "0"]
+    if case == "huge density draw count":  # more draws than numpy's int64 holds
+        return ["min-p", "--density", work["density"], "--quadrature", "mc", "--n", str(10**30)]
+    if case == "huge model draw count":
+        return ["min-p", "--chain", work["chain"], "--market", work["market"],
+                "--model", work["mixture"], "--quadrature", "mc", "--n", str(2**63)]
     if case == "negative draws":
         write_json(str(bad), garch_to_dict(GarchModel(omega=1e-6, arch=0.05, garch_coef=0.9,
                                                       steps=1, init_var=2e-5)))
@@ -490,6 +495,8 @@ class TestMalformedInputs:
         "object in weights",
         "zero draws",
         "negative draws",
+        "huge density draw count",
+        "huge model draw count",
         "nan tol",
         "null qty",
         "portfolio object",
@@ -499,6 +506,6 @@ class TestMalformedInputs:
     def test_exits_1_with_error_line(self, work, tmp_path, capsys, case):
         assert run(_malformed_case(work, tmp_path, case)) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,45 @@ from esarb import (
     payoff_distribution,
     price,
 )
+from esarb.market import _require_draws
 
 from conftest import random_market
 
 
 TWO_POINTS = ScenarioSet([90.0, 110.0], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------- draw counts
+
+
+@pytest.mark.parametrize("n", [1, 2**63 - 1, np.int8(1), np.int64(2**63 - 1), np.uint64(2**63 - 1)],
+                         ids=repr)
+def test_draw_count_accepts_integers_up_to_2_63(n):
+    _require_draws(n)
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be >= 1"),
+    (-5, "n must be >= 1"),
+    (np.int64(-1), "n must be >= 1"),
+    (2**63, "n must be <= 2**63 - 1"),
+    (np.uint64(2**63), "n must be <= 2**63 - 1"),
+    (10**30, "n must be <= 2**63 - 1"),
+    (True, "n must be an integer, not bool"),
+    (np.bool_(True), "n must be an integer, not bool"),
+    (3e6, "n must be an integer, not float"),
+    (np.float64(2.0), "n must be an integer, not float64"),
+    ("5", "n must be an integer, not str"),
+], ids=repr)
+def test_draw_count_rejects_the_rest(n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _require_draws(n)
+
+
+def test_draw_count_names_its_argument_and_floor():
+    _require_draws(2, "n_draws", least=2)
+    with pytest.raises(ValueError, match=r"^n_draws must be >= 2$"):
+        _require_draws(1, "n_draws", least=2)
 
 
 # ---------------------------------------------------------------- ScenarioSet

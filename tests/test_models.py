@@ -221,6 +221,20 @@ class TestMcQuadrature:
             with pytest.raises(ValueError, match=r"^n must be >= 1$"):
                 draw(np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [3.0, 1e3, True, np.bool_(True), "5", 2**63, 10**30],
+                             ids=repr)
+    def test_draw_count_must_be_an_integer_below_2_63(self, n):
+        garch = GarchModel(omega=1e-6, arch=0.08, garch_coef=0.90, steps=10, init_var=1e-4)
+        draws = [
+            lambda rng: make_mixture().sample(n, rng),
+            lambda rng: garch.simulate_returns(n, rng),
+            lambda rng: garch.simulate_terminal(100.0, n, rng),
+            lambda rng: mc_quadrature(make_mixture(), n, rng),
+        ]
+        for draw in draws:
+            with pytest.raises(ValueError, match=r"^n must be "):
+                draw(np.random.default_rng(0))
+
     def test_error_shrinks_like_root_n(self):
         # avg |error| of a call estimate from n=1e3 vs n=1e5 draws; the
         # ratio should straddle sqrt(100) = 10
