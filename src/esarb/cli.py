@@ -27,7 +27,7 @@ from .analytic import (
     markowitz_arbitrage,
 )
 from .detector import SolverError, detect, min_p
-from .market import MarketSnapshot, Portfolio, expand_quotes
+from .market import MarketSnapshot, Portfolio, _require_draws, expand_quotes
 from .models import (
     CalibrationError,
     GarchModel,
@@ -281,6 +281,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "n"):  # checked before any market is built
+            _require_draws(args.n, "--n")
         return args.func(args)
     except (CalibrationError, SolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -29,7 +29,9 @@ and reports the value and VaR_p of x, so every arbitrage verdict rests on
 a portfolio checked with the ES formula. The certificate's (F x, ES_p,
 VaR_p) come from one `tail_envelope` of the returned x, computed once by
 `_evaluate`: the cut loop returns its own evaluation of the x it hands
-back, and the HiGHS path evaluates its x after the solve.
+back, and the HiGHS path evaluates its x after the solve. `tail_envelope`
+selects VaR_p's atom with `np.partition` and sorts nothing, so each cut
+costs O(scenarios).
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
@@ -319,8 +321,10 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
     negation. Returns (legs, shorts, varies): one entry per LP column, at
     its first leg's position; shorts is -1 for a leg left single, and
     varies tells whether the column's payoffs differ on any scenario. Each
-    leg's column is gathered on its own (copied whole when every weight is
-    positive), so no copy of the matrix is made.
+    leg's column is read on its own (gathered when some weight is 0), so
+    no copy of the matrix is made. A leg waits under its price and payoff
+    sum, which negate exactly with the payoffs, and a match under that key
+    is confirmed entry by entry.
 
     A pair with a constant payoff (cash, a bond) stays two legs: its net
     column would be parallel to alpha's in every hinge row, and at the
@@ -328,18 +332,19 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
     to 4e-8 (15 of 3596 random 40-scenario option markets)."""
     positive = market.scenarios.weights > 0
     rows = slice(None) if positive.all() else np.flatnonzero(positive)
-    waiting: dict = {}  # (price, payoff bytes) -> columns whose leg awaits its negation
+    waiting: dict = {}  # (price, payoff sum) -> [(payoffs, LP column)] of legs awaiting their negation
     legs, shorts, varies = [], [], []
     for j, (leg, price) in enumerate(zip(market.legs, prices.tolist())):
-        col = leg.payoff[rows] + 0.0  # a zero entry or price of either sign keys as +0.0
+        col = leg.payoff[rows]
         match = None
         if varying := bool((col != col[0]).any()):
-            # 0.0 - x negates x, reading a zero of either sign as +0.0
-            match = waiting.get((0.0 - price, (0.0 - col).tobytes()))
-            if not match:
-                waiting.setdefault((price + 0.0, col.tobytes()), []).append(len(legs))
-        if match:
-            shorts[match.pop(0)] = j
+            key = (price + 0.0, float(col.sum()) + 0.0)  # + 0.0: a zero of either sign keys as +0.0
+            pending = waiting.get((0.0 - key[0], 0.0 - key[1]), [])
+            match = next((i for i, (other, _) in enumerate(pending) if (other == -col).all()), None)
+            if match is None:
+                waiting.setdefault(key, []).append((col, len(legs)))
+        if match is not None:
+            shorts[pending.pop(match)[1]] = j
         else:
             legs.append(j)
             shorts.append(-1)
@@ -616,8 +621,8 @@ def solve_lp(
     At least 600 (merged) scenarios and no `chain` form take the
     cutting-plane path (`_solve_cuts`, one loop for both LP kinds), whatever
     the number of legs: its one master LP stays small, gains each cut as a
-    row and is re-solved from its last basis, while each cut sorts only the
-    scenarios in the ES tail. It adds the cuts it finds to `cuts`, the caller's pool
+    row and is re-solved from its last basis, while each cut selects the
+    ES tail without sorting it. It adds the cuts it finds to `cuts`, the caller's pool
     at this level (None: a fresh one), so a confirmation LP handed its
     detection LP's pool starts its master from those. Sparse HiGHS takes
     fewer scenarios and the chain form, whose few nonzeros make it fast, on

@@ -4,16 +4,25 @@ Conventions: payoffs are profits, losses are negated payoffs. VaR_p is the
 negated p-quantile under the strict-CDF convention; ES_p is the exact average
 of VaR_u over u in (0, p], evaluated on discrete distributions by splitting
 the atom that straddles the p boundary. ES at p >= 1 is rejected.
+
+`tail_envelope` evaluates all three (ES_p, VaR_p and the envelope point
+attaining ES_p) by selection, without sorting the tail: `np.partition`
+finds VaR_p's atom, judged on exactly rounded masses, and ES_p follows from
+the weights below it and the share of the atom (Rockafellar and Uryasev).
+`lex_order` sorts rows for the LP's scenario merge, not for the tail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .market import WeightedSample
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,7 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     The first column is sorted once with numpy's default (unstable) sort.
     When no two sorted neighbours tie, that argsort is returned at once:
     with distinct values the order is unique, so it is the lexsort's
-    permutation (continuous draws, `tail_envelope`'s tail). Otherwise only
+    permutation (continuous draws). Otherwise only
     the rows that tie on it are re-sorted, with a stable lexsort
     over (run id, remaining columns, row index). The remaining columns of
     those rows are gathered in one (k - 1, tied) block, not one array per
@@ -70,51 +79,115 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     return order
 
 
+def _guess(lo: int, hi: int, left: float, extra: float, misses: int) -> int:
+    """A position in [lo, hi) at which a running mass may first exceed p,
+    when the mass before lo is p - left (left >= 0) and the mass before hi
+    is p + extra (extra > 0): linear interpolation, or the middle after
+    every third miss, so a search takes O(log(hi - lo)) steps at worst."""
+    share = 0.5 if misses % 3 == 2 else left / (left + extra)
+    return lo + min(int(share * (hi - lo)), hi - lo - 1)
+
+
 def tail_envelope(
     values: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, float]:
     """ES_p of raw (finite) payoff values and weights, the envelope point q
-    attaining it, and VaR_p, from a sort of the tail alone.
+    attaining it, and VaR_p, by selection alone: nothing is sorted.
 
-    Losses are taken descending, in the ascending order of values that
-    `lex_order` gives (equal values by index); each loss contributes its
-    weight until the cumulative mass reaches p, with the straddling atom
-    taken fractionally. q is that split divided by p: the maximizer of
-    E_w[-values q] over the ES dual set {0 <= q <= 1/p, E_w q = 1}. VaR_p
-    is the loss at the first sorted position whose cumulative mass exceeds
-    p (strict CDF).
+    VaR_p = -t for the strict-CDF atom t, mass(< t) <= p < mass(<= t), or
+    for the largest value when all of them hold at most p; a zero atom
+    reads +0.0. Each scenario takes a part of its weight: all of it below
+    t, none above, and the ties at t take the rest of p in index order,
+    each its whole weight until one takes p - mass(< t) - mass(earlier
+    ties). q = take / p, so q / w is the density in the ES dual set
+    {0 <= q / w <= 1/p, E_w[q / w] = 1} that attains ES_p, and
+    ES_p = -sum q X = (E_w[-X; X < t] + (p - mass(< t)) (-t)) / p, Rockafellar
+    and Uryasev's VaR_p + E_w[(-X - VaR_p)^+] / p.
 
-    Only that prefix of the order is built: `np.partition` gives the k-th
-    smallest value t, the values below t are ordered by `lex_order` and
-    the values equal to t follow in index order, which is their order in
-    the full sort. k starts at p n + 1 and doubles while the mass of this
-    prefix is <= p (or until it holds every value). Positions past the
-    prefix take no mass, and ES is the dot product of zero-padded arrays
-    of the full length, so every output is bit for bit that of the full
-    sort: BLAS groups the terms by position.
+    t is the value at a sorted position k, which `np.partition` finds in a
+    copy of the values. Each t is judged on exact masses: with equal
+    weights, k w against p as integers over one power of two (so the
+    first k, the exact count p / w, is the atom's); otherwise by a float
+    sum, whose error bound settles the sign unless the mass lies that
+    close to p, and then by `math.fsum`, whose once-rounded p - mass has
+    the exact sign. A miss narrows the positions to the atom's side of t,
+    partitions only that slice of the copy, and places the next k by
+    linear interpolation of the masses at its ends (`_guess`). The ties'
+    split is searched the same way over prefixes of the ties, and the last
+    tie taken gets the exactly rounded p - mass. So q and VaR are bit for
+    bit those of exact arithmetic on the inputs, and ES, numpy's pairwise
+    sum of q X in the copy's memory, is within 16 eps of sum q |X|.
     """
-    n = len(values)
-    k = min(int(p * n) + 1, n)
+    n, w0 = len(values), weights[0]
+    if (weights == w0).all():  # k values hold k w0: count them
+        (a, u), (b, v) = p.as_integer_ratio(), float(w0).as_integer_ratio()
+        D = max(u, v)  # both powers of two
+        P, W = a * (D // u), b * (D // v)  # p = P / D and w0 = W / D
+
+        def over(mask, exact=True):  # the mass mask picks, minus p, exactly rounded
+            return (int(np.count_nonzero(mask)) * W - P) / D
+
+        k = min(P // W, n - 1)  # the values before position k hold at most p
+    else:
+        def over(mask, exact=False):  # with the exact sign, and exactly rounded if exact
+            if not exact:
+                mass = float(weights @ mask)
+                # a float sum of m terms >= 0, in any order, errs by under m eps / 2 of it
+                if abs(mass - p) > (np.count_nonzero(mask) + 1) * _EPS * mass:
+                    return mass - p
+            terms = weights[mask].tolist()
+            terms.append(-p)
+            return math.fsum(terms)
+
+        k = min(int(p * n), n - 1)
+    work = values.copy()  # partitioned in place, one slice at a time
+    # the atom's position lies in [lo, hi), inside the slice [start, stop);
+    # the values before lo hold p - left, those before hi p + extra
+    lo, hi, start, stop, left, extra, misses = 0, n, 0, n, p, 1.0 - p, 0
     while True:
-        t = np.partition(values, k - 1)[k - 1]
-        below = np.flatnonzero(values < t)
-        order = np.concatenate(
-            [below[lex_order(values[below][None, :])], np.flatnonzero(values == t)]
-        )
-        sorted_w = weights[order]
-        cum = np.cumsum(sorted_w)
-        if cum[-1] > p or len(order) == n:
+        work[start:stop].partition(k - start)
+        t = work[k]
+        below = values < t
+        if (under := over(below)) > 0.0:  # the atom lies below t
+            hi, stop, extra = np.count_nonzero(below), k, under
+        else:
+            upto = values <= t
+            if (top := over(upto)) > 0.0:  # t is the atom
+                break
+            lo, start, left = np.count_nonzero(upto), k + 1, 0.0 - top
+            if lo == n:  # every value holds at most p: t is the largest
+                break
+        misses += 1
+        k = _guess(lo, hi, left, extra, misses)
+    # the first j ties take their whole weight and tie j takes the share of
+    # p left, p - mass(< t) - mass(ties[:j]), exactly rounded: j is the
+    # longest prefix of ties that leaves a share >= 0, lo <= j < hi. Each
+    # probe computes a share; one below the next tie's weight ends the
+    # search there. The first probe assumes ties of equal weight, or takes
+    # every tie when all values hold at most p
+    ties = (values == t).nonzero()[0]  # in index order
+    lo, hi, share, probed, misses = 0, len(ties), 0.0 - under, False, 0
+    j = hi if top <= 0.0 else _guess(0, hi, share, top, misses)
+    while True:
+        prefix = below.copy()
+        prefix[ties[:j]] = True
+        if (r := over(prefix, exact=True)) > 0.0:
+            hi, top = j, r
+        else:
+            lo, share, probed = j, 0.0 - r, True
+            if j == len(ties) or share < weights[ties[j]]:
+                hi = j + 1
+        if hi - lo == 1 and probed:  # share is exact at lo
             break
-        k = min(2 * k, n)
-    m = len(order)
-    losses = np.zeros(n)
-    losses[:m] = -values[order]  # descending
-    take = np.zeros(n)
-    take[:m] = np.clip(p - (cum - sorted_w), 0.0, sorted_w)
-    q = np.zeros_like(weights)
-    q[order] = take[:m] / p
-    idx = min(int(np.searchsorted(cum, p, side="right")), m - 1)
-    return float(losses @ take) / p, q, float(losses[idx])
+        misses += 1
+        j = lo if hi - lo == 1 else _guess(lo + 1, hi, share, top, misses)
+    below[ties[:lo]] = True
+    q = np.where(below, weights, 0.0)
+    q /= p
+    if lo < len(ties):
+        q[ties[lo]] = share / p
+    np.multiply(q, values, out=work)
+    return 0.0 - float(work.sum()), q, 0.0 - float(t)
 
 
 def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:

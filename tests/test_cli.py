@@ -454,6 +454,11 @@ def _malformed_case(work, tmp_path, case):
         return ["min-p", "--density", work["density"], "--tol", "nan"]
     if case == "zero draws":
         return ["simulate", "--model", work["mixture"], "--n", "0"]
+    if case == "zero density draws":
+        return ["min-p", "--density", work["density"], "--quadrature", "mc", "--n", "0"]
+    if case == "zero model draws":
+        return ["detect", "--chain", work["chain"], "--market", work["market"],
+                "--model", work["mixture"], "--quadrature", "mc", "--p", "0.2", "--n", "0"]
     if case == "huge density draw count":  # more draws than numpy's int64 holds
         return ["min-p", "--density", work["density"], "--quadrature", "mc", "--n", str(10**30)]
     if case == "huge model draw count":
@@ -494,6 +499,8 @@ class TestMalformedInputs:
         "object in mu",
         "object in weights",
         "zero draws",
+        "zero density draws",
+        "zero model draws",
         "negative draws",
         "huge density draw count",
         "huge model draw count",
@@ -509,3 +516,18 @@ class TestMalformedInputs:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", [
+        "zero draws",
+        "zero density draws",
+        "zero model draws",
+        "negative draws",
+        "huge density draw count",
+        "huge model draw count",
+    ])
+    def test_draw_count_error_names_the_flag(self, work, tmp_path, capsys, case):
+        # the density, model and simulate paths reject a bad --n alike,
+        # by the flag's name, before any market is built
+        assert run(_malformed_case(work, tmp_path, case)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n must be ") and err.count("\n") == 1

@@ -748,8 +748,9 @@ def test_cut_loop_alpha_is_var_p():
 
 def test_cut_loop_iterates_pinned():
     # master LPs and the bits of min_es and alpha_star (ES_p and VaR_p of the
-    # best iterate), recorded with a full sort of every iterate: a change to
-    # the iterates (a stabilized master, say) has to update this pin on purpose
+    # best iterate), recorded with the sort-free `tail_envelope` (exact q and
+    # VaR, ES by a pairwise sum): a change to the iterates (a stabilized
+    # master, say) has to update this pin on purpose
     code = "\n".join([
         "from esarb import detector",
         "from test_detector import _two_asset_markowitz",
@@ -763,7 +764,7 @@ def test_cut_loop_iterates_pinned():
         "print(len(calls), sol.method, sol.optimal_value.hex(), sol.alpha.hex())",
     ])
     assert run_with_one_blas_thread(code).split() == [
-        "15", "cutting_plane", "-0x1.7ad37137b9611p-5", "-0x1.b94dca18f9b47p-4"
+        "15", "cutting_plane", "-0x1.7ad37137b90a0p-5", "-0x1.b94dca18f675cp-4"
     ]
 
 

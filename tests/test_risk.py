@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from esarb import (
     ru_objective,
     var_p,
 )
+from esarb import risk
 from esarb.risk import as_level, lex_order, tail_envelope
 
 from conftest import random_sample
@@ -263,36 +265,71 @@ def test_lex_order_matches_lexsort_on_long_columns(pool):
     assert np.array_equal(lex_order(columns[:1]), np.argsort(columns[0], kind="stable"))
 
 
-def _tail_envelope_stable(values, weights, p):
-    """Reference: `tail_envelope` as written on a stable argsort."""
-    order = np.argsort(values, kind="stable")
-    losses = -values[order]
-    sorted_w = weights[order]
-    cum = np.cumsum(sorted_w)
-    prev = cum - sorted_w
-    take = np.clip(p - prev, 0.0, sorted_w)
-    q = np.zeros_like(weights)
-    q[order] = take / p
-    idx = min(int(np.searchsorted(cum, p, side="right")), len(losses) - 1)
-    return float(losses @ take) / p, q, float(losses[idx])
+_FIXED = 1074  # every finite float is an integer multiple of 2**-1074
+
+
+def _fixed(x: float) -> int:
+    """x * 2**1074, exactly."""
+    num, den = float(x).as_integer_ratio()
+    return num << (_FIXED + 1 - den.bit_length())
+
+
+def _tail_envelope_exact(values, weights, p):
+    """Reference: ES_p, q and VaR_p in exact integer arithmetic on the float
+    inputs, over a stable sort (equal values by index), and the scale
+    sum q |X| of the ES bound. Each value takes its weight w, or what is
+    left of p if that is less: take = min(w, max(p - mass before it, 0)),
+    and q = float(take) / p, so a whole weight gives w / p. VaR_p is minus
+    the first value whose mass up to it exceeds p (the last value when
+    none does), with a zero read as +0.0."""
+    P, cum, loss, scale, var = _fixed(p), 0, 0, 0, None
+    q = np.zeros(len(values))
+    for i in np.argsort(values, kind="stable").tolist():
+        w, x = _fixed(weights[i]), _fixed(values[i])
+        take = min(w, max(P - cum, 0))
+        cum += w
+        q[i] = take / (1 << _FIXED) / p  # int / int rounds once
+        loss -= take * x
+        scale += take * abs(x)
+        if cum > P:
+            var = 0.0 - float(values[i])
+            break
+    if var is None:
+        var = 0.0 - float(values.max())
+    unit = Fraction(1 << 2 * _FIXED) * Fraction(p)
+    return Fraction(loss) / unit, q, var, Fraction(scale) / unit
+
+
+# ES is -sum q X in numpy's pairwise sum: within 2**-48 (16 eps) of sum q |X|
+# for the sizes below, the worst case for about 30 levels of rounded sums;
+# the error seen is under 3 eps
+_ES_ULPS = 16
+
+
+def _assert_exact(values, weights, p):
+    es, q, var = tail_envelope(values, weights, p)
+    ref_es, ref_q, ref_var, scale = _tail_envelope_exact(values, weights, p)
+    assert q.tobytes() == ref_q.tobytes()
+    assert np.float64(var).tobytes() == np.float64(ref_var).tobytes()
+    assert abs(Fraction(es) - ref_es) <= _ES_ULPS * np.finfo(float).eps * scale
+    return es, q, var
 
 
 @pytest.mark.parametrize("kind", ["continuous", "ties", "zero iterate"])
 def test_tail_envelope_bitwise_equals_stable_sort(kind):
+    # q and VaR bit for bit those of exact arithmetic over a stable sort,
+    # ES within its stated bound, on the cut loop's payoff at an iterate x
     rng = np.random.default_rng(3)
     n = 20_000
     payoffs = rng.normal(size=(n, 3))
     if kind == "ties":
         payoffs = np.round(payoffs, 1)
     x = np.zeros(3) if kind == "zero iterate" else rng.normal(size=3)
-    values = payoffs @ x  # the cut loop's payoff at its iterate x
-    weights = rng.random(n)
-    weights /= weights.sum()
-    for p in (0.01, 0.2, 0.5):
-        es, q, var = tail_envelope(values, weights, p)
-        ref_es, ref_q, ref_var = _tail_envelope_stable(values, weights, p)
-        assert np.array([es, var]).tobytes() == np.array([ref_es, ref_var]).tobytes()
-        assert q.tobytes() == ref_q.tobytes()
+    values = payoffs @ x
+    for weights in (rng.random(n), np.ones(n)):
+        weights /= weights.sum()
+        for p in (0.01, 0.2, 0.5):
+            _assert_exact(values, weights, p)
 
 
 @st.composite
@@ -310,11 +347,13 @@ def _tails(draw):
         values = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), n)
     else:
         values = np.full(n, rng.normal())
+    if draw(st.booleans()):  # equal weights: the count rule
+        return values, np.full(n, 1.0 / n), draw(st.floats(1e-6, 1.0 - 1e-9))
     weights = rng.random(n)
     weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     if draw(st.booleans()):
-        # mass piled on the largest values: the first p n + 1 values hold
-        # little of it, so the selection has to widen
+        # mass piled on the largest values: the first p n values hold
+        # little of it, so the selection has to move up
         weights *= np.argsort(np.argsort(values, kind="stable")) ** 8.0
     if weights.sum() == 0.0:
         weights[-1] = 1.0
@@ -323,14 +362,88 @@ def _tails(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_tails())
-# the first k = 2 values hold exactly p: VaR_p lies past them, so k widens
+# the first k = 2 values hold exactly p: VaR_p lies past them, so k moves up
 @example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.25, 0.0, 0.0, 0.75]), 0.25))
+# the first p n values hold more than p: k moves down
+@example((np.arange(8.0), np.array([0.5, 0.3, 0.1, 0.04, 0.03, 0.02, 0.005, 0.005]), 0.45))
+# the float sum of the first two weights is p, their exact sum exceeds it
+@example((np.array([0.0, 1.0, 2.0]), np.array([0.5, 2.0**-60, 0.5]), 0.5))
+# all values hold less than p (weights off their sum of 1): every one is taken
+@example((np.array([2.0, 0.0, 1.0, 2.0]), np.array([0.3, 0.0, 0.3, 0.0]), 0.9))
 def test_tail_envelope_selection_bitwise_equals_stable_sort(case):
-    values, weights, p = case
-    es, q, var = tail_envelope(values, weights, p)
-    ref_es, ref_q, ref_var = _tail_envelope_stable(values, weights, p)
-    assert np.array([es, var]).tobytes() == np.array([ref_es, ref_var]).tobytes()
-    assert q.tobytes() == ref_q.tobytes()
+    _assert_exact(*case)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4])
+def test_tail_envelope_var_at_integer_p_n_is_exact(p):
+    # 1e5 equal weights, as a Monte Carlo market has them: the first p n
+    # of them hold more than p in exact arithmetic, so VaR_p is minus the
+    # (p n)-th smallest value; a rounded running sum of the weights read
+    # 0.00999999999999976 < 0.01 and took the next value at p = 0.01, 0.02
+    # and 0.1
+    n = 100_000
+    values = np.random.default_rng(11).normal(size=n)
+    weights = np.full(n, 1.0 / n)
+    k = round(p * n)
+    assert k * Fraction(weights[0]) > Fraction(p)
+    _, _, var = _assert_exact(values, weights, p)
+    assert var == -np.sort(values)[k - 1]
+
+
+def test_tail_envelope_zero_weights_and_duplicates():
+    # weight-0 scenarios take no mass, even where they tie with the atom or
+    # precede it; a scenario split into duplicates keeps ES and VaR
+    values = np.array([1.0, 1.0, 0.0, 0.0, 2.0, -1.0, 1.0])
+    weights = np.array([0.25, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0])
+    for p in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
+        es, q, var = _assert_exact(values, weights, p)
+        assert (q[weights == 0.0] == 0.0).all()
+    merged = tail_envelope(np.array([1.0, 0.0, 2.0]), np.array([0.25, 0.25, 0.5]), 0.3)
+    es, q, var = tail_envelope(values, weights, 0.3)
+    assert es == pytest.approx(merged[0], abs=1e-15) and var == merged[2]
+    # the atom 1.0 is split over its duplicates in index order: the first
+    # takes the rest of p, 0.3 - 0.25 (exact), and the second nothing
+    es, q, var = _assert_exact(np.array([1.0, 0.0, 1.0, 2.0]), np.array([0.1, 0.25, 0.15, 0.5]), 0.3)
+    assert q.tolist() == [(0.3 - 0.25) / 0.3, 0.25 / 0.3, 0.0, 0.0] and var == -1.0
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_tail_envelope_all_values_tied(equal):
+    # every value is the atom: the first ties in index order take their
+    # whole weight and the next one the rest, so q is w / p on a prefix
+    n, c = 1000, -0.75
+    values = np.full(n, c)
+    weights = np.full(n, 1.0 / n) if equal else np.random.default_rng(2).random(n)
+    weights = weights / weights.sum()
+    for p in (1e-4, 0.01, 0.37, 0.999):
+        es, q, var = _assert_exact(values, weights, p)
+        taken = np.flatnonzero(q)
+        assert np.array_equal(taken, np.arange(len(taken)))
+        assert (q[taken[:-1]] == weights[taken[:-1]] / p).all()
+        assert var == -c and es == pytest.approx(-c, rel=1e-14)
+
+
+def test_tail_envelope_makes_no_sort(monkeypatch):
+    # selection alone: no sort of the tail, of a bracket or of the ties
+    rng = np.random.default_rng(8)
+    n = 5000
+    cases = []
+    for values in (rng.normal(size=n), np.round(rng.normal(size=n), 1), np.zeros(n)):
+        skewed = np.argsort(np.argsort(values, kind="stable")) ** 8.0 + rng.random(n)
+        for weights in (np.full(n, 1.0 / n), rng.random(n), skewed):
+            for p in (0.01, 0.3, 0.9):
+                cases.append((values, weights / weights.sum(), p))
+    expected = [tail_envelope(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail_envelope sorted")
+
+    for name in ("argsort", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(risk, "lex_order", refuse)
+    for case, (es, q, var) in zip(cases, expected):
+        got = tail_envelope(*case)
+        assert (got[0], got[2]) == (es, var) and got[1].tobytes() == q.tobytes()
 
 
 # ----------------------------------------------------------- coherence_check
