@@ -6,48 +6,39 @@ its optimum is the least expected shortfall reachable at non-positive
 cost. Every LP trades one column per frictionless long/short pair (payoffs
 and prices exact negations, payoffs not constant), a net quantity in
 [-B, B]; the pair's two legs enter every row only through their
-difference, so this is exact. Verdicts use a two-phase rule: a strictly
-negative optimum is an arbitrage outright, an optimum at the zero boundary
-is confirmed by a second LP maximizing expected payoff subject to the
-linearized ES <= 0 rows. The rows are the same at every level, so
+difference, so this is exact. The rows are the same at every level, so
 `build_lp` makes one LP per market (and hands a HiGHS-path market's LP back
 on later calls), and `solve_lp` takes the level and the LP kind. HiGHS sees
-the ES objective and the ES row scaled by p, p alpha + sum w_i u_i, so the
-level enters one coefficient. The detection, confirmation and threshold
-LPs differ only in costs and bounds (and the confirmation's ES row), and
-`LpProblem.highs_args` alone poses each of them for HiGHS. Sparse HiGHS
-solves the LP, or, on many scenarios, one Kelley cutting-plane loop over
-the portfolio block (`LpProblem.on_highs` states the rule). `_HighsModel`
-alone drives scipy's HiGHS binding: one warm model per HiGHS-path LP, so
-per market, which serves every level and both LP kinds as edits of itself
-and re-solves from the last basis of each kind (`_WarmModel`); a cold
-model per threshold LP; and one master LP per cut loop, to which each new
-cut is added as a row and which HiGHS re-solves from its last basis.
-Either path returns only the portfolio columns x. `_certify` checks x's
-box, its cost and, for the confirmation LP, ES_p(F x) without the solver,
-and reports the value and VaR_p of x, so every arbitrage verdict rests on
-a portfolio checked with the ES formula. The certificate's (F x, ES_p,
-VaR_p) come from one `tail_envelope` of the returned x, computed once by
-`_evaluate`: the cut loop returns its own evaluation of the x it hands
-back, and the HiGHS path evaluates its x after the solve. `tail_envelope`
-selects VaR_p's atom with `np.partition` and sorts nothing, so each cut
-costs O(scenarios).
+the ES objective scaled by p, p alpha + sum w_i u_i, so the level enters
+one coefficient, and `LpProblem.highs_args` alone poses each LP kind.
+Sparse HiGHS solves the LP, or, on many scenarios, one Kelley
+cutting-plane loop over the portfolio block (`LpProblem.on_highs` states
+the rule). `_HighsModel` alone drives scipy's HiGHS binding: one warm model
+per HiGHS-path LP, which serves every level as an edit of itself
+(`_WarmModel`); a cold model per level-free LP; and one master LP per cut
+loop, which gains each new cut as a row. Both re-solve from their last
+basis. Either path returns only the portfolio columns x. `_certify` checks
+x's box, its cost and, for an arbitrage witness, ES_p(F x) without the
+solver, and reports the value and VaR_p of x from one `tail_envelope` of
+x (`_evaluate`, which the cut loop hands back with its answer), so every
+arbitrage verdict rests on a portfolio checked with the ES formula.
+`tail_envelope` sorts nothing, so each cut costs O(scenarios).
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
 instead of the dense payoff block. The chain form is used exactly when it
 has at most half the constraint nonzeros of the plain form.
 
-The smallest arbitrage level comes from the dual side, over the ES dual set
-{0 <= q <= 1/p, E_w q = 1}. There is no arbitrage at p iff some pricing
-density lies strictly inside it, 0 < q < 1/p, and the least ES at
-non-positive cost is strictly negative iff no pricing density has
-max q <= 1/p. The detection LP at alpha = -1 with weights w gives the
-threshold p0, its hinge-row duals the density q* with the least max q,
-and its portfolio an arbitrage at every p >= p0, which `min_p` checks
-without the solver and returns with p*. q* also settles the bracket's
-lower end when it lies strictly inside the dual set there; otherwise the
-confirmation LP decides.
+Verdicts use a two-phase rule: a strictly negative phase-1 optimum is an
+arbitrage outright, and an optimum at the zero boundary goes to
+`_boundary`. There is no arbitrage at p iff some pricing density lies
+strictly inside the ES dual set {0 <= q <= 1/p, E_w q = 1}. On HiGHS two
+level-free LPs that the LpProblem holds decide every level (see
+`_dual_density`), each verdict resting on a density `_check_density`
+accepts or a portfolio `_check_witness` accepts. The cutting-plane path,
+where a threshold LP is slow, keeps the confirmation LP: the largest
+expected payoff subject to ES <= 0. `min_p` returns the threshold p0 and
+decides the bracket's lower end as `detect` decides a boundary optimum.
 """
 
 from __future__ import annotations
@@ -72,7 +63,7 @@ _HIGHS_OPTS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 _GAP_TOL = 1e-10
-_MARGIN_TOL = 1e-7  # least gap from q* to 0 and to 1/lo that certifies min_p's lo
+_SIGN_TOL = 1e-9  # `_check_density` takes q_i >= -_SIGN_TOL (1 + max |q|) for q_i >= 0
 _MAX_CUTS = 2000
 _MERGE_BLOCK = 1 << 16  # key entries gathered per compare in _merged_rows
 
@@ -91,6 +82,8 @@ class LpProblem:
     -upper_bound. `constraint_matrix` holds the rows every LP shares, and
     `highs_args` states the column layout and gives each LP kind's costs
     and bounds, so one LpProblem serves a whole `detect` or `min_p` call.
+    It holds its warm model and the level-free LPs' answers
+    (`threshold`, `interior`), so a sweep over levels solves each once.
     """
 
     payoffs: np.ndarray  # n_scenarios x n_legs (portfolio columns)
@@ -186,50 +179,53 @@ class LpProblem:
 
     @cached_property
     def warm(self) -> _WarmModel:
-        """The LP's one HiGHS model, which `_solve_highs` builds at its first
-        solve and edits for every later level and LP kind, so one thread at a
+        """The detection LP's one HiGHS model, which `_solve_highs` builds at
+        its first solve and edits for every later level, so one thread at a
         time solves an LpProblem (`build_lp` holds one per thread)."""
         return _WarmModel()
 
-    def objective(self, kind: str, p: float | None = None) -> np.ndarray:
-        """The costs of the LP of this kind at level p (see `highs_args`)."""
-        n_l, n_s = self.n_legs, self.n_scenarios
-        x, u = slice(1, 1 + n_l), slice(1 + n_l, 1 + n_l + n_s)
-        c = np.zeros(self.constraint_matrix.shape[1])
-        if kind == "threshold":
-            c[u] = self.weights
-        elif kind == "max_expected":
-            c[x] = -(self.payoffs.T @ self.weights)
-        else:
-            c[0], c[u] = p, self.weights
-        return c
+    @cached_property
+    def threshold(self) -> tuple:
+        """`_dual_density(self, "threshold")`, solved once per LP."""
+        return _dual_density(self, "threshold")
+
+    @cached_property
+    def interior(self) -> tuple:
+        """`_dual_density(self, "interior")`, solved once per LP."""
+        return _dual_density(self, "interior")
 
     def highs_args(self, kind: str, p: float | None = None) -> tuple:
         """HiGHS's (c, A_ub, b_ub, bounds) for the LP of this kind at level p.
 
         Columns: alpha, the n_legs portfolio columns x, the n_scenarios
         hinge auxiliaries u >= 0 and, when `chain` is not None, the
-        n_scenarios free chain columns y. "min_es" costs p alpha + sum w_i
-        u_i, p times the ES objective, with alpha free and x in
-        [x_lower, upper_bound]; "max_expected" costs -E_w[F x] under the
-        same bounds, with the "min_es" costs appended to `constraint_matrix`
-        as the ES row <= 0; "threshold" costs sum w_i u_i with alpha fixed
-        at -1 and x >= 0 on single columns, free on netted ones, unbounded
-        above. The level thus enters one coefficient: alpha's cost, or
-        alpha's entry in the ES row."""
+        n_scenarios free chain columns y. "min_es" costs p alpha +
+        sum w_i u_i, p times the ES objective, with alpha free and x in
+        [x_lower, upper_bound], so the level enters alpha's cost alone. The
+        two level-free kinds take x >= 0 on single columns, free on netted
+        ones, unbounded above. "threshold" costs sum w_i u_i with alpha
+        fixed at -1. "interior" costs alpha, with alpha free and u fixed at
+        0, so that alpha bounds every loss -F_i x, and appends to
+        `constraint_matrix` the row alpha + E_w[F x] >= 1 (posed as
+        -alpha - E_w[F x] <= -1)."""
         A, n_l, n_s = self.constraint_matrix, self.n_legs, self.n_scenarios
         x, u = slice(1, 1 + n_l), slice(1 + n_l, 1 + n_l + n_s)
+        c, b = np.zeros(A.shape[1]), np.zeros(A.shape[0])
         bounds = np.full((A.shape[1], 2), [-math.inf, math.inf])
         bounds[u, 0] = 0.0
-        if kind == "threshold":
-            bounds[0] = -1.0
-            bounds[x, 0] = np.where(self.shorts >= 0, -math.inf, 0.0)
-        else:
+        if kind == "min_es":
+            c[0], c[u] = p, self.weights
             bounds[x, 0], bounds[x, 1] = self.x_lower, self.upper_bound
-            if kind == "max_expected":
-                es_row = sparse.csr_matrix(self.objective("min_es", p)[None, :])
-                A = sparse.vstack([A, es_row], format="csr")
-        return self.objective(kind, p), A, np.zeros(A.shape[0]), bounds
+            return c, A, b, bounds
+        bounds[x, 0] = np.where(self.shorts >= 0, -math.inf, 0.0)
+        if kind == "threshold":
+            c[u], bounds[0] = self.weights, -1.0
+            return c, A, b, bounds
+        c[0], bounds[u, 1] = 1.0, 0.0
+        row = np.zeros(A.shape[1])
+        row[0], row[x] = -1.0, -(self.payoffs.T @ self.weights)
+        A = sparse.vstack([A, sparse.csr_matrix(row[None, :])], format="csr")
+        return c, A, np.append(b, -1.0), bounds
 
     def leg_quantities(self, x: np.ndarray) -> np.ndarray:
         """Per-leg quantities in [0, upper_bound] for portfolio columns x: a
@@ -247,10 +243,10 @@ class LpProblem:
 class LpSolution:
     """A certified answer to one LP, built by `_certify` alone: the
     portfolio columns x a solver path returned, their value (ES_p(F x) for
-    "min_es", -E_w[F x] for "max_expected") and alpha = VaR_p(F x), both
-    recomputed from x without the solver, and the path's name. Both LP
-    kinds are feasible at x = 0 and bounded (x lies in a box and p < 1),
-    so a solve returns an optimum or raises SolverError."""
+    "min_es", -E_w[F x] for "max_expected" and a witness) and alpha =
+    VaR_p(F x), both recomputed from x without the solver, and the path's
+    name. Both LP kinds are feasible at x = 0 and bounded (x lies in a box
+    and p < 1), so a solve returns an optimum or raises SolverError."""
 
     optimal_value: float
     alpha: float
@@ -260,6 +256,12 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class Confirmation:
+    """The expected payoff behind a boundary verdict. No arbitrage reads
+    0.0 on HiGHS, where a density strictly inside the ES dual set proves
+    that no portfolio with ES_p <= 0 and cost <= 0 has a positive expected
+    payoff; an arbitrage reads its checked witness's, a lower bound on the
+    maximum. On the cutting-plane path it is the confirmation LP's maximum."""
+
     max_expected_payoff: float
 
 
@@ -432,11 +434,9 @@ class _HighsModel:
     """One HiGHS LP, min c.x over A x <= b and the (n, 2) column bounds, at
     _HIGHS_OPTS: the one owner of scipy's HiGHS binding. A is a sparse
     matrix, or None for a model that starts with no rows. `add_row` appends
-    a row in place, the `set_*` methods edit costs, one coefficient or a
-    row's bound, `basis` and `set_basis` save and restore a basis and
-    `clear_basis` forgets it; each `solve` runs the model from its last
-    basis. Every LP esarb solves is feasible and bounded, so any model
-    status but optimal raises SolverError."""
+    a row in place and `set_cost` edits one cost; each `solve` runs the
+    model from its last basis. Every LP esarb solves is feasible and
+    bounded, so any model status but optimal raises SolverError."""
 
     def __init__(self, c, A, b, bounds):
         lp, n = HighsLp(), len(c)
@@ -459,29 +459,8 @@ class _HighsModel:
         """Append the row a.x <= b (a dense over every column)."""
         self._highs.addRow(-math.inf, b, len(a), np.arange(len(a), dtype=np.int32), a)
 
-    def set_costs(self, c: np.ndarray) -> None:
-        self._highs.changeColsCost(len(c), np.arange(len(c), dtype=np.int32), c)
-
     def set_cost(self, col: int, value: float) -> None:
         self._highs.changeColCost(col, value)
-
-    def set_coeff(self, row: int, col: int, value: float) -> None:
-        self._highs.changeCoeff(row, col, value)
-
-    def set_row_upper(self, row: int, b: float) -> None:
-        """Make row `row` read a.x <= b (b = inf frees it)."""
-        self._highs.changeRowBounds(row, -math.inf, b)
-
-    def basis(self):
-        """A copy of the model's current basis, for `set_basis`."""
-        return self._highs.getBasis()
-
-    def set_basis(self, basis) -> None:
-        self._highs.setBasis(basis)
-
-    def clear_basis(self) -> None:
-        """Forget the basis and solution: the next `solve` starts cold."""
-        self._highs.clearSolver()
 
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The column values, row duals and objective of an optimum."""
@@ -496,66 +475,34 @@ class _HighsModel:
 
 
 class _WarmModel:
-    """The one HiGHS model of a HiGHS-path LpProblem (`LpProblem.warm`),
-    which serves both LP kinds at every level as edits of itself.
-
-    Its first solve builds it from `highs_args` of that solve's kind and
-    level, so a first solve is a cold one. "max_expected" is the "min_es"
-    model with the ES row (the "min_es" costs) bounded by 0; a model built
-    for "min_es" gains that row at its first "max_expected" solve, and
-    "min_es" frees it. Within a kind a level change is one edit: alpha's
-    cost ("min_es") or alpha's entry in the ES row ("max_expected"), so
-    HiGHS re-solves from the last basis. On a kind switch the model saves
-    its basis for the kind it leaves and restores the one saved for the kind
-    it enters, so each kind re-solves from its own last vertex, and a kind's
-    first solve on the model starts cold. From the other kind's vertex a
-    solve took hundreds of simplex iterations, and on the 512-cell chain LP
-    ended at HiGHS status "Unknown". `drop` forgets the model, so the next
+    """The one HiGHS model of a HiGHS-path LpProblem's detection LP
+    (`LpProblem.warm`), which serves every level as an edit of itself. Its
+    first solve builds it from `highs_args("min_es", p)`, so a first solve
+    is a cold one; a later level changes alpha's cost alone, and HiGHS
+    re-solves from the last basis. `drop` forgets the model, so the next
     solve is cold."""
 
     def __init__(self):
-        self.model = None
+        self.model, self.p = None, None
 
     def drop(self) -> None:
         self.model = None
 
-    def solve(self, problem: LpProblem, p: float, kind: str) -> np.ndarray:
-        """The column values of an optimum of the LP of this kind at level p."""
+    def solve(self, problem: LpProblem, p: float) -> np.ndarray:
+        """The column values of an optimum of the detection LP at level p."""
         if self.model is None:
-            self.model = _HighsModel(*problem.highs_args(kind, p))
-            # kind -> the level its coefficient (alpha's cost, or alpha's
-            # entry in the ES row) holds now
-            self.kind, self.levels, self.bases = kind, {kind: p}, {}
-            return self.model.solve()[0]
-        model, es_row = self.model, problem.constraint_matrix.shape[0]
-        if kind != self.kind:
-            if "max_expected" not in self.levels:  # it enters the basis as basic
-                model.add_row(problem.objective("min_es", p), 0.0)
-                self.levels["max_expected"] = p
-            self.bases[self.kind] = model.basis()
-            model.set_costs(problem.objective(kind, p))
-            if kind == "min_es":  # alpha's cost is p now
-                self.levels[kind] = p
-            model.set_row_upper(es_row, math.inf if kind == "min_es" else 0.0)
-            if kind in self.bases:
-                model.set_basis(self.bases[kind])
-            else:
-                model.clear_basis()
-            self.kind = kind
-        if self.levels[kind] != p:
-            if kind == "min_es":
-                model.set_cost(0, p)
-            else:
-                model.set_coeff(es_row, 0, p)
-            self.levels[kind] = p
-        return model.solve()[0]
+            self.model = _HighsModel(*problem.highs_args("min_es", p))
+        elif p != self.p:
+            self.model.set_cost(0, p)
+        self.p = p
+        return self.model.solve()[0]
 
 
-def _solve_highs(problem: LpProblem, p: float, kind: str) -> np.ndarray:
-    """HiGHS on the LP of this kind at level p, as `highs_args(kind, p)`
+def _solve_highs(problem: LpProblem, p: float) -> np.ndarray:
+    """HiGHS on the detection LP at level p, as `highs_args("min_es", p)`
     poses it, solved on the LP's one warm model (`_WarmModel`); the
     portfolio columns of its optimum."""
-    return problem.warm.solve(problem, p, kind)[1 : 1 + problem.n_legs]
+    return problem.warm.solve(problem, p)[1 : 1 + problem.n_legs]
 
 
 def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> tuple[np.ndarray, tuple]:
@@ -612,33 +559,37 @@ def _solve_cuts(problem: LpProblem, p: float, kind: str, cuts: list) -> tuple[np
 def solve_lp(
     problem: LpProblem, level: RiskLevel | float, kind: str = "min_es", cuts: list | None = None
 ) -> LpSolution:
-    """Solve the LP of this kind ("min_es" or "max_expected") at the level,
-    deterministically, and certify the portfolio it finds (`_certify`): the
-    reported value and alpha come from one evaluation of that portfolio
-    (`_evaluate`, made once per x), not from the solver.
+    """Solve the LP of this kind at the level, deterministically, and
+    certify the portfolio it finds (`_certify`): the reported value and
+    alpha come from one evaluation of that portfolio (`_evaluate`, made
+    once per x), not from the solver. "min_es" is the detection LP;
+    "max_expected", the confirmation LP, runs on the cutting-plane path
+    alone and raises ValueError on a HiGHS-path LP.
 
     The path follows from the LP (`LpProblem.on_highs`), with no override.
     At least 600 (merged) scenarios and no `chain` form take the
     cutting-plane path (`_solve_cuts`, one loop for both LP kinds), whatever
     the number of legs: its one master LP stays small, gains each cut as a
     row and is re-solved from its last basis, while each cut selects the
-    ES tail without sorting it. It adds the cuts it finds to `cuts`, the caller's pool
-    at this level (None: a fresh one), so a confirmation LP handed its
-    detection LP's pool starts its master from those. Sparse HiGHS takes
-    fewer scenarios and the chain form, whose few nonzeros make it fast, on
-    the LP's one warm model (`_WarmModel`), re-solved from the last basis of
-    this kind. Each LP has this one path: a failure on it raises
+    ES tail without sorting it. It adds the cuts it finds to `cuts`, the
+    caller's pool at this level (None: a fresh one), so a confirmation LP
+    handed its detection LP's pool starts its master from those. Sparse
+    HiGHS takes fewer scenarios and the chain form, whose few nonzeros make
+    it fast, on the LP's one warm model (`_WarmModel`), re-solved from its
+    last basis. Each LP has this one path: a failure on it raises
     SolverError, and so does a portfolio that fails its certificate; on
     HiGHS the failure also drops the warm model, so the next solve is cold.
     """
     if kind not in ("min_es", "max_expected"):
         raise ValueError(f"unknown LP kind {kind!r}")
+    if kind != "min_es" and problem.on_highs:
+        raise ValueError(f"LP kind {kind!r} is solved on the cutting-plane path alone")
     p = as_level(level).p
     if not problem.on_highs:
         x, evaluation = _solve_cuts(problem, p, kind, [] if cuts is None else cuts)
         return _certify(problem, x, evaluation, p, kind, "cutting_plane")
     try:
-        x = _solve_highs(problem, p, kind)
+        x = _solve_highs(problem, p)
         return _certify(problem, x, _evaluate(problem, x, p)[0], p, kind, "highs")
     except SolverError:
         problem.warm.drop()  # the next solve on this LP starts cold
@@ -663,40 +614,34 @@ def _epsilon(market: MarketSnapshot, problem: LpProblem) -> float:
 def detect(market: MarketSnapshot, level: RiskLevel | float) -> DetectionResult:
     """Decide whether the market admits an ES_p-arbitrage at the given level.
 
-    Phase 1 minimizes ES at non-positive cost; a strictly negative optimum
-    settles the verdict (ES_p >= E[-X], so negative ES forces positive
-    expected payoff). A boundary optimum within epsilon of zero is passed to
-    the confirmation LP, which maximizes expected payoff subject to ES <= 0;
-    arbitrage holds iff that maximum is positive. When the verdict comes from
-    the confirmation phase, the reported portfolio is the confirmation
-    maximizer so that it always witnesses the verdict. Both phases solve the
-    one LP `build_lp` makes, on the solver path `solve_lp` picks from it
-    (there is no override), and share one pool of cuts: every support line
-    of ES from phase 1 also cuts ES <= 0. min_es and alpha_star are ES_p
-    and VaR_p of phase 1's portfolio, as `solve_lp` recomputes them.
+    Phase 1 minimizes ES at non-positive cost on the one LP `build_lp`
+    makes, on the solver path `solve_lp` picks from it (there is no
+    override); a strictly negative optimum settles the verdict (ES_p >=
+    E[-X], so negative ES forces positive expected payoff). A boundary
+    optimum within epsilon of zero goes to `_boundary`: the LP's level-free
+    LPs on HiGHS, the confirmation LP from phase 1's pool of cuts on the
+    cutting-plane path (every support line of ES also cuts ES <= 0).
+    `confirmation` is None exactly when phase 1 settled the verdict. The
+    portfolio witnesses the verdict: `_boundary`'s arbitrage when it found
+    one, else phase 1's. min_es and alpha_star are ES_p and VaR_p of phase
+    1's portfolio, as `solve_lp` recomputes them.
     """
     level = as_level(level)
     problem, cuts = build_lp(market), []
     solution = solve_lp(problem, level, "min_es", cuts)
     eps = _epsilon(market, problem)
     min_es = solution.optimal_value + 0.0  # +0.0: no field reads -0.0
-    alpha_star = solution.alpha + 0.0
-    quantities = problem.leg_quantities(solution.x)
-    confirmation = None
-    if min_es < -eps:
-        arbitrage = True
-    else:
-        conf = solve_lp(problem, level, "max_expected", cuts)
-        max_expected = 0.0 - conf.optimal_value  # a zero maximum reads +0.0, not -0.0
-        confirmation = Confirmation(max_expected_payoff=max_expected)
-        arbitrage = max_expected > eps
+    x, arbitrage, confirmation = solution.x, min_es < -eps, None
+    if not arbitrage:
+        gain, witness, _ = _boundary(problem, level.p, eps, cuts)
+        confirmation, arbitrage = Confirmation(max_expected_payoff=gain), gain > eps
         if arbitrage:
-            quantities = problem.leg_quantities(conf.x)
+            x = witness
     return DetectionResult(
         level=level,
         min_es=min_es,
-        portfolio=Portfolio(quantities, upper_bound=market.upper_bound),
-        alpha_star=alpha_star,
+        portfolio=Portfolio(problem.leg_quantities(x), upper_bound=market.upper_bound),
+        alpha_star=solution.alpha + 0.0,
         arbitrage=arbitrage,
         confirmation=confirmation,
     )
@@ -716,53 +661,109 @@ def _check_density(problem: LpProblem, q: np.ndarray, lam: float) -> None:
     sign_viol = float(np.append(-q, -lam).max(initial=0.0))
     # written as not (x <= tol), so that a NaN fails each check
     if not (worst <= 1e-9 and mass_err <= 1e-9
-            and sign_viol <= 1e-9 * (1.0 + float(np.abs(q).max()))):
+            and sign_viol <= _SIGN_TOL * (1.0 + float(np.abs(q).max()))):
         raise SolverError(
             f"numerical failure: pricing residual {worst:.3e}, mass error {mass_err:.3e}, "
             f"sign violation {sign_viol:.3e}"
         )
 
 
-def _check_witness(problem: LpProblem, x: np.ndarray, p: float, eps: float) -> np.ndarray:
+def _inside(q: np.ndarray, p: float, floor: float = 0.0) -> bool:
+    """Whether density q lies strictly inside the ES dual set at level p,
+    p max q < 1 and min q > floor (1 + max q); p = 0 tests the floor alone."""
+    top = float(q.max())
+    return float(q.min()) > floor * (1.0 + top) and p * top < 1.0
+
+
+def _check_witness(
+    problem: LpProblem, x: np.ndarray, p: float, eps: float
+) -> tuple[float, np.ndarray]:
     """Portfolio columns x, scaled by min(1, B / max|x|) into the box and
     certified as an ES_p-arbitrage without trusting the solver: `_certify`'s
-    "max_expected" checks (the threshold LP is a HiGHS solve) and
-    E_w[F x] > eps."""
+    "max_expected" checks (cost and ES_p at most its tolerance) and
+    E_w[F x] > eps. Returns (E_w[F x], x) of the scaled x."""
     B = problem.upper_bound
     x = x * (B / max(float(np.abs(x).max(initial=0.0)), B))
     solution = _certify(problem, x, _evaluate(problem, x, p)[0], p, "max_expected", "highs")
     gain = 0.0 - solution.optimal_value
     if not gain > eps:
         raise SolverError(f"no arbitrage witnessed at p = {p!r}: expected payoff {gain:.3e}")
-    return x
+    return gain, x
 
 
-def _threshold_density(problem: LpProblem) -> tuple[np.ndarray | None, np.ndarray]:
-    """The checked pricing density q with the least max_i q_i, or None when
-    the hinge rows' duals r sum to 0 (no pricing density exists), and the
-    threshold LP's portfolio columns x*.
+def _dual_density(problem: LpProblem, kind: str) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(q, x, lam) of the level-free LP of this kind ("threshold" or
+    "interior"), solved on a cold HiGHS model as `highs_args(kind)` poses
+    it: the pricing density q and multiplier lam from its duals, checked
+    against the dense F by `_check_density`, or None and 0.0 when the
+    duals carry no mass (no pricing density exists), and its portfolio
+    columns x. `LpProblem.threshold` and `LpProblem.interior` hold them.
 
-    HiGHS solves the detection LP's `constraint_matrix` (chain form
-    included) as `highs_args("threshold")` poses it: objective
-    sum w_i u_i, alpha fixed at -1, x unbounded above and netted columns
-    free: p0 = min E_w[(1 - F x)^+] over prices.x <= 0. Its dual is
-    max sum r over 0 <= r <= w and F^T r <= lam prices (equalities for
-    netted pairs), lam the cost row's dual, so q = r / (w sum r) is a pricing density (multiplier
-    lam / sum r) with the least max q = 1 / p0. Such a q certifies ES >= 0
-    at non-positive cost for every p <= p0, and at every p >= p0 X = F x*
-    has ES_p(X) <= -1 + p0 / p <= 0 (Rockafellar-Uryasev at alpha = -1)
-    and E_w[X] >= 1 - p0 > 0. `_check_density` checks q against the dense
-    F; `min_p` checks x* with `_check_witness`.
+    The threshold LP is p0 = min E_w[(1 - F x)^+] over prices.x <= 0. Its
+    dual is max sum r over 0 <= r <= w and F^T r <= lam' prices
+    (equalities for netted pairs), r the hinge rows' duals and lam' the
+    cost row's, so q* = r / (w sum r) is a pricing density with the least
+    max q = 1 / p0: no arbitrage at p < p0 when q* > 0. At every p >= p0
+    X = F x* has ES_p(X) <= -1 + p0 / p <= 0 (Rockafellar-Uryasev at
+    alpha = -1) and E_w[X] >= 1 - p0 > 0. The interior LP, min alpha over
+    alpha >= -F_i x and alpha + E_w[F x] >= 1, has as dual max t over
+    q = mu / w + t (mu the hinge rows' duals, t the extra row's) with
+    E_w q = 1 and q pricing every leg, so q+ is the pricing density with
+    the largest least entry, min q+ = alpha. When that is 0, x has
+    F x >= 0, E_w[F x] >= 1 and prices.x <= 0: a classical arbitrage. It
+    is solved only when a pricing density exists, so it is bounded.
     """
     n_l, n_s = problem.n_legs, problem.n_scenarios
-    x, row_duals, _ = _HighsModel(*problem.highs_args("threshold")).solve()
+    x, row_duals, _ = _HighsModel(*problem.highs_args(kind)).solve()
     duals, x = -row_duals, x[1 : 1 + n_l]
-    mass = float(duals[1 : 1 + n_s].sum())
+    r = duals[1 : 1 + n_s]
+    if kind == "interior":
+        r = r + duals[-1] * problem.weights
+    mass = float(r.sum())
     if mass == 0.0:
-        return None, x
-    q = duals[1 : 1 + n_s] / (problem.weights * mass)
-    _check_density(problem, q, float(duals[0]) / mass)
-    return q, x
+        return None, x, 0.0
+    q, lam = r / (problem.weights * mass), float(duals[0]) / mass
+    _check_density(problem, q, lam)
+    return q, x, lam
+
+
+def _boundary(
+    problem: LpProblem, p: float, eps: float, cuts: list | None = None
+) -> tuple[float, np.ndarray | None, int]:
+    """The verdict at level p when the least ES at non-positive cost is
+    not below -eps: (gain, x, lps), an arbitrage exactly when gain > eps,
+    x its portfolio columns, lps the LPs it rests on besides the threshold
+    LP. On the cutting-plane path the confirmation LP at p decides, from
+    the caller's pool of cuts (gain its maximum). On HiGHS the LP's
+    level-free LPs decide (`_dual_density`). With no pricing density, or
+    p >= p0 = 1 / max q*, the threshold LP's x* is the arbitrage, checked
+    by `_check_witness`. Below p0 there is no arbitrage (gain 0.0) when q*
+    is positive beyond the sign tolerance (a rounded 0 must not hide a
+    classical arbitrage). Else the interior LP's q+ decides: if positive,
+    the mixture (1 - theta) q* + theta q+, theta = min(1, (1/p - max q*) /
+    (2 (max q+ - max q*))), has max below 1/p and min at least
+    theta min q+ > 0, and is checked by `_check_density` and `_inside`; if
+    not, the interior LP's x, a classical arbitrage, is checked by
+    `_check_witness`. A failed check raises SolverError.
+    """
+    if not problem.on_highs:
+        conf = solve_lp(problem, p, "max_expected", cuts)
+        return 0.0 - conf.optimal_value, conf.x, 1
+    q, x, lam = problem.threshold
+    if q is None or p >= 1.0 / float(q.max()):
+        return (*_check_witness(problem, x, p, eps), 0)
+    if _inside(q, p, _SIGN_TOL):
+        return 0.0, None, 0
+    q_plus, x_plus, lam_plus = problem.interior
+    if q_plus is None or not _inside(q_plus, 0.0, _SIGN_TOL):
+        return (*_check_witness(problem, x_plus, p, eps), 1)
+    rise, top = float(q_plus.max() - q.max()), float(q.max())
+    theta = min(1.0, 0.5 * (1.0 / p - top) / rise) if rise > 0.0 else 1.0
+    mixed = (1.0 - theta) * q + theta * q_plus
+    _check_density(problem, mixed, (1.0 - theta) * lam + theta * lam_plus)
+    if not _inside(mixed, p):
+        raise SolverError(f"numerical failure: no pricing density strictly inside at p = {p!r}")
+    return 0.0, None, 1
 
 
 def min_p(
@@ -770,22 +771,20 @@ def min_p(
     bracket: tuple[float, float] = (1e-4, 0.5),
     tol: float = 1e-4,
 ) -> MinPResult:
-    """Smallest level in the bracket admitting arbitrage, from one threshold LP.
+    """Smallest level in the bracket admitting arbitrage, from the threshold LP.
 
-    The threshold LP (`_threshold_density`) gives p0 = 1 / max q*, or 0 when
-    no pricing density exists, and a portfolio x* that is an arbitrage at
-    every p >= p0. When p0 > lo and q* misses either end of (0, 1/lo) by
-    _MARGIN_TOL or less, q* does not certify lo, and the confirmation LP at
-    lo (maximum expected payoff subject to ES <= 0, on the one LP
-    `build_lp` makes) decides: a maximum above `arbitrage_epsilon` means
-    "at or below bracket", the verdict of `detect(lo)`. p0 > hi is "none in
-    bracket". Otherwise `_check_witness` checks x* at max(p0, lo), and the
-    answer is "found" at p0, or "at or below bracket" when p0 <= lo; a
-    failed check raises SolverError. tol must be finite and > 0 but no
-    longer moves p*; it stays for callers that pass it. `evaluations`
-    counts the LPs solved: 1, or 2 with the confirmation at lo. The
-    result's portfolio is the arbitrage behind p*: the checked x*, or the
-    confirmation LP's maximizer when that LP decides.
+    The threshold LP (`LpProblem.threshold`, see `_dual_density`) gives
+    p0 = 1 / max q*, or 0 when no pricing density exists, and a portfolio
+    x* that is an arbitrage at every p >= p0. When p0 > lo, lo is decided
+    as `detect` decides a boundary optimum (`_boundary`): an arbitrage
+    there is "at or below bracket" at lo. p0 > hi is "none in bracket".
+    Otherwise `_check_witness` checks x* at max(p0, lo): "found" at p0, or
+    "at or below bracket" when p0 <= lo; a failed check raises
+    SolverError. tol must be finite and > 0 but no longer moves p*; it
+    stays for callers that pass it. `evaluations` counts the LPs the
+    answer rests on, held from an earlier call or not: 1, or 2 when lo
+    needs the interior LP (HiGHS) or the confirmation LP (cutting planes).
+    The portfolio is the arbitrage behind p*: x* or `_boundary`'s at lo.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < 1.0):
@@ -794,17 +793,17 @@ def min_p(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     problem = build_lp(market)
     eps = _epsilon(market, problem)
-    q, x = _threshold_density(problem)
+    q, x, _ = problem.threshold
     p0 = 0.0 if q is None else 1.0 / float(q.max())
     evals = 1
-    if p0 > lo and not (q.min() > _MARGIN_TOL and 1.0 / lo - q.max() > _MARGIN_TOL):
-        evals += 1
-        conf = solve_lp(problem, lo, "max_expected")
-        if 0.0 - conf.optimal_value > eps:
-            witness = Portfolio(problem.leg_quantities(conf.x), upper_bound=market.upper_bound)
+    if p0 > lo:
+        gain, witness, lps = _boundary(problem, lo, eps)
+        evals += lps
+        if gain > eps:
+            witness = Portfolio(problem.leg_quantities(witness), upper_bound=market.upper_bound)
             return MinPResult(lo, "at or below bracket", evals, witness)
-    if p0 > hi:
-        return MinPResult(None, "none in bracket", evals, None)
-    x = _check_witness(problem, x, max(p0, lo), eps)
+        if p0 > hi:
+            return MinPResult(None, "none in bracket", evals, None)
+    _, x = _check_witness(problem, x, max(p0, lo), eps)
     witness = Portfolio(problem.leg_quantities(x), upper_bound=market.upper_bound)
     return MinPResult(max(p0, lo), "found" if p0 > lo else "at or below bracket", evals, witness)

@@ -2,14 +2,17 @@
 
 On sorted digital and step payoffs, consecutive merged rows differ in a
 few entries, and `LpProblem.chain` holds those differences. The detection
-and confirmation LPs then carry free chain variables in place of the dense
-payoff block, and so does the threshold LP, which is the detection LP's
-own `constraint_matrix` at alpha = -1. Here the chain LPs are compared
-with the plain assembly kept below, the threshold with an independent
-density LP over (q, lam, t). The arguments HiGHS gets are checked byte for
-byte against `_highs_args`, which builds each LP kind's costs and bounds
-from the LP's data alone: on the chain rows for the 512-cell market, and
-on the plain assembly for the markets that stay plain.
+LP then carries free chain variables in place of the dense payoff block,
+and so do the level-free threshold and interior LPs, which are the
+detection LP's own `constraint_matrix` at alpha = -1, and with u = 0 and
+one more row. Here the chain LPs are compared with the plain assembly kept
+below, the threshold with an independent density LP over (q, lam, t), and
+verdicts with the plain two-phase rule (the plain confirmation LP, which
+HiGHS-path `detect` does not solve, stays here as a reference). The
+arguments HiGHS gets are checked byte for byte against `_highs_args`,
+which builds each LP kind's costs and bounds from the LP's data alone: on
+the chain rows for the 512-cell market, and on the plain assembly for the
+markets that stay plain.
 """
 
 import math
@@ -27,9 +30,9 @@ from esarb.analytic import CompleteMarketDensity, bs_ratio_density, density_mark
 from esarb.detector import (
     SolverError,
     _check_density,
+    _dual_density,
     _HighsModel,
     _solve_highs,
-    _threshold_density,
     arbitrage_epsilon,
     build_lp,
     detect,
@@ -66,20 +69,32 @@ def _highs_args(lp, kind, p=None, A=None):
     from the payoffs, weights, prices, shorts and upper bound alone, on the
     shared rows A (the plain assembly by default; chain columns y are the
     ones A has beyond (alpha, x, u), all free). "min_es": objective
-    (p, 0, w, 0), alpha free, x in the box, u >= 0; "max_expected": the
-    same bounds, objective (0, -F^T w, 0, 0) and the "min_es" objective as
-    an extra row; "threshold": objective (0, 0, w, 0), alpha = -1, x >= 0
-    on single columns and free on netted ones, u >= 0."""
+    (p, 0, w, 0), alpha free, x in the box, u >= 0; "max_expected" (the
+    confirmation LP, a reference here): the same bounds, objective
+    (0, -F^T w, 0, 0) and the "min_es" objective as an extra row;
+    "threshold": objective (0, 0, w, 0), alpha = -1, x >= 0 on single
+    columns and free on netted ones, u >= 0; "interior": objective
+    (1, 0, 0, 0), alpha free, x as in "threshold", u = 0, and the extra row
+    (-1, -F^T w, 0, 0) <= -1."""
     F, w, B = lp.payoffs, lp.weights, lp.upper_bound
     n_s, n_l = F.shape
     A = _plain_constraint_matrix(lp) if A is None else A
     n_y = A.shape[1] - (1 + n_l + n_s)
     net = lp.shorts >= 0
+    b = np.zeros(A.shape[0])
     if kind == "threshold":
         c = np.concatenate([np.zeros(1 + n_l), w, np.zeros(n_y)])
         lower = np.concatenate([[-1.0], np.where(net, -np.inf, 0.0), np.zeros(n_s),
                                 np.full(n_y, -np.inf)])
         upper = np.concatenate([[-1.0], np.full(n_l + n_s + n_y, np.inf)])
+    elif kind == "interior":
+        c = np.concatenate([[1.0], np.zeros(n_l + n_s + n_y)])
+        lower = np.concatenate([[-np.inf], np.where(net, -np.inf, 0.0), np.zeros(n_s),
+                                np.full(n_y, -np.inf)])
+        upper = np.concatenate([[np.inf], np.full(n_l, np.inf), np.zeros(n_s), np.full(n_y, np.inf)])
+        row = np.concatenate([[-1.0], -(F.T @ w), np.zeros(n_s + n_y)])
+        A = sparse.vstack([A, sparse.csr_matrix(row[None, :])], format="csr")
+        b = np.append(b, -1.0)
     else:
         c = np.concatenate([[p], np.zeros(n_l), w, np.zeros(n_y)])
         lower = np.concatenate([[-np.inf], np.where(net, -B, 0.0), np.zeros(n_s),
@@ -88,7 +103,8 @@ def _highs_args(lp, kind, p=None, A=None):
         if kind == "max_expected":
             A = sparse.vstack([A, sparse.csr_matrix(c[None, :])], format="csr")
             c = np.concatenate([[0.0], -(F.T @ w), np.zeros(n_s + n_y)])
-    return (c, A, np.zeros(A.shape[0]), np.column_stack([lower, upper])), {}
+            b = np.zeros(A.shape[0])
+    return (c, A, b, np.column_stack([lower, upper])), {}
 
 
 def _plain_threshold_args(lp):
@@ -117,9 +133,12 @@ def _plain_threshold_args(lp):
 
 def _plain_value(lp, p, kind):
     """Optimal value of the plain LP of this kind at level p, certified
-    and recomputed from its portfolio."""
+    and recomputed from its portfolio; for "interior", HiGHS's optimum,
+    the largest least entry of a pricing density."""
     args, kwargs = _highs_args(lp, kind, p)
-    x = _HighsModel(*args, **kwargs).solve()[0]  # a non-optimal status raises
+    x, _, value = _HighsModel(*args, **kwargs).solve()  # a non-optimal status raises
+    if kind == "interior":
+        return value
     return _certified(lp, x[1 : 1 + lp.n_legs], p, kind).optimal_value
 
 
@@ -278,27 +297,25 @@ def test_chain_matches_plain_reference(seed, steps):
     assert prob.chain is not None
     assert 2 * prob.constraint_matrix.nnz <= _plain_nnz(prob)
     payoff_scale = 1.0 + float(np.abs(prob.payoffs).max()) * prob.upper_bound
-    values = {}
-    for kind in ("min_es", "max_expected"):
-        ref = _plain_value(prob, p, kind)
-        got = _solved(lambda: _certified(prob, _solve_highs(prob, p, kind), p, kind))
-        if isinstance(got, SolverError):  # never a wrong answer, but no answer
-            continue
+    ref = _plain_value(prob, p, "min_es")
+    got = _solved(lambda: _certified(prob, _solve_highs(prob, p), p, "min_es"))
+    if not isinstance(got, SolverError):  # never a wrong answer, but no answer
         assert got.x.shape == (prob.n_legs,)
         assert abs(got.optimal_value - ref) <= 1e-9 * payoff_scale
-        values[kind] = ref
-    if len(values) == 2:
         eps = arbitrage_epsilon(market)
-        ref_arbitrage = values["min_es"] < -eps or -values["max_expected"] > eps
+        ref_arbitrage = ref < -eps or -_plain_value(prob, p, "max_expected") > eps
         assert detect(market, p).arbitrage == ref_arbitrage
     ref_p0 = _plain_p0(prob)
-    q = _solved(lambda: _threshold_density(prob))
+    q = _solved(lambda: _dual_density(prob, "threshold"))
     if isinstance(q, SolverError):
         return
     q = q[0]
     assert (q is None) == (ref_p0 is None)
     if q is not None:
         assert abs(1.0 / float(q.max()) - ref_p0) <= 1e-12 * ref_p0
+        # the chain-form interior LP's density has the plain LP's least entry
+        q_plus = _dual_density(prob, "interior")[0]
+        assert abs(float(q_plus.min()) - _plain_value(prob, None, "interior")) <= 1e-9
     if steps:  # complete markets: p* = 1 / sup q exactly
         res = _solved(lambda: min_p(market, bracket=(1e-4, 0.99)))
         if not isinstance(res, SolverError) and ref_p0 < 0.99:
@@ -313,47 +330,49 @@ def test_chain_form_on_the_512_cell_market(monkeypatch):
     prob = build_lp(market)
     assert prob.chain is not None and prob.chain.nnz == 513
     assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
-    conf = solve_lp(prob, 1e-4, "max_expected")
-    assert conf.method == "highs"
-    assert abs(conf.optimal_value - _plain_value(prob, 1e-4, "max_expected")) <= 1e-9
     calls = _recording(monkeypatch)
-    q, _ = _threshold_density(prob)
+    q, _, _ = _dual_density(prob, "threshold")
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)
     # the threshold LP is the detection LP's chain-form matrix itself
     assert len(calls) == 1 and calls[0][0][1] is prob.constraint_matrix
     _assert_same_args(calls[0], _highs_args(prob, "threshold", A=prob.constraint_matrix))
-    # the detection and confirmation LPs reach HiGHS as the reference poses
-    # them: a fresh LP's first solve builds its one model from that kind's
-    # arguments, and the other kind is an edit of that model
-    for first, then in (("min_es", "max_expected"), ("max_expected", "min_es")):
-        fresh = build_lp(density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)))
-        calls.clear()
-        _solve_highs(fresh, 1e-4, first)
-        _solve_highs(fresh, 1e-4, then)
-        assert len(calls) == 1
-        _assert_same_args(calls[0], _highs_args(fresh, first, 1e-4, fresh.constraint_matrix))
-    assert calls[0][0][1].shape == (2 + 2 * 512, 1 + 513 + 2 * 512)  # ES row, y columns
+    # the interior LP is that matrix and one row, and its least density
+    # entry is the plain LP's optimum
+    calls.clear()
+    q_plus, _, _ = _dual_density(prob, "interior")
+    assert abs(float(q_plus.min()) - _plain_value(prob, None, "interior")) <= 1e-9
+    _assert_same_args(calls[0], _highs_args(prob, "interior", A=prob.constraint_matrix))
+    assert calls[0][0][1].shape == (2 + 2 * 512, 1 + 513 + 2 * 512)  # its row, y columns
+    # the detection LP reaches HiGHS as the reference poses it: a fresh
+    # LP's first solve builds its one model from those arguments, and the
+    # next level is an edit of that model
+    fresh = build_lp(density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512)))
+    calls.clear()
+    _solve_highs(fresh, 1e-4)
+    _solve_highs(fresh, 0.05)
+    assert len(calls) == 1
+    _assert_same_args(calls[0], _highs_args(fresh, "min_es", 1e-4, fresh.constraint_matrix))
 
 
 @pytest.mark.parametrize("name", ["pl", "quick start", "markowitz"])
 def test_plain_markets_hand_highs_the_plain_assembly(monkeypatch, name):
     # the chain would not halve the nonzeros here (6255 vs 6028, 30002 vs
     # 20002, 3505 vs 3004), so HiGHS must see the plain LP, bit for bit,
-    # and so must the threshold LP, with its own objective and bounds; the
-    # first solve of a fresh LP builds its model from that kind's arguments
+    # and so must the threshold and interior LPs, with their own objective,
+    # bounds and rows; the first solve of a fresh LP builds its model from
+    # the detection LP's arguments
     make = {"pl": _pl_market, "quick start": _quick_start_market,
             "markowitz": lambda: _two_asset_markowitz(500)}[name]
     calls = _recording(monkeypatch)
-    for kind in ("min_es", "max_expected"):
-        prob = build_lp(make())
-        assert prob.chain is None
+    prob = build_lp(make())
+    assert prob.chain is None
+    _solve_highs(prob, 0.05)
+    assert len(calls) == 1
+    _assert_same_args(calls[0], _highs_args(prob, "min_es", 0.05))
+    for kind in ("threshold", "interior"):
         calls.clear()
-        _solve_highs(prob, 0.05, kind)
-        assert len(calls) == 1
-        _assert_same_args(calls[0], _highs_args(prob, kind, 0.05))
-    calls.clear()
-    _threshold_density(prob)
-    _assert_same_args(calls[0], _highs_args(prob, "threshold"))
+        _dual_density(prob, kind)
+        _assert_same_args(calls[0], _highs_args(prob, kind))
 
 
 @pytest.mark.parametrize("name", ["bs512", "step", "pl"])
@@ -364,7 +383,7 @@ def test_highs_answers_match_linprog_byte_for_byte(name):
     # LP, and the threshold density are unchanged
     density = {"bs512": bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512),
                "step": CompleteMarketDensity("step", [0.1, 1.0], [4.0, 0.6 / 0.9])}.get(name)
-    for kind, p in (("min_es", 0.05), ("max_expected", 0.05), ("max_expected", 0.3), ("threshold", None)):
+    for kind, p in (("min_es", 0.05), ("min_es", 0.3), ("threshold", None), ("interior", None)):
         prob = build_lp(_pl_market() if density is None else density_market(density))
         n_l, n_s = prob.n_legs, prob.n_scenarios
         assert (prob.chain is not None) == (name == "bs512")
@@ -374,10 +393,12 @@ def test_highs_answers_match_linprog_byte_for_byte(name):
         x, row_duals, value = _HighsModel(c, A, b, bounds).solve()
         assert x.tobytes() == ref.x.tobytes() and value == ref.fun
         assert row_duals.tobytes() == ref.ineqlin.marginals.tobytes()
-        if kind != "threshold":
-            assert _solve_highs(prob, p, kind).tobytes() == ref.x[1 : 1 + n_l].tobytes()
+        if kind == "min_es":
+            assert _solve_highs(prob, p).tobytes() == ref.x[1 : 1 + n_l].tobytes()
             continue
         r = -ref.ineqlin.marginals[1 : 1 + n_s]
-        q, x_star = _threshold_density(prob)
+        if kind == "interior":  # plus the extra row's dual times w
+            r = r - ref.ineqlin.marginals[-1] * prob.weights
+        q, x_star, _ = _dual_density(prob, kind)
         assert q.tobytes() == (r / (prob.weights * float(r.sum()))).tobytes()
         assert x_star.tobytes() == ref.x[1 : 1 + n_l].tobytes()

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -33,11 +34,12 @@ from esarb.detector import (
     SolverError,
     _certify,
     _check_density,
+    _check_witness,
+    _dual_density,
     _evaluate,
     _merged_rows,
     _solve_cuts,
     _solve_highs,
-    _threshold_density,
     arbitrage_epsilon,
     build_lp,
     detect,
@@ -528,10 +530,26 @@ def test_lp_matches_brute_force_grid(rng):
         assert lp_val == pytest.approx(best, abs=2e-2)
 
 
+# the detector's HiGHS tolerances, as `linprog` options
+_LINPROG_OPTIONS = {name: detector._HIGHS_OPTS[name]
+                    for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
+
+
 def _highs(lp, p, kind="min_es"):
     """The LP of this kind at level p on HiGHS, certified as `solve_lp`
-    certifies it."""
-    return _certified(lp, _solve_highs(lp, p, kind), p, kind)
+    certifies it: "min_es" on the LP's warm model, as `solve_lp` solves
+    it; "max_expected", which `solve_lp` solves on the cut path alone, as
+    a test-local `linprog` reference: the "min_es" rows and bounds, the
+    "min_es" costs as one more row <= 0 (ES <= 0), and costs -E_w[F x]."""
+    if kind == "min_es":
+        return _certified(lp, _solve_highs(lp, p), p, kind)
+    c, A, b, bounds = lp.highs_args("min_es", p)
+    gain = np.zeros_like(c)
+    gain[1 : 1 + lp.n_legs] = -(lp.payoffs.T @ lp.weights)
+    res = linprog(gain, A_ub=sparse.vstack([A, c[None, :]]), b_ub=np.append(b, 0.0),
+                  bounds=bounds, method="highs", options=_LINPROG_OPTIONS)
+    assert res.status == 0, res.message
+    return _certified(lp, res.x[1 : 1 + lp.n_legs], p, kind)
 
 
 def _certified(lp, x, p, kind):
@@ -557,8 +575,9 @@ def test_solver_backends_agree(rng):
 
 
 def test_unknown_lp_kind_is_rejected(monkeypatch):
-    # "threshold" is a kind of `highs_args` alone: `solve_lp` rejects it,
-    # and a misspelt kind, on either path before any LP is solved
+    # "threshold" and "interior" are kinds of `highs_args` alone: `solve_lp`
+    # rejects them, and a misspelt kind, on either path before any LP is
+    # solved; the confirmation LP ("max_expected") is rejected on HiGHS
     def no_lp(*args, **kwargs):
         raise AssertionError("HiGHS was called")
 
@@ -567,9 +586,11 @@ def test_unknown_lp_kind_is_rejected(monkeypatch):
     for market, path in markets:
         prob = build_lp(market)
         assert (prob.n_scenarios >= detector._CUT_SCENARIOS) == (path == "cutting_plane")
-        for kind in ("max-expected", "threshold"):
+        for kind in ("max-expected", "threshold", "interior"):
             with pytest.raises(ValueError, match=f"unknown LP kind '{kind}'"):
                 solve_lp(prob, 0.3, kind)
+    with pytest.raises(ValueError, match="'max_expected' is solved on the cutting-plane path alone"):
+        solve_lp(build_lp(true_arb_market()), 0.3, "max_expected")
 
 
 def test_lp_solution_is_primal_feasible(rng):
@@ -639,11 +660,13 @@ def test_wide_option_chain_takes_the_cut_loop():
 
 def test_digital_market_in_chain_form_stays_on_highs():
     # 640 merged scenarios would take the cut loop, but the chain form
-    # keeps the digital ladder on HiGHS
+    # keeps the digital ladder on HiGHS, where no confirmation LP runs
     market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=640))
     prob = build_lp(market)
     assert prob.n_scenarios == 640 and prob.chain is not None
-    assert solve_lp(prob, 0.05).method == solve_lp(prob, 0.05, "max_expected").method == "highs"
+    assert solve_lp(prob, 0.05).method == "highs"
+    with pytest.raises(ValueError, match="cutting-plane path alone"):
+        solve_lp(prob, 0.05, "max_expected")
 
 
 def test_pooled_cuts_support_es(rng):
@@ -862,8 +885,9 @@ def test_certify_rejects_box_violation():
 @pytest.mark.parametrize("fault", ["box", "cost", "es"])
 def test_faulty_highs_portfolio_raises_after_one_solve(monkeypatch, fault):
     # HiGHS reports an optimum whose portfolio leaves the box, costs more
-    # than 0, or (for the confirmation LP) has ES_p > 0: the certificate
-    # rejects it after the one solve
+    # than 0, or (for an arbitrage witness: the threshold LP's x* here,
+    # with no pricing density) has ES_p > 0: the certificate rejects it
+    # after the one solve
     # (HiGHS is patched before the first solve, on a fresh market)
     asset = TradableLeg("asset", 0.5, np.array([0.0, 1.0]))
     make = lambda: MarketSnapshot(TWO, _pair_market().legs + (asset,), spot=1.0)
@@ -891,7 +915,10 @@ def test_faulty_highs_portfolio_raises_after_one_solve(monkeypatch, fault):
 
     monkeypatch.setattr(detector, "_Highs", Stub)
     with pytest.raises(SolverError, match=match):
-        solve_lp(problem, 0.5, kind)
+        if kind == "min_es":
+            solve_lp(problem, 0.5, kind)
+        else:
+            min_p(make(), bracket=(0.1, 0.9))
     assert len(calls) == 1
 
 
@@ -1130,7 +1157,9 @@ def test_adding_leg_preserves_arbitrage(rng):
 
 
 def test_confirmation_catches_boundary_true_arbitrage():
-    # pays only outside the worst-p tail: phase-1 optimum is exactly 0
+    # pays only outside the worst-p tail: phase-1 optimum is exactly 0, and
+    # every pricing density is 0 where it pays, so the interior LP's
+    # portfolio, a classical arbitrage, decides
     scen = ScenarioSet([0.0, 1.0, 2.0], [0.4, 0.3, 0.3])
     leg = TradableLeg("late payer", 0.0, np.array([0.0, 0.0, 1.0]))
     market = MarketSnapshot(scen, (leg,), spot=1.0)
@@ -1139,7 +1168,7 @@ def test_confirmation_catches_boundary_true_arbitrage():
     assert res.min_es == pytest.approx(0.0, abs=1e-12)
     assert res.confirmation is not None
     assert res.confirmation.max_expected_payoff == pytest.approx(0.3, abs=1e-9)
-    # the returned portfolio is the confirmation maximizer, not the zero point
+    # the returned portfolio is that witness, not the zero point
     assert float(res.portfolio.quantities[0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -1305,6 +1334,75 @@ def test_min_p_matches_detect_on_small_markets(seed):
             assert not detect(market, res.p_star - tol).arbitrage
 
 
+def _columns(problem, quantities):
+    """The LP's portfolio columns of per-leg quantities: a netted pair's
+    column is its long leg's quantity less its short leg's."""
+    net = problem.shorts >= 0
+    short = np.where(net, quantities[np.where(net, problem.shorts, 0)], 0.0)
+    return quantities[problem.legs] - short
+
+
+def _recorded_certificates(monkeypatch):
+    """Record every density `_check_density` accepts, as (q, lam), and
+    every `_inside` test, as (q, p, answer)."""
+    accepted, tested = [], []
+    check, inside = detector._check_density, detector._inside
+
+    def recorded_check(problem, q, lam):
+        check(problem, q, lam)
+        accepted.append((q, lam))
+
+    def recorded_inside(q, p, floor=0.0):
+        tested.append((q, p, inside(q, p, floor)))
+        return tested[-1][2]
+
+    monkeypatch.setattr(detector, "_check_density", recorded_check)
+    monkeypatch.setattr(detector, "_inside", recorded_inside)
+    return accepted, tested
+
+
+def _highs_verdict_markets(kind):
+    if kind == "priced":
+        rng = np.random.default_rng(12345)
+        return [_priced_market(rng) for _ in range(300)]
+    if kind == "steps":  # criterion 5's step densities
+        return [density_market(_step(*args)) for args in ((1.5, 0.4), (2.0, 1.0 / 3.0),
+                                                            (4.0, 0.1), (10.0, 0.02))]
+    from test_warm import _study_markets  # imported here: test_warm imports this module
+
+    return list(_study_markets())
+
+
+@pytest.mark.parametrize("kind", ["priced", "steps", "study"])
+def test_highs_verdicts_rest_on_checked_certificates(monkeypatch, kind):
+    # HiGHS-path `detect` at ten levels per market gives the verdict of the
+    # dense two-phase `linprog` reference. An arbitrage's portfolio passes
+    # `_check_witness`; a boundary no-arbitrage rests on a density that
+    # `_check_density` accepted and that lies strictly inside (0, 1/p),
+    # checked again here from the recorded (q, lam)
+    accepted, tested = _recorded_certificates(monkeypatch)
+    levels = np.linspace(0.05, 0.95, 10).tolist()
+    boundary_no_arbitrage = 0
+    for market in _highs_verdict_markets(kind):
+        problem = build_lp(market)
+        assert problem.on_highs
+        eps = arbitrage_epsilon(market)
+        for p in levels:
+            tested.clear()
+            res = detect(market, p)
+            assert res.arbitrage == _reference_detect(market, p)[0]
+            if res.arbitrage:
+                _check_witness(problem, _columns(problem, res.portfolio.quantities), p, eps)
+            elif res.confirmation is not None:
+                q, at, answer = tested[-1]
+                assert at == p and answer and 0.0 < q.min() and p * q.max() < 1.0
+                (lam,) = [lam for density, lam in accepted if density is q][-1:]
+                _check_density(problem, q, lam)
+                assert res.confirmation.max_expected_payoff == 0.0
+                boundary_no_arbitrage += 1
+    assert boundary_no_arbitrage > 0
+
+
 def _tampering(monkeypatch, tamper):
     """Let `tamper(bounds, x, row_duals)` edit each HiGHS answer (column
     values and row duals) in place before the detector reads it; returns
@@ -1341,10 +1439,10 @@ def test_threshold_density_rejects_tampered_answer(monkeypatch, tamper):
             marginals[0] -= 1e-3
             marginals[-1] += 1e-3
 
-    _threshold_density(problem)  # the untampered answer passes its check
+    _dual_density(problem, "threshold")  # the untampered answer passes its check
     _tampering(monkeypatch, tampered)
     with pytest.raises(SolverError):
-        _threshold_density(problem)
+        _dual_density(problem, "threshold")
 
 
 def _option_market(rng):
@@ -1370,7 +1468,7 @@ def _option_market(rng):
 def test_min_p_lower_end_matches_detect_around_threshold(seed):
     market = _option_market(np.random.default_rng(seed))
     assert market.n_legs == 10
-    p0 = 1.0 / float(_threshold_density(build_lp(market))[0].max())
+    p0 = 1.0 / float(build_lp(market).threshold[0].max())
     assert p0 < 0.99
     for factor in (0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.1):
         lo = factor * p0
@@ -1401,10 +1499,10 @@ def _dear_asset_market():
 
 @pytest.mark.parametrize("tamper", ["floor", "cap"])
 def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
-    market, bracket = _dear_asset_market(), (0.5, 0.9)
-    untampered = min_p(market, bracket=bracket)
+    bracket = (0.5, 0.9)
+    untampered = min_p(_dear_asset_market(), bracket=bracket)
     assert (untampered.status, untampered.evaluations) == ("none in bracket", 1)
-    real_solve, solved = detector.solve_lp, []
+    market, real_solve, solved = _dear_asset_market(), detector.solve_lp, []  # a fresh LP
 
     def tampered(bounds, x, row_duals):
         if bounds[0][0] == -1.0:  # alpha fixed at -1: the threshold LP
@@ -1417,15 +1515,18 @@ def test_min_p_tampered_threshold_answer_is_no_certificate(monkeypatch, tamper):
         solved.append((kind, level))
         return real_solve(problem, level, kind, cuts)
 
-    _tampering(monkeypatch, tampered)
+    lps = _tampering(monkeypatch, tampered)
     monkeypatch.setattr(detector, "solve_lp", recorded)
-    # "floor": p0 = 1 / max q = 0.625 > lo, the confirmation at lo runs and
-    # finds no arbitrage; "cap": p0 = lo and no LP runs. Either way the
-    # threshold LP's portfolio, zero here, witnesses no arbitrage at max(p0, lo)
+    # "floor": p0 = 1 / max q = 0.625 > lo, q misses the floor, and the
+    # interior LP at lo finds no arbitrage; "cap": p0 = lo and no other LP
+    # runs. Either way the threshold LP's portfolio, zero here, witnesses
+    # no arbitrage at max(p0, lo), and no LP is solved at a level
     at = "0.625" if tamper == "floor" else "0.5:"
     with pytest.raises(SolverError, match=f"no arbitrage witnessed at p = {at}"):
         min_p(market, bracket=bracket)
-    assert solved == ([("max_expected", 0.5)] if tamper == "floor" else [])
+    assert solved == []
+    # alpha's lower bound: -1 in the threshold LP, free in the interior LP
+    assert [bounds[0][0] for bounds in lps] == ([-1.0, -math.inf] if tamper == "floor" else [-1.0])
 
 
 @pytest.mark.parametrize("market", [true_arb_market, capped_density_market])
@@ -1448,9 +1549,9 @@ def test_min_p_builds_one_lp_and_never_detects(monkeypatch, market):
 
 @pytest.mark.parametrize("call", ["min_p", "detect"])
 def test_one_call_builds_chain_and_matrix_once(monkeypatch, call):
-    # level and LP kind are arguments of solve_lp, so min_p's threshold LP
-    # and confirmation, and detect's two phases, share one LpProblem: its
-    # chain form and constraint matrix are built once per call
+    # the level is an argument of solve_lp, so min_p's threshold LP, and
+    # detect's phase 1 and level-free LPs, share one LpProblem: its chain
+    # form and constraint matrix are built once per call
     market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
     counts = dict.fromkeys(["chain", "constraint_matrix"], 0)
     for name in counts:
@@ -1465,7 +1566,7 @@ def test_one_call_builds_chain_and_matrix_once(monkeypatch, call):
         res = min_p(market, bracket=(1e-4, 0.9))
         assert (res.status, res.evaluations) == ("found", 1)
     else:
-        res = detect(market, 0.005)  # below p* = 0.0104: the confirmation decides
+        res = detect(market, 0.005)  # below p* = 0.0104: q* decides
         assert res.confirmation is not None and not res.arbitrage
     assert counts == {"chain": 1, "constraint_matrix": 1}
 
@@ -1475,29 +1576,30 @@ def test_min_p_without_pricing_density_is_below_bracket():
     market = _priced_market(np.random.default_rng(22971))
     assert market.legs[-1].label == "gift" and market.legs[-1].price == 0.0
     assert market.legs[-1].payoff.min() >= 0.28
-    assert _threshold_density(build_lp(market))[0] is None
+    assert _dual_density(build_lp(market), "threshold")[0] is None
     res = min_p(market, bracket=(0.01, 0.95), tol=1e-3)
     assert (res.p_star, res.status, res.evaluations) == (0.01, "at or below bracket", 1)
 
 
 def _lottery_market():
     # a zero-price lottery pays where every pricing density is 0: q* = (0, 2)
-    # misses the floor, so the confirmation LP decides lo
+    # misses the floor, so the interior LP decides lo
     scen = ScenarioSet([1.0, 2.0], [0.5, 0.5])
     legs = (TradableLeg("lottery", 0.0, np.array([1.0, 0.0])),
             TradableLeg("leg", 1.0, np.array([1.0, 1.0])))
     return MarketSnapshot(scen, legs, spot=1.0)
 
 
-@pytest.mark.parametrize("case", ["found", "x* below", "confirmation below", "none"])
+@pytest.mark.parametrize("case", ["found", "x* below", "interior below", "none"])
 def test_min_p_returns_its_witness(case):
     # the portfolio is the arbitrage the verdict rests on: the threshold
-    # LP's x*, scaled into the box, or the confirmation LP's maximizer at lo
+    # LP's x* or the interior LP's classical arbitrage at lo, scaled into
+    # the box
     market, bracket, status, evals = {
         "found": (capped_density_market(), (0.01, 0.9), "found", 1),
         "x* below": (_priced_market(np.random.default_rng(22971)), (0.01, 0.95),
                      "at or below bracket", 1),
-        "confirmation below": (_lottery_market(), (0.01, 0.9), "at or below bracket", 2),
+        "interior below": (_lottery_market(), (0.01, 0.9), "at or below bracket", 2),
         "none": (_dear_asset_market(), (0.5, 0.9), "none in bracket", 1),
     }[case]
     res = min_p(market, bracket=bracket)
@@ -1506,11 +1608,8 @@ def test_min_p_returns_its_witness(case):
         assert res.portfolio is None
         return
     problem = build_lp(market)
-    if case == "confirmation below":
-        x = solve_lp(problem, bracket[0], "max_expected").x
-    else:
-        x = _threshold_density(problem)[1]
-        x = x * (problem.upper_bound / max(float(np.abs(x).max()), problem.upper_bound))
+    x = _dual_density(problem, "interior" if case == "interior below" else "threshold")[1]
+    x = x * (problem.upper_bound / max(float(np.abs(x).max()), problem.upper_bound))
     assert res.portfolio.quantities.tobytes() == problem.leg_quantities(x).tobytes()
     assert res.portfolio.upper_bound == market.upper_bound
 
@@ -1531,6 +1630,7 @@ def test_min_p_raises_when_threshold_portfolio_is_no_witness(monkeypatch, tamper
                 x[np.argmax(np.abs(x))] *= 0.5
 
     assert min_p(market, bracket=(0.01, 0.9)).status == "found"
+    market = capped_density_market()  # a fresh LP: the held one keeps its threshold answer
     solved = _tampering(monkeypatch, tampered)
     # the zero portfolio has no expected payoff; the halved one costs 0.5
     match = {"zero": r"no arbitrage witnessed at p = 0\.5: expected payoff 0\.000e\+00",

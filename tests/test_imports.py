@@ -7,7 +7,9 @@ syntax tree: an imported name that is never referenced afterwards is dead.
 `__init__.py` is skipped because its imports are the package's re-exports,
 and `from __future__` imports are compiler directives, not names. A
 private (single-underscore) function, class or constant defined at module
-level that no module of the package references is dead code too.
+level that no module of the package references is dead code too, and so
+is a method of a private class in `detector.py` whose name no module
+references: a `_HighsModel` edit goes with its last caller.
 `scipy.signal` loads `scipy.stats`, and the two cost about 26 MB of
 resident memory and 0.6 s on first import; the package needs neither.
 The detector keeps one LP assembly and one owner of HiGHS: `sparse` is
@@ -16,13 +18,17 @@ referenced only inside `LpProblem`, and scipy's HiGHS binding (`_Highs`,
 which alone reads the model status: each LP has one solver path, and a
 non-optimal status ends it. No module mentions `linprog`, so there is no
 second way to HiGHS. Every HiGHS model but the cut loop's master is posed
-by `LpProblem.highs_args`, so no function builds LP costs or bounds by
-hand. A portfolio is evaluated in one place: `tail_envelope` is referenced
+by `LpProblem.highs_args`, the level-free threshold and interior LPs
+included, so no function builds LP costs or bounds by hand. A portfolio
+is evaluated in one place: `tail_envelope` is referenced
 only inside `_evaluate`, so the ES_p and VaR_p a certificate reports come
 from the one evaluation of its x. It copies no LP per level
-or LP kind either: it does not use `dataclasses.replace`. `min_p` solves at most one LP through
-`solve_lp` (the confirmation at lo): the threshold LP's own portfolio
-witnesses arbitrage at p0, so no LP confirms it. scipy's private SLSQP
+or LP kind either: it does not use `dataclasses.replace`. `min_p` calls
+`solve_lp` only on the cut path: every `solve_lp` call but phase 1's in
+`detect` sits in the body of an `if not ....on_highs:` block (the
+confirmation LP in `_boundary`, which `min_p` runs at lo), so on HiGHS no
+confirmation LP runs, and the threshold LP's own portfolio witnesses
+arbitrage at p0. scipy's private SLSQP
 kernel (`_slsqplib.slsqp`) is referenced only inside `utility._slsqp`, and
 no module asks `minimize` for SLSQP, so each SLSQP run has one loop.
 """
@@ -104,6 +110,54 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
 def test_no_dead_private_code():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert _dead_private_names(sources) == []
+
+
+def _dead_private_methods(sources: dict[str, str], module: str) -> list[str]:
+    """Methods (not dunders) of `module`'s private module-level classes
+    whose name no module of `sources` references: as an attribute
+    (`model.add_row`) or a name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+    return [
+        f"{cls.name}.{method.name}"
+        for cls in trees[module].body
+        if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+        and method.name not in used
+    ]
+
+
+def test_no_dead_private_methods_in_the_detector():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _dead_private_methods(sources, "detector.py") == []
+
+
+def test_checker_flags_dead_private_methods():
+    sources = {
+        "a.py": (
+            "class _Model:\n"
+            "    def __init__(self):\n"
+            "        self.solve()\n"
+            "    def solve(self):\n"
+            "        pass\n"
+            "    def set_basis(self, basis):\n"
+            "        pass\n"
+            "    def drop(self):\n"
+            "        pass\n"
+            "class Public:\n"
+            "    def unused(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import _Model\n_Model().drop()\n",
+    }
+    assert _dead_private_methods(sources, "a.py") == ["_Model.set_basis"]
 
 
 def test_checker_flags_dead_private_code():
@@ -433,6 +487,63 @@ def _solve_lp_calls(source: str, function: str) -> list[str]:
 
 def test_min_p_solves_at_most_one_lp_through_solve_lp():
     assert len(_solve_lp_calls((SRC / "detector.py").read_text(encoding="utf-8"), "min_p")) <= 1
+
+
+def _highs_path_solve_lp_calls(source: str, phase_one: str = "detect") -> list[str]:
+    """Calls of `solve_lp` (by name or as an attribute) in module-level
+    functions other than `phase_one` that are not in the body of an
+    `if not <expr>.on_highs:` block, and so could run on the HiGHS path."""
+    found = []
+
+    def visit(node, guarded):
+        if isinstance(node, ast.If):
+            test = node.test
+            cut_path = (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+                        and isinstance(test.operand, ast.Attribute)
+                        and test.operand.attr == "on_highs")
+            visit(node.test, guarded)
+            for child in node.body:
+                visit(child, guarded or cut_path)
+            for child in node.orelse:
+                visit(child, guarded)
+            return
+        if (isinstance(node, ast.Call) and not guarded
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_lp"):
+            found.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name != phase_one:
+            visit(top, False)
+    return found
+
+
+def test_confirmation_lp_runs_on_the_cut_path_alone():
+    # `min_p` and `detect` decide a boundary optimum on HiGHS from the
+    # level-free LPs: no `solve_lp` call outside phase 1 can reach HiGHS
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert _highs_path_solve_lp_calls(source) == []
+    assert len(_solve_lp_calls(source, "_boundary")) == 1  # and the cut path has one
+
+
+def test_checker_flags_highs_path_solve_lp_calls():
+    source = (
+        "def detect(problem):\n"
+        "    return solve_lp(problem, 0.1)\n"
+        "def _boundary(problem):\n"
+        "    if not problem.on_highs:\n"
+        "        return solve_lp(problem, 0.1, 'max_expected')\n"
+        "    if problem.on_highs:\n"
+        "        return solve_lp(problem, 0.2)\n"
+        "    if not problem.on_highs:\n"
+        "        pass\n"
+        "    else:\n"
+        "        detector.solve_lp(problem, 0.3)\n"
+        "def min_p(problem):\n"
+        "    return solve_lp(problem, 0.4)\n"
+    )
+    assert _highs_path_solve_lp_calls(source) == ["line 7", "line 11", "line 13"]
 
 
 def test_checker_counts_solve_lp_calls():

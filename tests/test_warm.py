@@ -1,12 +1,14 @@
 """The one warm HiGHS model per HiGHS-path LP, and `build_lp`'s memo.
 
-A level sweep of `detect` on one market solves every level and both LP
-kinds on one HiGHS model, each an edit of it re-solved from the last basis
-of that kind. Here a warm sweep is checked against a cold solve per level
-(a fresh LP, so a fresh model) on the incomplete study's four
-piecewise-linear quadrature markets and on small bid/ask markets, in both
-directions of p. `build_lp` holds the LP of the latest HiGHS-path market
-only while that market lives, and a failed warm solve drops its model.
+A level sweep of `detect` on one market solves every level's detection LP
+on one HiGHS model, each an edit of it re-solved from the last basis, and
+the level-free threshold and interior LPs once each, on cold models that
+the LP holds the answers of. Here a warm sweep is checked against a cold
+solve per level (a fresh LP, so a fresh model) on the incomplete study's
+four piecewise-linear quadrature markets and on small bid/ask markets, in
+both directions of p, and the LPs a sweep solves are counted. `build_lp`
+holds the LP of the latest HiGHS-path market only while that market
+lives, and a failed warm solve drops its model.
 """
 
 import copy
@@ -40,7 +42,7 @@ from esarb.models import (
     synthesize_chain,
 )
 
-from test_detector import _priced_market, _two_asset_markowitz, capped_density_market
+from test_detector import _columns, _priced_market, _two_asset_markowitz, capped_density_market
 
 P_GRID = np.round(np.linspace(0.02, 0.4, 20), 6)  # the incomplete study's levels
 
@@ -83,14 +85,6 @@ def _study_markets():
     return tuple(markets)
 
 
-def _columns(problem, quantities):
-    """The LP's portfolio columns of per-leg quantities: a netted pair's
-    column is its long leg's quantity less its short leg's."""
-    net = problem.shorts >= 0
-    short = np.where(net, quantities[np.where(net, problem.shorts, 0)], 0.0)
-    return quantities[problem.legs] - short
-
-
 def _counting_models(monkeypatch):
     """Count the HiGHS models the detector builds."""
     built, real = [], detector._HighsModel
@@ -103,12 +97,41 @@ def _counting_models(monkeypatch):
     return built
 
 
+def _kind(c, bounds):
+    """The LP kind of a HiGHS model from its first costs and bounds: alpha
+    fixed at -1 ("threshold"), alpha costing 1 ("interior": a detection
+    LP's alpha costs p < 1), else "min_es"."""
+    if bounds[0][0] == -1.0:
+        return "threshold"
+    return "interior" if c[0] == 1.0 else "min_es"
+
+
+def _counting_solves(monkeypatch):
+    """The LP kind of each `_HighsModel.solve`, in order, and of each model
+    built."""
+    solves, built = [], []
+
+    class Counted(detector._HighsModel):
+        def __init__(self, c, A, b, bounds):
+            super().__init__(c, A, b, bounds)
+            self.kind = _kind(c, bounds)
+            built.append(self.kind)
+
+        def solve(self):
+            solves.append(self.kind)
+            return super().solve()
+
+    monkeypatch.setattr(detector, "_HighsModel", Counted)
+    return solves, built
+
+
 def _assert_warm_sweep_matches_cold(market, monkeypatch):
     """A warm `detect` sweep over P_GRID, up and then down, on one copy of
     the market against a cold `detect` per level, each on a fresh copy: the
     same verdicts and phases, min_es within 1e-12 (1 + payoff scale), and
     every arbitrage witness certified by `_check_witness`. The warm sweep
-    builds one HiGHS model."""
+    builds one detection LP model, and at most one model of each
+    level-free LP."""
     for grid in (P_GRID, P_GRID[::-1]):
         levels = [float(p) for p in grid]
         cold = [detect(copy.copy(market), p) for p in levels]
@@ -117,9 +140,11 @@ def _assert_warm_sweep_matches_cold(market, monkeypatch):
         assert problem.on_highs
         eps, tol = arbitrage_epsilon(warm_market), 1e-12 * (1.0 + problem.payoff_scale)
         with monkeypatch.context() as patch:
-            built = _counting_models(patch)
+            solves, built = _counting_solves(patch)
             warm = [detect(warm_market, p) for p in levels]
-        assert len(built) == 1 and build_lp(warm_market) is problem
+        assert built.count("min_es") == 1 and build_lp(warm_market) is problem
+        assert solves.count("min_es") == len(levels) and len(solves) == len(levels) + len(built) - 1
+        assert built.count("threshold") <= 1 and built.count("interior") <= 1
         for p, w, c in zip(levels, warm, cold):
             assert w.arbitrage == c.arbitrage
             assert (w.confirmation is None) == (c.confirmation is None)
@@ -147,9 +172,9 @@ def test_warm_sweep_matches_cold_on_small_markets(seed):
 
 @pytest.mark.parametrize("name", ["study 0", "study 3", "bs512", "capped"])
 def test_warm_lp_kinds_match_cold_at_every_level(name):
-    # both LP kinds at every level, alternating, up and then down: each
-    # warm answer is within 1e-12 (1 + payoff scale) of a fresh LP's cold
-    # one, on the plain PL form and on the chain form
+    # the one LP kind a warm model serves, "min_es", at every level, up and
+    # then down: each warm answer is within 1e-12 (1 + payoff scale) of a
+    # fresh LP's cold one, on the plain PL form and on the chain form
     market = {"study 0": lambda: _study_markets()[0], "study 3": lambda: _study_markets()[3],
               "bs512": lambda: density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=512)),
               "capped": capped_density_market}[name]()
@@ -157,10 +182,25 @@ def test_warm_lp_kinds_match_cold_at_every_level(name):
     tol = 1e-12 * (1.0 + problem.payoff_scale)
     for grid in (P_GRID, P_GRID[::-1]):
         for p in map(float, grid):
-            for kind in ("min_es", "max_expected"):
-                warm = solve_lp(problem, p, kind)
-                cold = solve_lp(build_lp(copy.copy(market)), p, kind)
-                assert abs(warm.optimal_value - cold.optimal_value) <= tol
+            warm = solve_lp(problem, p)
+            cold = solve_lp(build_lp(copy.copy(market)), p)
+            assert abs(warm.optimal_value - cold.optimal_value) <= tol
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_study_sweep_solves_no_confirmation(monkeypatch, index):
+    # a sweep of one study market over P_GRID solves one threshold LP, at
+    # most one interior LP, no confirmation LP and one detection LP per
+    # level, and `min_p` on it afterwards solves nothing more
+    market = copy.copy(_study_markets()[index])
+    solves, _ = _counting_solves(monkeypatch)
+    for p in map(float, P_GRID):
+        detect(market, p)
+    assert solves.count("threshold") == 1 and solves.count("interior") <= 1
+    assert solves.count("min_es") == len(P_GRID) and len(solves) <= len(P_GRID) + 2
+    solves.clear()
+    detector.min_p(market, bracket=(0.02, 0.4))
+    assert solves == []
 
 
 def test_build_lp_holds_the_latest_highs_market_while_it_lives():
