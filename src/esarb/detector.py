@@ -22,7 +22,8 @@ x's box, its cost and, for an arbitrage witness, ES_p(F x) without the
 solver, and reports the value and VaR_p of x from one `tail_envelope` of
 x (`_evaluate`, which the cut loop hands back with its answer), so every
 arbitrage verdict rests on a portfolio checked with the ES formula.
-`tail_envelope` sorts nothing, so each cut costs O(scenarios).
+With equal scenario weights `tail_envelope` sorts nothing, so each cut
+costs O(scenarios); with unequal weights it sorts the values once.
 On HiGHS, sorted payoff rows that differ from their predecessor in few
 entries (digital and step payoffs) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
@@ -396,9 +397,10 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
 def _evaluate(problem: LpProblem, x: np.ndarray, p: float) -> tuple[tuple, np.ndarray]:
     """The evaluation (ES_p, VaR_p) of X = F x for portfolio columns x, and
     the envelope point q attaining ES_p, from one `tail_envelope` of X: the
-    one evaluation of a portfolio, made once per x. Only the cut loop reads
-    q; the evaluation holds no array, so the loop keeps two floats for its
-    best iterate."""
+    one evaluation of a portfolio, made once per x, by selection alone when
+    the weights are equal and over one stable order of X otherwise. Only
+    the cut loop reads q; the evaluation holds no array, so the loop keeps
+    two floats for its best iterate."""
     es, q, var = tail_envelope(problem.payoffs @ x, problem.weights, p)
     return (es, var), q
 

@@ -6,10 +6,13 @@ of VaR_u over u in (0, p], evaluated on discrete distributions by splitting
 the atom that straddles the p boundary. ES at p >= 1 is rejected.
 
 `tail_envelope` evaluates all three (ES_p, VaR_p and the envelope point
-attaining ES_p) by selection, without sorting the tail: `np.partition`
-finds VaR_p's atom, judged on exactly rounded masses, and ES_p follows from
-the weights below it and the share of the atom (Rockafellar and Uryasev).
-`lex_order` sorts rows for the LP's scenario merge, not for the tail.
+attaining ES_p) on exactly judged masses, by one of two rules. With equal
+weights it counts: the atom's sorted position is an integer quotient, and
+one `np.partition` selects it, so nothing is sorted. Otherwise it takes
+one stable order of the values (`lex_order`) and places the atom by the
+running sum of their weights, checked with `math.fsum`. ES_p follows from
+the weights below the atom and the atom's share of p (Rockafellar and
+Uryasev).
 """
 
 from __future__ import annotations
@@ -22,20 +25,22 @@ import numpy as np
 
 from .market import WeightedSample
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class RiskLevel:
+    """A risk level p in (0, 1), stored as a float (a Fraction or Decimal
+    is converted), the binary float that `tail_envelope` reads exactly."""
+
     p: float
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"risk level must lie in (0, 1), got {self.p}")
 
 
 def as_level(level: RiskLevel | float) -> RiskLevel:
-    return level if isinstance(level, RiskLevel) else RiskLevel(float(level))
+    return level if isinstance(level, RiskLevel) else RiskLevel(level)
 
 
 def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
@@ -79,115 +84,73 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     return order
 
 
-def _guess(lo: int, hi: int, left: float, extra: float, misses: int) -> int:
-    """A position in [lo, hi) at which a running mass may first exceed p,
-    when the mass before lo is p - left (left >= 0) and the mass before hi
-    is p + extra (extra > 0): linear interpolation, or the middle after
-    every third miss, so a search takes O(log(hi - lo)) steps at worst."""
-    share = 0.5 if misses % 3 == 2 else left / (left + extra)
-    return lo + min(int(share * (hi - lo)), hi - lo - 1)
-
-
 def tail_envelope(
     values: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, float]:
     """ES_p of raw (finite) payoff values and weights, the envelope point q
-    attaining it, and VaR_p, by selection alone: nothing is sorted.
+    attaining it, and VaR_p, on exact masses of the float inputs.
 
     VaR_p = -t for the strict-CDF atom t, mass(< t) <= p < mass(<= t), or
     for the largest value when all of them hold at most p; a zero atom
-    reads +0.0. Each scenario takes a part of its weight: all of it below
-    t, none above, and the ties at t take the rest of p in index order,
-    each its whole weight until one takes p - mass(< t) - mass(earlier
-    ties). q = take / p, so q / w is the density in the ES dual set
+    reads +0.0. In the stable order of the values (ties by index) each
+    scenario takes its whole weight until one takes the rest of p, p minus
+    the mass before it, exactly rounded; those after it take nothing.
+    q = take / p, so q / w is the density in the ES dual set
     {0 <= q / w <= 1/p, E_w[q / w] = 1} that attains ES_p, and
     ES_p = -sum q X = (E_w[-X; X < t] + (p - mass(< t)) (-t)) / p, Rockafellar
     and Uryasev's VaR_p + E_w[(-X - VaR_p)^+] / p.
 
-    t is the value at a sorted position k, which `np.partition` finds in a
-    copy of the values. Each t is judged on exact masses: with equal
-    weights, k w against p as integers over one power of two (so the
-    first k, the exact count p / w, is the atom's); otherwise by a float
-    sum, whose error bound settles the sign unless the mass lies that
-    close to p, and then by `math.fsum`, whose once-rounded p - mass has
-    the exact sign. A miss narrows the positions to the atom's side of t,
-    partitions only that slice of the copy, and places the next k by
-    linear interpolation of the masses at its ends (`_guess`). The ties'
-    split is searched the same way over prefixes of the ties, and the last
-    tie taken gets the exactly rounded p - mass. So q and VaR are bit for
-    bit those of exact arithmetic on the inputs, and ES, numpy's pairwise
-    sum of q X in the copy's memory, is within 16 eps of sum q |X|.
+    Two rules place that split, by whether the weights are equal. With
+    equal weights w, p = P / D and w = W / D over one power of two D, so t
+    is the value at sorted position k = min(P // W, n - 1), which one
+    `np.partition` selects (nothing is sorted); of the ties at t, after
+    the m values below it, the first j = min((P - m W) // W, #ties) take
+    their whole weight and the next one (P - (m + j) W) / D. Otherwise one
+    stable order (`lex_order`) is taken, and the float running sum of its
+    weights places the split where it first exceeds p. That sum errs by
+    under n eps of the total, so only positions whose sum lies that close
+    to p are in doubt (almost always none); `math.fsum`, whose exactly
+    rounded p - mass has the exact sign, bisects them. The split's rest
+    of p is one more `fsum`. So q and VaR are bit for bit those of exact
+    arithmetic on the inputs, and ES, numpy's pairwise sum of q X, is
+    within 16 eps of sum q |X|.
     """
     n, w0 = len(values), weights[0]
     if (weights == w0).all():  # k values hold k w0: count them
         (a, u), (b, v) = p.as_integer_ratio(), float(w0).as_integer_ratio()
         D = max(u, v)  # both powers of two
         P, W = a * (D // u), b * (D // v)  # p = P / D and w0 = W / D
-
-        def over(mask, exact=True):  # the mass mask picks, minus p, exactly rounded
-            return (int(np.count_nonzero(mask)) * W - P) / D
-
-        k = min(P // W, n - 1)  # the values before position k hold at most p
+        k = min(P // W, n - 1)  # the values before sorted position k hold at most p
+        t = np.partition(values, k)[k]
+        taken = values < t
+        m = int(np.count_nonzero(taken))
+        ties = np.flatnonzero(values == t)  # in index order
+        j = min((P - m * W) // W, len(ties))  # the ties that take their whole weight
+        taken[ties[:j]] = True
+        split, share = ties[j : j + 1], (P - (m + j) * W) / D
     else:
-        def over(mask, exact=False):  # with the exact sign, and exactly rounded if exact
-            if not exact:
-                mass = float(weights @ mask)
-                # a float sum of m terms >= 0, in any order, errs by under m eps / 2 of it
-                if abs(mass - p) > (np.count_nonzero(mask) + 1) * _EPS * mass:
-                    return mass - p
-            terms = weights[mask].tolist()
-            terms.append(-p)
-            return math.fsum(terms)
+        order = lex_order(values[None, :])
+        w = weights[order]
 
-        k = min(int(p * n), n - 1)
-    work = values.copy()  # partitioned in place, one slice at a time
-    # the atom's position lies in [lo, hi), inside the slice [start, stop);
-    # the values before lo hold p - left, those before hi p + extra
-    lo, hi, start, stop, left, extra, misses = 0, n, 0, n, p, 1.0 - p, 0
-    while True:
-        work[start:stop].partition(k - start)
-        t = work[k]
-        below = values < t
-        if (under := over(below)) > 0.0:  # the atom lies below t
-            hi, stop, extra = np.count_nonzero(below), k, under
-        else:
-            upto = values <= t
-            if (top := over(upto)) > 0.0:  # t is the atom
-                break
-            lo, start, left = np.count_nonzero(upto), k + 1, 0.0 - top
-            if lo == n:  # every value holds at most p: t is the largest
-                break
-        misses += 1
-        k = _guess(lo, hi, left, extra, misses)
-    # the first j ties take their whole weight and tie j takes the share of
-    # p left, p - mass(< t) - mass(ties[:j]), exactly rounded: j is the
-    # longest prefix of ties that leaves a share >= 0, lo <= j < hi. Each
-    # probe computes a share; one below the next tie's weight ends the
-    # search there. The first probe assumes ties of equal weight, or takes
-    # every tie when all values hold at most p
-    ties = (values == t).nonzero()[0]  # in index order
-    lo, hi, share, probed, misses = 0, len(ties), 0.0 - under, False, 0
-    j = hi if top <= 0.0 else _guess(0, hi, share, top, misses)
-    while True:
-        prefix = below.copy()
-        prefix[ties[:j]] = True
-        if (r := over(prefix, exact=True)) > 0.0:
-            hi, top = j, r
-        else:
-            lo, share, probed = j, 0.0 - r, True
-            if j == len(ties) or share < weights[ties[j]]:
-                hi = j + 1
-        if hi - lo == 1 and probed:  # share is exact at lo
-            break
-        misses += 1
-        j = lo if hi - lo == 1 else _guess(lo + 1, hi, share, top, misses)
-    below[ties[:lo]] = True
-    q = np.where(below, weights, 0.0)
+        def rest(i):  # p - the mass before sorted position i, exactly rounded
+            return math.fsum([p, *(-w[:i]).tolist()])
+
+        # a running float sum of n terms >= 0 errs by under n eps of the total,
+        # so the split lies in [i, k]: the positions whose sum may be near p
+        cum = np.cumsum(w)
+        err = n * np.finfo(float).eps * cum[-1]
+        i = min(int(np.searchsorted(cum, p - err, side="right")), n - 1)
+        k = min(int(np.searchsorted(cum, p + err, side="right")), n - 1)
+        while i < k:  # bisect on the exact sign of p - mass(up to position j)
+            j = (i + k) // 2
+            i, k = (i, j) if rest(j + 1) < 0.0 else (j + 1, k)
+        t, taken, split, share = values[order[i]], np.zeros(n, bool), order[i : i + 1], rest(i)
+        taken[order[:i]] = True
+    q = np.where(taken, weights, 0.0)
     q /= p
-    if lo < len(ties):
-        q[ties[lo]] = share / p
-    np.multiply(q, values, out=work)
-    return 0.0 - float(work.sum()), q, 0.0 - float(t)
+    # the split's share, or its whole weight when every value holds at most p
+    q[split] = np.minimum(share, weights[split]) / p
+    return 0.0 - float((q * values).sum()), q, 0.0 - float(t)
 
 
 def es_p(sample: WeightedSample, level: RiskLevel | float) -> float:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,24 @@ def test_as_level_passthrough():
     lvl = RiskLevel(0.25)
     assert as_level(lvl) is lvl
     assert as_level(0.25).p == 0.25
+
+
+@pytest.mark.parametrize("level", [Fraction(1, 3), Decimal("0.3"), np.float32(0.3)])
+def test_risk_level_of_other_numbers_is_their_float(level):
+    # the level is stored as the float of the number, so ES and VaR are the
+    # float level's, with equal and with unequal weights
+    p = float(level)
+    assert type(RiskLevel(level).p) is float and RiskLevel(level).p == p
+    assert as_level(level) == RiskLevel(p)
+    rng = np.random.default_rng(4)
+    values = np.round(rng.normal(size=300), 1)
+    for weights in (np.full(300, 1 / 300), rng.random(300)):
+        s = sample(values, weights / weights.sum())
+        assert es_p(s, RiskLevel(level)) == es_p(s, p) and es_p(s, level) == es_p(s, p)
+        assert var_p(s, RiskLevel(level)) == var_p(s, p) and var_p(s, level) == var_p(s, p)
+    for bad in (Fraction(0), Fraction(1), Decimal("1.5"), Decimal("NaN")):
+        with pytest.raises(ValueError):
+            RiskLevel(bad)
 
 
 def test_es_rejects_p_at_one():
@@ -370,6 +389,12 @@ def _tails(draw):
 @example((np.array([0.0, 1.0, 2.0]), np.array([0.5, 2.0**-60, 0.5]), 0.5))
 # all values hold less than p (weights off their sum of 1): every one is taken
 @example((np.array([2.0, 0.0, 1.0, 2.0]), np.array([0.3, 0.0, 0.3, 0.0]), 0.9))
+# p - mass(< 1.0) = 0.5 - 2**-60 rounds to the weight of 1.0, 0.5, yet
+# the exact mass up to 1.0 exceeds p: 1.0 is the atom
+@example((np.array([0.0, 1.0, 2.0]), np.array([2.0**-60, 0.5, 0.5]), 0.5))
+# a run of weights far below the running sum's rounding: the float sum reads
+# p over all of it, and the atom is its first value
+@example((np.arange(3000.0), np.r_[0.5, np.full(2998, 1e-20), 0.5], 0.5))
 def test_tail_envelope_selection_bitwise_equals_stable_sort(case):
     _assert_exact(*case)
 
@@ -424,7 +449,9 @@ def test_tail_envelope_all_values_tied(equal):
 
 
 def test_tail_envelope_makes_no_sort(monkeypatch):
-    # selection alone: no sort of the tail, of a bracket or of the ties
+    # equal weights: selection alone, no sort of the tail or of the ties;
+    # unequal weights: one stable order of the values (`lex_order`) and no
+    # other sort
     rng = np.random.default_rng(8)
     n = 5000
     cases = []
@@ -434,16 +461,33 @@ def test_tail_envelope_makes_no_sort(monkeypatch):
             for p in (0.01, 0.3, 0.9):
                 cases.append((values, weights / weights.sum(), p))
     expected = [tail_envelope(*case) for case in cases]
+    real_lex_order, orders, inside = lex_order, [], []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("tail_envelope sorted")
+    def counted(columns):  # the sorts inside `lex_order` are allowed
+        orders.append(columns)
+        inside.append(True)
+        try:
+            return real_lex_order(columns)
+        finally:
+            inside.pop()
+
+    def refuse(real):
+        def sort(*args, **kwargs):
+            if not inside:
+                raise AssertionError("tail_envelope sorted")
+            return real(*args, **kwargs)
+
+        return sort
 
     for name in ("argsort", "sort", "lexsort"):
-        monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(risk, "lex_order", refuse)
+        monkeypatch.setattr(np, name, refuse(getattr(np, name)))
+    monkeypatch.setattr(risk, "lex_order", counted)
     for case, (es, q, var) in zip(cases, expected):
+        orders.clear()
         got = tail_envelope(*case)
         assert (got[0], got[2]) == (es, var) and got[1].tobytes() == q.tobytes()
+        equal = (case[1] == case[1][0]).all()
+        assert len(orders) == (0 if equal else 1)
 
 
 # ----------------------------------------------------------- coherence_check
