@@ -1,10 +1,11 @@
 """Terminal-price models and quadrature rules.
 
 Two-component lognormal mixtures (closed-form partial moments, vanilla
-values, smile calibration) and GARCH(1,1) log returns (simulation, Gaussian
-QMLE). Quadratures turn a model into a ScenarioSet: plain Monte Carlo, or the
-piecewise-linear-exact rule whose weights integrate every payoff that is
-linear between (and beyond) the grid points.
+values, smile calibration by Levenberg-Marquardt least squares on the price
+residuals) and GARCH(1,1) log returns (simulation, Gaussian QMLE by
+Nelder-Mead). Quadratures turn a model into a ScenarioSet: plain Monte
+Carlo, or the piecewise-linear-exact rule whose weights integrate every
+payoff that is linear between (and beyond) the grid points.
 
 The normal cdf and quantile are the `scipy.special` kernels `ndtr` and
 `ndtri`, the ones `scipy.stats.norm` calls, and `fit_garch` runs its
@@ -18,13 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, least_squares, minimize
 from scipy.special import expit, ndtr, ndtri
 
 from .market import InstrumentQuote, ScenarioSet, _as_readonly, _require_draws
 from .seeding import substream
 
 _PL_GRID_POINTS = 200
+# calibrate_mixture's Levenberg-Marquardt stopping rules, per start
+_LM_XTOL, _LM_FTOL, _LM_GTOL, _LM_MAX_NFEV = 1e-12, 1e-14, 1e-14, 8000
 
 
 class CalibrationError(RuntimeError):
@@ -288,7 +291,7 @@ class MixtureFit:
     rmse: float
     converged: bool
     start_index: int
-    history: tuple  # best objective so far, per evaluation, winning start
+    history: tuple  # least RMSE so far, per evaluation, winning start
 
 
 def _theta_params(theta, fwd: float):
@@ -298,7 +301,11 @@ def _theta_params(theta, fwd: float):
     theta = (logit of the first weight, log of the first component forward
     over fwd, log s1, log s2); the second forward makes the mean equal fwd.
     Components are ordered by sd, stably (s1 == s2 keeps theta's order).
+    Any of |theta[1:]| >= 700 is outside too: exp would overflow there, or
+    the first forward underflow to 0.
     """
+    if not (abs(theta[1]) < 700.0 and abs(theta[2]) < 700.0 and abs(theta[3]) < 700.0):
+        return None
     lam = float(expit(theta[0]))
     f1 = fwd * math.exp(theta[1])
     if not 1e-9 < lam < 1.0 - 1e-9:
@@ -314,6 +321,10 @@ def _theta_params(theta, fwd: float):
     if s2 < s1:
         return np.array([1.0 - lam, lam]), np.array([m2, m1]), np.array([s2, s1])
     return np.array([lam, 1.0 - lam]), np.array([m1, m2]), np.array([s1, s2])
+
+
+def _rmse(residuals: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(residuals**2)))
 
 
 def _mixture_from_theta(theta, spot, rate, maturity):
@@ -333,11 +344,15 @@ def calibrate_mixture(
     Targets are mid prices of quotes with bid > 0 and finite ask. The
     martingale constraint is built in: one component forward is free, the
     other is eliminated so the mixture mean equals spot e^{rT} exactly.
-    Derivative-free Nelder-Mead from 10 seeded starts around a
-    moment-matched base point; ties resolve to the lowest start index. The
-    objective evaluates raw parameter arrays with the `scipy.special.ndtr`
-    kernel. Raises CalibrationError (best fit attached) if the winner did
-    not converge.
+    Levenberg-Marquardt (`least_squares(method="lm")`, finite-difference
+    Jacobian) on the vector of model-minus-mid price residuals, from 10
+    seeded starts around a moment-matched base point; the fit with the
+    least RMSE wins, ties to the lowest start index. Outside the valid
+    parameter region every residual is one penalty growing with |theta|.
+    The residuals evaluate raw parameter arrays with the
+    `scipy.special.ndtr` kernel. `history` holds the least RMSE so far per
+    evaluation of the winning start, Jacobian probes included. Raises
+    CalibrationError (best fit attached) if the winner did not converge.
     """
     usable = [
         q for q in quotes
@@ -357,17 +372,17 @@ def calibrate_mixture(
     strike_col = strikes.reshape(-1, 1)
     penalty = 1e6 * spot
 
-    def objective(theta) -> float:
-        # raw arrays, no validated LognormalMixture: this runs ~800 times per start
+    def residuals(theta) -> np.ndarray:
+        # raw arrays, no validated LognormalMixture: this runs ~100 times per start
         params = _theta_params(theta, fwd)
         if params is None:
-            return penalty * (1.0 + float(np.abs(theta).sum()))
+            return np.full(mids.size, penalty * (1.0 + float(np.abs(theta).sum())))
         w, m, s = params
         comp_fwd = np.exp(m + 0.5 * s**2)
         d2 = (m - log_k) / s
         calls = (comp_fwd * ndtr(d2 + s) - strike_col * ndtr(d2)) @ w
         vals = np.where(is_call, calls, calls - float(w @ comp_fwd) + strikes)
-        return float(np.sqrt(np.mean((disc * vals - mids) ** 2)))
+        return disc * vals - mids
 
     # moment-matched base start: ATM value pins the overall vol scale
     atm_idx = int(np.argmin(np.abs(strikes - fwd)))
@@ -384,24 +399,24 @@ def calibrate_mixture(
         history: list[float] = []
 
         def tracked(theta, _hist=history):
-            val = objective(theta)
+            r = residuals(theta)
+            val = _rmse(r)
             _hist.append(min(val, _hist[-1]) if _hist else val)
-            return val
+            return r
 
-        res = minimize(
-            tracked,
-            theta0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
+        res = least_squares(
+            tracked, theta0, method="lm",
+            xtol=_LM_XTOL, ftol=_LM_FTOL, gtol=_LM_GTOL, max_nfev=_LM_MAX_NFEV,
         )
-        results.append((float(res.fun), idx, res, tuple(history)))
-        if res.success and float(res.fun) <= 1e-12 * spot:
+        rmse = _rmse(res.fun)
+        results.append((rmse, idx, res, tuple(history)))
+        if res.success and rmse <= 1e-12 * spot:
             break  # numerically perfect fit; later starts cannot beat it
-    best_fun, best_idx, best_res, best_hist = min(results, key=lambda r: (r[0], r[1]))
+    best_rmse, best_idx, best_res, best_hist = min(results, key=lambda r: (r[0], r[1]))
     mixture = _mixture_from_theta(best_res.x, spot, rate, maturity)
     if mixture is None:
         raise CalibrationError("calibration collapsed to an invalid mixture", fit=None)
-    fit = MixtureFit(mixture, best_fun, bool(best_res.success), best_idx, best_hist)
+    fit = MixtureFit(mixture, best_rmse, bool(best_res.success), best_idx, best_hist)
     if not fit.converged:
         raise CalibrationError("calibration did not converge", fit=fit)
     return fit

@@ -57,8 +57,9 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     The first column is sorted once with numpy's default (unstable) sort.
     When no two sorted neighbours tie, that argsort is returned at once:
     with distinct values the order is unique, so it is the lexsort's
-    permutation (continuous draws). Otherwise only
-    the rows that tie on it are re-sorted, with a stable lexsort
+    permutation (continuous draws). One key whose values all tie (a
+    constant column, such as F x at x = 0) gives the index order at once.
+    Otherwise only the rows that tie on it are re-sorted, with a stable lexsort
     over (run id, remaining columns, row index). The remaining columns of
     those rows are gathered in one (k - 1, tied) block, not one array per
     column: on a wide market of 0/1 payoffs every row ties, and a thousand
@@ -71,6 +72,9 @@ def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     first = columns[0]
     order = np.argsort(first)
     s = first[order]
+    # one key whose sorted ends tie (NaN sorts last) is constant: index order
+    if len(columns) == 1 and s.size and (s[0] == s[-1] or s[0] != s[0]):
+        return np.arange(s.size)
     nan = s != s
     # link[i]: sorted position i ties with position i - 1
     link = np.concatenate([[False], (s[1:] == s[:-1]) | (nan[1:] & nan[:-1]), [False]])

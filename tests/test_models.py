@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares, minimize
 
+from esarb import models
+from esarb.market import InstrumentQuote
 from esarb.models import (
     CalibrationError,
     GarchModel,
     LognormalMixture,
+    MixtureFit,
     _first_order_scan,
     calibrate_mixture,
     default_pl_grid,
@@ -317,6 +321,68 @@ class TestCalibrateMixture:
         f2 = calibrate_mixture(quotes, mix.spot, mix.rate, mix.maturity, seed=4)
         assert f1.rmse == f2.rmse
         assert np.array_equal(f1.mixture.log_means, f2.mixture.log_means)
+
+
+def _perturbed_chain(seed):
+    """A chain shaped like the benchmark's incomplete-study chains: calls and
+    puts at strikes 70-130 priced by a seeded mixture, a spread of 0-4 %,
+    and each mid moved uniformly within half its half-spread, so that no
+    mixture prices it exactly."""
+    rng = np.random.default_rng([seed, 1963])
+    mix = make_mixture(w1=rng.uniform(0.2, 0.8), s1=rng.uniform(0.1, 0.25),
+                       s2=rng.uniform(0.25, 0.45), split=rng.uniform(0.85, 0.98))
+    chain = synthesize_chain(mix, np.arange(70.0, 131.0, 5.0), rel_spread=rng.uniform(0.0, 0.04))
+    quotes = []
+    for q in chain:
+        if q.kind in ("call", "put"):
+            half = 0.5 * (q.ask - q.bid)
+            mid = 0.5 * (q.ask + q.bid) + 0.5 * half * rng.uniform(-1.0, 1.0)
+            q = InstrumentQuote(q.kind, q.strike, mid - half, mid + half)
+        quotes.append(q)
+    return mix, quotes
+
+
+def _recording_least_squares(monkeypatch):
+    """Route calibrate_mixture's least_squares calls through scipy's, and
+    record each call's residual function, start and result."""
+    calls = []
+
+    def recording(fun, x0, **kwargs):
+        res = least_squares(fun, x0, **kwargs)
+        calls.append((fun, np.array(x0), res))
+        return res
+
+    monkeypatch.setattr(models, "least_squares", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_no_worse_than_nelder_mead(monkeypatch, seed):
+    # reference: Nelder-Mead on the residuals' RMSE from the same starts,
+    # with the options calibrate_mixture used before Levenberg-Marquardt
+    mix, quotes = _perturbed_chain(seed)
+    calls = _recording_least_squares(monkeypatch)
+    fit = calibrate_mixture(quotes, mix.spot, mix.rate, mix.maturity, seed=seed)
+    assert len(calls) == 10
+    ref = min(
+        minimize(lambda t, fun=fun: float(np.sqrt(np.mean(fun(t) ** 2))), x0,
+                 method="Nelder-Mead",
+                 options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000}).fun
+        for fun, x0, _ in calls
+    )
+    assert fit.rmse <= (1.0 + 1e-6) * ref
+
+
+def test_fit_hitting_max_nfev_raises_with_fit_attached(monkeypatch):
+    mix, quotes = _perturbed_chain(0)
+    monkeypatch.setattr(models, "_LM_MAX_NFEV", 10)
+    calls = _recording_least_squares(monkeypatch)
+    with pytest.raises(CalibrationError, match="did not converge") as err:
+        calibrate_mixture(quotes, mix.spot, mix.rate, mix.maturity)
+    assert [res.status for _, _, res in calls] == [0] * 10
+    fit = err.value.fit
+    assert isinstance(fit, MixtureFit) and not fit.converged
+    assert fit.rmse == min(float(np.sqrt(np.mean(res.fun**2))) for _, _, res in calls)
 
 
 def garch_gaussian_loglik(returns, omega, alpha, beta):

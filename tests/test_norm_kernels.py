@@ -173,8 +173,8 @@ def test_import_loads_neither_stats_nor_signal(tmp_path):
     assert fit_json.exists()
 
 
-def _captured_objective(monkeypatch, quotes, spot, rate, maturity):
-    """The objective calibrate_mixture hands to its optimizer."""
+def _captured_residuals(monkeypatch, quotes, spot, rate, maturity):
+    """The residual function calibrate_mixture hands to least_squares."""
     captured = []
 
     class Captured(Exception):
@@ -184,17 +184,20 @@ def _captured_objective(monkeypatch, quotes, spot, rate, maturity):
         captured.append(fun)
         raise Captured
 
-    monkeypatch.setattr(models, "minimize", capture)
+    monkeypatch.setattr(models, "least_squares", capture)
     with pytest.raises(Captured):
         calibrate_mixture(quotes, spot, rate, maturity)
     return captured[0]
 
 
 def test_calibration_objective_bitwise(monkeypatch):
+    # on valid thetas the RMSE of the residuals is the scipy.stats objective;
+    # outside the valid region every residual is its penalty (no float RMSE of
+    # 22 squares rounds to some penalties, so the residuals are compared)
     mix = make_mixture(w1=0.6, s1=0.15, s2=0.35)
     quotes = synthesize_chain(mix, np.linspace(70.0, 140.0, 11), rel_spread=0.02)
     env = (mix.spot, mix.rate, mix.maturity)
-    got = _captured_objective(monkeypatch, quotes, *env)
+    got = _captured_residuals(monkeypatch, quotes, *env)
     want = ref_objective(quotes, *env)
 
     rng = np.random.default_rng(20190226)
@@ -208,8 +211,13 @@ def test_calibration_objective_bitwise(monkeypatch):
     invalid = [ref_mixture_from_theta(t, *env) is None for t in thetas]
     s1_above = [t[2] > t[3] and not bad for t, bad in zip(thetas, invalid)]
     assert sum(invalid) >= 80 and sum(s1_above) >= 200
-    for theta in thetas:
-        assert got(theta) == want(theta)
+    for theta, bad in zip(thetas, invalid):
+        r = got(theta)
+        assert r.shape == (22,)
+        if bad:
+            assert (r == want(theta)).all()
+        else:
+            assert np.sqrt(np.mean(r**2)) == want(theta)
 
 
 def test_mixture_cdf_quantile_call_bitwise():
@@ -251,14 +259,14 @@ def test_bs_ratio_density_bitwise(drift, sigma):
 
 
 def test_round_trip_calibration_history_pinned():
-    # length and SHA-256 recorded with the scipy.stats objective: the
-    # Nelder-Mead trajectory is unchanged evaluation by evaluation
+    # length and SHA-256 recorded for the Levenberg-Marquardt trajectory of
+    # the winning start; the residuals' RMSE is the scipy.stats objective
     mix = make_mixture(w1=0.6, s1=0.15, s2=0.35)
     quotes = synthesize_chain(mix, np.linspace(70.0, 140.0, 11), rel_spread=0.0,
                               include_bond=False)
     fit = calibrate_mixture(quotes, mix.spot, mix.rate, mix.maturity, seed=0)
     history = np.array(fit.history, dtype=np.float64)
-    assert history.size == 799
+    assert history.size == 41
     assert hashlib.sha256(history.tobytes()).hexdigest() == (
-        "107743064d2ba63b00245bd81bb764d738b6e24f98f13d18a1e15360d519fb7a"
+        "ba7cb9ef97085cce1d65c9664dcb7eb3f5d78ddfc4ad543704be0527917d67e9"
     )

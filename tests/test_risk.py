@@ -262,6 +262,9 @@ def _key_columns(draw):
 @example([np.array([2.0])])  # one row
 @example([np.full(30, math.nan), np.zeros(30)])  # all-equal columns
 @example([np.array([0.0, -0.0, math.nan, -0.0, math.nan, 0.0])] * 2)
+@example([np.zeros(200)])  # one constant key
+@example([np.full(30, math.nan)])  # one all-NaN key
+@example([np.array([0.0, -0.0, -0.0, 0.0, -0.0])])  # one key of signed zeros
 def test_lex_order_matches_lexsort(columns):
     order = lex_order(columns)
     assert np.array_equal(order, np.lexsort(columns[::-1]))
