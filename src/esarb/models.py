@@ -2,15 +2,16 @@
 
 Two-component lognormal mixtures (closed-form partial moments, vanilla
 values, smile calibration by Levenberg-Marquardt least squares on the price
-residuals) and GARCH(1,1) log returns (simulation, Gaussian QMLE by
-Nelder-Mead). Quadratures turn a model into a ScenarioSet: plain Monte
-Carlo, or the piecewise-linear-exact rule whose weights integrate every
-payoff that is linear between (and beyond) the grid points.
+residuals) and GARCH(1,1) log returns (simulation, Gaussian QMLE by SLSQP on
+the exact score, through `utility._slsqp`). Quadratures turn a model into a
+ScenarioSet: plain Monte Carlo, or the piecewise-linear-exact rule whose
+weights integrate every payoff that is linear between (and beyond) the grid
+points.
 
 The normal cdf and quantile are the `scipy.special` kernels `ndtr` and
 `ndtri`, the ones `scipy.stats.norm` calls, and `fit_garch` runs its
-variance recursion as a numpy scan, so neither importing nor running this
-module loads `scipy.stats` or `scipy.signal`.
+variance recursion and its score as numpy scans, so neither importing nor
+running this module loads `scipy.stats` or `scipy.signal`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, minimize
+from scipy.optimize import brentq, least_squares
 from scipy.special import expit, ndtr, ndtri
 
 from .market import InstrumentQuote, ScenarioSet, _as_readonly, _require_draws
 from .seeding import substream
+from .utility import _slsqp
 
 _PL_GRID_POINTS = 200
 # calibrate_mixture's Levenberg-Marquardt stopping rules, per start
@@ -460,13 +462,18 @@ class GarchFit:
 def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
     """Gaussian QMLE for GARCH(1,1) on a log-return series.
 
-    sig_1^2 is pinned at the sample variance, drift at the sample mean; the
-    search runs over (ln omega, arch, garch) by Nelder-Mead from six seeded
-    starts with out-of-range parameters clipped and distance-penalized.
-    The fitted model's init_var is the one-step-ahead forecast, ready for
-    simulation from the end of the sample. The variance recursion
+    sig_1^2 is pinned at the sample variance, drift at the sample mean.
+    Each of six seeded starts runs `utility._slsqp` over theta = (ln omega,
+    arch, garch) in the box [-60, 60] x [0, 1 - 1e-6]^2 with the row
+    arch + garch <= 1 - 1e-6, on -2 loglik + 6 (arch + garch) and its exact
+    gradient; the lowest objective wins, ties to the lowest start, and the
+    fit has converged when its exit mode is 0. The variance recursion
     sig_t^2 = omega + arch eps_{t-1}^2 + garch sig_{t-1}^2 runs as the
-    doubling scan `_first_order_scan`.
+    doubling scan `_first_order_scan`, and so does the score: d sig_t^2 /
+    d theta_k = a_k[t-1] + garch d sig_{t-1}^2 / d theta_k from 0, with
+    a = (omega, eps^2, sig^2). The fitted model's init_var is the
+    one-step-ahead forecast, ready for simulation from the end of the
+    sample.
     """
     r = np.asarray(returns, dtype=float).ravel()
     if r.size < 250:
@@ -480,37 +487,32 @@ def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
         raise ValueError("degenerate returns")
     eps2 = eps**2
     n = r.size
+    top = 1.0 - 1e-6
+    lo, hi = np.array([-60.0, 0.0, 0.0]), np.array([60.0, top, top])
+    row_normal = np.array([0.0, -1.0, -1.0])
 
-    def sigma2_series(omega, alpha, beta):
-        return _first_order_scan(var0, omega + alpha * eps2[:-1], beta)
-
-    lo = np.array([-60.0, 0.0, 0.0])
-    hi = np.array([60.0, 1.0 - 1e-6, 1.0 - 1e-6])
-
-    def project(theta):
-        clipped = np.clip(theta, lo, hi)
-        dist = float(np.abs(theta - clipped).sum())
-        ln_omega, alpha, beta = clipped
-        if alpha + beta > 1.0 - 1e-6:
-            dist += alpha + beta - (1.0 - 1e-6)
-            scale = (1.0 - 1e-6) / (alpha + beta)
-            alpha, beta = alpha * scale, beta * scale
-        return float(ln_omega), float(alpha), float(beta), dist
+    def sigma2_series(theta):
+        ln_omega, alpha, beta = theta
+        return _first_order_scan(var0, math.exp(ln_omega) + alpha * eps2[:-1], beta)
 
     def neg2ll(theta) -> float:
-        ln_omega, alpha, beta, dist = project(theta)
-        sig2 = sigma2_series(math.exp(ln_omega), alpha, beta)
-        val = float(np.sum(np.log(sig2) + eps2 / sig2))
-        return val + 1e6 * dist * n
+        sig2 = sigma2_series(theta)
+        return float(np.sum(np.log(sig2) + eps2 / sig2))
 
     # with iid data the likelihood is exactly flat along alpha = 0,
     # omega = s^2 (1 - beta), and spurious persistence buys only an O(1)
     # chi-square improvement; a constant O(1) charge steers those cases
     # to the parsimonious end while shifting identified optima by a
     # second-order pen^2 / curvature term that is negligible for n >= 250
-    def search_obj(theta) -> float:
-        _, alpha, beta, _ = project(theta)
-        return neg2ll(theta) + 6.0 * (alpha + beta)
+    def values(theta) -> tuple[float, tuple[float]]:
+        return neg2ll(theta) + 6.0 * (theta[1] + theta[2]), (top - theta[1] - theta[2],)
+
+    def gradients(theta) -> tuple[np.ndarray, tuple[np.ndarray]]:
+        sig2 = sigma2_series(theta)
+        dsig2 = (np.full(n, math.exp(theta[0])), eps2, sig2)
+        weights = (1.0 - eps2 / sig2) / sig2
+        score = [weights @ _first_order_scan(0.0, a[:-1], theta[2]) for a in dsig2]
+        return np.array(score) + (0.0, 6.0, 6.0), (row_normal,)
 
     rng = substream(seed, "fit-garch")
     bases = [(0.05, 0.90), (0.10, 0.85), (0.02, 0.94), (0.15, 0.70),
@@ -518,32 +520,24 @@ def fit_garch(returns, steps_ahead: int = 1, seed: int = 0) -> GarchFit:
     starts = []
     for a, b in bases:
         theta = np.array([math.log(var0 * (1.0 - a - b)), a, b])
-        starts.append(theta + rng.normal(0.0, [0.05, 0.01, 0.01]))
+        starts.append(np.clip(theta + rng.normal(0.0, [0.05, 0.01, 0.01]), lo, hi))
 
     def to_loglik(val: float) -> float:
         return -0.5 * (n * math.log(2.0 * math.pi) + val)
 
     start_lls = tuple(to_loglik(neg2ll(t)) for t in starts)
-    results = []
-    for idx, theta0 in enumerate(starts):
-        res = minimize(
-            search_obj,
-            theta0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 3000, "maxfev": 6000},
-        )
-        results.append((float(res.fun), idx, res))
-    _, best_idx, best_res = min(results, key=lambda r: (r[0], r[1]))
-    ln_omega, alpha, beta, _ = project(best_res.x)
-    best_fun = neg2ll(best_res.x)
-    omega = math.exp(ln_omega)
-    sig2 = sigma2_series(omega, alpha, beta)
+    runs = [_slsqp(values, gradients, theta0, lo, hi) for theta0 in starts]
+    _, best_idx = min((values(x)[0], idx) for idx, (x, _) in enumerate(runs))
+    best, mode = runs[best_idx]
+    theta = np.clip(best, lo, hi)  # the kernel may step an ulp past a bound
+    sig2 = sigma2_series(theta)
+    omega, alpha, beta = math.exp(theta[0]), float(theta[1]), float(theta[2])
     forecast = omega + alpha * eps2[-1] + beta * sig2[-1]
     model = GarchModel(
-        omega=omega, arch=float(alpha), garch_coef=float(beta),
+        omega=omega, arch=alpha, garch_coef=beta,
         steps=steps_ahead, init_var=float(forecast), drift=drift,
     )
-    fit = GarchFit(model, to_loglik(best_fun), bool(best_res.success), best_idx, start_lls)
+    fit = GarchFit(model, to_loglik(neg2ll(theta)), mode == 0, best_idx, start_lls)
     if not fit.converged:
         raise CalibrationError("garch fit did not converge", fit=fit)
     return fit

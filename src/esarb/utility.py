@@ -5,10 +5,11 @@ losses, concave power on gains), and the risk-averse power manager
 -((-x)+)^eta. Scans evaluate expected utility along scaled arbitrage rays;
 the constrained-sup experiment maximizes the limited-liability utility under
 a risk-manager floor, whose boundedness in the position cap separates true
-arbitrage from its absence. Its SLSQP runs go straight to scipy's compiled
-kernel (the private `scipy.optimize._slsqplib`), driven by `_slsqp` alone,
-which evaluates each point the kernel asks for once. Scenarios of weight 0
-are left out of every expected utility.
+arbitrage from its absence. Its SLSQP runs, and `models.fit_garch`'s, go
+straight to scipy's compiled kernel (the private `scipy.optimize._slsqplib`),
+driven by `_slsqp` alone, which takes a box and any number of inequality
+rows and evaluates each point the kernel asks for once. Scenarios of weight
+0 are left out of every expected utility.
 """
 
 from __future__ import annotations
@@ -155,22 +156,30 @@ class CapResult:
     quantities: np.ndarray
 
 
-def _slsqp(values, gradients, x0: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimize f over the unit box subject to two rows c(x) >= 0 with
-    scipy's SLSQP kernel; return the last iterate and the exit mode.
+def _slsqp(
+    values, gradients, x0: np.ndarray, lower=0.0, upper=1.0
+) -> tuple[np.ndarray, int]:
+    """Minimize f over the box lower <= x <= upper (each broadcast to x)
+    subject to rows c(x) >= 0 with scipy's SLSQP kernel; return the last
+    iterate and the exit mode.
 
     `values(x)` returns (f, c) and `gradients(x)` the gradient of f and the
-    two rows' normals. The loop is scipy 1.17's `_minimize_slsqp` for this
-    case (same state, workspace sizes, `maxiter=200` and `ftol=1e-12`), so
-    the iterates are bit for bit those of `minimize(method="SLSQP")`, but
-    each point the kernel asks for is evaluated once, with no wrapper.
-    Mode 1 asks for f and c, mode -1 for the gradient and the normals, and
-    any other mode ends the run (0 converged, 8 a failed line search, 9 the
-    iteration limit)."""
+    rows' normals; the number of rows is read from the first `values` call.
+    The loop is scipy 1.17's `_minimize_slsqp` for inequality rows and
+    finite bounds (same state, workspace sizes, `maxiter=200` and
+    `ftol=1e-12`), so the iterates are bit for bit those of
+    `minimize(method="SLSQP")`, but each point the kernel asks for is
+    evaluated once, with no wrapper. Mode 1 asks for f and c, mode -1 for
+    the gradient and the normals, and any other mode ends the run (0
+    converged, 8 a failed line search, 9 the iteration limit)."""
     from scipy.optimize._slsqplib import slsqp
 
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    n, m = len(x), 2
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x)
+    lower, upper = np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
+    f, rows = values(x)
+    d = np.array(rows, dtype=float)
+    m = d.size
     acc = 1e-12
     state = {
         "acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
@@ -180,10 +189,7 @@ def _slsqp(values, gradients, x0: np.ndarray) -> tuple[np.ndarray, int]:
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
     mult = np.zeros(m + 2 * n + 2)
-    lower, upper = np.zeros(n), np.ones(n)
     C = np.zeros((m, n), order="F")
-    d = np.zeros(m)
-    f, d[:] = values(x)
     g, C[:] = gradients(x)
     while True:
         slsqp(state, f, g, C, d, x, mult, lower, upper, buffer, indices)
@@ -212,10 +218,10 @@ def classic_constraint_sup(
     the smaller of the box limit B / max(d) and the floor limit
     (floor / E[u_R(d)])^(1/eta). Directions come from `n_starts` seeded
     SLSQP runs on the unit box (`_slsqp`, each start shared across caps, so
-    values are monotone in B by construction), plus the zero portfolio,
-    every nonpositive-price corner, and each cap's best direction carried
-    forward. Each point an SLSQP run asks for costs one product F z, which
-    gives the objective and the floor row (or their gradients) together.
+    values are monotone in B by construction), plus every nonpositive-price
+    corner and each cap's best direction carried forward. Each point an
+    SLSQP run asks for costs one product F z, which gives the objective and
+    the floor row (or their gradients) together.
     Scenarios of weight 0 are left out. Bounded values as B grows mean the
     floor is effective; linear growth flags a true arbitrage.
     """
@@ -265,12 +271,7 @@ def classic_constraint_sup(
         t = cap if gu >= 0.0 else min(cap, (floor / gu) ** (1.0 / eta))
         return t * fu, t * u
 
-    starts = [np.zeros(n)]
-    for j in range(n):
-        if prices[j] <= 0:
-            corner = np.zeros(n)
-            corner[j] = 1.0
-            starts.append(corner)
+    starts = list(np.eye(n)[prices <= 0])  # the nonpositive-price corners
     rng = substream(seed, "classic-sup")
     starts.extend(rng.uniform(0.0, 1.0, n) for _ in range(n_starts))
 

@@ -13,6 +13,7 @@ from esarb import (
     WeightedSample,
     detector,
     es_p,
+    models,
     payoff_distribution,
     price,
 )
@@ -65,6 +66,21 @@ def checked_min_p(market, *args, **kwargs):
     eps = 1e-6 * max(market.spot, float(np.abs(positive).max(initial=0.0)))
     assert float(dist.weights @ dist.values) > eps
     return res
+
+
+def garch_callbacks(returns, seed=0, mode=0):
+    """What `fit_garch` hands `_slsqp`, (values, gradients, x0, lower,
+    upper) per start, and the fit it returns when every start stays where
+    it began with exit `mode` (a CalibrationError when mode is not 0)."""
+    runs = []
+
+    def record(values, gradients, x0, lower, upper):
+        runs.append((values, gradients, x0, lower, upper))
+        return np.asarray(x0, dtype=float), mode
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_slsqp", record)
+        return runs, models.fit_garch(returns, seed=seed)
 
 
 @pytest.fixture

@@ -30,7 +30,11 @@ confirmation LP in `_boundary`, which `min_p` runs at lo), so on HiGHS no
 confirmation LP runs, and the threshold LP's own portfolio witnesses
 arbitrage at p0. scipy's private SLSQP
 kernel (`_slsqplib.slsqp`) is referenced only inside `utility._slsqp`, and
-no module asks `minimize` for SLSQP, so each SLSQP run has one loop.
+no module asks `minimize` for SLSQP, so each SLSQP run has one loop. No
+module mentions Nelder-Mead or imports scipy's `minimize` at all: the
+package's searches are `least_squares` for the mixture calibration and
+`utility._slsqp`, which takes a box and inequality rows, for the capped
+supremum and the GARCH fit.
 """
 
 import ast
@@ -633,4 +637,47 @@ def test_checker_flags_stray_slsqp_kernel_uses():
         "line 9: _slsqplib",
         "line 10: _slsqplib",
         "line 11: 'SLSQP'",
+    ]
+
+
+def _general_minimizers(source: str) -> list[str]:
+    """Every line that mentions Nelder-Mead (any case, any dash), and every
+    use of scipy's `minimize`: imported from `scipy.optimize` or one of its
+    modules, or read as the attribute `optimize.minimize`."""
+    found = [(line, "Nelder-Mead")
+             for line, text in enumerate(source.splitlines(), 1) if "nelder" in text.lower()]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            found += [(node.lineno, "minimize") for alias in node.names if alias.name == "minimize"]
+        elif isinstance(node, ast.Attribute) and node.attr == "minimize":
+            owner = node.value
+            if "optimize" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
+                found.append((node.lineno, "optimize.minimize"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_general_minimizer(module):
+    assert _general_minimizers(module.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_general_minimizers():
+    source = (
+        "from scipy.optimize import brentq, minimize\n"
+        "from scipy.optimize._minimize import minimize as local\n"
+        "import scipy.optimize as optimize\n"
+        "def fit(f, x):\n"
+        "    # polish by nelder-mead\n"
+        "    return optimize.minimize(f, x, method='Nelder\u2013Mead')\n"
+        "def other(f, x):\n"
+        "    return scipy.optimize.minimize(f, x), solver.minimize(f), brentq(f, 0, 1)\n"
+        "from numpy import minimize\n"
+    )
+    assert _general_minimizers(source) == [
+        "line 1: minimize",
+        "line 2: minimize",
+        "line 5: Nelder-Mead",
+        "line 6: Nelder-Mead",
+        "line 6: optimize.minimize",
+        "line 8: optimize.minimize",
     ]

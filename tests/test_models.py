@@ -24,6 +24,8 @@ from esarb.models import (
 )
 from esarb.seeding import substream
 
+from conftest import garch_callbacks
+
 
 def make_mixture(w1=0.6, s1=0.15, s2=0.35, spot=100.0, rate=0.02,
                  maturity=1.0, split=0.95):
@@ -465,6 +467,94 @@ class TestFitGarch:
         got = (fit.model.omega, fit.model.arch, fit.model.garch_coef)
         assert got == pytest.approx(want[:3], rel=1e-6, abs=0.0)
         assert fit.loglik == pytest.approx(want[3], rel=1e-9, abs=0.0)
+
+    def test_score_matches_central_differences(self):
+        _, rets = self.make_returns(n=1000, seed=5)
+        runs, _ = garch_callbacks(rets)
+        assert len(runs) == 6
+        values, gradients, _, lower, upper = runs[0]
+        assert lower.tolist() == [-60.0, 0.0, 0.0] and upper.tolist() == [60.0, 1 - 1e-6, 1 - 1e-6]
+        s2 = float(np.var(rets))
+        for theta in [(0.1, 0.1, 0.8), (0.5, 0.3, 0.2), (1.0, 0.01, 0.01),
+                      (0.02, 0.05, 0.93), (3.0, 0.2, 0.7), (1e-3, 0.02, 0.975)]:
+            theta = np.array([math.log(theta[0] * s2), theta[1], theta[2]])
+            score, (normal,) = gradients(theta)
+            central = []
+            for k, h in enumerate((1e-5, 1e-6, 1e-6)):
+                step = np.zeros(3)
+                step[k] = h
+                central.append((values(theta + step)[0] - values(theta - step)[0]) / (2 * h))
+            np.testing.assert_allclose(score, central, rtol=1e-6, atol=1e-5)
+            assert normal.tolist() == [0.0, -1.0, -1.0]
+            assert values(theta)[1] == (1 - 1e-6 - theta[1] - theta[2],)
+
+    def test_failed_exit_raises_with_fit(self, monkeypatch):
+        # a winning exit mode other than 0 (here 9, the iteration limit)
+        _, rets = self.make_returns(n=1000, seed=5)
+        _, converged = garch_callbacks(rets)
+        with pytest.raises(CalibrationError, match="did not converge") as err:
+            garch_callbacks(rets, mode=9)
+        fit = err.value.fit
+        assert not fit.converged
+        assert (fit.loglik, fit.start_index) == (converged.loglik, converged.start_index)
+        assert fit.loglik == fit.start_logliks[fit.start_index]
+        # losing starts' exit modes do not matter
+        modes = iter([9 if k != fit.start_index else 0 for k in range(6)])
+        monkeypatch.setattr(models, "_slsqp", lambda values, gradients, x0, *box: (x0, next(modes)))
+        assert fit_garch(rets).converged
+
+    @pytest.mark.parametrize("truth, n, seed", [
+        ((1e-4, 0.0, 0.0), 300, 1), ((1e-4, 0.0, 0.0), 2000, 2),
+        ((2e-6, 0.08, 0.90), 600, 3), ((1e-6, 0.05, 0.945), 1000, 4),
+        ((4e-6, 0.03, 0.965), 400, 5), ((3e-5, 0.2, 0.5), 1500, 6),
+    ])
+    def test_objective_no_worse_than_nelder_mead(self, truth, n, seed):
+        omega, arch, garch = truth
+        model = GarchModel(omega=omega, arch=arch, garch_coef=garch, steps=1,
+                           init_var=omega / (1.0 - arch - garch))
+        rets = model.simulate_returns(n, np.random.default_rng([seed, 7]))
+        reference, converged = nelder_mead_garch_objective(rets)
+        assert converged
+        fit = fit_garch(rets)
+        persistence = fit.model.arch + fit.model.garch_coef
+        objective = -2.0 * fit.loglik - n * math.log(2.0 * math.pi) + 6.0 * persistence
+        assert objective <= reference + 1e-9 * abs(reference)
+
+
+def nelder_mead_garch_objective(returns, seed=0):
+    """The search objective -2 loglik + 6 (arch + garch) that fit_garch
+    reached by Nelder-Mead, before it ran SLSQP on the exact score: six
+    seeded starts, parameters clipped to the box, the row enforced by
+    scaling, and 1e6 n times the distance moved added as a penalty.
+    Returns the winner's objective and whether Nelder-Mead converged."""
+    r = np.asarray(returns, dtype=float)
+    eps2 = (r - r.mean()) ** 2
+    var0, n = float(eps2.mean()), r.size
+    lo, hi = np.array([-60.0, 0.0, 0.0]), np.array([60.0, 1.0 - 1e-6, 1.0 - 1e-6])
+
+    def objective(theta):
+        clipped = np.clip(theta, lo, hi)
+        dist = float(np.abs(theta - clipped).sum())
+        ln_omega, alpha, beta = clipped
+        if alpha + beta > 1.0 - 1e-6:
+            dist += alpha + beta - (1.0 - 1e-6)
+            scale = (1.0 - 1e-6) / (alpha + beta)
+            alpha, beta = alpha * scale, beta * scale
+        sig2 = _first_order_scan(var0, math.exp(ln_omega) + alpha * eps2[:-1], beta)
+        neg2ll = float(np.sum(np.log(sig2) + eps2 / sig2))
+        return neg2ll + 6.0 * (alpha + beta) + 1e6 * dist * n
+
+    rng = substream(seed, "fit-garch")
+    best = None
+    for a, b in [(0.05, 0.90), (0.10, 0.85), (0.02, 0.94), (0.15, 0.70),
+                 (0.30, 0.40), (0.01, 0.02)]:
+        theta0 = np.array([math.log(var0 * (1.0 - a - b)), a, b])
+        res = minimize(objective, theta0 + rng.normal(0.0, [0.05, 0.01, 0.01]),
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 3000, "maxfev": 6000})
+        if best is None or res.fun < best.fun:
+            best = res
+    return float(best.fun), bool(best.success)
 
 
 def _sequential_recursion(first, x, beta):

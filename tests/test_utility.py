@@ -14,6 +14,7 @@ from esarb import (
     WeightedSample,
 )
 from esarb.detector import detect
+from esarb.models import GarchModel
 from esarb.utility import (
     UtilitySpec,
     _slsqp,
@@ -22,7 +23,7 @@ from esarb.utility import (
     scaling_scan,
 )
 
-from conftest import random_market, run_with_one_blas_thread
+from conftest import garch_callbacks, random_market, run_with_one_blas_thread
 
 LL = UtilitySpec.limited_liability()
 RM2 = UtilitySpec.risk_manager_power(2.0)
@@ -367,6 +368,37 @@ def slsqp_problem(seed):
     return values, gradients, starts
 
 
+def garch_slsqp_problem(seed):
+    """`fit_garch`'s callbacks, box and one of its six starts on a seeded
+    GARCH(1,1) series of 300-2000 returns: three parameters, a lower bound
+    of -60 and one row."""
+    rng = np.random.default_rng(seed)
+    arch = float(rng.uniform(0.0, 0.2))
+    garch = float(rng.uniform(0.0, 0.97 - arch))
+    model = GarchModel(omega=1e-6, arch=arch, garch_coef=garch, steps=1,
+                       init_var=1e-6 / (1.0 - arch - garch))
+    runs, _ = garch_callbacks(model.simulate_returns(int(rng.integers(300, 2001)), rng), seed)
+    return runs[seed % len(runs)]
+
+
+def scipy_slsqp(values, gradients, z0, lower=0.0, upper=1.0):
+    """`minimize(method="SLSQP")` on `_slsqp`'s callbacks and box."""
+    res = minimize(
+        lambda z: values(z)[0],
+        z0,
+        jac=lambda z: gradients(z)[0],
+        method="SLSQP",
+        bounds=list(zip(np.broadcast_to(lower, len(z0)), np.broadcast_to(upper, len(z0)))),
+        constraints={
+            "type": "ineq",
+            "fun": lambda z: np.array(values(z)[1]),
+            "jac": lambda z: np.array(gradients(z)[1]),
+        },
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    return res.x, res.status
+
+
 def test_slsqp_matches_scipy_minimize_bit_for_bit():
     # the kernel loop reproduces `minimize(method="SLSQP")` with the same
     # callbacks: every iterate, so the last x and the exit mode agree
@@ -375,21 +407,15 @@ def test_slsqp_matches_scipy_minimize_bit_for_bit():
         values, gradients, starts = slsqp_problem(seed)
         for z0 in starts:
             x, mode = _slsqp(values, gradients, z0)
-            res = minimize(
-                lambda z: values(z)[0],
-                z0,
-                jac=lambda z: gradients(z)[0],
-                method="SLSQP",
-                bounds=[(0.0, 1.0)] * len(z0),
-                constraints={
-                    "type": "ineq",
-                    "fun": lambda z: np.array(values(z)[1]),
-                    "jac": lambda z: np.array(gradients(z)[1]),
-                },
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            assert (x.tobytes(), mode) == (res.x.tobytes(), res.status), (seed, z0)
+            res_x, status = scipy_slsqp(values, gradients, z0)
+            assert (x.tobytes(), mode) == (res_x.tobytes(), status), (seed, z0)
             modes.append(mode)
             outside.append(bool(((z0 < 0.0) | (z0 > 1.0)).any()))
     assert {0, 8, 9} <= set(modes)  # converged, failed line search, iteration limit
     assert sum(outside) >= 30  # starts the loop clips to the box first
+    # fit_garch's problems: 3 parameters, a negative lower bound, one row
+    for seed in range(10):
+        values, gradients, x0, lower, upper = garch_slsqp_problem(seed)
+        x, mode = _slsqp(values, gradients, x0, lower, upper)
+        res_x, status = scipy_slsqp(values, gradients, x0, lower, upper)
+        assert (x.tobytes(), mode) == (res_x.tobytes(), status), seed
