@@ -24,8 +24,10 @@ x (`_evaluate`, which the cut loop hands back with its answer), so every
 arbitrage verdict rests on a portfolio checked with the ES formula.
 With equal scenario weights `tail_envelope` sorts nothing, so each cut
 costs O(scenarios); with unequal weights it sorts the values once.
-On HiGHS, sorted payoff rows that differ from their predecessor in few
-entries (digital and step payoffs) are difference-encoded: free chain
+The LP keeps one hinge row per positive-weight scenario, in scenario
+order (Rockafellar-Uryasev). On HiGHS, payoff rows that
+differ from their predecessor in few entries (digital and step payoffs,
+whose scenario points increase) are difference-encoded: free chain
 variables carry F x from row to row, so the LP holds the row differences
 instead of the dense payoff block. The chain form is used exactly when it
 has at most half the constraint nonzeros of the plain form.
@@ -55,7 +57,7 @@ import scipy.sparse as sparse
 from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
 from .market import MarketSnapshot, Portfolio
-from .risk import RiskLevel, as_level, lex_order, tail_envelope
+from .risk import RiskLevel, as_level, tail_envelope
 
 _CUT_SCENARIOS = 600
 _HIGHS_OPTS = {
@@ -66,7 +68,6 @@ _HIGHS_OPTS = {
 _GAP_TOL = 1e-10
 _SIGN_TOL = 1e-9  # `_check_density` takes q_i >= -_SIGN_TOL (1 + max |q|) for q_i >= 0
 _MAX_CUTS = 2000
-_MERGE_BLOCK = 1 << 16  # key entries gathered per compare in _merged_rows
 
 
 class SolverError(RuntimeError):
@@ -83,11 +84,13 @@ class LpProblem:
     -upper_bound. `constraint_matrix` holds the rows every LP shares, and
     `highs_args` states the column layout and gives each LP kind's costs
     and bounds, so one LpProblem serves a whole `detect` or `min_p` call.
-    It holds its warm model and the level-free LPs' answers
-    (`threshold`, `interior`), so a sweep over levels solves each once.
+    Row i is the i-th positive-weight scenario, in scenario order, at
+    its own weight; duplicate payoff rows stay separate rows. It holds its
+    warm model and the level-free LPs' answers (`threshold`, `interior`),
+    so a sweep over levels solves each once.
     """
 
-    payoffs: np.ndarray  # n_scenarios x n_legs (portfolio columns)
+    payoffs: np.ndarray  # n_scenarios (positive weight) x n_legs (portfolio columns)
     weights: np.ndarray
     prices: np.ndarray
     upper_bound: float
@@ -116,10 +119,10 @@ class LpProblem:
     def chain(self) -> sparse.csr_matrix | None:
         """The payoff rows' differences D (D_0 = F_0, D_i = F_i - F_{i-1})
         when the chain form of the constraints takes at most half the
-        nonzeros of the plain form, else None. The merged rows come in
-        lexicographic order, so on digital and step payoffs D is nearly
-        empty while F is a dense triangle. A problem with a chain form
-        stays on HiGHS (see `solve_lp`)."""
+        nonzeros of the plain form, else None. The rows come in order of
+        increasing scenario point, so on digital and step payoffs D is
+        nearly empty while F is a dense triangle. A problem with a chain
+        form stays on HiGHS (see `solve_lp`)."""
         F, n_s = self.payoffs, self.n_scenarios
         nnz_cost = np.count_nonzero(self.prices)
         # cost row, then the hinge rows: alpha, F x, u (plain) or alpha, y,
@@ -174,8 +177,8 @@ class LpProblem:
     @property
     def on_highs(self) -> bool:
         """Whether `solve_lp` hands this LP to sparse HiGHS: fewer than 600
-        (merged) scenarios, or a `chain` form. Every other LP takes the
-        cutting-plane path."""
+        positive-weight scenarios, or a `chain` form. Every other LP takes
+        the cutting-plane path."""
         return self.n_scenarios < _CUT_SCENARIOS or self.chain is not None
 
     @cached_property
@@ -284,63 +287,26 @@ class MinPResult:
     portfolio: Portfolio | None  # an arbitrage at p_star, None when p_star is None
 
 
-def _merged_rows(market: MarketSnapshot, keys: np.ndarray):
-    """Scenario indices of the distinct payoff rows and their summed
-    weights, dropping rows whose weight sums to 0. Rows come in
-    lexicographic order (first leg major, equal rows by scenario index, and
-    -0.0 ties with +0.0).
-
-    The order comes from `lex_order` on the payoff columns of the legs
-    `keys`, stacked as key rows: the LP columns that vary (`_net_columns`).
-    The other LP columns are constant, and a pair's short leg negates its
-    long one wherever the weight is positive, so rows that tie on every key
-    hold one LP row. A run of equal rows ends where a sorted row differs
-    from the one before it: on the first key, or else on any other key,
-    compared for one block of adjacent sorted rows (at most _MERGE_BLOCK
-    gathered entries) at a time, and only in blocks where the first key
-    ties. When every run is one row (continuous draws), the weights need no
-    summing."""
-    keys = np.stack([market.legs[j].payoff for j in keys])
-    order = lex_order(keys)
-    s = keys[0, order]
-    new_run = np.concatenate([[True], s[1:] != s[:-1]])
-    step = max(1, _MERGE_BLOCK // len(keys))
-    for start in range(1, len(order), step):
-        stop = start + step
-        if not new_run[start:stop].all():
-            block = np.take(keys[1:], order[start - 1 : stop], axis=1)
-            new_run[start:stop] |= np.logical_or.reduce(block[:, 1:] != block[:, :-1], axis=0)
-    starts = np.flatnonzero(new_run)
-    merged_w = market.scenarios.weights[order]
-    if len(starts) < len(order):  # some run holds more than one row
-        merged_w = np.add.reduceat(merged_w, starts)
-    keep = merged_w > 0
-    return order[starts[keep]], merged_w[keep]
-
-
-def _net_columns(market: MarketSnapshot, prices: np.ndarray):
-    """Pair each leg with an earlier unpaired leg whose payoffs where the
-    weight is positive (so on every merged row) and price are its exact
-    negation. Returns (legs, shorts, varies): one entry per LP column, at
-    its first leg's position; shorts is -1 for a leg left single, and
-    varies tells whether the column's payoffs differ on any scenario. Each
-    leg's column is read on its own (gathered when some weight is 0), so
-    no copy of the matrix is made. A leg waits under its price and payoff
-    sum, which negate exactly with the payoffs, and a match under that key
-    is confirmed entry by entry.
+def _net_columns(market: MarketSnapshot, rows, prices: np.ndarray):
+    """Pair each leg with an earlier unpaired leg whose payoffs on the
+    scenarios `rows` (those of positive weight) and price are its exact
+    negation. Returns (legs, shorts): one entry per LP column, at its first
+    leg's position; shorts is -1 for a leg left single. Each leg's column
+    is read on its own (gathered when some weight is 0), so no copy of the
+    matrix is made. A leg waits under its price and payoff sum, which
+    negate exactly with the payoffs, and a match under that key is
+    confirmed entry by entry.
 
     A pair with a constant payoff (cash, a bond) stays two legs: its net
     column would be parallel to alpha's in every hinge row, and at the
     exact threshold HiGHS then returned vertices that miss a bound by up
     to 4e-8 (15 of 3596 random 40-scenario option markets)."""
-    positive = market.scenarios.weights > 0
-    rows = slice(None) if positive.all() else np.flatnonzero(positive)
     waiting: dict = {}  # (price, payoff sum) -> [(payoffs, LP column)] of legs awaiting their negation
-    legs, shorts, varies = [], [], []
+    legs, shorts = [], []
     for j, (leg, price) in enumerate(zip(market.legs, prices.tolist())):
         col = leg.payoff[rows]
         match = None
-        if varying := bool((col != col[0]).any()):
+        if (col != col[0]).any():
             key = (price + 0.0, float(col.sum()) + 0.0)  # + 0.0: a zero of either sign keys as +0.0
             pending = waiting.get((0.0 - key[0], 0.0 - key[1]), [])
             match = next((i for i, (other, _) in enumerate(pending) if (other == -col).all()), None)
@@ -351,8 +317,7 @@ def _net_columns(market: MarketSnapshot, prices: np.ndarray):
         else:
             legs.append(j)
             shorts.append(-1)
-            varies.append(varying or bool((leg.payoff != col[0]).any()))
-    return np.array(legs, dtype=int), np.array(shorts, dtype=int), np.array(varies)
+    return np.array(legs, dtype=int), np.array(shorts, dtype=int)
 
 
 _last = threading.local()  # per thread: the most recent HiGHS-path market (by weakref) and its LP
@@ -366,24 +331,25 @@ def build_lp(market: MarketSnapshot) -> LpProblem:
     until that thread builds the LP of another market. The LP is held only
     while the market lives, and cut-path LPs are never held.
 
-    Scenarios with identical payoff rows are merged by summing their weights
-    (identical hinge rows share one auxiliary variable, which is exact), and
+    Each positive-weight scenario is one hinge row, in scenario order, and
     each frictionless pair of legs becomes one net column (see `LpProblem`).
-    The payoff matrix is gathered once, from the legs straight into a
-    column-major block: only the merged rows of the kept columns, with -0.0
-    read as +0.0. That layout fixes the order in which BLAS sums each
-    product with the matrix, and so the bits of every result computed
-    from it.
+    Scenarios with identical payoff rows stay separate rows, which is exact:
+    the LP has the same optimum as one whose duplicate rows share one
+    auxiliary at their summed weight. The payoff matrix is gathered once,
+    from the legs straight into a column-major block: only the kept rows of
+    the kept columns, with -0.0 read as +0.0. That layout fixes the order
+    in which BLAS sums each product with the matrix, and so the bits of
+    every result computed from it.
     """
     held = getattr(_last, "held", [])
     if held and held[0]() is market:
         return held[1]
     held.clear()  # free the last LP now: the list and its weakref's callback form a cycle
-    prices = market.prices()
-    legs, shorts, varies = _net_columns(market, prices)
-    # with no column varying, every row is one run
-    rows, weights = _merged_rows(market, legs[varies] if varies.any() else legs[:1])
-    payoffs = np.empty((len(rows), len(legs)), order="F")
+    prices, positive = market.prices(), market.scenarios.weights > 0
+    rows = slice(None) if positive.all() else np.flatnonzero(positive)
+    legs, shorts = _net_columns(market, rows, prices)
+    weights = market.scenarios.weights[rows]
+    payoffs = np.empty((len(weights), len(legs)), order="F")
     for k, j in enumerate(legs):
         np.add(market.legs[j].payoff[rows], 0.0, out=payoffs[:, k])
     problem = LpProblem(payoffs, weights, prices[legs], market.upper_bound, legs, shorts)
@@ -569,7 +535,7 @@ def solve_lp(
     alone and raises ValueError on a HiGHS-path LP.
 
     The path follows from the LP (`LpProblem.on_highs`), with no override.
-    At least 600 (merged) scenarios and no `chain` form take the
+    At least 600 positive-weight scenarios and no `chain` form take the
     cutting-plane path (`_solve_cuts`, one loop for both LP kinds), whatever
     the number of legs: its one master LP stays small, gains each cut as a
     row and is re-solved from its last basis, while each cut selects the
@@ -606,10 +572,10 @@ def arbitrage_epsilon(market: MarketSnapshot) -> float:
 
 def _epsilon(market: MarketSnapshot, problem: LpProblem) -> float:
     """1e-6 max(spot, `payoff_scale`) of the market's LP, which `detect`
-    and `min_p` read off the LP they build. The LP's merged rows and kept
-    columns hold every absolute payoff of the positive-weight scenarios (a
-    short leg negates its long one there), so a weight-0 scenario sets no
-    part of it."""
+    and `min_p` read off the LP they build. The LP's rows are the
+    positive-weight scenarios, and its kept columns hold every absolute
+    payoff there (a short leg negates its long one there), so a weight-0
+    scenario sets no part of it."""
     return 1e-6 * max(market.spot, problem.payoff_scale)
 
 

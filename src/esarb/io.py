@@ -13,7 +13,6 @@ import io as _io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,11 @@ SCHEMA_VERSION = 1
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".esarb-")
+    """Write text to a fresh `.esarb-*` file beside path, then rename it
+    over path. The file is created with mode 0o666 less the umask, as a
+    plain open() would create it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".esarb-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -86,19 +88,24 @@ def _arrays(data: dict, keys, where: str) -> list[np.ndarray]:
 
 def _csv_rows(path: str, header: list[str]) -> list[list[str]]:
     """Every non-blank data row of a CSV that must start with the given
-    header and have one cell per header column."""
+    header and have one cell per header column. A malformed CSV (say, a
+    field over the csv module's size limit) raises ValueError at
+    path:line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
-            rows.append(row)
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise ValueError(f"{path}: expected header {','.join(header)}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{line_no}: expected {len(header)} columns")
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 

@@ -9,10 +9,9 @@ the atom that straddles the p boundary. ES at p >= 1 is rejected.
 attaining ES_p) on exactly judged masses, by one of two rules. With equal
 weights it counts: the atom's sorted position is an integer quotient, and
 one `np.partition` selects it, so nothing is sorted. Otherwise it takes
-one stable order of the values (`lex_order`) and places the atom by the
-running sum of their weights, checked with `math.fsum`. ES_p follows from
-the weights below the atom and the atom's share of p (Rockafellar and
-Uryasev).
+one stable argsort of the values and places the atom by the running sum
+of their weights, checked with `math.fsum`. ES_p follows from the weights
+below the atom and the atom's share of p (Rockafellar and Uryasev).
 """
 
 from __future__ import annotations
@@ -48,46 +47,6 @@ def var_p(sample: WeightedSample, level: RiskLevel | float) -> float:
     return tail_envelope(sample.values, sample.weights, as_level(level).p)[2]
 
 
-def lex_order(columns: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
-    """Row order sorting equal-length key columns lexicographically, the
-    first column major, with ties by row index: np.lexsort(columns[::-1]).
-    `columns` is a (k, n) array whose rows are the keys (a view such as
-    `matrix.T` is not copied), or k 1-D arrays, which are stacked into one.
-
-    The first column is sorted once with numpy's default (unstable) sort.
-    When no two sorted neighbours tie, that argsort is returned at once:
-    with distinct values the order is unique, so it is the lexsort's
-    permutation (continuous draws). One key whose values all tie (a
-    constant column, such as F x at x = 0) gives the index order at once.
-    Otherwise only the rows that tie on it are re-sorted, with a stable lexsort
-    over (run id, remaining columns, row index). The remaining columns of
-    those rows are gathered in one (k - 1, tied) block, not one array per
-    column: on a wide market of 0/1 payoffs every row ties, and a thousand
-    small gathers left the process's peak RSS differing from run to run.
-    Ties by index make the permutation unique, so it does not depend on the
-    sort numpy dispatches to. As in numpy's sorts, -0.0 ties with +0.0 and
-    NaN ties with NaN after every other value.
-    """
-    columns = np.asarray(columns)
-    first = columns[0]
-    order = np.argsort(first)
-    s = first[order]
-    # one key whose sorted ends tie (NaN sorts last) is constant: index order
-    if len(columns) == 1 and s.size and (s[0] == s[-1] or s[0] != s[0]):
-        return np.arange(s.size)
-    nan = s != s
-    # link[i]: sorted position i ties with position i - 1
-    link = np.concatenate([[False], (s[1:] == s[:-1]) | (nan[1:] & nan[:-1]), [False]])
-    if not link.any():  # no ties: the argsort is the one order
-        return order
-    tied = np.flatnonzero(link[:-1] | link[1:])
-    rows = order[tied]
-    run = np.cumsum(~link[tied])  # a tied position that ties with no predecessor starts a run
-    rest = columns[1:, rows]
-    order[tied] = rows[np.lexsort((rows, *rest[::-1], run))]
-    return order
-
-
 def tail_envelope(
     values: np.ndarray, weights: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, float]:
@@ -110,7 +69,7 @@ def tail_envelope(
     `np.partition` selects (nothing is sorted); of the ties at t, after
     the m values below it, the first j = min((P - m W) // W, #ties) take
     their whole weight and the next one (P - (m + j) W) / D. Otherwise one
-    stable order (`lex_order`) is taken, and the float running sum of its
+    stable argsort of the values is taken, and the float running sum of its
     weights places the split where it first exceeds p. That sum errs by
     under n eps of the total, so only positions whose sum lies that close
     to p are in doubt (almost always none); `math.fsum`, whose exactly
@@ -133,7 +92,7 @@ def tail_envelope(
         taken[ties[:j]] = True
         split, share = ties[j : j + 1], (P - (m + j) * W) / D
     else:
-        order = lex_order(values[None, :])
+        order = np.argsort(values, kind="stable")
         w = weights[order]
 
         def rest(i):  # p - the mass before sorted position i, exactly rounded

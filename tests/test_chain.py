@@ -1,11 +1,11 @@
 """The chain form of the HiGHS LPs against the plain assembly.
 
-On sorted digital and step payoffs, consecutive merged rows differ in a
-few entries, and `LpProblem.chain` holds those differences. The detection
-LP then carries free chain variables in place of the dense payoff block,
-and so do the level-free threshold and interior LPs, which are the
-detection LP's own `constraint_matrix` at alpha = -1, and with u = 0 and
-one more row. Here the chain LPs are compared with the plain assembly kept
+On digital and step payoffs, consecutive scenario rows (in order of
+increasing point) differ in a few entries, and `LpProblem.chain` holds
+those differences. The detection LP then carries free chain variables in
+place of the dense payoff block, and so do the level-free threshold and
+interior LPs, which are the detection LP's own `constraint_matrix` at
+alpha = -1, and with u = 0 and one more row. Here the chain LPs are compared with the plain assembly kept
 below, the threshold with an independent density LP over (q, lam, t), and
 verdicts with the plain two-phase rule (the plain confirmation LP, which
 HiGHS-path `detect` does not solve, stays here as a reference). The
@@ -324,12 +324,13 @@ def test_chain_matches_plain_reference(seed, steps):
 
 
 def test_chain_form_on_the_512_cell_market(monkeypatch):
-    # each sorted row of the digital ladder differs from the one before in
-    # one entry: 3585 constraint nonzeros in place of 133377
+    # the first row of the digital ladder holds 512 ones, and each later
+    # row differs from the one before in one entry: 4096 constraint
+    # nonzeros in place of 133377
     market = density_market(bs_ratio_density(drift=-0.3, rate=0.0, sigma=0.15, cells=512))
     prob = build_lp(market)
-    assert prob.chain is not None and prob.chain.nnz == 513
-    assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (3585, 133377)
+    assert prob.chain is not None and prob.chain.nnz == 1024
+    assert (prob.constraint_matrix.nnz, _plain_nnz(prob)) == (4096, 133377)
     calls = _recording(monkeypatch)
     q, _, _ = _dual_density(prob, "threshold")
     assert abs(1.0 / float(q.max()) - _plain_p0(prob)) <= 1e-12 * _plain_p0(prob)

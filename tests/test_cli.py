@@ -517,6 +517,16 @@ class TestMalformedInputs:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_oversized_csv_field_exits_1_naming_the_line(self, work, tmp_path, capsys):
+        # a field over the csv module's limit is an input error, not a traceback
+        bad = tmp_path / "chain.csv"
+        bad.write_text("kind,strike,bid,ask\ncall,100,1,2\ncall," + "1" * 200_000 + ",1,2\n")
+        assert run(["detect", "--chain", str(bad), "--market", work["market"],
+                    "--model", work["mixture"], "--p", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}:3: field larger than field limit")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize("case", [
         "zero draws",
         "zero density draws",

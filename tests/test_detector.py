@@ -37,7 +37,6 @@ from esarb.detector import (
     _check_witness,
     _dual_density,
     _evaluate,
-    _merged_rows,
     _solve_cuts,
     _solve_highs,
     arbitrage_epsilon,
@@ -46,7 +45,6 @@ from esarb.detector import (
     solve_lp,
 )
 from esarb.io import detection_to_dict
-from esarb.risk import lex_order
 
 from conftest import checked_min_p as min_p  # every result's portfolio is checked
 from conftest import random_market, run_with_one_blas_thread
@@ -98,101 +96,64 @@ def test_build_lp_objective_weights():
     assert objective[2:].tolist() == [0.25, 0.75]  # w_i
 
 
-def test_build_lp_merges_duplicate_scenarios():
-    scen = ScenarioSet([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.25, 0.25])
-    leg = TradableLeg("flat then up", 1.0, np.array([0.0, 0.0, 0.0, 6.0]))
-    market = MarketSnapshot(scen, (leg,), spot=1.0)
-    merged = build_lp(market)
-    verbatim = LpProblem(
-        payoffs=market.payoff_matrix(),
-        weights=market.scenarios.weights,
-        prices=market.prices(),
-        upper_bound=market.upper_bound,
-        legs=np.arange(market.n_legs),
-        shorts=np.full(market.n_legs, -1),
-    )
-    assert merged.n_scenarios == 2
-    assert verbatim.n_scenarios == 4
-    assert solve_lp(merged, 0.5).optimal_value == pytest.approx(
-        solve_lp(verbatim, 0.5).optimal_value, abs=1e-12
-    )
+def _split(market, rng):
+    """The market with each scenario split into 2 or 3 scenarios with its
+    payoffs: weights w/2, w/2 or w/2, w/4, w/4 (exact, so they sum to w),
+    at points nudged apart by a quarter of the gap to the next point."""
+    points, weights = market.scenarios.points, market.scenarios.weights
+    gaps = np.diff(points, append=points[-1] + 1.0)
+    parts = rng.integers(2, 4, len(points))
+    src = np.repeat(np.arange(len(points)), parts)
+    step = np.arange(len(src)) - np.repeat(np.cumsum(parts) - parts, parts)  # 0, 1(, 2) per scenario
+    shares = np.where(step == 0, 0.5, np.where(np.repeat(parts, parts) == 2, 0.5, 0.25))
+    scen = ScenarioSet(points[src] + step * gaps[src] / 4.0, weights[src] * shares)
+    legs = tuple(replace(leg, payoff=leg.payoff[src]) for leg in market.legs)
+    return MarketSnapshot(scen, legs, spot=market.spot, upper_bound=market.upper_bound)
 
 
-def _merge_keys(market):
-    """The key legs `build_lp` merges on."""
-    legs, _, varies = detector._net_columns(market, market.prices())
-    return legs[varies] if varies.any() else legs[:1]
+def _split_case(kind):
+    if kind == "highs":
+        return random_market(np.random.default_rng(4), n_scenarios=30, n_legs=4)
+    if kind == "chain":
+        from test_chain import _ladder_market
+
+        return _ladder_market(np.random.default_rng(2))
+    return _two_asset_markowitz(700)
 
 
-def _merged_payoffs(market):
-    """The merged payoff rows `build_lp` works on, every leg's column kept."""
-    rows, weights = _merged_rows(market, _merge_keys(market))
-    return market.payoff_matrix()[rows] + 0.0, weights
+@pytest.mark.parametrize("kind", ["highs", "chain", "cuts"])
+def test_split_scenarios_keep_every_answer(kind):
+    # duplicate payoff rows are separate hinge rows at their own weights,
+    # which leaves every optimum, verdict and threshold where it was, on
+    # each solver path
+    market = _split_case(kind)
+    split = _split(market, np.random.default_rng(9))
+    prob, split_prob = build_lp(market), build_lp(split)
+    assert split_prob.n_scenarios > prob.n_scenarios
+    assert split_prob.on_highs == prob.on_highs == (kind != "cuts")
+    assert (split_prob.chain is not None) == (prob.chain is not None) == (kind == "chain")
+    scale, verdicts = max(market.spot, prob.payoff_scale), set()
+    for p in (0.02, 0.1, 0.3, 0.6, 0.8):
+        res, split_res = detect(market, p), detect(split, p)
+        assert split_res.arbitrage == res.arbitrage
+        assert abs(split_res.min_es - res.min_es) <= 1e-12 * scale
+        verdicts.add(res.arbitrage)
+    assert verdicts == {False, True}
+    res, split_res = min_p(market, bracket=(1e-3, 0.9)), min_p(split, bracket=(1e-3, 0.9))
+    assert res.status == split_res.status == "found"
+    assert abs(split_res.p_star - res.p_star) <= 1e-12
 
 
-def _unique_merge(market):
-    """Reference merge: np.unique over the rows, weights summed per row."""
-    payoffs = market.payoff_matrix() + 0.0
-    uniq, inverse = np.unique(payoffs, axis=0, return_inverse=True)
-    weights = market.scenarios.weights
-    merged_w = np.bincount(inverse.ravel(), weights=weights, minlength=uniq.shape[0])
-    keep = merged_w > 0
-    return uniq[keep], merged_w[keep]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_merge_matches_unique_reference(seed):
-    rng = np.random.default_rng(seed)
-    n_s = 400
-    # few distinct values per column: many duplicate rows, -0.0 among them
-    cols = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=(n_s, 3))
-    cols[::7] = rng.normal(size=(len(cols[::7]), 3))  # some unique rows
-    weights = rng.random(n_s)
-    weights[rng.random(n_s) < 0.2] = 0.0  # zero-weight rows, some alone in their group
-    scen = ScenarioSet(np.arange(n_s, dtype=float), weights / weights.sum())
-    legs = tuple(TradableLeg(f"c{j}", 0.0, cols[:, j]) for j in range(3))
-    market = MarketSnapshot(scen, legs, spot=1.0)
-    rows, w = _merged_payoffs(market)
-    ref_rows, ref_w = _unique_merge(market)
-    assert rows.shape[0] < n_s
-    assert np.array_equal(rows, ref_rows)
-    lp_payoffs = build_lp(market).payoffs
-    assert not np.signbit(lp_payoffs[lp_payoffs == 0.0]).any()  # -0.0 folded into +0.0
-    assert np.allclose(w, ref_w, rtol=1e-14, atol=0.0)
-    assert (w > 0).all()
-
-
-def _lexsort_merge(market):
-    """Reference merge: a full-matrix lexsort and a sorted copy of every row."""
-    payoffs = market.payoff_matrix() + 0.0
-    order = np.lexsort(payoffs.T[::-1])
-    rows = payoffs[order]
-    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
-    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
-    keep = merged_w > 0
-    return rows[starts[keep]], merged_w[keep]
-
-
-def _merged_blocks(market):
-    """Reference: the merge `build_lp` made from the whole normalized payoff
-    matrix, returning the merged rows of every column."""
-    payoffs = market.payoff_matrix() + 0.0
-    varies = (payoffs != payoffs[:1]).any(axis=0)
-    keys = payoffs.T[np.argmax(varies) :]
-    order = lex_order(keys)
-    new_run = np.zeros(len(order) - 1, dtype=bool)
-    for col in keys:
-        s = col[order]
-        new_run |= s[1:] != s[:-1]
-    starts = np.flatnonzero(np.concatenate([[True], new_run]))
-    merged_w = np.add.reduceat(market.scenarios.weights[order], starts)
-    keep = merged_w > 0
-    return np.take(payoffs, order[starts[keep]], axis=0), merged_w[keep]
+def _positive_rows(market):
+    """Reference: the positive-weight rows of the whole normalized payoff
+    matrix, every column kept, and their weights."""
+    keep = market.scenarios.weights > 0
+    return (market.payoff_matrix() + 0.0)[keep], market.scenarios.weights[keep]
 
 
 def _net_columns(payoffs, prices):
     """Reference: the pairing `build_lp` made on a transposed copy of the
-    merged matrix."""
+    positive-weight rows."""
     cols = np.ascontiguousarray(payoffs.T)
     varies = (cols != cols[:, :1]).any(axis=1)
     waiting: dict = {}
@@ -212,9 +173,9 @@ def _net_columns(payoffs, prices):
 
 
 def _reference_lp_blocks(market):
-    """payoffs, weights, prices, legs and shorts as `build_lp` composed them
-    from `_merged_blocks` and `_net_columns`."""
-    payoffs, weights = _merged_blocks(market)
+    """payoffs, weights, prices, legs and shorts as `build_lp` composes them
+    from `_positive_rows` and `_net_columns`."""
+    payoffs, weights = _positive_rows(market)
     prices = market.prices()
     legs, shorts = _net_columns(payoffs, prices)
     return payoffs[:, legs], weights, prices[legs], legs, shorts
@@ -270,14 +231,14 @@ def _zero_weight_market():
     return MarketSnapshot(scen, legs, spot=1.0)
 
 
-def _merge_market(kind):
+def _lp_market(kind):
     if kind == "zero weight":
         return _zero_weight_market()
     if kind == "markowitz":  # constant cash columns first, then negated legs
         return _two_asset_markowitz(3000)
-    if kind == "negated":  # key columns that negate the key before them
+    if kind == "negated":  # columns that negate the column before them
         return _negated_pairs_market()
-    if kind == "digital":  # 0/1 columns: every key column is one long tie run
+    if kind == "digital":  # 0/1 columns, every payoff row listed twice
         return _doubled(density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=64)))
     if kind == "pairs":
         return _frictionless_pairs_market()
@@ -286,56 +247,15 @@ def _merge_market(kind):
     return MarketSnapshot(scen, cash, spot=1.0)
 
 
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "negated"])
-def test_merge_matches_lexsort_reference(kind):
-    market = _merge_market(kind)
-    rows, w = _merged_payoffs(market)
-    ref_rows, ref_w = _lexsort_merge(market)
-    assert rows.shape == ref_rows.shape
-    assert rows.tobytes() == ref_rows.tobytes()
-    assert w.tobytes() == ref_w.tobytes()
-    expected = {"markowitz": 3000, "digital": 64, "constant": 1, "negated": 28}[kind]
-    assert len(w) == expected
-
-
-@pytest.mark.parametrize("block", [1, 300])
-@pytest.mark.parametrize("kind", ["markowitz", "digital", "constant", "negated"])
-def test_merge_runs_found_across_row_blocks(monkeypatch, kind, block):
-    # runs are found one block of sorted rows at a time; a run that
-    # straddles a block boundary (every run of the doubled digital market,
-    # with blocks of 2 rows) stays one run
-    monkeypatch.setattr(detector, "_MERGE_BLOCK", block)
-    market = _merge_market(kind)
-    rows, w = _merged_payoffs(market)
-    ref_rows, ref_w = _lexsort_merge(market)
-    assert rows.tobytes() == ref_rows.tobytes()
-    assert w.tobytes() == ref_w.tobytes()
-
-
-def test_merge_peak_memory_on_512_cell_market_stays_below_1_5_matrices():
-    # the 1022 key columns of the digital market's 511 long/short pairs
-    # peaked at 2.68 matrices; keying on the long legs alone, at 1.35
-    market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=512))
-    matrix_bytes = market.payoff_matrix().nbytes
-    assert market.payoff_matrix().shape == (512, 1024)
-    keys = _merge_keys(market)
-    _merged_rows(market, keys)
-    tracemalloc.start()
-    try:
-        _merged_rows(market, keys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * matrix_bytes
-
-
 @pytest.mark.parametrize(
     "kind", ["markowitz", "digital", "constant", "pairs", "negated", "zero weight"]
 )
 def test_build_lp_blocks_bitwise_equal_merged_matrix_reference(kind):
-    # the LP block gathered from the legs is the one cut from the merged
-    # matrix, layout included: BLAS sums in an order the strides set
-    market = _merge_market(kind)
+    # the LP block gathered from the legs is the one cut from the
+    # positive-weight rows of the normalized matrix, in scenario order and
+    # with duplicate rows kept, layout included: BLAS sums in an order the
+    # strides set
+    market = _lp_market(kind)
     prob = build_lp(market)
     ref = _reference_lp_blocks(market)
     got = (prob.payoffs, prob.weights, prob.prices, prob.legs, prob.shorts)
@@ -384,10 +304,10 @@ def test_build_lp_nets_frictionless_pairs():
     assert prob.x_lower.tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert prob.highs_args("min_es", 0.5)[3][1:7, 0].tolist() == prob.x_lower.tolist()
     assert prob.prices.tolist() == [0.7, 1.0, -np.nextafter(1.0, 0.0), 0.7, 1.0, -1.0]
-    # the zero-weight scenario is gone; merged rows are sorted
+    # the zero-weight scenario is gone; the rows keep scenario order
     assert prob.payoffs.tolist() == [
-        [-2.0, 0.0, 0.0, -2.0, 1.0, -1.0],
         [1.0, 0.5, -0.5, 1.0, 1.0, -1.0],
+        [-2.0, 0.0, 0.0, -2.0, 1.0, -1.0],
     ]
     qty = prob.leg_quantities(np.array([-1.5, 0.25, 0.0, 3.0, 0.5, -0.0]))
     assert qty.tolist() == [0.0, 0.25, 0.0, 1.5, 2.0, 0.5, 0.0]
@@ -396,8 +316,8 @@ def test_build_lp_nets_frictionless_pairs():
 
 def _reference_detect(market, p):
     """detect's two-phase verdict and least ES from per-leg HiGHS LPs over
-    (alpha, x, u), with every leg its own column in [0, B] and no scenario
-    merging."""
+    (alpha, x, u), with every leg its own column in [0, B] and every
+    scenario its own row, zero weights included."""
     F, w, prices = market.payoff_matrix(), market.scenarios.weights, market.prices()
     n_s, n_l = F.shape
     rows = np.block([
@@ -459,7 +379,7 @@ def test_netting_compares_whole_columns():
     legs += [TradableLeg(f"d{k}", 0.25, longs[k]) for k in range(50)]
     legs += [TradableLeg(f"-d{k}", -0.25, -longs[k]) for k in shorts]
     market = MarketSnapshot(scen, tuple(legs), spot=1.0)
-    got_legs, got_shorts, _ = detector._net_columns(market, market.prices())
+    got_legs, got_shorts = detector._net_columns(market, slice(None), market.prices())
     assert got_legs.tolist() == [0, 1, *range(3, 53)]
     assert got_shorts.tolist() == [2, -1, *(53 + np.argsort(shorts)).tolist()]
 
@@ -659,7 +579,7 @@ def test_wide_option_chain_takes_the_cut_loop():
 
 
 def test_digital_market_in_chain_form_stays_on_highs():
-    # 640 merged scenarios would take the cut loop, but the chain form
+    # 640 scenarios would take the cut loop, but the chain form
     # keeps the digital ladder on HiGHS, where no confirmation LP runs
     market = density_market(bs_ratio_density(-0.3, 0.0, 0.15, cells=640))
     prob = build_lp(market)
@@ -787,7 +707,7 @@ def test_cut_loop_iterates_pinned():
         "print(len(calls), sol.method, sol.optimal_value.hex(), sol.alpha.hex())",
     ])
     assert run_with_one_blas_thread(code).split() == [
-        "15", "cutting_plane", "-0x1.7ad37137b90a0p-5", "-0x1.b94dca18f675cp-4"
+        "16", "cutting_plane", "-0x1.7ad37137b9082p-5", "-0x1.b94dca18ff8c0p-4"
     ]
 
 
@@ -1097,10 +1017,10 @@ def test_check_density_rejects_nan():
     # a NaN fails every `_check_density` test, as a residual above 1e-9
     # does: NaN duals under an "optimal" status certify no density
     prob = build_lp(capped_density_market())
-    q, lam = np.array([0.5, 2.0]), 1.0  # the market's pricing density
+    q, lam = np.array([2.0, 0.5]), 1.0  # the market's pricing density
     _check_density(prob, q, lam)
-    for bad_q, bad_lam in [(np.full(2, np.nan), np.nan), (q, np.nan), (np.array([np.nan, 2.0]), lam),
-                           (np.array([0.5, np.nan]), lam)]:
+    for bad_q, bad_lam in [(np.full(2, np.nan), np.nan), (q, np.nan), (np.array([np.nan, 0.5]), lam),
+                           (np.array([2.0, np.nan]), lam)]:
         with pytest.raises(SolverError, match="numerical failure"):
             _check_density(prob, bad_q, bad_lam)
 

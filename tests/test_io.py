@@ -167,6 +167,20 @@ class TestJsonConventions:
         write_json(path, {"schema": SCHEMA_VERSION, "x": 1})
         assert sorted(os.listdir(tmp_path)) == ["out.json"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_files_follow_the_umask(self, tmp_path, umask):
+        # a written file gets the mode a plain open() gives it
+        old = os.umask(umask)
+        try:
+            write_json(str(tmp_path / "out.json"), {"schema": SCHEMA_VERSION})
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "out.json").st_mode & 0o777
+        assert mode == 0o666 & ~umask == os.stat(tmp_path / "plain").st_mode & 0o777
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "plain"]
+
     def test_write_is_byte_stable(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         payload = {"schema": SCHEMA_VERSION, "v": [0.1, 0.2, 0.3]}

@@ -15,8 +15,7 @@ from esarb import (
     ru_objective,
     var_p,
 )
-from esarb import risk
-from esarb.risk import as_level, lex_order, tail_envelope
+from esarb.risk import as_level, tail_envelope
 
 from conftest import random_sample
 
@@ -242,50 +241,7 @@ def test_es_translation_and_scaling_properties(values, p, shift, scale):
     assert es_p(scaled, p) == pytest.approx(scale * base, abs=1e-9 * (1 + scale * abs(base)))
 
 
-# ------------------------------------------------- lex_order, tail_envelope
-
-# few distinct values per column make long tie runs; NaN ties with NaN
-# although NaN != NaN, and -0.0 ties with +0.0
-_TIE_VALUES = [0.0, -0.0, 1.0, -1.5, 5e-324, math.inf, -math.inf, math.nan]
-
-
-@st.composite
-def _key_columns(draw):
-    n = draw(st.integers(1, 40))
-    pool = draw(st.lists(st.sampled_from(_TIE_VALUES) | st.floats(), min_size=1, max_size=4))
-    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(np.array)
-    return draw(st.lists(column, min_size=1, max_size=6))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_key_columns())
-@example([np.array([2.0])])  # one row
-@example([np.full(30, math.nan), np.zeros(30)])  # all-equal columns
-@example([np.array([0.0, -0.0, math.nan, -0.0, math.nan, 0.0])] * 2)
-@example([np.zeros(200)])  # one constant key
-@example([np.full(30, math.nan)])  # one all-NaN key
-@example([np.array([0.0, -0.0, -0.0, 0.0, -0.0])])  # one key of signed zeros
-def test_lex_order_matches_lexsort(columns):
-    order = lex_order(columns)
-    assert np.array_equal(order, np.lexsort(columns[::-1]))
-    assert np.array_equal(lex_order(columns[:1]), np.argsort(columns[0], kind="stable"))
-
-
-@pytest.mark.parametrize("pool", ["signed zeros", "tie values", "rounded normals", "continuous"])
-def test_lex_order_matches_lexsort_on_long_columns(pool):
-    # long enough that numpy's default sort leaves insertion sort behind
-    rng = np.random.default_rng(5)
-    n = 20_000
-    values = {
-        "signed zeros": np.array([0.0, -0.0]),
-        "tie values": np.array(_TIE_VALUES),
-        "rounded normals": np.round(rng.normal(size=1000), 1),
-    }.get(pool)
-    draw = (lambda: rng.normal(size=n)) if values is None else (lambda: rng.choice(values, n))
-    columns = [draw() for _ in range(3)]
-    assert np.array_equal(lex_order(columns), np.lexsort(columns[::-1]))
-    assert np.array_equal(lex_order(columns[:1]), np.argsort(columns[0], kind="stable"))
-
+# ------------------------------------------------------------ tail_envelope
 
 _FIXED = 1074  # every finite float is an integer multiple of 2**-1074
 
@@ -453,7 +409,7 @@ def test_tail_envelope_all_values_tied(equal):
 
 def test_tail_envelope_makes_no_sort(monkeypatch):
     # equal weights: selection alone, no sort of the tail or of the ties;
-    # unequal weights: one stable order of the values (`lex_order`) and no
+    # unequal weights: exactly one stable argsort of the values and no
     # other sort
     rng = np.random.default_rng(8)
     n = 5000
@@ -464,33 +420,23 @@ def test_tail_envelope_makes_no_sort(monkeypatch):
             for p in (0.01, 0.3, 0.9):
                 cases.append((values, weights / weights.sum(), p))
     expected = [tail_envelope(*case) for case in cases]
-    real_lex_order, orders, inside = lex_order, [], []
+    sorts = []
 
-    def counted(columns):  # the sorts inside `lex_order` are allowed
-        orders.append(columns)
-        inside.append(True)
-        try:
-            return real_lex_order(columns)
-        finally:
-            inside.pop()
-
-    def refuse(real):
+    def counted(real, name):
         def sort(*args, **kwargs):
-            if not inside:
-                raise AssertionError("tail_envelope sorted")
+            sorts.append((name, kwargs.get("kind")))
             return real(*args, **kwargs)
 
         return sort
 
     for name in ("argsort", "sort", "lexsort"):
-        monkeypatch.setattr(np, name, refuse(getattr(np, name)))
-    monkeypatch.setattr(risk, "lex_order", counted)
+        monkeypatch.setattr(np, name, counted(getattr(np, name), name))
     for case, (es, q, var) in zip(cases, expected):
-        orders.clear()
+        sorts.clear()
         got = tail_envelope(*case)
         assert (got[0], got[2]) == (es, var) and got[1].tobytes() == q.tobytes()
         equal = (case[1] == case[1][0]).all()
-        assert len(orders) == (0 if equal else 1)
+        assert sorts == ([] if equal else [("argsort", "stable")])
 
 
 # ----------------------------------------------------------- coherence_check
