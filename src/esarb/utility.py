@@ -5,11 +5,12 @@ losses, concave power on gains), and the risk-averse power manager
 -((-x)+)^eta. Scans evaluate expected utility along scaled arbitrage rays;
 the constrained-sup experiment maximizes the limited-liability utility under
 a risk-manager floor, whose boundedness in the position cap separates true
-arbitrage from its absence. Its SLSQP runs, and `models.fit_garch`'s, go
-straight to scipy's compiled kernel (the private `scipy.optimize._slsqplib`),
-driven by `_slsqp` alone, which takes a box and any number of inequality
-rows and evaluates each point the kernel asks for once. Scenarios of weight
-0 are left out of every expected utility.
+arbitrage from its absence; each of its SLSQP runs goes on from cap to cap,
+rescaled, wherever the box did not bind. These runs, and
+`models.fit_garch`'s, go straight to scipy's compiled kernel (the private
+`scipy.optimize._slsqplib`), driven by `_slsqp` alone, which takes a box and
+any number of inequality rows and evaluates each point the kernel asks for
+once. Scenarios of weight 0 are left out of every expected utility.
 """
 
 from __future__ import annotations
@@ -216,12 +217,19 @@ def classic_constraint_sup(
     and eta), so every candidate splits into a direction d on the unit box
     and a scale t, and the best scale for a fixed direction is closed-form:
     the smaller of the box limit B / max(d) and the floor limit
-    (floor / E[u_R(d)])^(1/eta). Directions come from `n_starts` seeded
-    SLSQP runs on the unit box (`_slsqp`, each start shared across caps, so
-    values are monotone in B by construction), plus every nonpositive-price
-    corner and each cap's best direction carried forward. Each point an
-    SLSQP run asks for costs one product F z, which gives the objective and
-    the floor row (or their gradients) together.
+    (floor / E[u_R(d)])^(1/eta). Directions come from SLSQP runs on the
+    unit box (`_slsqp`), one from each nonpositive-price corner and each of
+    `n_starts` seeded points, plus every start and each cap's best
+    direction carried forward (so values are monotone in B). At the first
+    cap every run starts cold. The problem at cap B' is the one at B
+    rescaled: the objective has degree 1 and the floor row degree eta
+    against a floor of floor / B^eta. So a point z* polished at B with
+    0 < max z* < 1 (no upper bound binds), scaled by B / B', meets the KKT
+    conditions at B' with the same active set, and the run goes on from
+    there; a run that ended on the box or at 0 restarts from its own start,
+    which keeps the starts' diversity. Each point an SLSQP run asks for
+    costs one product F z, which gives the objective and the floor row (or
+    their gradients) together.
     Scenarios of weight 0 are left out. Bounded values as B grows mean the
     floor is effective; linear growth flags a true arbitrage.
     """
@@ -277,6 +285,7 @@ def classic_constraint_sup(
 
     results: list[CapResult] = []
     carried: list[np.ndarray] = []
+    polished, below = starts, caps[0]  # at the first cap every run starts cold
     for cap in caps:
         # floor seen from the unit box: g(B z) = B^eta g(z)
         floor_z = floor / cap**eta
@@ -286,7 +295,12 @@ def classic_constraint_sup(
             fz, gz = terms(z)
             return -fz, (-(prices @ z), gz - floor_z)
 
-        polished = [np.clip(_slsqp(values, gradients, z0)[0], 0.0, 1.0) for z0 in starts]
+        # a run whose box did not bind goes on from its point rescaled to
+        # this cap; a run on the box (or at 0) restarts from its own start
+        runs = [z * (below / cap) if 0.0 < z.max() < 1.0 else z0
+                for z, z0 in zip(polished, starts)]
+        polished = [np.clip(_slsqp(values, gradients, z0)[0], 0.0, 1.0) for z0 in runs]
+        below = cap
         best_val, best_x, best_dir = 0.0, np.zeros(n), np.zeros(n)
         for d in starts + carried + polished:
             val, x = direction_value(d, float(cap))

@@ -13,6 +13,7 @@ from esarb import (
     TradableLeg,
     WeightedSample,
 )
+from esarb import utility
 from esarb.detector import detect
 from esarb.models import GarchModel
 from esarb.utility import (
@@ -24,6 +25,7 @@ from esarb.utility import (
 )
 
 from conftest import garch_callbacks, random_market, run_with_one_blas_thread
+from test_acceptance import CRITERION_9_CAPS, criterion_9_markets
 
 LL = UtilitySpec.limited_liability()
 RM2 = UtilitySpec.risk_manager_power(2.0)
@@ -313,10 +315,19 @@ class TestClassicConstraintSup:
         floor_val = float(w @ RM2.evaluate(payoff))
         assert floor_val >= -1.0 - 1e-6
 
+    def test_runs_on_the_box_restart_from_their_start(self):
+        # at cap 1 most runs end on one vertex of the box; continuing those
+        # too, rescaled, reads 0.6254164735960045 at caps 5 to 125
+        rng = np.random.default_rng(124)
+        market = random_market(rng, n_scenarios=int(rng.integers(20, 200)),
+                               n_legs=int(rng.integers(2, 6)))
+        out = classic_constraint_sup(market, RM2, -0.5, [1.0, 5.0, 25.0, 125.0], seed=24)
+        for r in out[1:]:
+            assert r.value == pytest.approx(0.6254547285343519, rel=1e-12, abs=0.0)
+
     def test_capped_sup_pinned_on_criterion_9_markets(self):
-        # SHA-256 of every CapResult's cap, value and quantities, recorded
-        # when the price row and the floor were two constraint dicts: SLSQP
-        # stacks the rows of one vector constraint in the same order
+        # SHA-256 of every CapResult's cap, value and quantities; the free
+        # market reads 0.08803073813606287 at all three caps
         code = "\n".join([
             "import hashlib",
             "import numpy as np",
@@ -331,8 +342,8 @@ class TestClassicConstraintSup:
             "    print(h.hexdigest())",
         ])
         assert run_with_one_blas_thread(code).split() == [
-            "749c145c99f31e740efeffc555886e5fa27ca88fc3b4ea07be928583274fbcdc",
-            "f43c78f218cbad59e49bf394efb5a0fe3652bc1e90f7057a4655cb5813c8ccba",
+            "33dac692c65fe745a4a05877ab6f1377384164dd722f899471b344fea9049116",
+            "bbe9709aced0c80be53678bb4fd9c9fe2ccf6ea4617dcfbbe657e0dd0597b1d7",
         ]
 
 
@@ -419,3 +430,65 @@ def test_slsqp_matches_scipy_minimize_bit_for_bit():
         x, mode = _slsqp(values, gradients, x0, lower, upper)
         res_x, status = scipy_slsqp(values, gradients, x0, lower, upper)
         assert (x.tobytes(), mode) == (res_x.tobytes(), status), seed
+
+
+def option_market(seed):
+    """A seeded bid/ask option market in `slsqp_problem`'s style (spot 100,
+    1-7 calls, puts or bonds held long at the ask and short at the bid,
+    50-300 scenarios) and a floor of -1e-4 to -1e-1; every third seed adds a
+    zero-price lottery, a true arbitrage."""
+    rng = np.random.default_rng(seed)
+    k, n_scenarios = int(rng.integers(1, 8)), int(rng.integers(50, 301))
+    points = 100.0 * np.sort(rng.lognormal(0.0, 0.3, n_scenarios))
+    strikes = 100.0 * rng.uniform(0.6, 1.5, k)
+    kind = rng.integers(0, 3, k)
+    calls = np.maximum(points[:, None] - strikes, 0.0)
+    puts = np.maximum(strikes - points[:, None], 0.0)
+    instruments = np.where(kind == 0, calls, np.where(kind == 1, puts, 1.0))
+    w = rng.dirichlet(np.full(n_scenarios, 2.0))
+    mid, spread = w @ instruments, rng.uniform(0.0, 0.03, k)
+    legs = [TradableLeg(f"ask{j}", mid[j] * (1.0 + spread[j]), instruments[:, j]) for j in range(k)]
+    legs += [TradableLeg(f"bid{j}", -mid[j] * (1.0 - spread[j]), -instruments[:, j]) for j in range(k)]
+    if seed % 3 == 0:
+        legs.append(TradableLeg("lottery", 0.0, 2.0 * (points > np.median(points))))
+    floor = -(10.0 ** rng.uniform(-4.0, -1.0))
+    return MarketSnapshot(ScenarioSet(points, w), tuple(legs), spot=100.0), floor
+
+
+def counted_sup(monkeypatch, market, floor, caps, seed, n_starts, cold=False):
+    """`classic_constraint_sup`'s values and the function requests of its
+    SLSQP runs. With `cold`, each cap's runs start as they did before runs
+    continued from cap to cap: from the first cap's starts, replayed in
+    order."""
+    n_runs = int((market.prices() <= 0.0).sum()) + n_starts
+    x0s, requests = [], 0
+
+    def run(values, gradients, x0):
+        def counted(z):
+            nonlocal requests
+            requests += 1
+            return values(z)
+
+        x0s.append(x0)
+        return _slsqp(counted, gradients, x0s[(len(x0s) - 1) % n_runs] if cold else x0)
+
+    monkeypatch.setattr(utility, "_slsqp", run)
+    out = classic_constraint_sup(market, RM2, floor, caps, seed=seed, n_starts=n_starts)
+    return [r.value for r in out], requests
+
+
+def test_continued_runs_keep_the_cold_runs_values(monkeypatch):
+    # a point polished at one cap whose box did not bind, rescaled, meets
+    # the next cap's KKT conditions, so continuing loses nothing against
+    # running every start cold at every cap (8 starts, as the benchmark
+    # runs it), and criterion 9's free market asks for 1763 -> 540 points
+    for seed in range(12):
+        market, floor = option_market(seed)
+        cold, _ = counted_sup(monkeypatch, market, floor, [1e2, 1e3, 1e4], seed, 8, cold=True)
+        warm, _ = counted_sup(monkeypatch, market, floor, [1e2, 1e3, 1e4], seed, 8)
+        for c, v in zip(cold, warm):
+            assert v >= c * (1.0 - 1e-7), (seed, cold, warm)
+    free = criterion_9_markets()[0]
+    _, cold = counted_sup(monkeypatch, free, -0.01, CRITERION_9_CAPS, 11, 20, cold=True)
+    _, warm = counted_sup(monkeypatch, free, -0.01, CRITERION_9_CAPS, 11, 20)
+    assert 2 * warm <= cold, (warm, cold)
